@@ -11,7 +11,7 @@
 //
 // Pass `--quick` for the CI tier: a fixed small-argument subset at reduced
 // min-time, producing the canonical BENCH_engine.json that
-// scripts/bench_regress.py compares across commits.  Explicit benchmark
+// `dagsched sweep diff` compares across commits.  Explicit benchmark
 // flags after --quick still win (they are appended later).
 #include <benchmark/benchmark.h>
 
@@ -96,7 +96,7 @@ BENCHMARK(BM_EventEnginePaperS)->Arg(50)->Arg(200)->Arg(800);
 // structures the 100000-arg runs are quadratic (tens of seconds); on the
 // indexed structures they stay within a few seconds.  All three engines'
 // scale points are committed to BENCH_engine.json via --quick and gated by
-// scripts/bench_regress.py.
+// `dagsched sweep diff`.
 
 void BM_EventEnginePaperSScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
@@ -172,62 +172,13 @@ void BM_SlotEngineEdfScale(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotEngineEdfScale)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// ---- sharded single-run points -------------------------------------------
-//
-// The sharded engine (sim/kernel/shard.h) promises byte-identical decisions
-// at any shard count; what it costs is measured here.  BarrierOverhead runs
-// a small *narrow* workload where the parallel-advance gate
-// (>= kParallelAdvanceMin running entries) almost never clears, so the
-// Arg=2/4/8 deltas against Arg=1 (the exact serial path -- no ShardRuntime
-// is even constructed) isolate the fixed machinery: arrival staging,
-// shard-thread rendezvous, merged delivery.  The Sharded scale points put
-// the same machinery under the heavy-traffic 10^4..10^5-job workloads the
-// serial Scale family uses, so BENCH_engine.json tracks both sides of the
-// shards=1-vs-N crossover documented in docs/PERFORMANCE.md.
-
-void BM_ShardBarrierOverhead(benchmark::State& state) {
-  const JobSet jobs = make_jobs(200);
-  std::size_t decisions = 0;
-  for (auto _ : state) {
-    DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
-    auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
-    options.num_procs = 16;
-    options.shards = static_cast<std::size_t>(state.range(0));
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
-    decisions += result.decisions;
-    benchmark::DoNotOptimize(result.total_profit);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
-  state.counters["jobs"] = static_cast<double>(jobs.size());
-}
-BENCHMARK(BM_ShardBarrierOverhead)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_EventEnginePaperSSharded(benchmark::State& state) {
-  const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
-  std::size_t decisions = 0;
-  for (auto _ : state) {
-    DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
-    auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
-    options.num_procs = 16;
-    options.shards = 4;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
-    decisions += result.decisions;
-    benchmark::DoNotOptimize(result.total_profit);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
-  state.counters["jobs"] = static_cast<double>(jobs.size());
-}
-BENCHMARK(BM_EventEnginePaperSSharded)->Arg(1000)->Arg(10000)->Arg(100000);
-
 // ---- telemetry-enabled points --------------------------------------------
 //
 // Same workloads as their plain counterparts but with a TelemetryRecorder
 // attached (histogram-only, no JSONL sink): the *enabled* overhead shows up
 // as the delta against the plain name, and the recorder's decide histogram
 // is exported as decide_p50_ns/decide_p99_ns counters, which
-// scripts/bench_regress.py tracks under the same regression gate.  The
+// `dagsched sweep diff` tracks under the same regression gate.  The
 // plain benchmark names keep telemetry off, so the gate also proves the
 // compiled-in-but-disabled path stays free.
 
@@ -419,8 +370,6 @@ int main(int argc, char** argv) {
       "BM_EventEnginePaperSScale/100000$|BM_EventEngineEdfScale/100000$|"
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"
-      "BM_ShardBarrierOverhead/1$|BM_ShardBarrierOverhead/4$|"
-      "BM_EventEnginePaperSSharded/10000$|BM_EventEnginePaperSSharded/100000$|"
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
       "BM_SlotEngineEdfTelemetry/100$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";

@@ -4,10 +4,9 @@
 # Default mode: AddressSanitizer + UndefinedBehaviorSanitizer (the
 # `asan-ubsan` preset in CMakePresets.json) over the whole suite.
 #
-# --tsan: ThreadSanitizer (the `tsan` preset) over the threaded suites --
-# the sharded-run tests (test_shard: ShardRuntime prefetch, epoch barriers,
-# restart rendezvous) and the sweep executor (test_sweep: WorkStealingPool
-# push/close/park protocol).  Extra ctest args narrow further.
+# --tsan: ThreadSanitizer (the `tsan` preset) over the one threaded suite,
+# the sweep executor (test_sweep: WorkStealingPool push/close/park protocol,
+# merge lock, per-cell isolation).  Extra ctest args narrow further.
 #
 # Usage: scripts/check_sanitizers.sh [--tsan] [ctest-args...]
 #   e.g. scripts/check_sanitizers.sh -R ObsReplay
@@ -25,14 +24,14 @@ fi
 
 if [ "$mode" = "tsan" ]; then
   cmake --preset tsan
-  cmake --build --preset tsan -j"$(nproc)" --target test_shard test_sweep
+  cmake --build --preset tsan -j"$(nproc)" --target test_sweep
   # second_deadlock_stack makes lock-inversion reports actionable;
   # halt_on_error turns any report into a test failure instead of a log line.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
   if [ "$#" -gt 0 ]; then
     ctest --preset tsan "$@"
   else
-    ctest --preset tsan -R 'Shard|Sweep|WorkStealingPool|LatencyHistogram'
+    ctest --preset tsan -R 'Sweep|WorkStealingPool|LatencyHistogram'
   fi
   exit 0
 fi

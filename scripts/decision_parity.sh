@@ -22,12 +22,9 @@
 #      and require the resumed event log to be byte-identical to the
 #      uninterrupted run's suffix (docs/RECOVERY.md):
 #        scripts/decision_parity.sh resume BUILD_DIR
-#   5. shards mode: run every combo serially and again with
-#      `--shards 2`, `--shards 4`, and `--shards 8`, and require the
-#      sharded event logs to be byte-identical to the serial one (the
-#      shard-count-invariance contract of the sharded single-run engine,
-#      docs/PERFORMANCE.md "Sharded execution"):
-#        scripts/decision_parity.sh shards BUILD_DIR
+#
+# The same matrix is pinned to absolute FNV-1a64 digests by the
+# DecisionManifest ctest (tests/golden/decision_manifest.txt).
 #
 # emit and telemetry run the matrix through `dagsched sweep` (docs/SWEEP.md):
 # one process fans the cells across PARITY_JOBS worker threads (default:
@@ -204,56 +201,6 @@ resume_one() {
   : > "$workdir/status/$tag.ok"
 }
 
-# One shard-parity combo: serial reference log vs --shards {2,4,8}.  Like
-# resume_one, always returns 0 and records the outcome as a status file.
-shards_one() {
-  local sched="$1" engine="$2" wl="$3" fmode="$4"
-  local fargs tag shards
-  fargs="$(fault_args "$fmode")"
-  tag="${sched}_${engine}_${wl}_${fmode}"
-  # Serial reference run (--shards 1 is the exact seed code path, so the
-  # default run IS the reference).
-  # shellcheck disable=SC2086
-  "$cli" run "$workdir/$wl.wl" --scheduler "$sched" --engine "$engine" \
-    --m 16 $fargs --events "$workdir/$tag.serial.jsonl" >/dev/null
-  for shards in 2 4 8; do
-    # shellcheck disable=SC2086
-    "$cli" run "$workdir/$wl.wl" --scheduler "$sched" --engine "$engine" \
-      --m 16 $fargs --shards "$shards" \
-      --events "$workdir/$tag.s$shards.jsonl" >/dev/null
-    if ! cmp -s "$workdir/$tag.serial.jsonl" "$workdir/$tag.s$shards.jsonl"; then
-      echo "SHARDS DIVERGED: $tag at --shards $shards" \
-        > "$workdir/status/$tag.fail"
-      "$cli" trace diff "$workdir/$tag.serial.jsonl" \
-        "$workdir/$tag.s$shards.jsonl" --decisions || true
-      return 0
-    fi
-  done
-  : > "$workdir/status/$tag.ok"
-}
-
-shards_check() {
-  gen_workloads
-  mkdir -p "$workdir/status"
-  local line sched engine wl fmode
-  while read -r line; do
-    read -r sched engine wl <<<"$line"
-    for fmode in none churn-resume churn-zero; do
-      while [ "$(jobs -rp | wc -l)" -ge "$jobs" ]; do wait -n || true; done
-      shards_one "$sched" "$engine" "$wl" "$fmode" &
-    done
-  done < <(combos)
-  wait
-  local fails runs
-  fails="$(find "$workdir/status" -name '*.fail' | wc -l)"
-  runs="$(find "$workdir/status" -name '*.ok' | wc -l)"
-  if [ "$fails" -ne 0 ]; then
-    cat "$workdir/status"/*.fail
-    return 1
-  fi
-  echo "shard parity: all $runs combos byte-identical at --shards 2/4/8"
-}
-
 resume_check() {
   gen_workloads
   mkdir -p "$workdir/status"
@@ -283,6 +230,5 @@ case "$mode" in
   diff) diff_dirs "${3:?missing PRE_DIR}" "${4:?missing POST_DIR}" ;;
   telemetry) telemetry_check ;;
   resume) resume_check ;;
-  shards) shards_check ;;
   *) echo "unknown mode $mode" >&2; exit 2 ;;
 esac

@@ -1,7 +1,6 @@
 #include "core/deadline_scheduler.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 
 #include "obs/sink.h"
@@ -173,26 +172,14 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   info.arrived = true;
 
   const JobView view = ctx.view(job);
-  if (ctx.arrival_prep() != nullptr) {
-    // Sharded run: adopt the worker-staged allocation math.  The staging
-    // path (precompute_arrival below) is the byte-for-byte computation of
-    // the else branch, so both paths yield bit-identical JobInfo fields.
-    ArrivalPrecompute prep;
-    std::memcpy(&prep, ctx.arrival_prep(), sizeof(prep));
-    info.plateau = prep.plateau;
-    info.peak = prep.peak;
-    info.abs_plateau_deadline = prep.abs_plateau_deadline;
-    info.alloc = prep.alloc;
-  } else {
-    // General profit functions reduce to the plateau end (see header).
-    info.plateau = view.profit().plateau_end();
-    info.peak = view.profit().peak();
-    info.abs_plateau_deadline = view.release() + info.plateau;
+  // General profit functions reduce to the plateau end (see header).
+  info.plateau = view.profit().plateau_end();
+  info.peak = view.profit().peak();
+  info.abs_plateau_deadline = view.release() + info.plateau;
 
-    info.alloc = compute_deadline_allocation(view.work(), view.span(),
-                                             info.plateau, info.peak,
-                                             options_.params, ctx.speed());
-  }
+  info.alloc = compute_deadline_allocation(view.work(), view.span(),
+                                           info.plateau, info.peak,
+                                           options_.params, ctx.speed());
   if (info.alloc.n == 0) {
     // Infeasible for any processor count: park in P; it will expire there.
     enqueue_p(job);
@@ -218,35 +205,6 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
            info.alloc.good ? AuditEvent::Action::kQueuedWindowFull
                            : AuditEvent::Action::kQueuedNotGood);
   }
-}
-
-std::size_t DeadlineScheduler::arrival_precompute_size() const {
-  return sizeof(ArrivalPrecompute);
-}
-
-void DeadlineScheduler::precompute_arrival(const Job& job, JobId id,
-                                           double speed, void* out) const {
-  (void)id;
-  // Must stay the exact computation of on_arrival's recompute branch: reads
-  // only the immutable Job and `speed` (== ctx.speed() at delivery), touches
-  // no mutable members -- thread-safe per the sim/scheduler.h contract.
-  ArrivalPrecompute prep;
-  // The struct has interior padding (ProcCount/bool next to doubles); zero
-  // it so staged bytes are a pure function of the inputs (tests memcmp
-  // repeated evaluations).
-  std::memset(static_cast<void*>(&prep), 0, sizeof(prep));
-  prep.plateau = job.profit().plateau_end();
-  prep.peak = job.profit().peak();
-  prep.abs_plateau_deadline = job.release() + prep.plateau;
-  // Field-wise copy: a whole-struct assignment would drag the temporary's
-  // indeterminate padding bytes over the zeroed ones.
-  const JobAllocation alloc = compute_deadline_allocation(
-      job.work(), job.span(), prep.plateau, prep.peak, options_.params, speed);
-  prep.alloc.n = alloc.n;
-  prep.alloc.x = alloc.x;
-  prep.alloc.v = alloc.v;
-  prep.alloc.good = alloc.good;
-  std::memcpy(out, &prep, sizeof(prep));
 }
 
 void DeadlineScheduler::drain_p(const EngineContext& ctx) {

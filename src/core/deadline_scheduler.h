@@ -105,15 +105,6 @@ class DeadlineScheduler final : public SchedulerBase {
   void on_capacity_change(const EngineContext& ctx, ProcCount old_m,
                           ProcCount new_m) override;
   void decide(const EngineContext& ctx, Assignment& out) override;
-  /// Sharded-run arrival staging (sim/scheduler.h): the (n_i, x_i, v_i)
-  /// allocation math is a pure function of the immutable Job and the machine
-  /// speed, so shard workers stage it ahead of delivery.  The m-dependent
-  /// pieces -- the squashed-density ablation and condition (2) -- stay in
-  /// on_arrival, which consumes the staged POD when ctx.arrival_prep() is
-  /// set and recomputes identically when it is not.
-  std::size_t arrival_precompute_size() const override;
-  void precompute_arrival(const Job& job, JobId id, double speed,
-                          void* out) const override;
   /// Overload shedding: abandons the lowest-density admissible jobs,
   /// waiting set P before started set Q (dropping a P job forfeits no
   /// committed profit).  Emits kDrop events with `overload.shed.waiting` /
@@ -147,16 +138,6 @@ class DeadlineScheduler final : public SchedulerBase {
   const std::vector<AuditEvent>& audit() const { return audit_; }
 
  private:
-  /// Arrival fields stageable off the main thread (trivially copyable; moved
-  /// between threads as raw bytes).  Everything here is speed-dependent but
-  /// m-independent -- see precompute_arrival above.
-  struct ArrivalPrecompute {
-    JobAllocation alloc;
-    Profit peak = 0.0;
-    Time plateau = 0.0;
-    Time abs_plateau_deadline = 0.0;
-  };
-
   struct JobInfo {
     JobAllocation alloc;
     Profit peak = 0.0;

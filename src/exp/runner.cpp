@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -74,7 +73,6 @@ RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
   options.obs = config.obs;
   options.faults = config.faults;
   options.telemetry = config.telemetry;
-  options.shards = config.shards;
   const SimResult result =
       run_simulation(config.engine, jobs, scheduler, *selector, options);
   RunMetrics metrics;
@@ -191,17 +189,15 @@ OptBracket estimate_opt(const JobSet& jobs, ProcCount m, double opt_speed) {
 }
 
 TrialStats run_trials(const TrialConfig& config,
-                      const SchedulerFactory& factory, ThreadPool* pool) {
+                      const SchedulerFactory& factory) {
   DS_CHECK(config.trials >= 1);
   TrialStats stats;
   stats.trials = config.trials;
-  std::mutex merge_mutex;
-
-  auto one_trial = [&config, &factory, &stats, &merge_mutex](std::size_t i) {
+  for (std::size_t i = 0; i < config.trials; ++i) {
     Rng rng(config.base_seed);
     Rng trial_rng = rng.split(i);
     const JobSet jobs = generate_workload(trial_rng, config.workload);
-    if (jobs.empty()) return;
+    if (jobs.empty()) continue;
     auto scheduler = factory();
     const RunMetrics metrics = run_workload(jobs, *scheduler, config.run);
 
@@ -215,7 +211,6 @@ TrialStats run_trials(const TrialConfig& config,
       have_opt = true;
     }
 
-    std::lock_guard lock(merge_mutex);
     stats.profit.add(metrics.profit);
     stats.fraction.add(metrics.fraction);
     stats.completed_frac.add(
@@ -227,12 +222,6 @@ TrialStats run_trials(const TrialConfig& config,
       stats.ratio_ub.add(ratio_ub);
       stats.ratio_wit.add(ratio_wit);
     }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(config.trials, one_trial);
-  } else {
-    for (std::size_t i = 0; i < config.trials; ++i) one_trial(i);
   }
   return stats;
 }

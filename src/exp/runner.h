@@ -12,14 +12,12 @@
 #include "sim/node_selector.h"
 #include "sim/scheduler.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace dagsched {
 
 /// Factory so each trial gets a fresh scheduler instance (stateless reuse
-/// also works via reset(); factories keep trials independent under
-/// parallel execution).
+/// also works via reset(); factories keep trials independent).
 using SchedulerFactory = std::function<std::unique_ptr<SchedulerBase>()>;
 
 /// Scheduler registry by name -- "s" (the paper's Section-3 scheduler),
@@ -49,9 +47,6 @@ struct RunConfig {
   const FaultInjector* faults = nullptr;
   /// Runtime-telemetry recorder forwarded to the engine (null = off).
   TelemetryRecorder* telemetry = nullptr;
-  /// Intra-run shard count forwarded to SimOptions::shards (0/1 = serial;
-  /// decision logs are shard-count-invariant, see sim/kernel/shard.h).
-  std::size_t shards = 1;
 };
 
 struct RunMetrics {
@@ -138,10 +133,9 @@ struct TrialStats {
   std::size_t trials = 0;
 };
 
-/// Runs `config.trials` independent seeds; if `pool` is non-null, trials
-/// run concurrently (each trial uses its own scheduler from the factory).
+/// Runs `config.trials` independent seeds, each with its own scheduler
+/// from the factory.
 TrialStats run_trials(const TrialConfig& config,
-                      const SchedulerFactory& factory,
-                      ThreadPool* pool = nullptr);
+                      const SchedulerFactory& factory);
 
 }  // namespace dagsched

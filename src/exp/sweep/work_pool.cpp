@@ -5,10 +5,10 @@
 namespace dagsched {
 
 namespace {
-/// Spin budget before an idle next() parks.  Matches the shard runtime's
-/// discipline (sim/kernel/shard.cpp): long enough to bridge the gap to a
-/// producer that is mid-push, short enough that a genuinely idle worker
-/// reaches the condvar in microseconds.
+/// Spin budget before an idle next() parks.  A condvar park/wake round trip
+/// is far dearer than a short spin, so spinning first bridges the gap to a
+/// producer that is mid-push; the budget is short enough that a genuinely
+/// idle worker still reaches the condvar in microseconds.
 constexpr int kSpinLimit = 4096;
 }  // namespace
 

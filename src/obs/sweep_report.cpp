@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/parse_error.h"
+
 namespace dagsched {
 
 namespace {
@@ -341,7 +343,7 @@ SweepDiff diff_sweep_reports(const SweepReportDoc& baseline,
 
 namespace {
 
-/// bench_regress.py's measurement extraction: {name: real_time_ns} for
+/// The bench gate's measurement extraction: {name: real_time_ns} for
 /// non-aggregate rows plus "name:counter" for counters ending in _ns.
 std::vector<std::pair<std::string, double>> bench_measurements(
     const JsonValue& doc) {
@@ -379,6 +381,9 @@ SweepDiff diff_bench_reports(const JsonValue& baseline,
   SweepDiff diff;
   const auto base_rows = bench_measurements(baseline);
   const auto cur_rows = bench_measurements(current);
+  const char* const no_rows = "bench report has no non-aggregate measurements";
+  if (base_rows.empty()) throw ParseError("baseline", 1, 1, no_rows);
+  if (cur_rows.empty()) throw ParseError("current", 1, 1, no_rows);
   std::map<std::string, double> cur_by_name(cur_rows.begin(), cur_rows.end());
   std::map<std::string, double> base_by_name(base_rows.begin(),
                                              base_rows.end());

@@ -16,15 +16,15 @@
 // suites treat as the primary artifact.  The writer lives with the sweep
 // executor (exp/sweep/report_writer.h); this layer only needs util/json.
 //
-// `diff_sweep_reports` compares two reports cell-by-cell with the
-// bench_regress.py threshold policy: new/gone cells are informational,
+// `diff_sweep_reports` compares two reports cell-by-cell with the bench
+// gate's threshold policy: new/gone cells are informational,
 // wall-clock or decide-p99 past the threshold is a perf regression, and a
 // *semantic* change (decisions/completions/profit/failure differ on the
 // same cell -- simulated runs are deterministic, so any drift is a
 // correctness signal) is flagged regardless of threshold.
 // `diff_bench_reports` applies the identical policy to two
-// dagsched.bench_report/1 documents (BENCH_engine.json snapshots), porting
-// scripts/bench_regress.py into the CLI.
+// dagsched.bench_report/1 documents (BENCH_engine.json snapshots); CI's
+// blocking perf gate is `dagsched sweep diff` over those snapshots.
 #pragma once
 
 #include <iosfwd>
@@ -86,12 +86,16 @@ struct SweepDiff {
 
   /// True when the diff should fail a gate.
   bool regressed() const { return regressions > 0 || semantic_changes > 0; }
+  /// `dagsched sweep diff` exit status: 1 on a gate failure, unless
+  /// `warn_only` reports it without failing.
+  int exit_code(bool warn_only) const {
+    return regressed() && !warn_only ? 1 : 0;
+  }
 };
 
-/// Threshold policy shared with scripts/bench_regress.py plus absolute
-/// noise floors: a measurement only classifies as regressed/improved when
-/// the baseline side exceeds the floor (sub-floor cells are too noisy to
-/// gate on wall time).
+/// Threshold policy plus absolute noise floors: a measurement only
+/// classifies as regressed/improved when the baseline side exceeds the
+/// floor (sub-floor cells are too noisy to gate on wall time).
 struct SweepDiffOptions {
   double threshold = 0.25;      // allowed fractional slowdown
   double wall_floor_ms = 1.0;   // ignore wall deltas below this baseline
@@ -104,7 +108,9 @@ SweepDiff diff_sweep_reports(const SweepReportDoc& baseline,
 
 /// Same classification over two dagsched.bench_report/1 documents:
 /// real_time_ns per non-aggregate measurement plus any counters ending in
-/// `_ns` (keyed "name:counter"), exactly scripts/bench_regress.py.
+/// `_ns` (keyed "name:counter").  Throws ParseError (source "baseline" or
+/// "current") when an operand has no non-aggregate measurement: an empty
+/// report would otherwise pass the gate with every row "gone".
 SweepDiff diff_bench_reports(const JsonValue& baseline,
                              const JsonValue& current,
                              const SweepDiffOptions& options = {});

@@ -81,14 +81,6 @@ class EngineContext {
   /// policy counters; see obs/sink.h.
   const ObsSink* obs() const { return obs_; }
 
-  /// Staged arrival-precompute bytes for the job currently being delivered
-  /// via on_arrival(), or nullptr.  Only non-null inside on_arrival() on
-  /// sharded runs (KernelOptions::shards > 1) for schedulers that opted in
-  /// via SchedulerBase::arrival_precompute_size(); layout is whatever the
-  /// policy's precompute_arrival() wrote.  Policies must treat it as an
-  /// optional cache -- the serial path never sets it.
-  const void* arrival_prep() const { return arrival_prep_; }
-
   /// Semi-non-clairvoyant window onto job `id` (any job, arrived or not --
   /// but an online scheduler should only touch jobs it has been told about).
   JobView view(JobId id) const {
@@ -131,7 +123,6 @@ class EngineContext {
   const ObsSink* obs_ = nullptr;
   const std::vector<Job>* jobs_ = nullptr;
   const JobStateTable* state_ = nullptr;
-  const void* arrival_prep_ = nullptr;
 };
 
 }  // namespace dagsched

@@ -41,7 +41,6 @@ SimResult EventEngine::run() {
     kernel_options.decide_budget_ns = options_.decide_budget_ns;
     kernel_options.overload_shed_max = options_.overload_shed_max;
     kernel_options.overload_probe = options_.overload_probe;
-    kernel_options.shards = options_.shards;
     kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
                                           std::move(kernel_options));
   }
@@ -142,16 +141,11 @@ SimResult EventEngine::run() {
     kernel.observe_running(running.size());
     DS_OBS_OBSERVE(h_step_dt, dt);
 
-    // (5) Advance every running node by speed*dt.  Wide intervals on a
-    // sharded run fan the per-node work out across the shard workers (the
-    // kernel replays the global side effects serially, byte-identically);
-    // narrow intervals and serial runs take the plain loop.
-    if (!kernel.advance_parallel(running, speed * dt, now, dt)) {
-      for (std::size_t p = 0; p < running.size(); ++p) {
-        const auto& [job, node] = running[p];
-        kernel.advance_node(job, node, speed * dt, now, dt,
-                            kernel.phys_proc(p));
-      }
+    // (5) Advance every running node by speed*dt.
+    for (std::size_t p = 0; p < running.size(); ++p) {
+      const auto& [job, node] = running[p];
+      kernel.advance_node(job, node, speed * dt, now, dt,
+                          kernel.phys_proc(p));
     }
     kernel.account_step_time(dt);
     now += dt;

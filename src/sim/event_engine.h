@@ -75,11 +75,6 @@ struct EngineOptions {
   std::uint64_t decide_budget_ns = 0;
   std::size_t overload_shed_max = 1;
   std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-  /// Intra-run parallelism (forwarded to KernelOptions::shards): partition
-  /// jobs into this many shards, each with a worker thread running ahead of
-  /// simulated time.  Decision logs stay byte-identical to serial at any
-  /// value; 0/1 = the serial seed path.  See sim/kernel/shard.h.
-  std::size_t shards = 1;
 };
 
 /// Continuous-time stepping driver over the shared SimKernel

@@ -42,7 +42,6 @@ SimResult run_simulation(EngineKind kind, const JobSet& jobs,
       eo.decide_budget_ns = options.decide_budget_ns;
       eo.overload_shed_max = options.overload_shed_max;
       eo.overload_probe = options.overload_probe;
-      eo.shards = options.shards;
       EventEngine engine(jobs, scheduler, selector, std::move(eo));
       return engine.run();
     }
@@ -62,7 +61,6 @@ SimResult run_simulation(EngineKind kind, const JobSet& jobs,
       so.decide_budget_ns = options.decide_budget_ns;
       so.overload_shed_max = options.overload_shed_max;
       so.overload_probe = options.overload_probe;
-      so.shards = options.shards;
       SlotEngine engine(jobs, scheduler, selector, std::move(so));
       return engine.run();
     }

@@ -65,10 +65,6 @@ struct SimOptions {
   std::uint64_t decide_budget_ns = 0;
   std::size_t overload_shed_max = 1;
   std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-  /// Intra-run parallelism: shard count forwarded to KernelOptions::shards
-  /// (sim/kernel/shard.h).  Decision logs stay byte-identical to serial at
-  /// any value; 0/1 = the serial seed path.
-  std::size_t shards = 1;
 };
 
 /// Constructs the requested stepping driver over the shared kernel and runs

@@ -4,7 +4,7 @@
 
 namespace dagsched {
 
-void JobStateTable::reset(const JobSet& jobs, bool reserve_arena) {
+void JobStateTable::reset(const JobSet& jobs) {
   const std::size_t n = jobs.size();
   flags_.assign(n, 0);
   completion_time_.assign(n, kTimeInfinity);
@@ -27,12 +27,8 @@ void JobStateTable::reset(const JobSet& jobs, bool reserve_arena) {
   // four NodeId index arrays, plus per-job alignment padding): one exact
   // chunk instead of a doubling ramp whose retired chunks would double the
   // resident footprint.  Fault-scaled init columns still grow on demand.
-  // Sharded runs skip this: their blocks live in the per-shard arenas, and
-  // reserving n jobs' worth here would double the resident footprint.
-  if (reserve_arena) {
-    arena_.reserve(total_nodes * (sizeof(Work) + 4 * sizeof(NodeId)) +
-                   n * alignof(Work));
-  }
+  arena_.reserve(total_nodes * (sizeof(Work) + 4 * sizeof(NodeId)) +
+                 n * alignof(Work));
   node_stamp_.assign(total_nodes, 0);
   job_stamp_.assign(n, 0);
   alloc_stamp_.assign(n, 0);

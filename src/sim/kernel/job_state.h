@@ -71,11 +71,7 @@ class JobStateTable {
   /// Resets every column for a fresh run over `jobs` (finalized JobSet).
   /// Capacities and the arena's coalesced chunk are retained, so resetting
   /// for a same-shaped run performs no heap allocation after the first.
-  /// `reserve_arena` pre-sizes the unfolding arena for every job's block;
-  /// sharded runs pass false because adopted blocks live in the per-shard
-  /// arenas instead (sim/kernel/shard.h) and only checkpoint-restore
-  /// emplacements land here.
-  void reset(const JobSet& jobs, bool reserve_arena = true);
+  void reset(const JobSet& jobs);
 
   std::size_t size() const { return flags_.size(); }
 
@@ -113,13 +109,6 @@ class JobStateTable {
   void emplace_unfolding(JobId id, const Dag& dag,
                          const std::vector<Work>& works) {
     exec_[id].unfolding = UnfoldingState(dag, works, &arena_);
-  }
-  /// Sharded delivery: installs an unfolding pre-built by a shard worker
-  /// (sim/kernel/shard.h).  A plain descriptor move -- the per-node block
-  /// stays in the shard's arena, which outlives the run and resets only
-  /// after this table has been reset.
-  void adopt_unfolding(JobId id, UnfoldingState&& staged) {
-    exec_[id].unfolding = std::move(staged);
   }
   /// Arena backing every unfolding block; high_water() is the telemetry
   /// unfolding_bytes gauge.

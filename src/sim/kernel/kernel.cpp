@@ -6,20 +6,11 @@
 #include <sstream>
 
 #include "obs/telemetry/telemetry.h"
-#include "sim/kernel/shard.h"
 #include "util/check.h"
 #include "util/float_cmp.h"
 #include "util/wire.h"
 
 namespace dagsched {
-
-namespace {
-/// advance_parallel falls back to the serial loop below this many running
-/// nodes: an epoch barrier costs two rendezvous (microseconds), which only
-/// amortizes over wide intervals (see docs/PERFORMANCE.md, "sharded
-/// execution").
-constexpr std::size_t kParallelAdvanceMin = 64;
-}  // namespace
 
 SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
                      NodeSelector& selector, KernelOptions options)
@@ -30,20 +21,12 @@ SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
   DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
   DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
   DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
-  // 0 and 1 are both the serial path (the CLI's `--shards auto` can resolve
-  // to 1 on a single-core host).
-  shard_count_ = std::max<std::size_t>(1, options_.shards);
 }
-
-SimKernel::~SimKernel() = default;
 
 void SimKernel::begin(Time start_time) {
   const std::size_t n = jobs_.size();
   scheduler_.reset();
-  // Sharded runs skip the table's arena reservation: arrival blocks are
-  // adopted from the per-shard arenas (only checkpoint-restore emplacements
-  // land in the table's own arena).
-  state_.reset(jobs_, /*reserve_arena=*/shard_count_ == 1);
+  state_.reset(jobs_);
   result_ = SimResult{};
   result_.outcomes.resize(n);
 
@@ -109,17 +92,7 @@ void SimKernel::begin(Time start_time) {
   last_exec_end_ = -1.0;
 
   next_arrival_ = 0;
-  if (deadlines_.size() != shard_count_) deadlines_.resize(shard_count_);
-  for (auto& heap : deadlines_) heap.clear();
-  // Shard workers spin up once per kernel and rendezvous per run; restart(0)
-  // kicks off run-ahead arrival prefetch for the fresh run.
-  if (shard_count_ > 1) {
-    if (shard_rt_ == nullptr) {
-      shard_rt_ = std::make_unique<ShardRuntime>(
-          jobs_, scheduler_, options_.faults, options_.speed, shard_count_);
-    }
-    shard_rt_->restart(0);
-  }
+  deadlines_.clear();
   completed_now_.clear();
   jobs_done_ = 0;
   prev_nodes_.clear();
@@ -211,25 +184,18 @@ void SimKernel::deliver_arrivals(Time now) {
                                   : TelemetryRecorder::Clock::time_point{};
     const JobId id = static_cast<JobId>(next_arrival_++);
     state_.set_arrived(id);
-    if (shard_rt_ != nullptr) {
-      // Adopt the shard worker's staged build -- bit-identical to the
-      // serial branch below (scaled_works is pure, and the unfolding
-      // constructors run the same code worker-side; see shard.h).
-      state_.adopt_unfolding(id, std::move(shard_rt_->acquire(id).unfolding));
+    std::vector<Work> actual_works;
+    if (faults != nullptr && faults->scales_work()) {
+      actual_works = faults->scaled_works(id, jobs_[id].dag());
+    }
+    if (actual_works.empty()) {
+      state_.emplace_unfolding(id, jobs_[id].dag());
     } else {
-      std::vector<Work> actual_works;
-      if (faults != nullptr && faults->scales_work()) {
-        actual_works = faults->scaled_works(id, jobs_[id].dag());
-      }
-      if (actual_works.empty()) {
-        state_.emplace_unfolding(id, jobs_[id].dag());
-      } else {
-        state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
-      }
+      state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
     }
     state_.activate(id);
     if (jobs_[id].has_deadline()) {
-      deadlines_[shard_of(id)].emplace(jobs_[id].absolute_deadline(), id);
+      deadlines_.emplace(jobs_[id].absolute_deadline(), id);
     }
     DS_OBS_INC(c_arrivals_);
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kArrival);
@@ -242,39 +208,19 @@ void SimKernel::deliver_arrivals(Time now) {
                      {"actual", actual_total}});
       }
     }
-    if (shard_rt_ != nullptr) {
-      // Hand the worker-staged precompute POD to the scheduler for this one
-      // callback (nullptr when the policy opted out -- it then recomputes,
-      // identically, as on the serial path).
-      ctx_.arrival_prep_ = shard_rt_->precomputed(id);
-      scheduler_.on_arrival(ctx_, id);
-      ctx_.arrival_prep_ = nullptr;
-    } else {
-      scheduler_.on_arrival(ctx_, id);
-    }
+    scheduler_.on_arrival(ctx_, id);
     if (telemetry_ != nullptr) telemetry_->record_admission_since(telemetry_t0);
   }
 }
 
 void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
-  // K-way merge over the heap slices: every job contributes at most one
-  // (deadline, id) entry, so popping the smallest slice top each iteration
-  // -- with the same due check and completed/notified filter -- reproduces
-  // the serial single-heap pop order exactly.  shards=1 degenerates to the
-  // serial loop over deadlines_[0].
-  for (;;) {
-    DaryHeap<DeadlineEntry>* best = nullptr;
-    for (auto& heap : deadlines_) {
-      if (heap.empty()) continue;
-      if (best == nullptr || heap.top() < best->top()) best = &heap;
-    }
-    if (best == nullptr) break;
-    const auto [deadline, id] = best->top();
+  while (!deadlines_.empty()) {
+    const auto [deadline, id] = deadlines_.top();
     const bool due = policy == DeadlineDuePolicy::kBeforeNextSlot
                          ? approx_gt(now + 1.0, deadline)
                          : approx_le(deadline, now);
     if (!due) break;
-    best->pop();
+    deadlines_.pop();
     if (state_.completed(id) || state_.deadline_notified(id)) continue;
     state_.set_deadline_notified(id);
     ++expiries_delivered_;
@@ -421,44 +367,6 @@ void SimKernel::begin_interval() {
             std::make_pair(kInvalidJob, NodeId{0}));
 }
 
-bool SimKernel::advance_parallel(
-    const std::vector<std::pair<JobId, NodeId>>& running, Work amount,
-    Time now, Time dt) {
-  if (shard_rt_ == nullptr || running.size() < kParallelAdvanceMin) {
-    return false;
-  }
-  adv_flags_.resize(running.size());
-  shard_rt_->run_advance(running.data(), running.size(), amount, now, state_,
-                         adv_flags_.data());
-  // Serial replay of the cross-job side effects in processor order: the
-  // exact emission order and floating-point accumulation sequence of the
-  // serial advance_node loop (every event-engine duration equals dt, so the
-  // busy-time sum is the same term sequence).
-  for (std::size_t p = 0; p < running.size(); ++p) {
-    const auto [job, node] = running[p];
-    const std::uint8_t flag = adv_flags_[p];
-    if (c_node_starts_ != nullptr &&
-        (flag & ShardRuntime::kStarted) != 0) {
-      c_node_starts_->add(1.0);
-    }
-    if (c_node_completions_ != nullptr &&
-        (flag & ShardRuntime::kNodeDone) != 0) {
-      c_node_completions_->add(1.0);
-    }
-    result_.busy_proc_time += dt;
-    DS_OBS_ADD(c_busy_time_, dt);
-    const ProcCount phys = phys_proc(p);
-    if (churn_) {
-      proc_node_[phys] = {job, node};
-      last_exec_end_ = std::max(last_exec_end_, now + dt);
-    }
-    if (options_.record_trace) {
-      result_.trace.add(now, now + dt, job, node, phys);
-    }
-  }
-  return true;
-}
-
 void SimKernel::notify_completions_slow(Time notify_time) {
   // Flags first (set in mark_if_completed), notifications second, so the
   // scheduler observes a consistent post-completion state.
@@ -528,10 +436,7 @@ std::size_t SimKernel::kernel_bytes() const {
   // the figure the million-job memory budget tracks per subsystem.  The
   // SoA job-state columns report through the table; the unfolding arena is
   // its own telemetry gauge.
-  std::size_t deadline_bytes = 0;
-  for (const auto& heap : deadlines_) deadline_bytes += heap.memory_bytes();
-  return state_.memory_bytes() + deadline_bytes +
-         adv_flags_.capacity() * sizeof(std::uint8_t) +
+  return state_.memory_bytes() + deadlines_.memory_bytes() +
          completed_now_.capacity() * sizeof(JobId) +
          prev_nodes_.capacity() * sizeof(std::pair<JobId, NodeId>) +
          prev_jobs_.capacity() * sizeof(JobId) +
@@ -554,11 +459,7 @@ void SimKernel::emit_telemetry(Time now, bool final_snapshot) {
   sample.jobs_total = jobs_.size();
   sample.queue_depth = scheduler_.queue_depth();
   sample.kernel_bytes = kernel_bytes();
-  // Sharded runs: arrival blocks live in the per-shard arenas, restored
-  // (resume) blocks in the table's own arena -- the gauge is their sum.
-  sample.unfolding_bytes =
-      state_.unfolding_arena().high_water() +
-      (shard_rt_ != nullptr ? shard_rt_->arena_high_water() : 0);
+  sample.unfolding_bytes = state_.unfolding_arena().high_water();
   sample.scheduler_bytes = scheduler_.memory_bytes();
   if (final_snapshot) {
     telemetry_->finish_run(sample);
@@ -628,12 +529,10 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
   out.f64(capacity_time_);
   out.f64(start_time_);
   out.u64(expiries_delivered_);
-  // Historical unfolding-bytes slot, now the combined arena high-water mark
+  // Historical unfolding-bytes slot, now the arena high-water mark
   // (advisory: the telemetry gauge is recomputed from live state after a
-  // resume, and the loader discards this value), so the wire format is
-  // independent of the saving run's shard count.
-  out.u64(state_.unfolding_arena().high_water() +
-          (shard_rt_ != nullptr ? shard_rt_->arena_high_water() : 0));
+  // resume, and the loader discards this value).
+  out.u64(state_.unfolding_arena().high_water());
 
   scheduler_out.str(scheduler_.name());
   scheduler_.save_state(scheduler_out);
@@ -753,20 +652,14 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   // Derived structures: the deadline heap is rebuilt from runtime flags (a
   // lazily-discarded heap entry for a completed job was behaviorally inert,
   // so omitting it is exact), and the victim map / up list refresh at the
-  // next begin_interval().  The checkpoint carries no shard state at all,
-  // so a resume may use any shard count: entries land in this run's slices.
-  for (auto& heap : deadlines_) heap.clear();
+  // next begin_interval().
+  deadlines_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const JobId id = static_cast<JobId>(i);
     if (state_.arrived(id) && !state_.completed(id) &&
         !state_.deadline_notified(id) && jobs_[i].has_deadline()) {
-      deadlines_[shard_of(id)].emplace(jobs_[i].absolute_deadline(), id);
+      deadlines_.emplace(jobs_[i].absolute_deadline(), id);
     }
-  }
-  // Re-aim run-ahead prefetch at the restored arrival cursor; everything
-  // staged for the pre-restore run is discarded.
-  if (shard_rt_ != nullptr) {
-    shard_rt_->restart(static_cast<JobId>(next_arrival_));
   }
 
   const std::string saved_scheduler = scheduler_in.str();

@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,7 +51,6 @@ namespace dagsched {
 
 class CheckpointReader;
 class CheckpointWriter;
-class ShardRuntime;
 class TelemetryRecorder;
 
 struct KernelOptions {
@@ -92,15 +90,6 @@ struct KernelOptions {
   /// Test hook: replaces the measured decide latency (deterministic overload
   /// tests).  Arguments: decision number (1-based), measured nanoseconds.
   std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-  /// Intra-run parallelism: partition jobs into `shards` slices, each owning
-  /// a worker thread, a deadline-heap slice, and an arena, with run-ahead
-  /// arrival prefetch and epoch-barrier node advancement
-  /// (sim/kernel/shard.h).  Decision logs are byte-identical to the serial
-  /// run at any value -- the parity script's `shards` mode proves it -- and
-  /// the dagsched.checkpoint/1 wire format is unchanged, so resumes may
-  /// switch shard counts freely.  1 (the default) and 0 are the exact serial
-  /// seed path: no threads, no barriers.
-  std::size_t shards = 1;
 };
 
 /// How an engine maps deadline instants onto its decision points.  The
@@ -119,9 +108,6 @@ class SimKernel {
   /// selector are borrowed and must outlive the kernel.
   SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
             NodeSelector& selector, KernelOptions options);
-  /// Out of line: joins the shard workers (ShardRuntime is an incomplete
-  /// type here).
-  ~SimKernel();
 
   // -- Lifecycle ------------------------------------------------------------
 
@@ -196,18 +182,12 @@ class SimKernel {
   }
 
   /// Earliest pending deadline of a still-incomplete job (kTimeInfinity if
-  /// none); lazily discards entries for completed jobs.  Each heap slice's
-  /// top is the minimum of its entries, so the minimum over slices equals
-  /// the serial single-heap top regardless of shard count.
+  /// none); lazily discards entries for completed jobs.
   Time next_deadline_time() {
-    Time best = kTimeInfinity;
-    for (auto& heap : deadlines_) {
-      while (!heap.empty() && state_.completed(heap.top().second)) {
-        heap.pop();
-      }
-      if (!heap.empty()) best = std::min(best, heap.top().first);
+    while (!deadlines_.empty() && state_.completed(deadlines_.top().second)) {
+      deadlines_.pop();
     }
-    return best;
+    return deadlines_.empty() ? kTimeInfinity : deadlines_.top().first;
   }
 
   /// Time of the next undelivered processor transition; kTimeInfinity when
@@ -290,20 +270,6 @@ class SimKernel {
     }
   }
 
-  /// Sharded fast path for one event-engine step: advances every entry of
-  /// `running` by `amount` work over [now, now+dt) across the shard workers
-  /// (entry i on shard running[i].first % K, so per-job state has a single
-  /// writer), then replays the global side effects -- counters, busy time,
-  /// the trace, the failure-victim map -- serially in processor order from
-  /// the per-entry flag bytes.  Byte-identical to the serial advance_node
-  /// loop: per-job floating-point sequences are preserved (same-job entries
-  /// share a shard and run in global entry order) and every event-engine
-  /// duration equals dt, so the serially-replayed busy-time accumulation
-  /// matches term for term.  Returns false (caller runs the serial loop)
-  /// when sharding is off or `running` is too small to amortize a barrier.
-  bool advance_parallel(const std::vector<std::pair<JobId, NodeId>>& running,
-                        Work amount, Time now, Time dt);
-
   /// Accounts `dt` of wall-clock machine time at the current capacity
   /// (executed slots and event-engine steps).
   void account_step_time(double dt) {
@@ -360,13 +326,8 @@ class SimKernel {
            approx_le(transitions[next_transition_].time, now);
   }
   bool expiry_due(Time now, DeadlineDuePolicy policy) const {
-    // Minimum over slice tops == global minimum entry, exactly the serial
-    // single-heap top (see next_deadline_time).
-    Time deadline = kTimeInfinity;
-    for (const auto& heap : deadlines_) {
-      if (!heap.empty()) deadline = std::min(deadline, heap.top().first);
-    }
-    if (deadline == kTimeInfinity) return false;
+    if (deadlines_.empty()) return false;
+    const Time deadline = deadlines_.top().first;
     return policy == DeadlineDuePolicy::kBeforeNextSlot
                ? approx_gt(now + 1.0, deadline)
                : approx_le(deadline, now);
@@ -445,31 +406,14 @@ class SimKernel {
   /// entries across idle stretches).
   Time last_exec_end_ = -1.0;
 
-  // Arrival / deadline / completion queues.  Deadlines live in one compact
-  // 4-ary heap of (time, job) entries per shard (a single heap when
-  // shards=1): job id % shard_count_ picks the slice, and since each job
-  // contributes at most one entry, popping the smallest (time, id) slice
-  // top each iteration yields exactly the serial single-heap pop order --
-  // the arity and the sharding are both invisible to decision logs.
+  // Arrival / deadline / completion queues.  The deadline heap is a compact
+  // 4-ary heap of (time, job) entries; pop order equals sorted order for
+  // the unique keys it holds, so the arity is invisible to decision logs.
   std::size_t next_arrival_ = 0;
   using DeadlineEntry = std::pair<Time, JobId>;
-  std::vector<DaryHeap<DeadlineEntry>> deadlines_;
+  DaryHeap<DeadlineEntry> deadlines_;
   std::vector<JobId> completed_now_;
   std::size_t jobs_done_ = 0;
-
-  // Intra-run sharding (KernelOptions::shards > 1): the worker runtime, the
-  // resolved shard count, and the per-entry flag bytes advance_parallel
-  // replays from.  shard_rt_ is declared after state_ on purpose: it is
-  // destroyed first, so the workers are joined while everything they can
-  // reference (the table, the job set, the scheduler) is still alive.  The
-  // table's adopted unfolding descriptors survive their shard arenas --
-  // UnfoldingState's destructor never dereferences arena memory.
-  std::size_t shard_count_ = 1;
-  std::unique_ptr<ShardRuntime> shard_rt_;
-  std::vector<std::uint8_t> adv_flags_;
-  std::size_t shard_of(JobId id) const {
-    return static_cast<std::size_t>(id) % shard_count_;
-  }
 
   // Previous interval's execution set, for preemption accounting.  Membership
   // tests use the table's epoch-stamp columns so each decision costs

@@ -83,25 +83,8 @@ class SchedulerBase {
   /// incomplete, no duplicate jobs, procs >= 1 per entry.
   virtual void decide(const EngineContext& ctx, Assignment& out) = 0;
 
-  // ---- Sharded arrival precompute (sim/kernel/shard.h) --------------------
-  // On sharded runs (KernelOptions::shards > 1) worker threads pre-build
-  // per-arrival state ahead of delivery.  A policy whose on_arrival() does
-  // job-local math that depends only on the immutable Job and the machine
-  // speed can stage that math on the workers: return the POD size from
-  // arrival_precompute_size() and fill it in precompute_arrival().  The
-  // kernel hands the bytes back through ctx.arrival_prep() inside
-  // on_arrival().  Contract: precompute_arrival must be const, thread-safe
-  // (called concurrently from several workers, possibly concurrently with
-  // on_arrival/decide on the main thread -- touch no mutable members), and
-  // bit-identical to the delivery-time computation, since decision-log
-  // parity across shard counts depends on it.  It must not consult an
-  // EngineContext: anything m- or state-dependent stays in on_arrival.
-
-  /// Bytes of per-arrival precompute this policy wants staged (0 = opt out).
+  // Unused by the simulator; kept because perfbench_trace.cpp overrides both.
   virtual std::size_t arrival_precompute_size() const { return 0; }
-
-  /// Stages `job`'s precompute into `out` (arrival_precompute_size() bytes,
-  /// suitably aligned for std::max_align_t).  See the contract above.
   virtual void precompute_arrival(const Job& job, JobId id, double speed,
                                   void* out) const {
     (void)job;

@@ -60,7 +60,6 @@ SimResult SlotEngine::run() {
     kernel_options.decide_budget_ns = options_.decide_budget_ns;
     kernel_options.overload_shed_max = options_.overload_shed_max;
     kernel_options.overload_probe = options_.overload_probe;
-    kernel_options.shards = options_.shards;
     kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
                                           std::move(kernel_options));
   }

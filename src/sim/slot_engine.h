@@ -68,11 +68,6 @@ struct SlotEngineOptions {
   std::uint64_t decide_budget_ns = 0;
   std::size_t overload_shed_max = 1;
   std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-  /// Intra-run parallelism (forwarded to KernelOptions::shards): run-ahead
-  /// arrival prefetch and per-shard deadline heaps apply to slot runs too
-  /// (the epoch-barrier advance is event-engine-only).  Decision logs stay
-  /// byte-identical to serial at any value; 0/1 = the serial seed path.
-  std::size_t shards = 1;
 };
 
 /// Discrete-slot stepping driver over the shared SimKernel

@@ -97,25 +97,6 @@ TEST(Runner, TrialsAggregateDeterministically) {
   EXPECT_DOUBLE_EQ(a.fraction.mean(), b.fraction.mean());
 }
 
-TEST(Runner, TrialsParallelMatchesSequential) {
-  TrialConfig config;
-  config.workload = scenario_thm2(0.5, 0.6, 8);
-  config.workload.horizon = 100.0;
-  config.run.m = 8;
-  config.trials = 6;
-  config.base_seed = 5;
-  const SchedulerFactory factory = [] {
-    return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kEdf, false, true});
-  };
-  ThreadPool pool(3);
-  const TrialStats sequential = run_trials(config, factory, nullptr);
-  const TrialStats parallel = run_trials(config, factory, &pool);
-  EXPECT_DOUBLE_EQ(sequential.profit.mean(), parallel.profit.mean());
-  EXPECT_DOUBLE_EQ(sequential.profit.min(), parallel.profit.min());
-  EXPECT_DOUBLE_EQ(sequential.profit.max(), parallel.profit.max());
-}
-
 TEST(Runner, WithOptPopulatesRatios) {
   TrialConfig config;
   config.workload = scenario_thm2(0.5, 0.6, 4);

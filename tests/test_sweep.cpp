@@ -22,6 +22,7 @@
 #include "obs/sweep_report.h"
 #include "obs/telemetry/latency_histogram.h"
 #include "util/json.h"
+#include "util/parse_error.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -438,24 +439,94 @@ TEST(SweepDiff, NewAndGoneCellsAreInformational) {
   EXPECT_EQ(classes.at("cell_b"), SweepDiffClass::kNew);
 }
 
-JsonValue bench_doc(double real_time_ns) {
-  std::ostringstream doc;
-  doc << "{\"schema\":\"dagsched.bench_report/1\",\"measurements\":["
-      << "{\"name\":\"decide_hot\",\"real_time_ns\":" << real_time_ns
-      << ",\"counters\":{\"decide_p99_ns\":1234.0}}]}";
-  const JsonParseResult parsed = json_parse(doc.str());
+/// A dagsched.bench_report/1 document with the given measurement rows.
+JsonValue bench_report(const std::string& rows) {
+  const JsonParseResult parsed = json_parse(
+      "{\"schema\":\"dagsched.bench_report/1\",\"measurements\":[" + rows +
+      "]}");
   EXPECT_TRUE(parsed.ok) << parsed.error;
   return parsed.value;
+}
+
+std::string bench_row(const std::string& name, double real_time_ns,
+                      const std::string& counters = "{}",
+                      bool aggregate = false) {
+  std::ostringstream row;
+  row << "{\"name\":\"" << name << "\",\"real_time_ns\":" << real_time_ns
+      << ",\"aggregate\":" << (aggregate ? "true" : "false")
+      << ",\"counters\":" << counters << "}";
+  return row.str();
+}
+
+JsonValue bench_doc(double real_time_ns) {
+  return bench_report(
+      bench_row("decide_hot", real_time_ns, "{\"decide_p99_ns\":1234.0}"));
+}
+
+std::map<std::string, SweepDiffClass> classes_of(const SweepDiff& diff) {
+  std::map<std::string, SweepDiffClass> classes;
+  for (const SweepDiffRow& row : diff.rows) classes[row.id] = row.klass;
+  return classes;
 }
 
 TEST(SweepDiff, BenchReportsUseTheSameThresholdPolicy) {
   const JsonValue base = bench_doc(1'000'000.0);
   EXPECT_FALSE(diff_bench_reports(base, bench_doc(1'100'000.0)).regressed());
+  EXPECT_FALSE(diff_bench_reports(base, bench_doc(1'200'000.0)).regressed());
   const SweepDiff slower = diff_bench_reports(base, bench_doc(1'500'000.0));
   EXPECT_EQ(slower.regressions, 1u);
+  EXPECT_EQ(slower.exit_code(/*warn_only=*/false), 1);
+  // --warn-only reports the regression but never fails the gate.
+  EXPECT_EQ(slower.exit_code(/*warn_only=*/true), 0);
   const SweepDiff wider = diff_bench_reports(base, bench_doc(1'500'000.0),
                                              {.threshold = 0.6});
   EXPECT_FALSE(wider.regressed());
+
+  // Added and retired measurement names are informational.
+  const SweepDiff added = diff_bench_reports(
+      base, bench_report(bench_row("decide_hot", 1'000'000.0,
+                                   "{\"decide_p99_ns\":1234.0}") +
+                         "," + bench_row("scale/100000", 3.4e9)));
+  EXPECT_FALSE(added.regressed());
+  EXPECT_EQ(classes_of(added).at("scale/100000"), SweepDiffClass::kNew);
+  const SweepDiff retired = diff_bench_reports(
+      bench_report(bench_row("kept", 100.0) + "," + bench_row("retired", 9.0)),
+      bench_report(bench_row("kept", 100.0)));
+  EXPECT_FALSE(retired.regressed());
+  EXPECT_EQ(classes_of(retired).at("retired"), SweepDiffClass::kGone);
+
+  // _ns counters gate like real_time_ns; a counter that appears is new.
+  const SweepDiff p99 = diff_bench_reports(
+      bench_report(bench_row("telemetry/50", 1e5, "{\"decide_p99_ns\":100}")),
+      bench_report(bench_row("telemetry/50", 1e5, "{\"decide_p99_ns\":200}")));
+  EXPECT_EQ(p99.regressions, 1u);
+  EXPECT_EQ(classes_of(p99).at("telemetry/50:decide_p99_ns"),
+            SweepDiffClass::kPerfRegression);
+  const SweepDiff appeared = diff_bench_reports(
+      bench_report(bench_row("telemetry/50", 1e5)),
+      bench_report(bench_row("telemetry/50", 1e5, "{\"decide_p99_ns\":200}")));
+  EXPECT_FALSE(appeared.regressed());
+  EXPECT_EQ(classes_of(appeared).at("telemetry/50:decide_p99_ns"),
+            SweepDiffClass::kNew);
+
+  // Throughput counters are not latencies and are never compared.
+  const SweepDiff throughput = diff_bench_reports(
+      bench_report(bench_row("paper_s/50", 1e5, "{\"items_per_second\":2e6}")),
+      bench_report(bench_row("paper_s/50", 1e5, "{\"items_per_second\":1e6}")));
+  EXPECT_FALSE(throughput.regressed());
+  EXPECT_EQ(throughput.rows.size(), 1u);
+}
+
+TEST(SweepDiff, EmptyBenchReportIsMalformed) {
+  // Without this check an empty current report passes the gate with every
+  // baseline row merely "gone".
+  const JsonValue full = bench_doc(1'000'000.0);
+  const JsonValue empty = bench_report("");
+  const JsonValue aggregates_only =
+      bench_report(bench_row("decide_hot_mean", 1e6, "{}", /*aggregate=*/true));
+  EXPECT_THROW(diff_bench_reports(full, empty), ParseError);
+  EXPECT_THROW(diff_bench_reports(empty, full), ParseError);
+  EXPECT_THROW(diff_bench_reports(full, aggregates_only), ParseError);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// Unit tests for src/util: RNG, float comparison, stats, CSV, table,
-// thread pool.
+// Unit tests for src/util: RNG, float comparison, stats, CSV, table.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -13,7 +11,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace dagsched {
 namespace {
@@ -218,29 +215,6 @@ TEST(TextTable, NumFormatting) {
   EXPECT_EQ(TextTable::num(1.23456, 3), "1.23");
   EXPECT_EQ(TextTable::num(static_cast<long long>(7)), "7");
   EXPECT_EQ(TextTable::num(std::numeric_limits<double>::infinity()), "inf");
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  pool.parallel_for(50, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasks) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
 }
 
 }  // namespace

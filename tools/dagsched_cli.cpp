@@ -96,7 +96,7 @@ int usage() {
          "           [--checkpoint CKPT --checkpoint-interval N] "
          "[--resume CKPT]\n"
          "           [--die-at-decision N] [--decide-budget N|Nus|Nms|Ns]\n"
-         "           [--overload-shed K] [--shards N|auto]\n"
+         "           [--overload-shed K]\n"
          "  dagsched checkpoint info CKPT # print a checkpoint header\n"
          "  dagsched sweep WL... --schedulers A,B --engines event,slot\n"
          "           [--faults LABEL=SPEC;LABEL=SPEC...] [--m M] [--eps E]\n"
@@ -231,10 +231,10 @@ std::size_t parse_positive_count(const std::string& flag,
   return static_cast<std::size_t>(parsed);
 }
 
-/// The shared count parser for --sweep-jobs and --shards: a positive
-/// integer, or the literal `auto` = std::thread::hardware_concurrency()
-/// (0 when unknown -> 1), clamped to [1, max_value].  Garbage keeps the
-/// positioned diagnostic of parse_positive_count.
+/// The count parser for --sweep-jobs: a positive integer, or the literal
+/// `auto` = std::thread::hardware_concurrency() (0 when unknown -> 1),
+/// clamped to [1, max_value].  Garbage keeps the positioned diagnostic of
+/// parse_positive_count.
 std::size_t parse_count_or_auto(const std::string& flag,
                                 const std::string& value,
                                 std::size_t max_value) {
@@ -257,8 +257,7 @@ SimResult run_engine(const std::string& engine, const JobSet& jobs,
                      const CheckpointFile* resume = nullptr,
                      std::size_t die_at_decision = 0,
                      std::uint64_t decide_budget_ns = 0,
-                     std::size_t overload_shed_max = 1,
-                     std::size_t shards = 1) {
+                     std::size_t overload_shed_max = 1) {
   const std::optional<EngineKind> kind = parse_engine_kind(engine);
   if (!kind) throw std::invalid_argument("unknown engine '" + engine + "'");
   SimOptions options;
@@ -273,7 +272,6 @@ SimResult run_engine(const std::string& engine, const JobSet& jobs,
   options.die_at_decision = die_at_decision;
   options.decide_budget_ns = decide_budget_ns;
   options.overload_shed_max = overload_shed_max;
-  options.shards = shards;
   return run_simulation(*kind, jobs, scheduler, selector, options);
 }
 
@@ -399,11 +397,6 @@ int cmd_run(ArgParser& args) {
   const std::int64_t die_at_decision = args.get_int("die-at-decision", 0);
   const std::string decide_budget = args.get_string("decide-budget", "");
   const std::int64_t overload_shed = args.get_int("overload-shed", 1);
-  // --shards is deliberately outside the config fingerprint: the decision
-  // sequence is shard-count-invariant (sim/kernel/shard.h), so a
-  // checkpoint written at one shard count may resume at any other.
-  const bool shards_given = args.has("shards");
-  const std::string shards_value = args.get_string("shards", "");
   args.finish();
 
   if (telemetry_interval_given && telemetry_path.empty()) {
@@ -424,10 +417,6 @@ int cmd_run(ArgParser& args) {
   }
   const std::uint64_t decide_budget_ns =
       decide_budget.empty() ? 0 : parse_decide_budget(decide_budget);
-  // Strict like --sweep-jobs: `--shards=`, garbage, zero, and negatives
-  // are positioned parse errors (exit 2), never a silent serial fallback.
-  const std::size_t shards =
-      shards_given ? parse_count_or_auto("shards", shards_value, 4096) : 1;
 
   // Fault plan: parsed and materialized before the engines exist, so both
   // engines would consume the identical schedule.  Spec errors are parse
@@ -545,7 +534,7 @@ int cmd_run(ArgParser& args) {
                  checkpoint_sink ? &*checkpoint_sink : nullptr,
                  resume_file ? &*resume_file : nullptr,
                  static_cast<std::size_t>(die_at_decision), decide_budget_ns,
-                 static_cast<std::size_t>(overload_shed), shards);
+                 static_cast<std::size_t>(overload_shed));
 
   std::cout << "scheduler:        " << scheduler->name() << "\n"
             << "jobs:             " << jobs.size() << "\n"
@@ -1455,7 +1444,7 @@ int cmd_sweep_diff(ArgParser& args) {
           ? diff_bench_reports(baseline.bench, current.bench, options)
           : diff_sweep_reports(baseline.sweep, current.sweep, options);
   std::cout << format_sweep_diff(diff, baseline_path, current_path, options);
-  return diff.regressed() && !warn_only ? 1 : 0;
+  return diff.exit_code(warn_only);
 }
 
 int cmd_sweep(ArgParser& args) {
