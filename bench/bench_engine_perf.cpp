@@ -62,7 +62,7 @@ void BM_EventEngineEdf(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -79,7 +79,7 @@ void BM_EventEnginePaperS(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -104,7 +104,7 @@ void BM_EventEnginePaperSScale(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -121,7 +121,7 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -143,7 +143,7 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kLlf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -160,7 +160,7 @@ void BM_SlotEngineEdfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     SlotEngine engine(jobs, scheduler, *sel, options);
     const SimResult result = engine.run();
@@ -200,7 +200,7 @@ void BM_EventEnginePaperSTelemetry(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
@@ -224,7 +224,7 @@ void BM_SlotEngineEdfTelemetry(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
     SlotEngine engine(jobs, scheduler, *sel, options);
@@ -268,7 +268,7 @@ void BM_SlotEngineEdf(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     SlotEngine engine(jobs, scheduler, *sel, options);
     benchmark::DoNotOptimize(engine.run().total_profit);

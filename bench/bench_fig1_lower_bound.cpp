@@ -29,7 +29,7 @@ double makespan(const std::shared_ptr<const Dag>& dag, ProcCount m,
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto sel = make_selector(selector);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   const SimResult result = simulate(jobs, scheduler, *sel, options);

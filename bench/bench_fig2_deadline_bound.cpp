@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     jobs.finalize();
     ListScheduler scheduler({ListPolicy::kFcfs, false, true});
     auto sel = make_selector(SelectorKind::kCriticalPath);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     const double makespan = result.outcomes[0].completion_time;

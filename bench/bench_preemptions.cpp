@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         if (jobs.empty()) continue;
         auto scheduler = entry.factory();
         auto selector = make_selector(SelectorKind::kFifo);
-        EngineOptions options;
+        SimOptions options;
         options.num_procs = 8;
         const SimResult result =
             simulate(jobs, *scheduler, *selector, options);

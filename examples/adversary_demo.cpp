@@ -36,7 +36,7 @@ void run_fig1(ProcCount m) {
     jobs.finalize();
     ListScheduler greedy({ListPolicy::kFcfs, false, true});
     auto selector = make_selector(kind);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     options.record_trace = (m == 4);  // show a Gantt for the small case
     const SimResult result = simulate(jobs, greedy, *selector, options);
@@ -62,7 +62,7 @@ void run_trap() {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5),
                                  .enforce_admission = admission});
     auto selector = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     const SimResult result = simulate(trap, scheduler, *selector, options);
     std::cout << "  condition (2) " << (admission ? "ON " : "OFF")

@@ -55,7 +55,7 @@ JobSet make_batch(Rng& rng, ProcCount m, double load, Time horizon) {
 
 double run(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   return engine.run().total_profit;

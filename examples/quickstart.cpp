@@ -42,7 +42,7 @@ int main() {
   //    sees the DAG's structure (it is semi-non-clairvoyant).
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
 

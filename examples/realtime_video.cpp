@@ -66,7 +66,7 @@ JobSet make_stream_mix(Rng& rng, ProcCount m, double load, Time horizon) {
 
 double revenue(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   return simulate(jobs, scheduler, *selector, options).total_profit;
 }

@@ -73,7 +73,7 @@ void simulate_all(const TaskSet& tasks, ProcCount m, std::uint64_t seed) {
   };
   for (Entry& entry : entries) {
     auto selector = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     const SimResult result =
         simulate(jobs, *entry.scheduler, *selector, options);

@@ -63,6 +63,14 @@ std::vector<std::string> named_scheduler_list() {
           "hdf", "fcfs", "federated", "equi", "equi-profit"};
 }
 
+std::string scheduler_engine_error(const std::string& name,
+                                   EngineKind engine) {
+  if (name == "profit" && engine != EngineKind::kSlot) {
+    return "scheduler 'profit' requires the slot engine";
+  }
+  return "";
+}
+
 RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
                         const RunConfig& config) {
   auto selector = make_selector(config.selector, config.selector_seed);

@@ -31,6 +31,11 @@ std::unique_ptr<SchedulerBase> make_named_scheduler(const std::string& name,
 /// All names make_named_scheduler accepts.
 std::vector<std::string> named_scheduler_list();
 
+/// Empty when scheduler `name` can run on `engine`; otherwise the reason.
+/// The Section-5 profit scheduler plans per unit slot, so it needs the slot
+/// engine.
+std::string scheduler_engine_error(const std::string& name, EngineKind engine);
+
 struct RunConfig {
   ProcCount m = 16;
   double speed = 1.0;

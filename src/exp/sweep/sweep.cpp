@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "exp/sweep/work_pool.h"
-#include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
@@ -44,25 +43,17 @@ SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
     result.error = error.what();
     return result;
   }
-  if (spec.scheduler == "profit" && spec.engine != EngineKind::kSlot) {
-    result.error = "scheduler 'profit' requires the slot engine";
-    return result;
-  }
+  result.error = scheduler_engine_error(spec.scheduler, spec.engine);
+  if (!result.error.empty()) return result;
 
   std::optional<FaultInjector> injector;
   if (!spec.fault_spec.empty()) {
     std::string error;
-    const auto config = parse_fault_spec(spec.fault_spec, &error);
-    if (!config) {
+    injector = make_fault_injector(spec.fault_spec, spec.m, error);
+    if (!injector) {
       result.error = "bad fault spec: " + error;
       return result;
     }
-    if (config->min_procs > spec.m) {
-      result.error = "bad fault spec: min-procs exceeds m=" +
-                     std::to_string(spec.m);
-      return result;
-    }
-    injector.emplace(build_fault_plan(*config, spec.m));
   }
 
   // Isolated observability state: one recorder + registry + log per cell,

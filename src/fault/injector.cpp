@@ -1,6 +1,7 @@
 #include "fault/injector.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dagsched {
 
@@ -30,6 +31,18 @@ std::vector<Work> FaultInjector::scaled_works(JobId job,
   }
   if (!any_scaled) return {};
   return works;
+}
+
+std::optional<FaultInjector> make_fault_injector(const std::string& spec,
+                                                 ProcCount m,
+                                                 std::string& error) {
+  const std::optional<FaultPlanConfig> config = parse_fault_spec(spec, &error);
+  if (!config) return std::nullopt;
+  if (config->min_procs > m) {
+    error = "min-procs exceeds the machine size m=" + std::to_string(m);
+    return std::nullopt;
+  }
+  return FaultInjector(build_fault_plan(*config, m));
 }
 
 }  // namespace dagsched

@@ -14,6 +14,8 @@
 // plan builder's min_procs sweep.
 #pragma once
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "dag/dag.h"
@@ -57,5 +59,12 @@ class FaultInjector {
   FaultPlan plan_;
   std::vector<ProcTransition> transitions_;
 };
+
+/// Parses a `--faults` spec (parse_fault_spec) and builds its plan for `m`
+/// processors.  A malformed spec or a min-procs floor above m yields nullopt
+/// with the reason in `error`; each caller wraps it in its own diagnostic.
+std::optional<FaultInjector> make_fault_injector(const std::string& spec,
+                                                 ProcCount m,
+                                                 std::string& error);
 
 }  // namespace dagsched

@@ -9,7 +9,7 @@
 // million-job bytes/job budgets.
 //
 // A TelemetryRecorder is owned by whoever drives a run (CLI, bench, test)
-// and handed to the SimKernel through KernelOptions::telemetry (nullptr =
+// and handed to the SimKernel through SimOptions::telemetry (nullptr =
 // off, the default -- the kernel then takes exactly the seed code path and
 // decision logs stay byte-identical; scripts/decision_parity.sh proves the
 // enabled path changes nothing either).  The kernel feeds it:

@@ -11,7 +11,7 @@
 namespace dagsched {
 
 EventEngine::EventEngine(const JobSet& jobs, SchedulerBase& scheduler,
-                         NodeSelector& selector, EngineOptions options)
+                         NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
       scheduler_(scheduler),
       selector_(selector),
@@ -28,21 +28,8 @@ SimResult EventEngine::run() {
   if (n == 0) return SimResult{};
 
   if (kernel_ == nullptr) {
-    KernelOptions kernel_options;
-    kernel_options.num_procs = options_.num_procs;
-    kernel_options.speed = options_.speed;
-    kernel_options.record_trace = options_.record_trace;
-    kernel_options.max_decisions = options_.max_decisions;
-    kernel_options.observer = options_.observer;
-    kernel_options.obs = options_.obs;
-    kernel_options.faults = options_.faults;
-    kernel_options.telemetry = options_.telemetry;
-    kernel_options.die_at_decision = options_.die_at_decision;
-    kernel_options.decide_budget_ns = options_.decide_budget_ns;
-    kernel_options.overload_shed_max = options_.overload_shed_max;
-    kernel_options.overload_probe = options_.overload_probe;
     kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
-                                          std::move(kernel_options));
+                                          options_);
   }
   SimKernel& kernel = *kernel_;
 
@@ -163,7 +150,7 @@ SimResult EventEngine::run() {
 }
 
 SimResult simulate(const JobSet& jobs, SchedulerBase& scheduler,
-                   NodeSelector& selector, const EngineOptions& options) {
+                   NodeSelector& selector, const SimOptions& options) {
   EventEngine engine(jobs, scheduler, selector, options);
   return engine.run();
 }

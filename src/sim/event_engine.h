@@ -14,7 +14,6 @@
 // per-time-step loop without quantization error.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -25,57 +24,13 @@
 #include "sim/assignment.h"
 #include "sim/context.h"
 #include "sim/node_selector.h"
+#include "sim/options.h"
 #include "sim/outcome.h"
 #include "sim/scheduler.h"
 
 namespace dagsched {
 
-class CheckpointSink;
-struct CheckpointFile;
 class SimKernel;
-class TelemetryRecorder;
-
-struct EngineOptions {
-  ProcCount num_procs = 1;
-  /// Resource augmentation: work units processed per processor-time-unit.
-  double speed = 1.0;
-  /// Record a full execution trace into SimResult::trace (O(#intervals)).
-  bool record_trace = false;
-  /// Hard cap on decision points (guards against scheduler livelock bugs).
-  std::size_t max_decisions = 100'000'000;
-  /// Invoked after each decision has been materialized; used by property
-  /// tests to inspect scheduler state mid-run.
-  std::function<void(const EngineContext&, const Assignment&)> observer;
-  /// Observability sink (counters / decision events / span timers); null =
-  /// off, and the run is bit-identical to an uninstrumented one.
-  const ObsSink* obs = nullptr;
-  /// Fault injector (processor churn / work overruns); null = no faults,
-  /// and the run is bit-identical to a fault-free build.  Processor
-  /// transitions become decision points: failed processors stop executing,
-  /// decide() sees the reduced ctx.num_procs(), and the scheduler's
-  /// on_capacity_change() runs its degradation policy.
-  const FaultInjector* faults = nullptr;
-  /// Runtime-telemetry recorder (obs/telemetry); null = off, the seed code
-  /// path.  Forwarded to KernelOptions::telemetry.
-  TelemetryRecorder* telemetry = nullptr;
-  /// Periodic checkpoint writer (sim/checkpoint); null = off, and the run
-  /// is byte-identical to one without checkpointing.  Snapshots are taken
-  /// at the top of the stepping loop, before event delivery, so a resumed
-  /// run replays the exact continuation.
-  CheckpointSink* checkpoint = nullptr;
-  /// Parsed checkpoint to resume from (already verified compatible); null =
-  /// start from the beginning.
-  const CheckpointFile* resume = nullptr;
-  /// Crash-recovery test hook: _Exit(9) immediately after decision #N
-  /// completes (0 = off).  Forwarded to KernelOptions::die_at_decision.
-  std::size_t die_at_decision = 0;
-  /// Overload degradation: wall-clock budget per decide() in nanoseconds
-  /// (0 = off), max jobs shed per breach, and the test probe overriding the
-  /// measured latency.  Forwarded to KernelOptions.
-  std::uint64_t decide_budget_ns = 0;
-  std::size_t overload_shed_max = 1;
-  std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-};
 
 /// Continuous-time stepping driver over the shared SimKernel
 /// (sim/kernel/kernel.h): advances from decision point to decision point
@@ -88,7 +43,7 @@ class EventEngine {
   /// `jobs` must be finalized (sorted by release).  The scheduler and
   /// selector are borrowed and must outlive run().
   EventEngine(const JobSet& jobs, SchedulerBase& scheduler,
-              NodeSelector& selector, EngineOptions options);
+              NodeSelector& selector, SimOptions options);
   ~EventEngine();
 
   /// Simulates to quiescence (all jobs completed, or nothing running and no
@@ -102,7 +57,7 @@ class EventEngine {
   const JobSet& jobs_;
   SchedulerBase& scheduler_;
   NodeSelector& selector_;
-  EngineOptions options_;
+  SimOptions options_;
 
   // Persistent simulation state: created on the first run(), reset by
   // SimKernel::begin() on each subsequent one.
@@ -118,6 +73,6 @@ class EventEngine {
 
 /// One-call convenience wrapper.
 SimResult simulate(const JobSet& jobs, SchedulerBase& scheduler,
-                   NodeSelector& selector, const EngineOptions& options);
+                   NodeSelector& selector, const SimOptions& options);
 
 }  // namespace dagsched

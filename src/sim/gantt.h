@@ -2,7 +2,7 @@
 //
 // ASCII output for terminals/examples and SVG for reports.  Each processor
 // is a row; intervals are labelled by job id (ASCII) or colored per job
-// (SVG).  Inputs come from SimResult::trace when EngineOptions::record_trace
+// (SVG).  Inputs come from SimResult::trace when SimOptions::record_trace
 // is set.
 #pragma once
 

@@ -13,7 +13,7 @@
 namespace dagsched {
 
 SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
-                     NodeSelector& selector, KernelOptions options)
+                     NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
       scheduler_(scheduler),
       selector_(selector),

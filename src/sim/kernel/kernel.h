@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +41,7 @@
 #include "sim/context.h"
 #include "sim/kernel/job_state.h"
 #include "sim/node_selector.h"
+#include "sim/options.h"
 #include "sim/outcome.h"
 #include "sim/scheduler.h"
 #include "util/dary_heap.h"
@@ -52,45 +52,6 @@ namespace dagsched {
 class CheckpointReader;
 class CheckpointWriter;
 class TelemetryRecorder;
-
-struct KernelOptions {
-  ProcCount num_procs = 1;
-  /// Work units processed per processor-time-unit (resource augmentation).
-  double speed = 1.0;
-  /// Record a full execution trace into SimResult::trace.
-  bool record_trace = false;
-  /// Hard cap on decision points; 0 = unlimited (the SlotEngine bounds runs
-  /// by its horizon instead).
-  std::size_t max_decisions = 0;
-  /// Invoked after each decision has been validated (property-test hook).
-  std::function<void(const EngineContext&, const Assignment&)> observer;
-  /// Observability sink; null = off, byte-identical to an uninstrumented run.
-  const ObsSink* obs = nullptr;
-  /// Fault injector; null = no faults, byte-identical to a fault-free build.
-  const FaultInjector* faults = nullptr;
-  /// Runtime-telemetry recorder (obs/telemetry): decide/transition/admission
-  /// latency histograms plus periodic snapshots of counters and byte gauges.
-  /// Null = off, the seed code path; when set, timing happens outside the
-  /// scheduler callbacks so decision logs stay byte-identical (the parity
-  /// script proves it).
-  TelemetryRecorder* telemetry = nullptr;
-  /// Simulated hard crash for the recovery harness: the process _Exit(9)s
-  /// immediately after decision number `die_at_decision` is counted, before
-  /// any of its effects reach the event log or a checkpoint.  0 = off.
-  std::size_t die_at_decision = 0;
-  /// Overload degradation: wall-clock budget per decide() in nanoseconds.
-  /// When a decision exceeds it, the kernel sheds up to overload_shed_max of
-  /// the scheduler's lowest-density jobs (SchedulerBase::shed_load, kDrop
-  /// events with `overload.shed.*` slugs) instead of letting queue pressure
-  /// overflow into a SimFailureKind; it recovers automatically at the first
-  /// under-budget decision.  0 = off, the byte-identical seed path.
-  std::uint64_t decide_budget_ns = 0;
-  /// Max jobs shed per over-budget decision (>= 1 when the budget is on).
-  std::size_t overload_shed_max = 1;
-  /// Test hook: replaces the measured decide latency (deterministic overload
-  /// tests).  Arguments: decision number (1-based), measured nanoseconds.
-  std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-};
 
 /// How an engine maps deadline instants onto its decision points.  The
 /// event engine expires a deadline at the first decision point at or past
@@ -107,7 +68,7 @@ class SimKernel {
   /// `jobs` must be finalized (sorted by release).  The scheduler and
   /// selector are borrowed and must outlive the kernel.
   SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
-            NodeSelector& selector, KernelOptions options);
+            NodeSelector& selector, SimOptions options);
 
   // -- Lifecycle ------------------------------------------------------------
 
@@ -352,7 +313,7 @@ class SimKernel {
   const JobSet& jobs_;
   SchedulerBase& scheduler_;
   NodeSelector& selector_;
-  KernelOptions options_;
+  SimOptions options_;
 
   /// All per-job runtime state, structure-of-arrays: lifecycle flags,
   /// completion/first-start/executed columns, arena-backed unfoldings, the

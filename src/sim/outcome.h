@@ -16,7 +16,7 @@ namespace dagsched {
 /// the error and keep going.
 enum class SimFailureKind {
   kNone,            // run completed normally
-  kDecisionBudget,  // EngineOptions::max_decisions exhausted (livelock guard)
+  kDecisionBudget,  // SimOptions::max_decisions exhausted (livelock guard)
   kHorizon,         // SlotEngine's derived horizon overran with jobs pending
   kBadAllocation,   // scheduler emitted a malformed allocation (overcommit,
                     // duplicate / unarrived / completed job, or zero procs)
@@ -56,7 +56,7 @@ struct SimResult {
   /// only); work conservation holds as executed work = consumed work +
   /// lost_work.
   Work lost_work = 0.0;
-  /// Overload degradation (KernelOptions::decide_budget_ns): decisions that
+  /// Overload degradation (SimOptions::decide_budget_ns): decisions that
   /// exceeded the wall-clock budget, jobs shed in response, and recoveries
   /// (first under-budget decision after a breach).  All zero with the
   /// budget off.
@@ -67,7 +67,7 @@ struct SimResult {
   SimFailureKind failure = SimFailureKind::kNone;
   /// Human-readable diagnosis when failure != kNone.
   std::string failure_message;
-  /// Populated when EngineOptions::record_trace is set.
+  /// Populated when SimOptions::record_trace is set.
   Trace trace;
 
   bool failed() const { return failure != SimFailureKind::kNone; }

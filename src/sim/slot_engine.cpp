@@ -14,7 +14,7 @@
 namespace dagsched {
 
 SlotEngine::SlotEngine(const JobSet& jobs, SchedulerBase& scheduler,
-                       NodeSelector& selector, SlotEngineOptions options)
+                       NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
       scheduler_(scheduler),
       selector_(selector),
@@ -22,6 +22,7 @@ SlotEngine::SlotEngine(const JobSet& jobs, SchedulerBase& scheduler,
   DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
   DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
   DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
+  options_.max_decisions = 0;  // the slot horizon bounds the run instead
 }
 
 SlotEngine::~SlotEngine() = default;
@@ -48,20 +49,8 @@ SimResult SlotEngine::run() {
   if (n == 0) return SimResult{};
 
   if (kernel_ == nullptr) {
-    KernelOptions kernel_options;
-    kernel_options.num_procs = options_.num_procs;
-    kernel_options.speed = options_.speed;
-    kernel_options.record_trace = options_.record_trace;
-    kernel_options.observer = options_.observer;
-    kernel_options.obs = options_.obs;
-    kernel_options.faults = options_.faults;
-    kernel_options.telemetry = options_.telemetry;
-    kernel_options.die_at_decision = options_.die_at_decision;
-    kernel_options.decide_budget_ns = options_.decide_budget_ns;
-    kernel_options.overload_shed_max = options_.overload_shed_max;
-    kernel_options.overload_probe = options_.overload_probe;
     kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
-                                          std::move(kernel_options));
+                                          options_);
   }
   SimKernel& kernel = *kernel_;
 

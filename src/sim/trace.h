@@ -1,6 +1,6 @@
 // Execution trace: who ran what, when, where.
 //
-// Recording is optional (EngineOptions::record_trace); validate() replays a
+// Recording is optional (SimOptions::record_trace); validate() replays a
 // trace against the job set and checks the machine-model invariants, which
 // gives integration tests end-to-end assurance that an engine run was a
 // legal schedule:

@@ -15,7 +15,7 @@ SimResult run(const JobSet& jobs, bool admission, ProcCount m) {
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5),
                                .enforce_admission = admission});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   return simulate(jobs, scheduler, *selector, options);
 }

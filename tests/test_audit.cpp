@@ -29,7 +29,7 @@ std::vector<Action> actions_for(const DeadlineScheduler& scheduler,
 
 SimResult run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   return simulate(jobs, scheduler, *selector, options);
 }

@@ -20,7 +20,7 @@ SimResult run(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m,
               std::function<void(const EngineContext&, const Assignment&)>
                   observer = nullptr) {
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.observer = std::move(observer);
   return simulate(jobs, scheduler, *sel, options);

@@ -390,7 +390,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 std::string real_checkpoint_bytes() {
   const JobSet jobs = parity_jobs();
-  const std::string path = ::testing::TempDir() + "fuzz_source.ckpt";
+  // One file per test: ctest runs the fuzz cases as concurrent processes.
+  const std::string path =
+      ::testing::TempDir() +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
   EventLog log;
   CheckpointMeta base;
   base.scheduler = "s";
@@ -470,7 +474,7 @@ TEST(CheckpointFuzz, SemanticCorruptionIsRejectedOnLoadNotCrashed) {
 
       auto scheduler = make_named_scheduler("s", 0.5);
       auto selector = make_selector(SelectorKind::kFifo, 1);
-      KernelOptions options;
+      SimOptions options;
       options.num_procs = kParityM;
       SimKernel kernel(jobs, *scheduler, *selector, options);
       kernel.begin(jobs[0].release());

@@ -59,14 +59,12 @@ TEST_P(CrossEngine, EdfSchedulesIdentically) {
   auto sel1 = make_selector(SelectorKind::kFifo);
   auto sel2 = make_selector(SelectorKind::kFifo);
 
-  EngineOptions ev_options;
-  ev_options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
+  SimOptions options;
+  options.num_procs = 4;
+  EventEngine event_engine(jobs, s1, *sel1, options);
   const SimResult ev = event_engine.run();
 
-  SlotEngineOptions slot_options;
-  slot_options.num_procs = 4;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
+  SlotEngine slot_engine(jobs, s2, *sel2, options);
   const SimResult slot = slot_engine.run();
 
   ASSERT_EQ(ev.outcomes.size(), slot.outcomes.size());
@@ -89,14 +87,12 @@ TEST_P(CrossEngine, PaperSchedulerSchedulesIdentically) {
   auto sel1 = make_selector(SelectorKind::kFifo);
   auto sel2 = make_selector(SelectorKind::kFifo);
 
-  EngineOptions ev_options;
-  ev_options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
+  SimOptions options;
+  options.num_procs = 4;
+  EventEngine event_engine(jobs, s1, *sel1, options);
   const SimResult ev = event_engine.run();
 
-  SlotEngineOptions slot_options;
-  slot_options.num_procs = 4;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
+  SlotEngine slot_engine(jobs, s2, *sel2, options);
   const SimResult slot = slot_engine.run();
 
   for (std::size_t i = 0; i < ev.outcomes.size(); ++i) {

@@ -30,7 +30,7 @@ SimResult run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m,
               std::function<void(const EngineContext&, const Assignment&)>
                   observer = nullptr) {
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   options.observer = std::move(observer);

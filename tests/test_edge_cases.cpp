@@ -57,7 +57,7 @@ TEST(EdgeCases, SlotEngineHonorsMaxSlotsCap) {
     return DeadlineScheduler({.params = Params::from_epsilon(0.5)});
   }();
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   options.max_slots = 10;  // far below the 50 slots the chain needs
   SlotEngine engine(jobs, scheduler, *selector, options);
@@ -80,7 +80,7 @@ TEST(EdgeCases, ProfitSchedulerSearchCapLeavesJobUnscheduled) {
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5),
                              .max_search_slots = 12});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   engine.run();
@@ -141,7 +141,7 @@ TEST(EdgeCases, EngineWithJobsReleasedAtSameInstant) {
   // admits one unit job at a time).
   auto scheduler = make_named_scheduler("edf");
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   const SimResult result = simulate(jobs, *scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 16u);

@@ -116,7 +116,7 @@ TEST(EngineGuards, SemiNonClairvoyantPeekAborts) {
   const JobSet jobs = two_jobs();
   Peeker scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   EventEngine engine(jobs, scheduler, *selector, options);
   EXPECT_DEATH(engine.run(), "peeked");
@@ -131,7 +131,7 @@ TEST(EngineGuards, ProfitSchedulerRefusesEventEngine) {
   jobs.finalize();
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   EventEngine engine(jobs, scheduler, *selector, options);
   EXPECT_DEATH(engine.run(), "SlotEngine");
@@ -150,7 +150,7 @@ TEST(EngineGuards, UnsortedJobSetRejected) {
   };
   Idle scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   EXPECT_DEATH(EventEngine(jobs, scheduler, *selector, options),
                "not finalized");
 }

@@ -51,7 +51,7 @@ SimResult run_single(Dag dag, Time deadline, ProcCount m, double speed,
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto sel = make_selector(selector);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   options.record_trace = trace;
@@ -96,7 +96,7 @@ TEST(EventEngine, LateReleaseDelaysStart) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *sel, options);
   EXPECT_DOUBLE_EQ(result.outcomes[0].first_start, 5.0);
@@ -109,7 +109,7 @@ TEST(EventEngine, IdleSchedulerLeavesJobsIncomplete) {
   jobs.finalize();
   IdleScheduler scheduler;
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   const SimResult result = simulate(jobs, scheduler, *sel, options);
   EXPECT_FALSE(result.outcomes[0].completed);
@@ -133,7 +133,7 @@ TEST(EventEngine, DeadlineEventDelivered) {
   jobs.finalize();
   Recorder scheduler;
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   simulate(jobs, scheduler, *sel, options);
   EXPECT_EQ(scheduler.expired_job, 0u);
@@ -147,7 +147,7 @@ TEST(EventEngine, OverAllocationIsCappedByReadyNodes) {
   jobs.finalize();
   DedicatedScheduler scheduler(4);
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   const SimResult result = simulate(jobs, scheduler, *sel, options);
   EXPECT_TRUE(result.outcomes[0].completed);
@@ -190,7 +190,7 @@ TEST_P(GrahamBound, CompletesWithinBound) {
   jobs.finalize();
   DedicatedScheduler scheduler(param.n);
   auto sel = make_selector(param.selector, param.seed);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = param.n;
   options.record_trace = true;
   const SimResult result = simulate(jobs, scheduler, *sel, options);
@@ -230,7 +230,7 @@ TEST(EventEngine, MultiJobTraceIsValidSchedule) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.record_trace = true;
   const SimResult result = simulate(jobs, scheduler, *sel, options);
@@ -248,7 +248,7 @@ TEST(EventEngine, BusyTimeEqualsExecutedWork) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 3;
   options.speed = 2.0;
   const SimResult result = simulate(jobs, scheduler, *sel, options);

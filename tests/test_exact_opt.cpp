@@ -153,7 +153,7 @@ TEST_P(ExactBracket, ExactWithinLpAndAchieved) {
 
   ListScheduler edf({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   const SimResult achieved = simulate(jobs, edf, *selector, options);
   EXPECT_GE(exact.value, achieved.total_profit - 1e-6);

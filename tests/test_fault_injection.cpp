@@ -54,7 +54,7 @@ SimResult run_event(const JobSet& jobs, const FaultInjector* faults,
                     EventLog* log, bool record_trace = false) {
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.record_trace = record_trace;
   options.faults = faults;
@@ -69,7 +69,7 @@ SimResult run_slot(const JobSet& jobs, const FaultInjector* faults,
                    EventLog* log, bool record_trace = false) {
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.record_trace = record_trace;
   options.faults = faults;
@@ -262,7 +262,7 @@ TEST(FaultInjection, DeadlineSchedulerShrinkReAdmits) {
   DeadlineScheduler scheduler(
       DeadlineSchedulerOptions{.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.faults = &injector;
   EventEngine engine(jobs, scheduler, *selector, options);

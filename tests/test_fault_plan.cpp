@@ -169,6 +169,21 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultSpec, InjectorBuilderRejectsMinProcsAboveMachine) {
+  const std::string spec = "mtbf=10,mttr=2,horizon=50,min-procs=5";
+  std::string error;
+  EXPECT_FALSE(make_fault_injector(spec, 4, error).has_value());
+  EXPECT_EQ(error, "min-procs exceeds the machine size m=4");
+
+  error.clear();
+  const auto injector = make_fault_injector(spec, 5, error);
+  ASSERT_TRUE(injector.has_value()) << error;
+  EXPECT_EQ(injector->plan().num_procs(), 5u);
+
+  EXPECT_FALSE(make_fault_injector("mtbf=abc", 4, error).has_value());
+  EXPECT_FALSE(error.empty());
+}
+
 JobSet small_step_jobs() {
   JobSet jobs;
   auto dag = std::make_shared<const Dag>(make_parallel_block(4, 1.0));

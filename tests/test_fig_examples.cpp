@@ -28,7 +28,7 @@ SimResult run_one(std::shared_ptr<const Dag> dag, Time deadline, ProcCount m,
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto sel = make_selector(selector);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   return simulate(jobs, scheduler, *sel, options);

@@ -78,7 +78,7 @@ TEST(Gantt, EndToEndFromEngineTrace) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.record_trace = true;
   const SimResult result = simulate(jobs, scheduler, *selector, options);

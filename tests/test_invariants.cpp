@@ -77,7 +77,7 @@ TEST_P(AllSchedulers, ProducesLegalScheduleAndSaneAccounting) {
 
   auto scheduler = make_scheduler(which);
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   options.record_trace = true;
   const SimResult result = simulate(jobs, *scheduler, *selector, options);

@@ -34,7 +34,7 @@ TEST_P(Lemma5, CompletedProfitDominatesStartedFraction) {
 
   DeadlineScheduler scheduler({.params = params});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 16;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
 
@@ -62,7 +62,7 @@ TEST(LemmaProperties, StartedJobsNeverFinishLate) {
   const JobSet jobs = generate_workload(rng, config);
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -82,7 +82,7 @@ TEST(LemmaProperties, BusyTimeWithinStartedBudget) {
   const JobSet jobs = generate_workload(rng, config);
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
 

@@ -22,7 +22,7 @@ TEST(MetricsTest, FlowAndLatenessFromSimpleRun) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   // FCFS: job 1 (release 0) runs [0,3), job 0 runs [3,5).
@@ -47,7 +47,7 @@ TEST(MetricsTest, MissedCountsIncompleteDeadlineJobs) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   const ScheduleMetrics metrics = compute_metrics(result, jobs, 1);

@@ -56,7 +56,7 @@ TEST(ProfitSchedulerPiecewise, SchedulesAgainstStaircase) {
   jobs.finalize();
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
@@ -79,7 +79,7 @@ TEST(ProfitSchedulerPiecewise, FallsToLowerLevelUnderCongestion) {
   jobs.finalize();
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
@@ -101,7 +101,7 @@ TEST(TraceSpeed, ValidatesUnderAugmentation) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.speed = 2.5;
   options.record_trace = true;
@@ -124,7 +124,7 @@ TEST(EngineGuards, MaxDecisionsFailsStructured) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   options.max_decisions = 3;
   EventEngine engine(jobs, scheduler, *selector, options);

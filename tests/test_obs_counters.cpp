@@ -160,13 +160,13 @@ double run_idle_counter(const JobSet& jobs, bool slot, ProcCount m,
   auto selector = make_selector(SelectorKind::kFifo);
   SimResult result;
   if (slot) {
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     options.obs = &sink;
     SlotEngine engine(jobs, scheduler, *selector, options);
     result = engine.run();
   } else {
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     options.obs = &sink;
     EventEngine engine(jobs, scheduler, *selector, options);

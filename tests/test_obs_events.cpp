@@ -144,7 +144,7 @@ TEST_P(ObsCrossEngine, EnginesEmitSameDecisionSequence) {
   ev_sink.events = &ev_log;
   DeadlineScheduler s1({.params = Params::from_epsilon(0.5)});
   auto sel1 = make_selector(SelectorKind::kFifo);
-  EngineOptions ev_options;
+  SimOptions ev_options;
   ev_options.num_procs = 4;
   ev_options.obs = &ev_sink;
   EventEngine event_engine(jobs, s1, *sel1, ev_options);
@@ -155,7 +155,7 @@ TEST_P(ObsCrossEngine, EnginesEmitSameDecisionSequence) {
   slot_sink.events = &slot_log;
   DeadlineScheduler s2({.params = Params::from_epsilon(0.5)});
   auto sel2 = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions slot_options;
+  SimOptions slot_options;
   slot_options.num_procs = 4;
   slot_options.obs = &slot_sink;
   SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
@@ -192,7 +192,7 @@ TEST(ObsReplay, AdmitDeferEventsSatisfyCondition2) {
   const Params params = Params::from_epsilon(0.5);
   DeadlineScheduler scheduler({.params = params});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.obs = &sink;
   EventEngine engine(jobs, scheduler, *selector, options);

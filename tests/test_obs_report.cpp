@@ -84,7 +84,7 @@ struct ReportFixture {
     sink.events = &events;
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto selector = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 4;
     options.record_trace = true;
     options.obs = &sink;

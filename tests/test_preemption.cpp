@@ -25,7 +25,7 @@ TEST(Preemption, NoneForUncontestedJob) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.node_preemptions, 0u);
@@ -41,7 +41,7 @@ TEST(Preemption, EdfPreemptsForTighterDeadline) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
@@ -57,7 +57,7 @@ TEST(Preemption, CompletionIsNotPreemption) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
@@ -73,7 +73,7 @@ TEST(Preemption, SlotEngineCountsGaps) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
@@ -92,7 +92,7 @@ TEST(Equi, SplitsProcessorsEvenly) {
   EquiScheduler scheduler;
   bool checked = false;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 6;
   options.observer = [&checked](const EngineContext& ctx,
                                 const Assignment& assignment) {
@@ -119,7 +119,7 @@ TEST(Equi, LargestRemainderDistributesLeftovers) {
   jobs.finalize();
   EquiScheduler scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;  // 4/3: grants 2,1,1
   bool checked = false;
   options.observer = [&checked](const EngineContext& ctx,
@@ -146,7 +146,7 @@ TEST(Equi, ProfitWeightingBiasesShares) {
   jobs.finalize();
   EquiScheduler scheduler({.weight_by_profit = true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 10;
   bool checked = false;
   options.observer = [&checked](const EngineContext& ctx,
@@ -171,7 +171,7 @@ TEST(Equi, NeverPeeksAtDagStructure) {
   EquiScheduler scheduler;
   EXPECT_FALSE(scheduler.clairvoyant());
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_GE(result.total_profit, 0.0);

@@ -29,7 +29,7 @@ Time plateau_for(const Dag& dag, ProcCount m, double eps) {
 SimResult run_slotted(const JobSet& jobs, ProfitScheduler& scheduler,
                       ProcCount m, double speed = 1.0) {
   auto sel = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   SlotEngine engine(jobs, scheduler, *sel, options);

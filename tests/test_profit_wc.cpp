@@ -19,7 +19,7 @@ SimResult run(const JobSet& jobs, bool work_conserving, ProcCount m) {
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5),
                              .work_conserving = work_conserving});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   return engine.run();

@@ -44,7 +44,7 @@ SimResult run(const JobSet& jobs, bool recompute, ProcCount m) {
       {.params = Params::from_epsilon(0.5),
        .recompute_on_admission = recompute});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   return simulate(jobs, scheduler, *selector, options);
 }

@@ -143,7 +143,7 @@ TEST_P(FederatedGuarantee, NoMissesWhenTestPasses) {
   const JobSet jobs = release_jobs(tasks, 150.0, release_rng, 0.3);
   FederatedScheduler scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, jobs.size());
@@ -181,7 +181,7 @@ TEST_P(GedfGuarantee, NoMissesWhenBoundHolds) {
   const JobSet jobs = release_jobs(tasks, 150.0, release_rng, 0.2);
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, jobs.size());

@@ -60,7 +60,7 @@ SimResult run(const JobSet& jobs, double speed) {
     }
   }();
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   options.speed = speed;
   return simulate(jobs, scheduler, *selector, options);

@@ -18,7 +18,7 @@ std::shared_ptr<const Dag> share(Dag dag) {
 SimResult run_slotted(const JobSet& jobs, SchedulerBase& scheduler,
                       ProcCount m, double speed = 1.0) {
   auto sel = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.speed = speed;
   options.record_trace = true;

@@ -27,7 +27,7 @@ TEST_P(SlotZoo, LegalScheduleOnSlotEngine) {
 
   auto scheduler = make_named_scheduler(name, 0.5);
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   options.record_trace = true;
   SlotEngine engine(jobs, *scheduler, *selector, options);

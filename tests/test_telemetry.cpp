@@ -242,14 +242,14 @@ std::string run_and_log(const JobSet& jobs, bool slot,
   auto sel = make_selector(SelectorKind::kFifo);
   SimResult result;
   if (slot) {
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 8;
     options.obs = &sink;
     options.telemetry = telemetry;
     SlotEngine engine(jobs, scheduler, *sel, options);
     result = engine.run();
   } else {
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 8;
     options.obs = &sink;
     options.telemetry = telemetry;
@@ -286,7 +286,7 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
 
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions engine_options;
+  SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
   const SimResult result = simulate(jobs, scheduler, *sel, engine_options);
@@ -326,7 +326,7 @@ TEST(TelemetryIntegration, RunReportGainsTelemetrySectionOnlyWhenAttached) {
   TelemetryRecorder recorder;
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions engine_options;
+  SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
   const SimResult result = simulate(jobs, scheduler, *sel, engine_options);

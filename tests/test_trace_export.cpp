@@ -61,7 +61,7 @@ RecordedRun run_recorded(const JobSet& jobs, ProcCount m,
   sink.events = &run.events;
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   options.record_trace = true;
   options.obs = &sink;
@@ -360,7 +360,7 @@ TEST(EventLogDiffTest, EnginesProduceNoDecisionDivergence) {
   ev_sink.events = &ev_log;
   DeadlineScheduler s1({.params = Params::from_epsilon(0.5)});
   auto sel1 = make_selector(SelectorKind::kFifo);
-  EngineOptions ev_options;
+  SimOptions ev_options;
   ev_options.num_procs = 4;
   ev_options.obs = &ev_sink;
   EventEngine event_engine(jobs, s1, *sel1, ev_options);
@@ -371,7 +371,7 @@ TEST(EventLogDiffTest, EnginesProduceNoDecisionDivergence) {
   slot_sink.events = &slot_log;
   DeadlineScheduler s2({.params = Params::from_epsilon(0.5)});
   auto sel2 = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions slot_options;
+  SimOptions slot_options;
   slot_options.num_procs = 4;
   slot_options.obs = &slot_sink;
   SlotEngine slot_engine(jobs, s2, *sel2, slot_options);

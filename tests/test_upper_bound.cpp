@@ -90,7 +90,7 @@ TEST_P(UpperBoundSound, DominatesAchievedProfit) {
          {SelectorKind::kFifo, SelectorKind::kCriticalPath}) {
       ListScheduler scheduler({policy, false, true});
       auto sel = make_selector(selector);
-      EngineOptions options;
+      SimOptions options;
       options.num_procs = config.m;
       const SimResult result = simulate(jobs, scheduler, *sel, options);
       EXPECT_LE(result.total_profit, bound.value() + 1e-6)

@@ -74,7 +74,7 @@ TEST(WorkloadIo, LoadedInstanceSchedulesIdentically) {
   auto run = [](const JobSet& jobs) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto selector = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 4;
     return simulate(jobs, scheduler, *selector, options).total_profit;
   };

@@ -119,9 +119,8 @@ void expect_zero_steady_state_allocs(Engine& engine, std::size_t& first,
   EXPECT_DOUBLE_EQ(warm.total_profit, warmup.total_profit);
 }
 
-template <typename Options>
-Options make_options(std::size_t& first, std::size_t& last, bool& armed) {
-  Options options;
+SimOptions make_options(std::size_t& first, std::size_t& last, bool& armed) {
+  SimOptions options;
   options.num_procs = 16;
   options.observer = [&first, &last, &armed](const EngineContext&,
                                              const Assignment&) {
@@ -141,7 +140,7 @@ TEST(ZeroAlloc, EventEnginePaperS) {
   std::size_t first = 0, last = 0;
   bool armed = false;
   EventEngine engine(jobs, scheduler, *selector,
-                     make_options<EngineOptions>(first, last, armed));
+                     make_options(first, last, armed));
   expect_zero_steady_state_allocs(engine, first, last, armed);
 }
 
@@ -152,7 +151,7 @@ TEST(ZeroAlloc, EventEngineEdf) {
   std::size_t first = 0, last = 0;
   bool armed = false;
   EventEngine engine(jobs, scheduler, *selector,
-                     make_options<EngineOptions>(first, last, armed));
+                     make_options(first, last, armed));
   expect_zero_steady_state_allocs(engine, first, last, armed);
 }
 
@@ -163,7 +162,7 @@ TEST(ZeroAlloc, SlotEnginePaperS) {
   std::size_t first = 0, last = 0;
   bool armed = false;
   SlotEngine engine(jobs, scheduler, *selector,
-                    make_options<SlotEngineOptions>(first, last, armed));
+                    make_options(first, last, armed));
   expect_zero_steady_state_allocs(engine, first, last, armed);
 }
 
@@ -174,7 +173,7 @@ TEST(ZeroAlloc, SlotEngineEdf) {
   std::size_t first = 0, last = 0;
   bool armed = false;
   SlotEngine engine(jobs, scheduler, *selector,
-                    make_options<SlotEngineOptions>(first, last, armed));
+                    make_options(first, last, armed));
   expect_zero_steady_state_allocs(engine, first, last, armed);
 }
 

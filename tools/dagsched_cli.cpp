@@ -29,7 +29,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -191,33 +193,19 @@ int cmd_generate(ArgParser& args) {
   return 0;
 }
 
-/// Parses and materializes a `--faults` spec (empty spec -> nullopt);
-/// throws a positioned ParseError on a malformed spec, matching workload
-/// parse failures (exit 2).
-std::optional<FaultInjector> make_injector(const std::string& fault_spec,
-                                           ProcCount m) {
-  std::optional<FaultInjector> injector;
-  if (fault_spec.empty()) return injector;
-  std::string error;
-  const auto fault_config = parse_fault_spec(fault_spec, &error);
-  if (!fault_config) {
-    throw ParseError("--faults", 1, 1, error);
+/// The count parser for --sweep-jobs: a positive integer, or the literal
+/// `auto` = std::thread::hardware_concurrency() (0 when unknown -> 1),
+/// clamped to [1, max_value].  Garbage, zero, negatives, and absurd values
+/// get a positioned diagnostic (exit 2) instead of a silent default or an
+/// unchecked cast.
+std::size_t parse_count_or_auto(const std::string& flag,
+                                const std::string& value,
+                                std::size_t max_value) {
+  if (value == "auto") {
+    std::size_t hw = std::thread::hardware_concurrency();
+    if (hw < 1) hw = 1;
+    return std::min(hw, max_value);
   }
-  if (fault_config->min_procs > m) {
-    throw ParseError("--faults", 1, 1,
-                     "min-procs exceeds the machine size m=" +
-                         std::to_string(m));
-  }
-  injector.emplace(build_fault_plan(*fault_config, m));
-  return injector;
-}
-
-/// Strict positive-integer flag value (e.g. --sweep-jobs): garbage, zero,
-/// negatives, and absurd values get a positioned diagnostic (exit 2)
-/// instead of a silent default or an unchecked cast.
-std::size_t parse_positive_count(const std::string& flag,
-                                 const std::string& value,
-                                 std::size_t max_value) {
   std::int64_t parsed = 0;
   const char* begin = value.data();
   const char* end = begin + value.size();
@@ -231,63 +219,29 @@ std::size_t parse_positive_count(const std::string& flag,
   return static_cast<std::size_t>(parsed);
 }
 
-/// The count parser for --sweep-jobs: a positive integer, or the literal
-/// `auto` = std::thread::hardware_concurrency() (0 when unknown -> 1),
-/// clamped to [1, max_value].  Garbage keeps the positioned diagnostic of
-/// parse_positive_count.
-std::size_t parse_count_or_auto(const std::string& flag,
-                                const std::string& value,
-                                std::size_t max_value) {
-  if (value == "auto") {
-    std::size_t hw = std::thread::hardware_concurrency();
-    if (hw < 1) hw = 1;
-    return std::min(hw, max_value);
-  }
-  return parse_positive_count(flag, value, max_value);
-}
+struct UnitScale {
+  std::string_view suffix;
+  double scale;
+};
 
-/// Runs the named engine via the kernel-backed factory; throws
-/// std::invalid_argument on an unknown name.
-SimResult run_engine(const std::string& engine, const JobSet& jobs,
-                     SchedulerBase& scheduler, NodeSelector& selector,
-                     ProcCount m, double speed, bool record_trace,
-                     const ObsSink* obs, const FaultInjector* faults,
-                     TelemetryRecorder* telemetry = nullptr,
-                     CheckpointSink* checkpoint = nullptr,
-                     const CheckpointFile* resume = nullptr,
-                     std::size_t die_at_decision = 0,
-                     std::uint64_t decide_budget_ns = 0,
-                     std::size_t overload_shed_max = 1) {
-  const std::optional<EngineKind> kind = parse_engine_kind(engine);
-  if (!kind) throw std::invalid_argument("unknown engine '" + engine + "'");
-  SimOptions options;
-  options.num_procs = m;
-  options.speed = speed;
-  options.record_trace = record_trace;
-  options.obs = obs;
-  options.faults = faults;
-  options.telemetry = telemetry;
-  options.checkpoint = checkpoint;
-  options.resume = resume;
-  options.die_at_decision = die_at_decision;
-  options.decide_budget_ns = decide_budget_ns;
-  options.overload_shed_max = overload_shed_max;
-  return run_simulation(*kind, jobs, scheduler, selector, options);
-}
-
-/// Parses a `--telemetry-interval` value into TelemetryOptions intervals:
-/// a plain number is simulated time units, an `ms`/`s` suffix is wall
-/// clock.  Throws ParseError (exit 2) on a malformed value.
-void apply_telemetry_interval(const std::string& value,
-                              TelemetryOptions& options) {
+/// A positive, finite flag value with an optional unit suffix: `units` is
+/// tried in order, so list "ms" before "s".  Returns the number and the
+/// matched unit's scale (0 for a bare number).  Throws ParseError (exit 2)
+/// on a malformed value.
+std::pair<double, double> parse_with_unit(
+    const std::string& flag, const std::string& value,
+    std::initializer_list<UnitScale> units) {
   std::string number = value;
-  double wall_scale = 0.0;  // 0 = simulated time
-  if (value.size() > 2 && value.substr(value.size() - 2) == "ms") {
-    number = value.substr(0, value.size() - 2);
-    wall_scale = 1e6;  // ms -> ns
-  } else if (value.size() > 1 && value.back() == 's') {
-    number = value.substr(0, value.size() - 1);
-    wall_scale = 1e9;  // s -> ns
+  double scale = 0.0;
+  std::string expected;
+  for (const UnitScale& unit : units) {
+    if (!expected.empty()) expected += '/';
+    expected += unit.suffix;
+    if (scale == 0.0 && value.size() > unit.suffix.size() &&
+        std::string_view(value).ends_with(unit.suffix)) {
+      number = value.substr(0, value.size() - unit.suffix.size());
+      scale = unit.scale;
+    }
   }
   std::size_t consumed = 0;
   double parsed = 0.0;
@@ -297,23 +251,42 @@ void apply_telemetry_interval(const std::string& value,
     consumed = 0;
   }
   // `!(parsed > 0.0)` rejects zero, negatives, and NaN; std::isfinite
-  // rejects "inf" (stod parses it, and the uint64 cast below would be UB).
+  // rejects "inf" (stod parses it, and a uint64 cast would be UB).
   if (consumed != number.size() || !(parsed > 0.0) || !std::isfinite(parsed)) {
-    throw ParseError("--telemetry-interval", 1, 1,
-                     "expected a positive number with optional ms/s suffix, "
-                     "got '" +
-                         value + "'");
+    throw ParseError(flag, 1, 1,
+                     "expected a positive number with optional " + expected +
+                         " suffix, got '" + value + "'");
   }
-  if (wall_scale > 0.0) {
-    const double interval_ns = parsed * wall_scale;
-    if (interval_ns >= 1.8e19) {  // > uint64 range: the cast would be UB
-      throw ParseError("--telemetry-interval", 1, 1,
-                       "interval overflows a 64-bit nanosecond counter: '" +
-                           value + "'");
-    }
-    options.wall_interval_ns = static_cast<std::uint64_t>(interval_ns);
+  return {parsed, scale};
+}
+
+/// Nanoseconds as a uint64 counter; throws ParseError (exit 2) naming the
+/// `what` of `flag` when the value exceeds the uint64 range (the cast would
+/// be UB).
+std::uint64_t checked_ns(const std::string& flag, const char* what,
+                         const std::string& value, double ns) {
+  if (ns >= 1.8e19) {
+    throw ParseError(flag, 1, 1,
+                     std::string(what) +
+                         " overflows a 64-bit nanosecond counter: '" + value +
+                         "'");
+  }
+  return static_cast<std::uint64_t>(ns);
+}
+
+/// Parses a `--telemetry-interval` value into TelemetryOptions intervals:
+/// a plain number is simulated time units, an `ms`/`s` suffix is wall
+/// clock.  Throws ParseError (exit 2) on a malformed value.
+void apply_telemetry_interval(const std::string& value,
+                              TelemetryOptions& options) {
+  const std::string flag = "--telemetry-interval";
+  const auto [interval, scale] =
+      parse_with_unit(flag, value, {{"ms", 1e6}, {"s", 1e9}});
+  if (scale == 0.0) {
+    options.sim_interval = interval;
   } else {
-    options.sim_interval = parsed;
+    options.wall_interval_ns =
+        checked_ns(flag, "interval", value, interval * scale);
   }
 }
 
@@ -321,40 +294,62 @@ void apply_telemetry_interval(const std::string& value,
 /// and ns/us/ms/s suffixes scale accordingly.  Throws ParseError (exit 2)
 /// on a malformed value.
 std::uint64_t parse_decide_budget(const std::string& value) {
-  std::string number = value;
-  double scale = 1.0;  // default: nanoseconds
-  if (value.size() > 2 && value.substr(value.size() - 2) == "ns") {
-    number = value.substr(0, value.size() - 2);
-  } else if (value.size() > 2 && value.substr(value.size() - 2) == "us") {
-    number = value.substr(0, value.size() - 2);
-    scale = 1e3;
-  } else if (value.size() > 2 && value.substr(value.size() - 2) == "ms") {
-    number = value.substr(0, value.size() - 2);
-    scale = 1e6;
-  } else if (value.size() > 1 && value.back() == 's') {
-    number = value.substr(0, value.size() - 1);
-    scale = 1e9;
+  const std::string flag = "--decide-budget";
+  const auto [budget, scale] = parse_with_unit(
+      flag, value, {{"ns", 1.0}, {"us", 1e3}, {"ms", 1e6}, {"s", 1e9}});
+  return checked_ns(flag, "budget", value,
+                    budget * (scale == 0.0 ? 1.0 : scale));
+}
+
+/// The run flags `run` and `trace export|attribution` share.
+struct RunFlags {
+  std::string scheduler;
+  ProcCount m = 8;
+  double speed = 1.0;
+  double eps = 0.5;
+  EngineKind engine = EngineKind::kEvent;
+  SelectorKind selector = SelectorKind::kFifo;
+  std::string fault_spec;
+  std::optional<FaultInjector> injector;
+
+  /// The engine options the flags fix: machine size, speed, faults.
+  SimOptions sim_options() const {
+    SimOptions options;
+    options.num_procs = m;
+    options.speed = speed;
+    options.faults = injector ? &*injector : nullptr;
+    return options;
   }
-  std::size_t consumed = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(number, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
+};
+
+/// Reads --scheduler --m --speed --eps --engine --selector --faults, then
+/// finishes `args`, so callers read their own flags first.  An unknown
+/// engine or selector, or a scheduler the engine cannot run, is a usage
+/// error (exit 1); a bad fault spec is a positioned parse error (exit 2),
+/// matching workload parse failures.
+RunFlags read_run_flags(ArgParser& args) {
+  RunFlags flags;
+  flags.scheduler = args.get_string("scheduler", "s");
+  flags.m = static_cast<ProcCount>(args.get_int("m", 8));
+  flags.speed = args.get_double("speed", 1.0);
+  flags.eps = args.get_double("eps", 0.5);
+  const std::string engine = args.get_string("engine", "event");
+  flags.selector = parse_selector(args.get_string("selector", "fifo"));
+  flags.fault_spec = args.get_string("faults", "");
+  args.finish();
+
+  const std::optional<EngineKind> kind = parse_engine_kind(engine);
+  if (!kind) throw std::invalid_argument("unknown engine '" + engine + "'");
+  flags.engine = *kind;
+  const std::string mismatch =
+      scheduler_engine_error(flags.scheduler, flags.engine);
+  if (!mismatch.empty()) throw std::invalid_argument(mismatch);
+  if (!flags.fault_spec.empty()) {
+    std::string error;
+    flags.injector = make_fault_injector(flags.fault_spec, flags.m, error);
+    if (!flags.injector) throw ParseError("--faults", 1, 1, error);
   }
-  if (consumed != number.size() || !(parsed > 0.0) || !std::isfinite(parsed)) {
-    throw ParseError("--decide-budget", 1, 1,
-                     "expected a positive number with optional ns/us/ms/s "
-                     "suffix, got '" +
-                         value + "'");
-  }
-  const double budget_ns = parsed * scale;
-  if (budget_ns >= 1.8e19) {  // > uint64 range: the cast would be UB
-    throw ParseError("--decide-budget", 1, 1,
-                     "budget overflows a 64-bit nanosecond counter: '" +
-                         value + "'");
-  }
-  return static_cast<std::uint64_t>(budget_ns);
+  return flags;
 }
 
 /// Reads a file verbatim for config fingerprinting; returns empty on a
@@ -369,20 +364,12 @@ std::string slurp_file(const std::string& path) {
 int cmd_run(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
   const JobSet jobs = load_instance(args.positional()[1]);
-  const std::string scheduler_name = args.get_string("scheduler", "s");
-  const auto m = static_cast<ProcCount>(args.get_int("m", 8));
-  const double speed = args.get_double("speed", 1.0);
-  const double eps = args.get_double("eps", 0.5);
-  const std::string engine = args.get_string("engine", "event");
-  const std::string selector_name = args.get_string("selector", "fifo");
-  const SelectorKind selector = parse_selector(selector_name);
   const bool show_gantt = args.get_flag("gantt");
   const bool show_profile = args.get_flag("profile");
   const bool show_audit = args.get_flag("audit");
   const std::string svg_path = args.get_string("svg", "");
   const std::string obs_path = args.get_string("obs", "");
   const std::string events_path = args.get_string("events", "");
-  const std::string fault_spec = args.get_string("faults", "");
   const std::string telemetry_path = args.get_string("telemetry", "");
   // Presence is checked separately from the value: `--telemetry-interval=`
   // (empty value) must be rejected by apply_telemetry_interval (exit 2),
@@ -397,7 +384,8 @@ int cmd_run(ArgParser& args) {
   const std::int64_t die_at_decision = args.get_int("die-at-decision", 0);
   const std::string decide_budget = args.get_string("decide-budget", "");
   const std::int64_t overload_shed = args.get_int("overload-shed", 1);
-  args.finish();
+  const RunFlags flags = read_run_flags(args);
+  const ProcCount m = flags.m;
 
   if (telemetry_interval_given && telemetry_path.empty()) {
     std::cerr << "run: --telemetry-interval requires --telemetry\n";
@@ -415,13 +403,11 @@ int cmd_run(ArgParser& args) {
     std::cerr << "run: --overload-shed must be >= 1\n";
     return 1;
   }
-  const std::uint64_t decide_budget_ns =
+  SimOptions options = flags.sim_options();
+  options.decide_budget_ns =
       decide_budget.empty() ? 0 : parse_decide_budget(decide_budget);
-
-  // Fault plan: parsed and materialized before the engines exist, so both
-  // engines would consume the identical schedule.  Spec errors are parse
-  // errors (exit 2), same as malformed workload files.
-  std::optional<FaultInjector> injector = make_injector(fault_spec, m);
+  options.die_at_decision = static_cast<std::size_t>(die_at_decision);
+  options.overload_shed_max = static_cast<std::size_t>(overload_shed);
 
   // Observability wiring: registries live here, the engines and schedulers
   // only see the (nullable) sink.  No flags => null sink => seed behavior.
@@ -434,7 +420,6 @@ int cmd_run(ArgParser& args) {
     sink.spans = &spans;
   }
   if (!obs_path.empty() || !events_path.empty()) sink.events = &event_log;
-  const ObsSink* obs = sink.enabled() ? &sink : nullptr;
 
   // Runtime telemetry: a JSONL snapshot stream next to (and independent of)
   // the obs registries.  No flag => null recorder => seed behavior.
@@ -487,14 +472,15 @@ int cmd_run(ArgParser& args) {
   if (!checkpoint_path.empty() || !resume_path.empty()) {
     CheckpointMeta meta;
     meta.config_hash = run_config_fingerprint(
-        slurp_file(args.positional()[1]), scheduler_name, eps, m, speed,
-        engine, selector_name, fault_spec);
+        slurp_file(args.positional()[1]), flags.scheduler, flags.eps, m,
+        flags.speed, engine_kind_name(flags.engine),
+        selector_kind_name(flags.selector), flags.fault_spec);
     meta.workload = args.positional()[1];
-    meta.engine = engine;
-    meta.scheduler = scheduler_name;
-    meta.fault_spec = fault_spec;
+    meta.engine = engine_kind_name(flags.engine);
+    meta.scheduler = flags.scheduler;
+    meta.fault_spec = flags.fault_spec;
     meta.m = m;
-    meta.speed = speed;
+    meta.speed = flags.speed;
     meta.jobs = jobs.size();
     if (!resume_path.empty()) {
       resume_file = read_checkpoint_file(resume_path);
@@ -507,7 +493,7 @@ int cmd_run(ArgParser& args) {
     }
   }
 
-  auto scheduler = make_named_scheduler(scheduler_name, eps);
+  auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
   auto* deadline_scheduler = dynamic_cast<DeadlineScheduler*>(scheduler.get());
   if (show_audit) {
     if (deadline_scheduler == nullptr) {
@@ -516,25 +502,23 @@ int cmd_run(ArgParser& args) {
       return 1;
     }
     // Rebuild the scheduler with auditing enabled.
-    DeadlineSchedulerOptions options;
-    options.params = Params::from_epsilon(eps);
-    options.enforce_admission = scheduler_name != "s-noadm";
-    options.work_conserving = scheduler_name == "s-wc";
-    options.record_audit = true;
-    scheduler = std::make_unique<DeadlineScheduler>(options);
+    DeadlineSchedulerOptions audit_options;
+    audit_options.params = Params::from_epsilon(flags.eps);
+    audit_options.enforce_admission = flags.scheduler != "s-noadm";
+    audit_options.work_conserving = flags.scheduler == "s-wc";
+    audit_options.record_audit = true;
+    scheduler = std::make_unique<DeadlineScheduler>(audit_options);
     deadline_scheduler = dynamic_cast<DeadlineScheduler*>(scheduler.get());
   }
-  auto sel = make_selector(selector, 1);
-  const bool record_trace =
+  auto sel = make_selector(flags.selector, 1);
+  options.record_trace =
       show_gantt || show_profile || !svg_path.empty() || !obs_path.empty();
+  options.obs = sink.enabled() ? &sink : nullptr;
+  options.telemetry = telemetry ? &*telemetry : nullptr;
+  options.checkpoint = checkpoint_sink ? &*checkpoint_sink : nullptr;
+  options.resume = resume_file ? &*resume_file : nullptr;
   const SimResult result =
-      run_engine(engine, jobs, *scheduler, *sel, m, speed, record_trace, obs,
-                 injector ? &*injector : nullptr,
-                 telemetry ? &*telemetry : nullptr,
-                 checkpoint_sink ? &*checkpoint_sink : nullptr,
-                 resume_file ? &*resume_file : nullptr,
-                 static_cast<std::size_t>(die_at_decision), decide_budget_ns,
-                 static_cast<std::size_t>(overload_shed));
+      run_simulation(flags.engine, jobs, *scheduler, *sel, options);
 
   std::cout << "scheduler:        " << scheduler->name() << "\n"
             << "jobs:             " << jobs.size() << "\n"
@@ -546,8 +530,8 @@ int cmd_run(ArgParser& args) {
             << "decisions:        " << result.decisions << "\n"
             << "node preemptions: " << result.node_preemptions << "\n"
             << "job preemptions:  " << result.job_preemptions << "\n";
-  if (injector) {
-    std::cout << "fault transitions: " << injector->transitions().size()
+  if (flags.injector) {
+    std::cout << "fault transitions: " << flags.injector->transitions().size()
               << "\n"
               << "lost work:        " << result.lost_work << "\n";
   }
@@ -556,7 +540,7 @@ int cmd_run(ArgParser& args) {
               << resume_file->meta.decisions << ", t="
               << resume_file->meta.sim_time << ")\n";
   }
-  if (decide_budget_ns > 0) {
+  if (options.decide_budget_ns > 0) {
     std::cout << "overload:         " << result.overload_breaches
               << " breaches, " << result.overload_sheds << " sheds, "
               << result.overload_recoveries << " recoveries\n";
@@ -628,10 +612,10 @@ int cmd_run(ArgParser& args) {
   if (!obs_path.empty()) {
     RunReportInputs inputs;
     inputs.scheduler = scheduler->name();
-    inputs.engine = engine;
+    inputs.engine = engine_kind_name(flags.engine);
     inputs.workload = args.positional()[1];
     inputs.m = m;
-    inputs.speed = speed;
+    inputs.speed = flags.speed;
     inputs.jobs = &jobs;
     inputs.result = &result;
     inputs.metrics = &schedule_metrics;
@@ -805,19 +789,9 @@ int cmd_trace(ArgParser& args) {
   if (args.positional().size() != 3) return usage();
   const std::string workload_path = args.positional()[2];
   const JobSet jobs = load_instance(workload_path);
-  const std::string scheduler_name = args.get_string("scheduler", "s");
-  const auto m = static_cast<ProcCount>(args.get_int("m", 8));
-  const double speed = args.get_double("speed", 1.0);
-  const double eps = args.get_double("eps", 0.5);
-  const std::string engine = args.get_string("engine", "event");
-  const SelectorKind selector =
-      parse_selector(args.get_string("selector", "fifo"));
-  const std::string fault_spec = args.get_string("faults", "");
   const std::string out_path = args.get_string("out", "");
   const bool as_json = args.get_flag("json");
-  args.finish();
-
-  std::optional<FaultInjector> injector = make_injector(fault_spec, m);
+  const RunFlags flags = read_run_flags(args);
 
   // Both modes need the execution trace and the decision log; counters and
   // spans ride along so the export can embed wall-clock span stats.
@@ -829,12 +803,13 @@ int cmd_trace(ArgParser& args) {
   sink.events = &event_log;
   sink.spans = &spans;
 
-  auto scheduler = make_named_scheduler(scheduler_name, eps);
-  auto sel = make_selector(selector, 1);
+  auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
+  auto sel = make_selector(flags.selector, 1);
+  SimOptions options = flags.sim_options();
+  options.record_trace = true;
+  options.obs = &sink;
   const SimResult result =
-      run_engine(engine, jobs, *scheduler, *sel, m, speed,
-                 /*record_trace=*/true, &sink,
-                 injector ? &*injector : nullptr);
+      run_simulation(flags.engine, jobs, *scheduler, *sel, options);
 
   std::ofstream out_file;
   std::ostream* out = &std::cout;
@@ -853,9 +828,10 @@ int cmd_trace(ArgParser& args) {
     inputs.result = &result;
     inputs.events = &event_log;
     inputs.spans = &spans;
-    inputs.m = m;
+    inputs.m = flags.m;
     inputs.label = scheduler->name() + " on " + workload_path + " (" +
-                   engine + " engine, m=" + std::to_string(m) + ")";
+                   engine_kind_name(flags.engine) + " engine, m=" +
+                   std::to_string(flags.m) + ")";
     const JsonValue trace = export_chrome_trace(inputs);
     trace.write_pretty(*out);
     *out << "\n";
