@@ -7,7 +7,6 @@
 // load the work-conserving baselines may edge ahead (S idles b*m slack).
 #include "baselines/equi.h"
 #include "bench_util.h"
-#include "obs/span_timer.h"
 
 int main(int argc, char** argv) {
   const dagsched::bench::CsvSink csv(argc, argv);
@@ -19,7 +18,6 @@ int main(int argc, char** argv) {
                "equi is fully non-clairvoyant.");
 
   const double eps = 0.5;
-  SpanRegistry spans;  // wall time per policy across every cell
   TextTable table({"load", "slack", "S", "edf", "llf", "hdf", "fcfs",
                    "federated", "equi"});
   for (const double load : {0.5, 1.0, 2.0, 3.0}) {
@@ -31,36 +29,20 @@ int main(int argc, char** argv) {
       config.trials = 5;
       config.base_seed = 2718;
 
-      auto frac = [&config, &spans](const char* name,
-                                    const SchedulerFactory& factory) {
-        ScopedSpan span(&spans, name);
-        return run_trials(config, factory).fraction.mean();
+      auto frac = [&config](const SchedulerFactory& factory) {
+        return TextTable::num(run_trials(config, factory).fraction.mean(), 3);
       };
       table.add_row(
           {TextTable::num(load),
            TextTable::num(lo, 2) + "-" + TextTable::num(hi, 2),
-           TextTable::num(frac("trials.s", paper_s(eps)), 3),
-           TextTable::num(frac("trials.edf", list_policy(ListPolicy::kEdf)),
-                          3),
-           TextTable::num(frac("trials.llf", list_policy(ListPolicy::kLlf)),
-                          3),
-           TextTable::num(frac("trials.hdf", list_policy(ListPolicy::kHdf)),
-                          3),
-           TextTable::num(frac("trials.fcfs", list_policy(ListPolicy::kFcfs)),
-                          3),
-           TextTable::num(frac("trials.federated", federated()), 3),
-           TextTable::num(
-               frac("trials.equi",
-                    [] { return std::make_unique<EquiScheduler>(); }),
-               3)});
+           frac(paper_s(eps)), frac(list_policy(ListPolicy::kEdf)),
+           frac(list_policy(ListPolicy::kLlf)),
+           frac(list_policy(ListPolicy::kHdf)),
+           frac(list_policy(ListPolicy::kFcfs)), frac(federated()),
+           frac([] { return std::make_unique<EquiScheduler>(); })});
     }
   }
   csv.emit("e7_baselines", table);
-  std::cout << "\nPolicy cost (wall time across all cells):\n";
-  for (const auto& [name, stats] : spans.snapshot()) {
-    std::cout << "  " << name << ": " << TextTable::num(stats.total_ns / 1e6)
-              << " ms over " << stats.count << " cells\n";
-  }
   std::cout << "\nShape check: crossover -- baselines competitive at load "
                "0.5, S (and HDF) ahead of deadline-only policies at 2-3x "
                "overload.\n";

@@ -7,7 +7,6 @@
 // the step-function reduction (Section-3 S, which forfeits all post-plateau
 // profit) and EDF under load.
 #include "bench_util.h"
-#include "obs/span_timer.h"
 
 int main(int argc, char** argv) {
   const dagsched::bench::CsvSink csv(argc, argv);
@@ -18,7 +17,6 @@ int main(int argc, char** argv) {
                "of OPT for plateau+decay profits.");
 
   const double eps = 0.5;
-  SpanRegistry spans;  // wall time per scheduler family across all cells
   const SchedulerFactory s5_wc = [] {
     return std::make_unique<ProfitScheduler>(ProfitSchedulerOptions{
         .params = Params::from_epsilon(0.5), .work_conserving = true});
@@ -41,23 +39,12 @@ int main(int argc, char** argv) {
       config.trials = 3;
       config.base_seed = 31;
       config.with_opt = true;
-      const TrialStats s5 = [&] {
-        ScopedSpan span(&spans, "trials.s5_with_opt");
-        return run_trials(config, paper_profit(eps));
-      }();
+      const TrialStats s5 = run_trials(config, paper_profit(eps));
       config.with_opt = false;
-      const TrialStats s5wc = [&] {
-        ScopedSpan span(&spans, "trials.s5_wc");
-        return run_trials(config, s5_wc);
-      }();
-      const TrialStats s3 = [&] {
-        ScopedSpan span(&spans, "trials.s3");
-        return run_trials(config, paper_s(eps));
-      }();
-      const TrialStats edf = [&] {
-        ScopedSpan span(&spans, "trials.edf");
-        return run_trials(config, list_policy(ListPolicy::kEdf));
-      }();
+      const TrialStats s5wc = run_trials(config, s5_wc);
+      const TrialStats s3 = run_trials(config, paper_s(eps));
+      const TrialStats edf =
+          run_trials(config, list_policy(ListPolicy::kEdf));
       table.add_row({sc.label, TextTable::num(load),
                      TextTable::num(s5.fraction.mean(), 3),
                      TextTable::num(s5wc.fraction.mean(), 3),
@@ -67,12 +54,6 @@ int main(int argc, char** argv) {
     }
   }
   csv.emit("e6_profit", table);
-  std::cout << "\nScheduler cost (wall time across all cells; S5 column "
-               "includes the OPT upper bound LP):\n";
-  for (const auto& [name, stats] : spans.snapshot()) {
-    std::cout << "  " << name << ": " << TextTable::num(stats.total_ns / 1e6)
-              << " ms over " << stats.count << " cells\n";
-  }
   std::cout << "\nShape check: S5_vs_UB bounded across load; S5 >= S3 "
                "(slot scheduler can harvest post-plateau profit).\n";
   return 0;

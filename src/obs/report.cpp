@@ -65,19 +65,6 @@ JsonValue active_jobs_timeline(const JobSet& jobs, const SimResult& result,
 
 }  // namespace
 
-JsonValue spans_to_json(const SpanRegistry& spans) {
-  JsonValue out = JsonValue::object();
-  for (const auto& [name, stats] : spans.snapshot()) {
-    JsonValue entry = JsonValue::object();
-    entry.set("count", JsonValue(stats.count));
-    entry.set("total_ns", JsonValue(stats.total_ns));
-    entry.set("min_ns", JsonValue(stats.min_ns));
-    entry.set("max_ns", JsonValue(stats.max_ns));
-    out.set(name, std::move(entry));
-  }
-  return out;
-}
-
 JsonValue build_run_report(const RunReportInputs& inputs) {
   DS_CHECK_MSG(inputs.jobs != nullptr && inputs.result != nullptr,
                "run report requires jobs and result");
@@ -135,10 +122,6 @@ JsonValue build_run_report(const RunReportInputs& inputs) {
     report.set("histograms", std::move(histograms));
   }
 
-  if (inputs.spans != nullptr) {
-    report.set("spans", spans_to_json(*inputs.spans));
-  }
-
   if (inputs.telemetry != nullptr) {
     report.set("telemetry", telemetry_to_json(*inputs.telemetry));
   }
@@ -194,6 +177,7 @@ std::string fixed(double value, int digits = 4) {
 
 void format_number_object(std::ostream& out, const JsonValue& object,
                           const char* indent) {
+  if (!object.is_object()) return;
   for (const auto& [key, value] : object.members()) {
     out << indent << key << ": ";
     if (value.is_number()) {
@@ -208,6 +192,7 @@ void format_number_object(std::ostream& out, const JsonValue& object,
 std::string sparkline(const JsonValue& values, double scale) {
   static const char* kBars[] = {" ", ".", ":", "-", "=", "#", "%", "@"};
   std::string out;
+  if (!values.is_array()) return out;
   for (const JsonValue& value : values.items()) {
     const double v = value.is_number() ? value.as_number() : 0.0;
     const double unit = scale > 0.0 ? v / scale : 0.0;
@@ -222,8 +207,8 @@ std::string sparkline(const JsonValue& values, double scale) {
 
 std::string format_run_report(const JsonValue& report) {
   std::ostringstream out;
-  if (const JsonValue* schema = report.find("schema")) {
-    out << "report (" << schema->as_string() << ")\n";
+  if (report.contains("schema")) {
+    out << "report (" << string_at(report, "schema", "?") << ")\n";
   }
   if (const JsonValue* run = report.find("run")) {
     out << "\n[run]\n";
@@ -233,7 +218,8 @@ std::string format_run_report(const JsonValue& report) {
     out << "\n[results]\n";
     format_number_object(out, *results, "  ");
   }
-  if (const JsonValue* metrics = report.find("metrics")) {
+  const JsonValue* metrics = report.find("metrics");
+  if (metrics != nullptr && metrics->is_object()) {
     out << "\n[metrics]\n";
     for (const auto& [key, value] : metrics->members()) {
       if (value.is_object()) {
@@ -257,23 +243,13 @@ std::string format_run_report(const JsonValue& report) {
       format_number_object(out, *counters, "  ");
     }
   }
-  if (const JsonValue* spans = report.find("spans")) {
-    if (spans->size() > 0) {
-      out << "\n[spans]\n";
-      for (const auto& [name, stats] : spans->members()) {
-        const JsonValue* count = stats.find("count");
-        const JsonValue* total = stats.find("total_ns");
-        out << "  " << name << ": count="
-            << (count != nullptr ? json_number_to_string(count->as_number())
-                                 : "?")
-            << " total="
-            << (total != nullptr ? fixed(total->as_number() / 1e6) : "?")
-            << "ms\n";
-      }
-    }
-  }
   if (const JsonValue* telemetry = report.find("telemetry")) {
     out << "\n[telemetry]\n";
+    if (const JsonValue* wall = telemetry->find("wall_ms")) {
+      out << "  wall_ms: "
+          << (wall->is_number() ? fixed(wall->as_number(), 6) : wall->dump())
+          << '\n';
+    }
     for (const char* key : {"decide_ns", "transition_ns", "admission_ns"}) {
       const JsonValue* histogram = telemetry->find(key);
       if (histogram == nullptr || !histogram->is_object()) continue;
@@ -287,7 +263,8 @@ std::string format_run_report(const JsonValue& report) {
       }
       out << '\n';
     }
-    if (const JsonValue* gauges = telemetry->find("gauges")) {
+    const JsonValue* gauges = telemetry->find("gauges");
+    if (gauges != nullptr && gauges->is_object()) {
       out << "  gauges:";
       for (const auto& [key, value] : gauges->members()) {
         out << ' ' << key << '='
@@ -303,19 +280,18 @@ std::string format_run_report(const JsonValue& report) {
   }
   if (const JsonValue* timeline = report.find("timeline")) {
     const JsonValue* utilization = timeline->find("utilization");
-    const JsonValue* horizon = timeline->find("horizon");
+    const double horizon = num_at(*timeline, "horizon", std::nan(""));
     if (utilization != nullptr && utilization->size() > 0) {
       out << "\n[timeline]\n  utilization: ["
           << sparkline(*utilization, 1.0) << "] over [0, "
-          << (horizon != nullptr ? json_number_to_string(horizon->as_number())
-                                 : "?")
+          << (std::isnan(horizon) ? "?" : json_number_to_string(horizon))
           << ")\n";
     }
     const JsonValue* active = timeline->find("active_jobs");
-    if (active != nullptr && active->size() > 0) {
+    if (active != nullptr && active->is_array() && active->size() > 0) {
       double peak = 0.0;
       for (const JsonValue& value : active->items()) {
-        peak = std::max(peak, value.as_number());
+        peak = std::max(peak, value.is_number() ? value.as_number() : 0.0);
       }
       out << "  active jobs: [" << sparkline(*active, peak)
           << "] peak " << json_number_to_string(peak) << '\n';
@@ -326,24 +302,20 @@ std::string format_run_report(const JsonValue& report) {
 
 std::string format_bench_report(const JsonValue& report) {
   std::ostringstream out;
-  if (const JsonValue* schema = report.find("schema")) {
-    out << "bench report (" << schema->as_string() << ")";
-  } else {
-    out << "bench report";
+  out << "bench report";
+  if (report.contains("schema")) {
+    out << " (" << string_at(report, "schema", "?") << ")";
   }
-  if (const JsonValue* bench = report.find("bench")) {
-    out << ": " << bench->as_string();
-  }
+  if (report.contains("bench")) out << ": " << string_at(report, "bench", "?");
   out << "\n";
   const JsonValue* measurements = report.find("measurements");
   if (measurements != nullptr && measurements->is_array()) {
     out << "\n[measurements]\n";
     for (const JsonValue& entry : measurements->items()) {
-      const JsonValue* name = entry.find("name");
       const JsonValue* real = entry.find("real_time_ns");
       const JsonValue* iterations = entry.find("iterations");
       const JsonValue* aggregate = entry.find("aggregate");
-      out << "  " << (name != nullptr ? name->as_string() : "?") << ": ";
+      out << "  " << string_at(entry, "name", "?") << ": ";
       if (real != nullptr && real->is_number()) {
         const double ns = real->as_number();
         if (ns >= 1e6) {
@@ -363,7 +335,8 @@ std::string format_bench_report(const JsonValue& report) {
           aggregate->as_bool()) {
         out << " (aggregate)";
       }
-      if (const JsonValue* counters = entry.find("counters")) {
+      const JsonValue* counters = entry.find("counters");
+      if (counters != nullptr && counters->is_object()) {
         for (const auto& [key, value] : counters->members()) {
           out << "  " << key << '='
               << (value.is_number() ? json_number_to_string(value.as_number())
@@ -373,27 +346,11 @@ std::string format_bench_report(const JsonValue& report) {
       out << '\n';
     }
   }
-  if (const JsonValue* spans = report.find("spans")) {
-    if (spans->size() > 0) {
-      out << "\n[spans]\n";
-      for (const auto& [name, stats] : spans->members()) {
-        const JsonValue* count = stats.find("count");
-        const JsonValue* total = stats.find("total_ns");
-        out << "  " << name << ": count="
-            << (count != nullptr ? json_number_to_string(count->as_number())
-                                 : "?")
-            << " total="
-            << (total != nullptr ? fixed(total->as_number() / 1e6) : "?")
-            << "ms\n";
-      }
-    }
-  }
   return out.str();
 }
 
 JsonValue build_bench_report(std::string_view bench_name,
-                             const std::vector<BenchMeasurement>& runs,
-                             const SpanRegistry* spans) {
+                             const std::vector<BenchMeasurement>& runs) {
   JsonValue report = JsonValue::object();
   report.set("schema", JsonValue(std::string(kBenchReportSchema)));
   report.set("bench", JsonValue(std::string(bench_name)));
@@ -415,7 +372,6 @@ JsonValue build_bench_report(std::string_view bench_name,
     measurements.push_back(std::move(entry));
   }
   report.set("measurements", std::move(measurements));
-  if (spans != nullptr) report.set("spans", spans_to_json(*spans));
   return report;
 }
 

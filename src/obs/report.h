@@ -1,13 +1,15 @@
 // Structured run reports: one JSON document per run merging the run
-// configuration, SimResult aggregates, ScheduleMetrics, the counter/span
-// registries, and a time-sliced utilization / active-jobs timeline.
+// configuration, SimResult aggregates, ScheduleMetrics, the counter
+// registry, the telemetry summary (run wall time and decide histogram), and
+// a time-sliced utilization / active-jobs timeline.
 //
 // The document is the machine-readable artifact of a run (the
 // simulator-comparison literature's prerequisite for auditable cross-engine
 // results); `dagsched run --obs out.json` writes it and `dagsched report
-// out.json` pretty-prints it.  The schema is versioned ("dagsched.run_report/1")
+// out.json` pretty-prints it.  The schema is versioned ("dagsched.run_report/2")
 // and its top-level key set is locked by tests/test_obs_report.cpp --
-// extend by adding keys, never by repurposing existing ones.
+// extend by adding keys, never by repurposing existing ones; removing a
+// key bumps the version.
 //
 // The same writer backs bench reports ("dagsched.bench_report/1") so perf
 // measurements land in mechanically trackable files instead of ad-hoc
@@ -22,7 +24,6 @@
 #include "job/job.h"
 #include "obs/counters.h"
 #include "obs/event_log.h"
-#include "obs/span_timer.h"
 #include "sim/metrics.h"
 #include "sim/outcome.h"
 #include "util/json.h"
@@ -31,7 +32,7 @@ namespace dagsched {
 
 class TelemetryRecorder;
 
-inline constexpr std::string_view kRunReportSchema = "dagsched.run_report/1";
+inline constexpr std::string_view kRunReportSchema = "dagsched.run_report/2";
 inline constexpr std::string_view kBenchReportSchema =
     "dagsched.bench_report/1";
 
@@ -48,10 +49,10 @@ struct RunReportInputs {
   // Optional sections; omitted from the document when null.
   const ScheduleMetrics* metrics = nullptr;
   const MetricRegistry* registry = nullptr;
-  const SpanRegistry* spans = nullptr;
   const EventLog* events = nullptr;
-  /// Runtime-telemetry recorder: adds a "telemetry" section with the
-  /// decide/transition/admission latency histograms and byte gauges.
+  /// Runtime-telemetry recorder: adds a "telemetry" section with the run's
+  /// wall time, the decide/transition/admission latency histograms and
+  /// byte gauges.
   const TelemetryRecorder* telemetry = nullptr;
   std::string events_path;  // recorded in the document when non-empty
 
@@ -82,17 +83,12 @@ struct BenchMeasurement {
   std::vector<std::pair<std::string, double>> counters;
 };
 
-/// Builds the versioned bench-report document (optionally with span
-/// timings from the bench's own hot loops).
+/// Builds the versioned bench-report document.
 JsonValue build_bench_report(std::string_view bench_name,
-                             const std::vector<BenchMeasurement>& runs,
-                             const SpanRegistry* spans = nullptr);
+                             const std::vector<BenchMeasurement>& runs);
 
 /// Human-readable rendering of a bench report (`dagsched report` on a
 /// "dagsched.bench_report/1" document, e.g. BENCH_engine.json).
 std::string format_bench_report(const JsonValue& report);
-
-/// Shared span-section encoding (used by both report flavors).
-JsonValue spans_to_json(const SpanRegistry& spans);
 
 }  // namespace dagsched

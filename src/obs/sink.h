@@ -3,7 +3,7 @@
 // Engines and schedulers receive a `const ObsSink*` (nullptr = off, the
 // default) and null-check before every emission, so an uninstrumented run
 // takes exactly the seed code path.  The struct is plain pointers; the
-// caller owns the registries and decides which of the three channels are
+// caller owns the registries and decides which of the two channels are
 // active (e.g. `--events` without `--obs` enables the event log only).
 #pragma once
 
@@ -13,7 +13,6 @@
 
 #include "obs/counters.h"
 #include "obs/event_log.h"
-#include "obs/span_timer.h"
 #include "util/types.h"
 
 namespace dagsched {
@@ -21,11 +20,8 @@ namespace dagsched {
 struct ObsSink {
   MetricRegistry* metrics = nullptr;
   EventLog* events = nullptr;
-  SpanRegistry* spans = nullptr;
 
-  bool enabled() const {
-    return metrics != nullptr || events != nullptr || spans != nullptr;
-  }
+  bool enabled() const { return metrics != nullptr || events != nullptr; }
 
   /// Convenience: bump a named counter if metrics are attached.  Hot paths
   /// should resolve Counter* once instead; this is for event-frequency call

@@ -12,23 +12,10 @@ namespace dagsched {
 
 namespace {
 
-double num_at(const JsonValue& object, std::string_view key,
-              double fallback = 0.0) {
-  const JsonValue* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_number()
-                                                : fallback;
-}
-
 double nested_num(const JsonValue& object, std::string_view section,
                   std::string_view key, double fallback = 0.0) {
   const JsonValue* group = object.find(section);
   return group != nullptr ? num_at(*group, key, fallback) : fallback;
-}
-
-std::string string_at(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.find(key);
-  return value != nullptr && value->is_string() ? value->as_string()
-                                                : std::string();
 }
 
 std::string fixed(double value, int digits) {

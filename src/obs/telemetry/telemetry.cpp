@@ -18,6 +18,7 @@ void TelemetryRecorder::begin_run(double sim_start) {
   next_wall_emit_ns_ = options_.wall_interval_ns;
   prev_events_ = 0;
   prev_wall_ns_ = 0;
+  run_wall_ns_ = 0;
 }
 
 namespace {
@@ -96,7 +97,11 @@ JsonValue TelemetryRecorder::build_snapshot(const TelemetrySample& sample,
 void TelemetryRecorder::emit_snapshot(const TelemetrySample& sample) {
   last_sample_ = sample;
   if (options_.out == nullptr) return;
-  const std::uint64_t now_ns = wall_ns(Clock::now());
+  write_snapshot(sample, wall_ns(Clock::now()));
+}
+
+void TelemetryRecorder::write_snapshot(const TelemetrySample& sample,
+                                       std::uint64_t now_ns) {
   JsonValue snap = build_snapshot(sample, now_ns);
   snap.write(*options_.out);
   *options_.out << '\n';
@@ -116,8 +121,11 @@ void TelemetryRecorder::emit_snapshot(const TelemetrySample& sample) {
 
 void TelemetryRecorder::finish_run(TelemetrySample sample) {
   sample.final_snapshot = true;
-  emit_snapshot(sample);
-  if (options_.out != nullptr) options_.out->flush();
+  run_wall_ns_ = wall_ns(Clock::now());
+  last_sample_ = sample;
+  if (options_.out == nullptr) return;
+  write_snapshot(sample, run_wall_ns_);
+  options_.out->flush();
 }
 
 void TelemetryRecorder::reset() {
@@ -127,6 +135,7 @@ void TelemetryRecorder::reset() {
   seq_ = 0;
   prev_events_ = 0;
   prev_wall_ns_ = 0;
+  run_wall_ns_ = 0;
   last_sample_.reset();
 }
 
@@ -146,6 +155,7 @@ JsonValue latency_histogram_to_json(const LatencyHistogram& histogram) {
 
 JsonValue telemetry_to_json(const TelemetryRecorder& recorder) {
   JsonValue out = JsonValue::object();
+  out.set("wall_ms", static_cast<double>(recorder.run_wall_ns()) / 1e6);
   out.set("decide_ns", latency_histogram_to_json(recorder.decide_histogram()));
   out.set("transition_ns",
           latency_histogram_to_json(recorder.transition_histogram()));

@@ -123,8 +123,9 @@ class TelemetryRecorder {
   /// deadlines.  Also retained as last_sample() for the run-report section.
   void emit_snapshot(const TelemetrySample& sample);
 
-  /// Emits the final snapshot (always, interval regardless) when a sink is
-  /// attached; retains the sample either way.
+  /// Stamps the run's wall time and emits the final snapshot (always,
+  /// interval regardless) when a sink is attached; retains the sample
+  /// either way.
   void finish_run(TelemetrySample sample);
 
   // -- Introspection ---------------------------------------------------------
@@ -134,6 +135,8 @@ class TelemetryRecorder {
   std::size_t snapshots_emitted() const { return seq_; }
   bool has_sample() const { return last_sample_.has_value(); }
   const TelemetrySample& last_sample() const { return *last_sample_; }
+  /// Wall time from begin_run() to finish_run(); 0 before a run finishes.
+  std::uint64_t run_wall_ns() const { return run_wall_ns_; }
 
   /// Zeroes histograms and snapshot bookkeeping (the sink stays attached).
   void reset();
@@ -153,6 +156,7 @@ class TelemetryRecorder {
   }
   JsonValue build_snapshot(const TelemetrySample& sample,
                            std::uint64_t now_ns);
+  void write_snapshot(const TelemetrySample& sample, std::uint64_t now_ns);
 
   TelemetryOptions options_;
   LatencyHistogram decide_;
@@ -167,6 +171,7 @@ class TelemetryRecorder {
   // Rate baseline: the previous snapshot's event totals and wall time.
   std::uint64_t prev_events_ = 0;
   std::uint64_t prev_wall_ns_ = 0;
+  std::uint64_t run_wall_ns_ = 0;
   std::optional<TelemetrySample> last_sample_;
 };
 
@@ -174,8 +179,9 @@ class TelemetryRecorder {
 /// and run reports: count/overflow/min/mean/max plus p50/p90/p99/p999.
 JsonValue latency_histogram_to_json(const LatencyHistogram& histogram);
 
-/// The run-report "telemetry" section: the three overhead histograms plus
-/// the final sample's gauges (bytes/job, queue depth, jobs in flight).
+/// The run-report "telemetry" section: the run's wall time (`wall_ms`),
+/// the three overhead histograms, and the final sample's gauges (bytes/job,
+/// queue depth, jobs in flight).
 JsonValue telemetry_to_json(const TelemetryRecorder& recorder);
 
 /// Parses a dagsched.telemetry/1 JSONL stream back into one JsonValue per

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/report.h"
+#include "obs/telemetry/telemetry.h"
 #include "util/check.h"
 
 namespace dagsched {
@@ -255,9 +255,9 @@ JsonValue export_chrome_trace(const TraceExportInputs& inputs) {
   other.set("end_time", JsonValue(result.end_time));
   other.set("exec_slices", JsonValue(exec_slices));
   other.set("micros_per_time_unit", JsonValue(kTraceMicrosPerTimeUnit));
-  if (inputs.spans != nullptr) {
+  if (inputs.telemetry != nullptr) {
     // Wall-clock aggregates, not simulation-time events.
-    other.set("spans", spans_to_json(*inputs.spans));
+    other.set("telemetry", telemetry_to_json(*inputs.telemetry));
   }
   doc.set("otherData", std::move(other));
   return doc;

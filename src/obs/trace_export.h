@@ -1,5 +1,5 @@
 // Causal trace export: fuse the execution trace (SimResult::trace), the
-// decision EventLog and the span-timer aggregates of one run into a single
+// decision EventLog and the telemetry summary of one run into a single
 // Chrome trace_event JSON document loadable in Perfetto / chrome://tracing.
 //
 // Track layout:
@@ -13,9 +13,10 @@
 //     node-restart, work-overrun, readmit-fail) on a per-job thread track;
 //   * engine-abort becomes a global instant.
 //
-// Span-timer aggregates are wall-clock (not simulation-time) totals, so
-// they ride along in "otherData" rather than on the timeline.  One
-// simulated time unit maps to kTraceMicrosPerTimeUnit trace microseconds.
+// The telemetry summary (decide histogram, run wall time) is wall-clock,
+// not simulation-time, so it rides along in "otherData" rather than on
+// the timeline.  One simulated time unit maps to kTraceMicrosPerTimeUnit
+// trace microseconds.
 //
 // The same header hosts diff_event_logs(), the aligned comparison of two
 // decision event logs behind `dagsched trace diff` and the cross-engine
@@ -29,12 +30,13 @@
 
 #include "job/job.h"
 #include "obs/event_log.h"
-#include "obs/span_timer.h"
 #include "sim/outcome.h"
 #include "util/json.h"
 #include "util/types.h"
 
 namespace dagsched {
+
+class TelemetryRecorder;
 
 /// Trace timestamps are microseconds; one simulated time unit becomes 1 ms
 /// so slot-scale structure is visible at Perfetto's default zoom.
@@ -47,8 +49,9 @@ struct TraceExportInputs {
   /// tracks.  Without it only the machine tracks and outcome-derived job
   /// spans are emitted.
   const EventLog* events = nullptr;
-  /// Optional: wall-clock span aggregates, recorded into "otherData".
-  const SpanRegistry* spans = nullptr;
+  /// Optional: the run's telemetry recorder; its telemetry_to_json section
+  /// (decide histogram, run wall time) is recorded into "otherData".
+  const TelemetryRecorder* telemetry = nullptr;
   ProcCount m = 1;
   /// Free-form run label recorded in "otherData" (workload path, engine).
   std::string label;

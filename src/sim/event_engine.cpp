@@ -40,7 +40,6 @@ SimResult EventEngine::run() {
   if (obs != nullptr && obs->metrics != nullptr) {
     h_step_dt = obs->metrics->histogram("engine.step_dt");
   }
-  ScopedSpan run_span(obs != nullptr ? obs->spans : nullptr, "engine.run");
 
   const double speed = options_.speed;
   Time now = jobs_[0].release();

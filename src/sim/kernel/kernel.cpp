@@ -54,9 +54,6 @@ void SimKernel::begin(Time start_time) {
     c_idle_time_ = mr.counter("engine.idle_proc_time");
     h_running_ = mr.histogram("engine.running_nodes");
   }
-  if (obs_ != nullptr && obs_->spans != nullptr) {
-    decide_span_ = obs_->spans->span("engine.decide");
-  }
   // Overload instruments are gated on the budget flag, like fault counters
   // are gated on the injector: budget-off runs register nothing.
   overload_active_ = false;
@@ -267,19 +264,15 @@ std::string SimKernel::validate(const Assignment& assignment) {
 bool SimKernel::decide(Time now, Assignment& out) {
   out.clear();
   // Wall-clock timing is needed by telemetry and by the overload budget;
-  // with neither attached the decide stays a single virtual call under the
-  // (possibly null) span, the seed hot path.
+  // with neither attached the decide stays a single virtual call, the seed
+  // hot path.
   const bool budgeted = options_.decide_budget_ns > 0;
   std::uint64_t decide_ns = 0;
   if (telemetry_ == nullptr && !budgeted) {
-    ScopedSpan decide_scope(decide_span_);
     scheduler_.decide(ctx_, out);
   } else {
     const auto t0 = TelemetryRecorder::Clock::now();
-    {
-      ScopedSpan decide_scope(decide_span_);
-      scheduler_.decide(ctx_, out);
-    }
+    scheduler_.decide(ctx_, out);
     if (budgeted) {
       decide_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(

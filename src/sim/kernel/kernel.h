@@ -15,11 +15,11 @@
 //     terminate the run with a structured SimFailureKind::kBadAllocation
 //     instead of corrupting state or aborting the process;
 //   * scheduler callback dispatch (on_arrival / on_completion / on_deadline /
-//     on_capacity_change) and the decide() span + decision budget;
+//     on_capacity_change), decide() timing and the decision budget;
 //   * fault application: the processor up-set, the failure-victim map, and
 //     restart=resume|zero lost-work accounting;
-//   * observability emission (counters, decision events, spans) for all the
-//     shared lifecycle events;
+//   * observability emission (counters, decision events, telemetry) for
+//     all the shared lifecycle events;
 //   * busy/idle processor-time bookkeeping, with the
 //     busy + idle == m x (end - start) invariant asserted once, in finish().
 //
@@ -164,10 +164,11 @@ class SimKernel {
 
   // -- Decision -------------------------------------------------------------
 
-  /// Runs decide() under the span timer, enforces the decision budget, and
-  /// validates the allocation.  Returns false -- with the failure stamped on
-  /// the result -- when the budget is exhausted or the allocation is
-  /// malformed; the engine must break out of its stepping loop.
+  /// Runs decide() (timed only when telemetry or a decide budget is
+  /// attached), enforces the decision budget, and validates the
+  /// allocation.  Returns false -- with the failure stamped on the result
+  /// -- when the budget is exhausted or the allocation is malformed; the
+  /// engine must break out of its stepping loop.
   bool decide(Time now, Assignment& out);
 
   // -- Execution ------------------------------------------------------------
@@ -340,7 +341,6 @@ class SimKernel {
   Counter* c_overruns_ = nullptr;
   Counter* c_lost_work_ = nullptr;
   Histogram* h_running_ = nullptr;
-  SpanStats* decide_span_ = nullptr;
   Counter* c_overload_breaches_ = nullptr;
   Counter* c_overload_sheds_ = nullptr;
   Counter* c_overload_recoveries_ = nullptr;

@@ -37,8 +37,8 @@ struct SimOptions {
   /// Invoked after each decision has been validated; used by property tests
   /// to inspect scheduler state mid-run.
   std::function<void(const EngineContext&, const Assignment&)> observer;
-  /// Observability sink (counters / decision events / span timers); null =
-  /// off, and the run is bit-identical to an uninstrumented one.
+  /// Observability sink (counters / decision events); null = off, and the
+  /// run is bit-identical to an uninstrumented one.
   const ObsSink* obs = nullptr;
   /// Fault injector (processor churn / work overruns); null = no faults,
   /// and the run is bit-identical to a fault-free build.  Processor

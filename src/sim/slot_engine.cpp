@@ -54,9 +54,6 @@ SimResult SlotEngine::run() {
   }
   SimKernel& kernel = *kernel_;
 
-  const ObsSink* obs = options_.obs;
-  ScopedSpan run_span(obs != nullptr ? obs->spans : nullptr, "engine.run");
-
   const std::uint64_t horizon =
       options_.max_slots > 0 ? options_.max_slots : derive_horizon();
   const double speed = options_.speed;

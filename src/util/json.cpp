@@ -74,6 +74,20 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   return *value;
 }
 
+double num_at(const JsonValue& object, std::string_view key,
+              double fallback) {
+  const JsonValue* value = object.find(key);
+  return value != nullptr && value->is_number() ? value->as_number()
+                                                : fallback;
+}
+
+std::string string_at(const JsonValue& object, std::string_view key,
+                      std::string_view fallback) {
+  const JsonValue* value = object.find(key);
+  return value != nullptr && value->is_string() ? value->as_string()
+                                                : std::string(fallback);
+}
+
 std::string json_number_to_string(double value) {
   if (!std::isfinite(value)) {
     // JSON has no Infinity/NaN; encode as null-adjacent sentinel strings is

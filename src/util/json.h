@@ -103,4 +103,12 @@ JsonParseResult json_parse(std::string_view text);
 /// Serializes a double the way the writer does (shortest round-trip form).
 std::string json_number_to_string(double value);
 
+/// Null-safe field readers for documents read from outside the program:
+/// the value of `key` when `object` is an object holding it with the right
+/// kind, else `fallback`.  They never DS_CHECK, unlike the typed accessors.
+double num_at(const JsonValue& object, std::string_view key,
+              double fallback = 0.0);
+std::string string_at(const JsonValue& object, std::string_view key,
+                      std::string_view fallback = {});
+
 }  // namespace dagsched

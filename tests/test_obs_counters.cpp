@@ -10,7 +10,6 @@
 #include "job/job.h"
 #include "obs/counters.h"
 #include "obs/sink.h"
-#include "obs/span_timer.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
 
@@ -115,27 +114,6 @@ TEST(ObsMacros, NullPointersAreNoOps) {
   SUCCEED();
 }
 
-TEST(SpanTimer, RecordsScopedDurations) {
-  SpanRegistry registry;
-  {
-    ScopedSpan span(&registry, "work");
-    // Spin a few iterations so the span is non-zero on coarse clocks.
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-  }
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].first, "work");
-  EXPECT_EQ(snapshot[0].second.count, 1u);
-  EXPECT_GE(snapshot[0].second.total_ns, 0);
-}
-
-TEST(SpanTimer, NullRegistryIsNoOp) {
-  { ScopedSpan span(static_cast<SpanRegistry*>(nullptr), "nothing"); }
-  { ScopedSpan span(static_cast<SpanStats*>(nullptr)); }
-  SUCCEED();
-}
-
 /// Sparse integral workload: short chain jobs separated by long fully-idle
 /// gaps, so the slot engine's idle-skip fast path and the event engine's
 /// quiescent jump are both exercised.  Every job completes, so both engines
@@ -199,18 +177,6 @@ TEST(EngineCounters, IdleTimeAgreesAcrossEnginesOnSparseWorkloads) {
   EXPECT_NEAR(ev_idle, slot_idle, 1e-9);
   EXPECT_NEAR(ev_busy + ev_idle, static_cast<double>(m) * ev_end, 1e-9);
   EXPECT_NEAR(slot_busy + slot_idle, static_cast<double>(m) * slot_end, 1e-9);
-}
-
-TEST(SpanTimer, AccumulatesAcrossScopes) {
-  SpanRegistry registry;
-  SpanStats* stats = registry.span("loop");
-  for (int i = 0; i < 3; ++i) {
-    ScopedSpan span(stats);
-  }
-  EXPECT_EQ(stats->count, 3u);
-  EXPECT_GE(stats->mean_ns(), 0.0);
-  registry.reset();
-  EXPECT_EQ(stats->count, 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "job/job.h"
 #include "obs/report.h"
 #include "obs/sink.h"
+#include "obs/telemetry/telemetry.h"
 #include "sim/event_engine.h"
 #include "sim/metrics.h"
 #include "util/json.h"
@@ -62,7 +63,7 @@ struct ReportFixture {
   SimResult result;
   ScheduleMetrics metrics;
   MetricRegistry registry;
-  SpanRegistry spans;
+  TelemetryRecorder telemetry;  // histograms only, as under `run --obs`
   EventLog events;
 
   ReportFixture() {
@@ -80,7 +81,6 @@ struct ReportFixture {
 
     ObsSink sink;
     sink.metrics = &registry;
-    sink.spans = &spans;
     sink.events = &events;
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto selector = make_selector(SelectorKind::kFifo);
@@ -88,6 +88,7 @@ struct ReportFixture {
     options.num_procs = 4;
     options.record_trace = true;
     options.obs = &sink;
+    options.telemetry = &telemetry;
     EventEngine engine(jobs, scheduler, *selector, options);
     result = engine.run();
     metrics = compute_metrics(result, jobs, 4);
@@ -104,7 +105,7 @@ struct ReportFixture {
     inputs.result = &result;
     inputs.metrics = &metrics;
     inputs.registry = &registry;
-    inputs.spans = &spans;
+    inputs.telemetry = &telemetry;
     if (embed_events) inputs.events = &events;
     return build_run_report(inputs);
   }
@@ -117,8 +118,8 @@ TEST(RunReport, TopLevelKeySetIsLocked) {
   std::vector<std::string> keys;
   for (const auto& [key, value] : report.members()) keys.push_back(key);
   const std::vector<std::string> expected = {
-      "schema",   "run",   "results", "metrics", "counters",
-      "gauges",   "histograms", "spans", "timeline", "events"};
+      "schema",     "run",       "results",  "metrics", "counters",
+      "gauges",     "histograms", "telemetry", "timeline", "events"};
   EXPECT_EQ(keys, expected)
       << "top-level report keys changed -- bump the schema version and "
          "update every consumer before touching this list";
@@ -146,6 +147,16 @@ TEST(RunReport, ResultsSectionMatchesSimResult) {
   // Counters embed the engine's view of the same run.
   EXPECT_DOUBLE_EQ(report.at("counters").at("engine.decisions").as_number(),
                    static_cast<double>(fixture.result.decisions));
+}
+
+TEST(RunReport, TelemetryTimesEveryDecideAndTheRun) {
+  const ReportFixture fixture;
+  const JsonValue report = fixture.build();
+  const JsonValue& telemetry = report.at("telemetry");
+  EXPECT_DOUBLE_EQ(telemetry.at("decide_ns").at("count").as_number(),
+                   report.at("results").at("decisions").as_number());
+  EXPECT_GT(telemetry.at("wall_ms").as_number(), 0.0);
+  EXPECT_FALSE(report.contains("spans"));
 }
 
 TEST(RunReport, TimelineCoversRun) {

@@ -20,6 +20,7 @@
 #include "obs/attribution.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
+#include "obs/telemetry/telemetry.h"
 #include "obs/trace_export.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
@@ -52,6 +53,7 @@ JobSet integer_workload(std::uint64_t seed, std::size_t count) {
 struct RecordedRun {
   SimResult result;
   EventLog events;
+  TelemetryRecorder telemetry;  // histograms only, as under `trace export`
 };
 
 RecordedRun run_recorded(const JobSet& jobs, ProcCount m,
@@ -65,6 +67,7 @@ RecordedRun run_recorded(const JobSet& jobs, ProcCount m,
   options.num_procs = m;
   options.record_trace = true;
   options.obs = &sink;
+  options.telemetry = &run.telemetry;
   options.faults = faults;
   EventEngine engine(jobs, scheduler, *selector, options);
   run.result = engine.run();
@@ -83,6 +86,7 @@ TEST(TraceExport, DocumentRoundTripsAndIsWellFormed) {
   inputs.jobs = &jobs;
   inputs.result = &run.result;
   inputs.events = &run.events;
+  inputs.telemetry = &run.telemetry;
   inputs.m = 4;
   inputs.label = "unit test";
   const JsonValue doc = export_chrome_trace(inputs);
@@ -93,8 +97,12 @@ TEST(TraceExport, DocumentRoundTripsAndIsWellFormed) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   const JsonValue& root = parsed.value;
   ASSERT_TRUE(root.is_object());
-  EXPECT_EQ(root.at("otherData").at("schema").as_string(),
-            "dagsched.trace_export/1");
+  const JsonValue& other = root.at("otherData");
+  EXPECT_EQ(other.at("schema").as_string(), "dagsched.trace_export/1");
+  // Wall-clock timing comes from the telemetry recorder alone.
+  EXPECT_EQ(other.at("telemetry").at("decide_ns").at("count").as_number(),
+            static_cast<double>(run.result.decisions));
+  EXPECT_FALSE(other.contains("spans"));
 
   const JsonValue& events = root.at("traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -132,7 +140,7 @@ TEST(TraceExport, DocumentRoundTripsAndIsWellFormed) {
     EXPECT_EQ(balance, 0) << "unbalanced async track for job " << id;
   }
   EXPECT_GT(exec_slices, 0u);
-  EXPECT_EQ(root.at("otherData").at("exec_slices").as_number(),
+  EXPECT_EQ(other.at("exec_slices").as_number(),
             static_cast<double>(exec_slices));
 }
 

@@ -413,16 +413,14 @@ int cmd_run(ArgParser& args) {
   // only see the (nullable) sink.  No flags => null sink => seed behavior.
   MetricRegistry registry;
   EventLog event_log;
-  SpanRegistry spans;
   ObsSink sink;
-  if (!obs_path.empty()) {
-    sink.metrics = &registry;
-    sink.spans = &spans;
-  }
+  if (!obs_path.empty()) sink.metrics = &registry;
   if (!obs_path.empty() || !events_path.empty()) sink.events = &event_log;
 
   // Runtime telemetry: a JSONL snapshot stream next to (and independent of)
-  // the obs registries.  No flag => null recorder => seed behavior.
+  // the obs registries.  --obs alone attaches a histograms-only recorder
+  // for the report's wall time and decide histogram.  Neither flag => null
+  // recorder => seed behavior.
   std::ofstream telemetry_out;
   std::optional<TelemetryRecorder> telemetry;
   if (!telemetry_path.empty()) {
@@ -439,6 +437,8 @@ int cmd_run(ArgParser& args) {
       apply_telemetry_interval(telemetry_interval, telemetry_options);
     }
     telemetry.emplace(telemetry_options);
+  } else if (!obs_path.empty()) {
+    telemetry.emplace();
   }
 
   // Stream the event log: each event's JSONL line is written as it is
@@ -604,7 +604,7 @@ int cmd_run(ArgParser& args) {
     std::cout << "wrote " << checkpoint_sink->snapshots()
               << " checkpoint snapshots to " << checkpoint_path << "\n";
   }
-  if (telemetry) {
+  if (telemetry_out.is_open()) {
     telemetry_out.flush();
     std::cout << "wrote " << telemetry->snapshots_emitted()
               << " telemetry snapshots to " << telemetry_path << "\n";
@@ -620,7 +620,6 @@ int cmd_run(ArgParser& args) {
     inputs.result = &result;
     inputs.metrics = &schedule_metrics;
     inputs.registry = &registry;
-    inputs.spans = &spans;
     // Embed events only if they were not written to their own file.
     if (events_path.empty()) {
       inputs.events = &event_log;
@@ -793,21 +792,22 @@ int cmd_trace(ArgParser& args) {
   const bool as_json = args.get_flag("json");
   const RunFlags flags = read_run_flags(args);
 
-  // Both modes need the execution trace and the decision log; counters and
-  // spans ride along so the export can embed wall-clock span stats.
+  // Both modes need the execution trace and the decision log; the export
+  // also embeds a histograms-only telemetry summary (run wall time and
+  // decide histogram).
   MetricRegistry registry;
   EventLog event_log;
-  SpanRegistry spans;
   ObsSink sink;
   sink.metrics = &registry;
   sink.events = &event_log;
-  sink.spans = &spans;
+  TelemetryRecorder telemetry;
 
   auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
   auto sel = make_selector(flags.selector, 1);
   SimOptions options = flags.sim_options();
   options.record_trace = true;
   options.obs = &sink;
+  options.telemetry = &telemetry;
   const SimResult result =
       run_simulation(flags.engine, jobs, *scheduler, *sel, options);
 
@@ -827,7 +827,7 @@ int cmd_trace(ArgParser& args) {
     inputs.jobs = &jobs;
     inputs.result = &result;
     inputs.events = &event_log;
-    inputs.spans = &spans;
+    inputs.telemetry = &telemetry;
     inputs.m = flags.m;
     inputs.label = scheduler->name() + " on " + workload_path + " (" +
                    engine_kind_name(flags.engine) + " engine, m=" +
