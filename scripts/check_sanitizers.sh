@@ -5,8 +5,8 @@
 # `asan-ubsan` preset in CMakePresets.json) over the whole suite.
 #
 # --tsan: ThreadSanitizer (the `tsan` preset) over the one threaded suite,
-# the sweep executor (test_sweep: WorkStealingPool push/close/park protocol,
-# merge lock, per-cell isolation).  Extra ctest args narrow further.
+# the sweep executor (test_sweep: the shared cell cursor, the progress lock,
+# per-cell isolation).  Extra ctest args narrow further.
 #
 # Usage: scripts/check_sanitizers.sh [--tsan] [ctest-args...]
 #   e.g. scripts/check_sanitizers.sh -R ObsReplay
@@ -31,7 +31,7 @@ if [ "$mode" = "tsan" ]; then
   if [ "$#" -gt 0 ]; then
     ctest --preset tsan "$@"
   else
-    ctest --preset tsan -R 'Sweep|WorkStealingPool|LatencyHistogram'
+    ctest --preset tsan -R 'Sweep|LatencyHistogram'
   fi
   exit 0
 fi

@@ -1,6 +1,7 @@
 #include "exp/sweep/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -8,7 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "exp/sweep/work_pool.h"
 #include "fault/injector.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
@@ -70,7 +70,7 @@ SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
   MetricRegistry registry;
   EventLog events;
   ObsSink sink;
-  if (options.counters) sink.metrics = &registry;
+  sink.metrics = &registry;
   if (options.capture_events) sink.events = &events;
 
   RunConfig run;
@@ -79,7 +79,7 @@ SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
   run.selector = spec.selector;
   run.selector_seed = spec.selector_seed;
   run.engine = spec.engine;
-  run.obs = sink.enabled() ? &sink : nullptr;
+  run.obs = &sink;
   run.faults = injector ? &*injector : nullptr;
   run.telemetry = telemetry ? &*telemetry : nullptr;
 
@@ -96,9 +96,7 @@ SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
     events.write_jsonl(out);
     result.events_jsonl = std::move(out).str();
   }
-  if (options.counters) {
-    result.counters = registry.counter_values();
-  }
+  result.counters = registry.counter_values();
   // Wall time covers the simulation *and* result extraction (histogram
   // copies, event serialization): the full unit of work the executor
   // parallelizes, so serial_wall_ms / wall_ms is an honest speedup.
@@ -120,7 +118,13 @@ SweepResult run_sweep(std::vector<SweepCellSpec> cells,
   if (sweep.cells.empty()) return sweep;
 
   const Clock::time_point start = Clock::now();
-  WorkStealingPool pool(threads);
+
+  // Every cell is known before any worker starts, so one shared cursor
+  // hands them out in index order: a worker claims the next index with
+  // fetch_add until the index passes the end.  Results land in pre-sized
+  // distinct slots, so no lock guards them and no order is imposed.
+  const std::size_t total = sweep.cells.size();
+  std::atomic<std::size_t> cursor{0};
 
   // Progress state, guarded by one mutex; the live merged decide histogram
   // backs the p99 readout (merge order is completion order here, which is
@@ -129,64 +133,44 @@ SweepResult run_sweep(std::vector<SweepCellSpec> cells,
   std::mutex progress_mutex;
   std::size_t completed = 0;
   std::size_t failed = 0;
-  std::size_t running = 0;
   LatencyHistogram live_decide;
 
-  auto worker_body = [&](std::size_t worker) {
-    while (true) {
-      const std::optional<std::size_t> cell = pool.next(worker);
-      if (!cell) return;
-      if (options.on_progress) {
-        std::lock_guard lock(progress_mutex);
-        ++running;
-      }
-      // Results land in pre-sized distinct slots: no lock, no reordering.
-      sweep.results[*cell] = run_sweep_cell(sweep.cells[*cell], options);
+  auto worker_body = [&] {
+    for (std::size_t cell = cursor.fetch_add(1); cell < total;
+         cell = cursor.fetch_add(1)) {
+      sweep.results[cell] = run_sweep_cell(sweep.cells[cell], options);
+      if (!options.on_progress) continue;
 
       std::lock_guard lock(progress_mutex);
-      if (options.on_progress) --running;
       ++completed;
-      const SweepCellResult& done = sweep.results[*cell];
+      const SweepCellResult& done = sweep.results[cell];
       if (!done.ok()) ++failed;
-      if (options.on_progress) {
-        live_decide.merge(done.decide);
-        SweepProgress progress;
-        progress.total = sweep.cells.size();
-        progress.completed = completed;
-        progress.failed = failed;
-        progress.running = running;
-        progress.elapsed_sec = ms_since(start) / 1e3;
-        if (progress.elapsed_sec > 0.0) {
-          progress.cells_per_sec =
-              static_cast<double>(completed) / progress.elapsed_sec;
-        }
-        if (progress.cells_per_sec > 0.0) {
-          progress.eta_sec =
-              static_cast<double>(progress.total - completed) /
-              progress.cells_per_sec;
-        }
-        progress.decide_p99_ns = live_decide.percentile_ns(0.99);
-        options.on_progress(progress);
+      live_decide.merge(done.decide);
+      SweepProgress progress;
+      progress.total = total;
+      progress.completed = completed;
+      progress.failed = failed;
+      progress.running = std::min(cursor.load(), total) - completed;
+      progress.elapsed_sec = ms_since(start) / 1e3;
+      if (progress.elapsed_sec > 0.0) {
+        progress.cells_per_sec =
+            static_cast<double>(completed) / progress.elapsed_sec;
       }
+      if (progress.cells_per_sec > 0.0) {
+        progress.eta_sec =
+            static_cast<double>(total - completed) / progress.cells_per_sec;
+      }
+      progress.decide_p99_ns = live_decide.percentile_ns(0.99);
+      options.on_progress(progress);
     }
   };
 
-  // Streaming producer: workers start first and drain while the cells are
-  // still being enqueued (the push/close protocol is what work_pool.h's
-  // no-lost-wakeup guarantee covers); close() releases anyone parked once
-  // the backlog runs dry.
   if (threads == 1) {
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) pool.push(i);
-    pool.close();
-    worker_body(0);
+    worker_body();
   } else {
     std::vector<std::thread> workers;
     workers.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-      workers.emplace_back(worker_body, i);
-    }
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) pool.push(i);
-    pool.close();
+    for (std::size_t i = 0; i < threads; ++i) workers.emplace_back(worker_body);
     for (std::thread& worker : workers) worker.join();
   }
   sweep.wall_ms = ms_since(start);

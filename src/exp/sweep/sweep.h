@@ -1,7 +1,7 @@
 // Parallel sweep executor: fan a list of independent simulation cells
 // (workload x scheduler x engine x fault mode) out across hardware threads
-// with a work-stealing scheduler, while keeping every run's observability
-// state isolated per cell.
+// from one shared cursor, while keeping every run's observability state
+// isolated per cell.
 //
 // The determinism contract (docs/SWEEP.md) is non-negotiable: a cell's
 // event log is byte-identical to the same cell run serially, regardless of
@@ -72,7 +72,7 @@ struct SweepCellResult {
   /// is set; byte-identical to `dagsched run --events` on the same cell.
   std::string events_jsonl;
 
-  /// Cell-local counter snapshot (SweepOptions::counters), sorted by name.
+  /// Cell-local counter snapshot, sorted by name.
   std::vector<std::pair<std::string, double>> counters;
 
   std::string error;
@@ -91,7 +91,7 @@ struct SweepProgress {
   std::size_t total = 0;
   std::size_t completed = 0;  // includes failed
   std::size_t failed = 0;     // config or simulation failures so far
-  std::size_t running = 0;
+  std::size_t running = 0;    // claimed minus completed
   double elapsed_sec = 0.0;
   double cells_per_sec = 0.0;
   /// Naive remaining/throughput estimate; 0 until the first completion.
@@ -108,8 +108,6 @@ struct SweepOptions {
   /// Attach a per-cell TelemetryRecorder (decide/transition/admission
   /// histograms).  Off takes the exact seed kernel path (docs/SWEEP.md).
   bool telemetry = true;
-  /// Attach a per-cell MetricRegistry and merge counters fleet-wide.
-  bool counters = true;
   std::function<void(const SweepProgress&)> on_progress;
 };
 
@@ -122,7 +120,7 @@ struct SweepResult {
   LatencyHistogram decide;
   LatencyHistogram transition;
   LatencyHistogram admission;
-  /// Counter rollup across cells (SweepOptions::counters); sorted by name.
+  /// Counter rollup across cells; sorted by name.
   std::vector<std::pair<std::string, double>> counters;
 
   std::size_t threads = 0;
@@ -141,8 +139,9 @@ struct SweepResult {
 SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
                                const SweepOptions& options);
 
-/// Runs every cell across `options.threads` workers with work stealing and
-/// returns the merged result.  Cells must have non-null `jobs`.
+/// Runs every cell across `options.threads` workers, which claim cells in
+/// index order from one shared cursor, and returns the merged result.
+/// Cells must have non-null `jobs`.
 SweepResult run_sweep(std::vector<SweepCellSpec> cells,
                       const SweepOptions& options);
 

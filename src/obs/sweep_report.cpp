@@ -12,12 +12,6 @@ namespace dagsched {
 
 namespace {
 
-double nested_num(const JsonValue& object, std::string_view section,
-                  std::string_view key, double fallback = 0.0) {
-  const JsonValue* group = object.find(section);
-  return group != nullptr ? num_at(*group, key, fallback) : fallback;
-}
-
 std::string fixed(double value, int digits) {
   std::ostringstream out;
   out.precision(digits);

@@ -81,6 +81,12 @@ double num_at(const JsonValue& object, std::string_view key,
                                                 : fallback;
 }
 
+double nested_num(const JsonValue& object, std::string_view section,
+                  std::string_view key, double fallback) {
+  const JsonValue* group = object.find(section);
+  return group != nullptr ? num_at(*group, key, fallback) : fallback;
+}
+
 std::string string_at(const JsonValue& object, std::string_view key,
                       std::string_view fallback) {
   const JsonValue* value = object.find(key);

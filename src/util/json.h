@@ -108,6 +108,9 @@ std::string json_number_to_string(double value);
 /// kind, else `fallback`.  They never DS_CHECK, unlike the typed accessors.
 double num_at(const JsonValue& object, std::string_view key,
               double fallback = 0.0);
+/// num_at of `key` inside the object at `section`, or `fallback`.
+double nested_num(const JsonValue& object, std::string_view section,
+                  std::string_view key, double fallback = 0.0);
 std::string string_at(const JsonValue& object, std::string_view key,
                       std::string_view fallback = {});
 

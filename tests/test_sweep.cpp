@@ -8,17 +8,13 @@
 //     histograms) are invariant to the worker-thread count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep/report_writer.h"
 #include "exp/sweep/sweep.h"
-#include "exp/sweep/work_pool.h"
 #include "obs/sweep_report.h"
 #include "obs/telemetry/latency_histogram.h"
 #include "util/json.h"
@@ -141,7 +137,7 @@ TEST(Sweep, ResultsInvariantToThreadCount) {
   ASSERT_EQ(serial.results.size(), 24u);
   ASSERT_EQ(serial.failed_cells, 0u);
 
-  for (const std::size_t threads : {2u, 4u, 8u}) {
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
     options.threads = threads;
     const SweepResult parallel = run_sweep(acceptance_cells(jobs), options);
     ASSERT_EQ(parallel.results.size(), serial.results.size());
@@ -165,78 +161,40 @@ TEST(Sweep, ResultsInvariantToThreadCount) {
   }
 }
 
-// --------------------------------------------------------------------------
-// WorkStealingPool (exp/sweep/work_pool.h): the parking protocol.
-// --------------------------------------------------------------------------
+// Every cell runs exactly once whether cells outnumber threads or threads
+// outnumber cells: on_progress counts completed = 1..N once each, and every
+// result slot holds that cell's serial run.
+TEST(Sweep, CursorRunsEveryCellExactlyOnce) {
+  const JobSet jobs = small_workload();
+  std::vector<SweepCellSpec> many = acceptance_cells(jobs);
+  const std::vector<SweepCellSpec> more = acceptance_cells(jobs);
+  many.insert(many.end(), more.begin(), more.end());
+  const std::vector<SweepCellSpec> few(many.begin(), many.begin() + 3);
 
-// The no-lost-wakeup property on the *last* cell: workers that have parked
-// on the condition variable (the backlog was empty when they arrived) must
-// be woken both by a late push and by close().  If a wakeup were lost --
-// e.g. the producer published between a worker's emptiness check and its
-// wait -- this test would hang rather than fail an assertion, so it runs
-// the handoff many times to give a racy interleaving every chance to bite.
-TEST(WorkStealingPool, LastCellHandoffLosesNoWakeups) {
-  constexpr std::size_t kWorkers = 4;
-  for (int round = 0; round < 200; ++round) {
-    WorkStealingPool pool(kWorkers);
-    std::atomic<std::size_t> claimed{0};
-    std::atomic<std::size_t> returned{0};
-    std::vector<std::thread> workers;
-    workers.reserve(kWorkers);
-    for (std::size_t w = 0; w < kWorkers; ++w) {
-      workers.emplace_back([&pool, &claimed, &returned, w] {
-        while (const auto cell = pool.next(w)) {
-          claimed.fetch_add(1 + *cell);
-        }
-        returned.fetch_add(1);
-      });
+  for (const auto& [cells, threads] :
+       {std::pair{many, std::size_t{3}}, std::pair{few, std::size_t{8}}}) {
+    SweepOptions options;
+    options.capture_events = true;
+    options.threads = threads;
+    std::vector<std::size_t> completed;
+    options.on_progress = [&completed](const SweepProgress& progress) {
+      completed.push_back(progress.completed);
+    };
+    const SweepResult sweep = run_sweep(cells, options);
+
+    ASSERT_EQ(completed.size(), cells.size()) << threads << " threads";
+    for (std::size_t i = 0; i < completed.size(); ++i) {
+      EXPECT_EQ(completed[i], i + 1);
     }
-    // One straggler cell pushed while (most) workers are already idle --
-    // spinning or parked -- then close.  Exactly one worker must claim it
-    // and all of them must return.
-    pool.push(0);
-    pool.close();
-    for (std::thread& worker : workers) worker.join();
-    ASSERT_EQ(claimed.load(), 1u) << "round " << round;
-    ASSERT_EQ(returned.load(), kWorkers) << "round " << round;
+    ASSERT_EQ(sweep.results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const SweepCellResult serial = run_sweep_cell(cells[i], options);
+      EXPECT_FALSE(serial.events_jsonl.empty()) << cells[i].id;
+      EXPECT_EQ(sweep.results[i].events_jsonl, serial.events_jsonl)
+          << cells[i].id << " with " << threads << " threads";
+      EXPECT_EQ(sweep.results[i].counters, serial.counters);
+    }
   }
-}
-
-TEST(WorkStealingPool, DrainsEveryCellExactlyOnceAcrossWorkers) {
-  constexpr std::size_t kWorkers = 3;
-  constexpr std::size_t kCells = 257;
-  WorkStealingPool pool(kWorkers);
-  std::mutex seen_mutex;
-  std::vector<std::size_t> seen;
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&pool, &seen_mutex, &seen, w] {
-      while (const auto cell = pool.next(w)) {
-        std::lock_guard lock(seen_mutex);
-        seen.push_back(*cell);
-      }
-    });
-  }
-  for (std::size_t i = 0; i < kCells; ++i) pool.push(i);
-  pool.close();
-  for (std::thread& worker : workers) worker.join();
-  ASSERT_EQ(seen.size(), kCells);
-  std::sort(seen.begin(), seen.end());
-  for (std::size_t i = 0; i < kCells; ++i) EXPECT_EQ(seen[i], i);
-}
-
-TEST(WorkStealingPool, CloseOnEmptyPoolReleasesEveryWorker) {
-  WorkStealingPool pool(2);
-  std::vector<std::thread> workers;
-  std::atomic<int> nullopts{0};
-  for (std::size_t w = 0; w < 2; ++w) {
-    workers.emplace_back([&pool, &nullopts, w] {
-      if (!pool.next(w)) nullopts.fetch_add(1);
-    });
-  }
-  pool.close();
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(nullopts.load(), 2);
 }
 
 TEST(Sweep, CellResultMatchesDirectRun) {

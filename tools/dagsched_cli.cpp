@@ -14,9 +14,10 @@
 //   dagsched opt instance.wl --m 8   # bracket OPT; exact if all-sequential
 //
 // Exit codes: 0 success, 1 usage or internal error, 2 malformed input
-// (workload/trace/fault-spec parse error), 3 simulation failure (livelock
-// guard or runaway horizon -- the run terminated abnormally but cleanly),
-// 4 `trace diff` found a divergence between the two event logs.
+// (workload/trace/fault-spec parse error, --m or --speed out of range),
+// 3 simulation failure (livelock guard or runaway horizon -- the run
+// terminated abnormally but cleanly), 4 `trace diff` found a divergence
+// between the two event logs.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -113,9 +115,14 @@ int usage() {
          "  dagsched trace attribution FILE [run flags] [--json] "
          "[--out FILE]\n"
          "  dagsched trace diff A.jsonl B.jsonl [--decisions]\n"
-         "  dagsched inspect FILE [--dot JOB]\n"
+         "  dagsched inspect FILE [--m M] [--dot JOB]\n"
          "  dagsched compare FILE [--m M] [--eps E]\n"
          "  dagsched opt FILE [--m M]\n"
+         "machine flags, the same wherever listed above:\n"
+         "  --m M (default 8; an integer in [1, 4294967295])\n"
+         "  --speed S (default 1; finite and > 0)  --eps E (default 0.5)\n"
+         "  --selector fifo|lifo|random|adversarial|critical-path "
+         "(default fifo)\n"
          "schedulers:";
   for (const std::string& name : named_scheduler_list()) {
     std::cerr << ' ' << name;
@@ -301,14 +308,66 @@ std::uint64_t parse_decide_budget(const std::string& value) {
                     budget * (scale == 0.0 ? 1.0 : scale));
 }
 
-/// The run flags `run` and `trace export|attribution` share.
-struct RunFlags {
-  std::string scheduler;
+/// The default of `run --scheduler`, `sweep --schedulers` and a --cells
+/// line without "scheduler".
+constexpr const char* kDefaultScheduler = "s";
+
+/// Range checks shared by the machine flags and --cells lines: a
+/// positioned ParseError (exit 2) at `source`:`line` unless `m` is an
+/// integer in [1, 2^32-1] or `speed` is finite and > 0.
+ProcCount checked_procs(double m, const std::string& source,
+                        std::size_t line) {
+  constexpr double kMaxProcs = std::numeric_limits<ProcCount>::max();
+  if (!(m >= 1.0 && m <= kMaxProcs && m == std::floor(m))) {
+    throw ParseError(source, line, 1,
+                     "m must be an integer in [1, 4294967295]");
+  }
+  return static_cast<ProcCount>(m);
+}
+
+double checked_speed(double speed, const std::string& source,
+                     std::size_t line) {
+  if (!(speed > 0.0 && std::isfinite(speed))) {
+    throw ParseError(source, line, 1, "speed must be finite and > 0");
+  }
+  return speed;
+}
+
+/// The machine flags every simulating subcommand reads.
+struct MachineFlags {
   ProcCount m = 8;
   double speed = 1.0;
   double eps = 0.5;
-  EngineKind engine = EngineKind::kEvent;
   SelectorKind selector = SelectorKind::kFifo;
+};
+
+/// The machine flags beyond --m that a subcommand takes.
+enum MachineFlag : unsigned { kEpsFlag = 1, kSpeedFlag = 2, kSelectorFlag = 4 };
+constexpr unsigned kAllMachineFlags = kEpsFlag | kSpeedFlag | kSelectorFlag;
+
+/// Reads --m and the `takes` subset of --eps --speed --selector, so no
+/// subcommand accepts a flag it ignores.  A bad --m or --speed is a
+/// positioned parse error (exit 2); an unknown selector is a usage error
+/// (exit 1).
+MachineFlags read_machine_flags(ArgParser& args, unsigned takes) {
+  MachineFlags flags;
+  flags.m = checked_procs(static_cast<double>(args.get_int("m", flags.m)),
+                          "--m", 1);
+  if ((takes & kEpsFlag) != 0) flags.eps = args.get_double("eps", flags.eps);
+  if ((takes & kSpeedFlag) != 0) {
+    flags.speed =
+        checked_speed(args.get_double("speed", flags.speed), "--speed", 1);
+  }
+  if ((takes & kSelectorFlag) != 0) {
+    flags.selector = parse_selector(args.get_string("selector", "fifo"));
+  }
+  return flags;
+}
+
+/// The run flags `run` and `trace export|attribution` share.
+struct RunFlags : MachineFlags {
+  std::string scheduler;
+  EngineKind engine = EngineKind::kEvent;
   std::string fault_spec;
   std::optional<FaultInjector> injector;
 
@@ -322,19 +381,17 @@ struct RunFlags {
   }
 };
 
-/// Reads --scheduler --m --speed --eps --engine --selector --faults, then
+/// Reads --scheduler --engine --faults and the machine flags, then
 /// finishes `args`, so callers read their own flags first.  An unknown
 /// engine or selector, or a scheduler the engine cannot run, is a usage
-/// error (exit 1); a bad fault spec is a positioned parse error (exit 2),
-/// matching workload parse failures.
+/// error (exit 1); a bad fault spec, --m or --speed is a positioned parse
+/// error (exit 2), matching workload parse failures.
 RunFlags read_run_flags(ArgParser& args) {
   RunFlags flags;
-  flags.scheduler = args.get_string("scheduler", "s");
-  flags.m = static_cast<ProcCount>(args.get_int("m", 8));
-  flags.speed = args.get_double("speed", 1.0);
-  flags.eps = args.get_double("eps", 0.5);
+  static_cast<MachineFlags&>(flags) =
+      read_machine_flags(args, kAllMachineFlags);
+  flags.scheduler = args.get_string("scheduler", kDefaultScheduler);
   const std::string engine = args.get_string("engine", "event");
-  flags.selector = parse_selector(args.get_string("selector", "fifo"));
   flags.fault_spec = args.get_string("faults", "");
   args.finish();
 
@@ -865,7 +922,7 @@ int cmd_inspect(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
   const JobSet jobs = load_instance(args.positional()[1]);
   const std::int64_t dot_job = args.get_int("dot", -1);
-  const auto m = static_cast<ProcCount>(args.get_int("m", 8));
+  const ProcCount m = read_machine_flags(args, 0).m;
   args.finish();
 
   if (dot_job < 0) {
@@ -902,17 +959,16 @@ int cmd_inspect(ArgParser& args) {
 int cmd_compare(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
   const JobSet jobs = load_instance(args.positional()[1]);
-  const auto m = static_cast<ProcCount>(args.get_int("m", 8));
-  const double eps = args.get_double("eps", 0.5);
+  const MachineFlags machine = read_machine_flags(args, kEpsFlag);
   args.finish();
 
   TextTable table({"scheduler", "completed", "profit", "fraction",
                    "node_preempt", "busy"});
   for (const std::string& name : named_scheduler_list()) {
-    auto scheduler = make_named_scheduler(name, eps);
+    auto scheduler = make_named_scheduler(name, machine.eps);
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
-    options.num_procs = m;
+    options.num_procs = machine.m;
     const SimResult result = run_simulation(
         name == "profit" ? EngineKind::kSlot : EngineKind::kEvent, jobs,
         *scheduler, *sel, options);
@@ -934,7 +990,7 @@ int cmd_compare(ArgParser& args) {
 int cmd_opt(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
   const JobSet jobs = load_instance(args.positional()[1]);
-  const auto m = static_cast<ProcCount>(args.get_int("m", 8));
+  const ProcCount m = read_machine_flags(args, 0).m;
   args.finish();
 
   const OptBracket bracket = estimate_opt(jobs, m);
@@ -976,18 +1032,6 @@ int cmd_top(ArgParser& args) {
     return 0;
   }
 
-  auto num = [](const JsonValue& snap, std::string_view section,
-                std::string_view key) -> double {
-    const JsonValue* group = snap.find(section);
-    if (group == nullptr) return 0.0;
-    const JsonValue* value = group->find(key);
-    return value != nullptr && value->is_number() ? value->as_number() : 0.0;
-  };
-  auto top_num = [](const JsonValue& snap, std::string_view key) -> double {
-    const JsonValue* value = snap.find(key);
-    return value != nullptr && value->is_number() ? value->as_number() : 0.0;
-  };
-
   auto whole = [](double value) {
     return static_cast<std::uint64_t>(std::max(0.0, value));
   };
@@ -998,54 +1042,59 @@ int cmd_top(ArgParser& args) {
                "    events/s   decide_p99_ns   bytes/job\n";
   std::cout << std::fixed;
   for (const JsonValue& snap : *snapshots) {
-    std::cout << "  " << std::setw(3) << whole(top_num(snap, "seq")) << "  "
+    std::cout << "  " << std::setw(3) << whole(num_at(snap, "seq")) << "  "
               << std::setw(10) << std::setprecision(2)
-              << top_num(snap, "sim_time") << "  " << std::setw(9)
-              << std::setprecision(1) << top_num(snap, "wall_ms") << "  "
-              << std::setw(9) << whole(num(snap, "gauges", "jobs_in_flight"))
-              << "  " << std::setw(6)
-              << whole(num(snap, "gauges", "queue_depth")) << "  "
-              << std::setw(10) << whole(num(snap, "rates", "events_per_sec"))
-              << "  " << std::setw(14) << whole(num(snap, "decide_ns", "p99"))
+              << num_at(snap, "sim_time") << "  " << std::setw(9)
+              << std::setprecision(1) << num_at(snap, "wall_ms") << "  "
+              << std::setw(9)
+              << whole(nested_num(snap, "gauges", "jobs_in_flight")) << "  "
+              << std::setw(6)
+              << whole(nested_num(snap, "gauges", "queue_depth")) << "  "
+              << std::setw(10)
+              << whole(nested_num(snap, "rates", "events_per_sec")) << "  "
+              << std::setw(14) << whole(nested_num(snap, "decide_ns", "p99"))
               << "  " << std::setw(9) << std::setprecision(1)
-              << num(snap, "gauges", "bytes_per_job") << "\n";
+              << nested_num(snap, "gauges", "bytes_per_job") << "\n";
   }
   std::cout.unsetf(std::ios::floatfield);
   std::cout << std::setprecision(6);
 
   const JsonValue& last = snapshots->back();
   std::cout << "\nfinal state:\n"
-            << "  decisions:   " << whole(num(last, "counters", "decisions"))
-            << "\n"
-            << "  arrivals:    " << whole(num(last, "counters", "arrivals"))
-            << "\n"
+            << "  decisions:   "
+            << whole(nested_num(last, "counters", "decisions")) << "\n"
+            << "  arrivals:    "
+            << whole(nested_num(last, "counters", "arrivals")) << "\n"
             << "  completions: "
-            << whole(num(last, "counters", "completions")) << "\n"
-            << "  expiries:    " << whole(num(last, "counters", "expiries"))
-            << "\n";
+            << whole(nested_num(last, "counters", "completions")) << "\n"
+            << "  expiries:    "
+            << whole(nested_num(last, "counters", "expiries")) << "\n";
   for (const char* histogram : {"decide_ns", "transition_ns", "admission_ns"}) {
-    if (num(last, histogram, "count") == 0.0) continue;
+    if (nested_num(last, histogram, "count") == 0.0) continue;
     std::cout << "  " << std::left << std::setw(14) << histogram << std::right
-              << " count " << whole(num(last, histogram, "count")) << "  p50 "
-              << whole(num(last, histogram, "p50")) << "  p90 "
-              << whole(num(last, histogram, "p90")) << "  p99 "
-              << whole(num(last, histogram, "p99")) << "  p999 "
-              << whole(num(last, histogram, "p999")) << "  max "
-              << whole(num(last, histogram, "max")) << "\n";
+              << " count " << whole(nested_num(last, histogram, "count"))
+              << "  p50 " << whole(nested_num(last, histogram, "p50"))
+              << "  p90 " << whole(nested_num(last, histogram, "p90"))
+              << "  p99 " << whole(nested_num(last, histogram, "p99"))
+              << "  p999 " << whole(nested_num(last, histogram, "p999"))
+              << "  max " << whole(nested_num(last, histogram, "max")) << "\n";
   }
   std::cout << "  tracked bytes: "
-            << static_cast<std::uint64_t>(num(last, "gauges", "tracked_bytes"))
+            << static_cast<std::uint64_t>(
+                   nested_num(last, "gauges", "tracked_bytes"))
             << " (kernel "
-            << static_cast<std::uint64_t>(num(last, "gauges", "kernel_bytes"))
+            << static_cast<std::uint64_t>(
+                   nested_num(last, "gauges", "kernel_bytes"))
             << ", unfolding "
             << static_cast<std::uint64_t>(
-                   num(last, "gauges", "unfolding_bytes"))
+                   nested_num(last, "gauges", "unfolding_bytes"))
             << ", scheduler "
             << static_cast<std::uint64_t>(
-                   num(last, "gauges", "scheduler_bytes"))
+                   nested_num(last, "gauges", "scheduler_bytes"))
             << ")\n"
             << "  rss bytes:     "
-            << static_cast<std::uint64_t>(num(last, "gauges", "rss_bytes"))
+            << static_cast<std::uint64_t>(
+                   nested_num(last, "gauges", "rss_bytes"))
             << "\n";
   return 0;
 }
@@ -1113,8 +1162,9 @@ const JobSet* pooled_workload(const std::string& path,
 /// Parses a --cells file: one JSON object per line with keys workload
 /// (required), id, scheduler, engine, m, speed, eps, selector,
 /// selector_seed, fault (label), faults (spec).  Missing keys fall back to
-/// the CLI-level defaults.  Malformed lines get "FILE:LINE"-positioned
-/// diagnostics (exit 2).
+/// the CLI-level defaults.  Malformed lines, and an m or speed that the
+/// machine flags would reject, get "FILE:LINE"-positioned diagnostics
+/// (exit 2).
 std::vector<SweepCellSpec> parse_cells_file(
     const std::string& path, const SweepCellSpec& defaults,
     std::map<std::string, JobSet>& pool) {
@@ -1165,10 +1215,8 @@ std::vector<SweepCellSpec> parse_cells_file(
       throw ParseError(path, lineno, 1, "unknown engine '" + engine + "'");
     }
     spec.engine = *engine_kind;
-    const double m = number("m", static_cast<double>(defaults.m));
-    if (!(m >= 1.0)) throw ParseError(path, lineno, 1, "m must be >= 1");
-    spec.m = static_cast<ProcCount>(m);
-    spec.speed = number("speed", defaults.speed);
+    spec.m = checked_procs(number("m", defaults.m), path, lineno);
+    spec.speed = checked_speed(number("speed", defaults.speed), path, lineno);
     spec.eps = number("eps", defaults.eps);
     if (cell.find("selector") != nullptr) {
       try {
@@ -1199,13 +1247,11 @@ std::vector<SweepCellSpec> parse_cells_file(
 
 int cmd_sweep_run(ArgParser& args) {
   const std::string cells_path = args.get_string("cells", "");
-  const std::string schedulers = args.get_string("schedulers", "s");
+  const std::string schedulers =
+      args.get_string("schedulers", kDefaultScheduler);
   const std::string engines = args.get_string("engines", "event");
   const std::string fault_axis = args.get_string("faults", "none");
-  const std::int64_t m = args.get_int("m", 16);
-  const double speed = args.get_double("speed", 1.0);
-  const double eps = args.get_double("eps", 0.5);
-  const std::string selector_name = args.get_string("selector", "fifo");
+  const MachineFlags machine = read_machine_flags(args, kAllMachineFlags);
   const bool sweep_jobs_given = args.has("sweep-jobs");
   const std::string sweep_jobs = args.get_string("sweep-jobs", "");
   const std::string out_path = args.get_string("out", "");
@@ -1214,10 +1260,6 @@ int cmd_sweep_run(ArgParser& args) {
   const bool quiet = args.get_flag("quiet");
   args.finish();
 
-  if (m < 1) {
-    std::cerr << "sweep: --m must be >= 1\n";
-    return 1;
-  }
   // Strict like --telemetry-interval: `--sweep-jobs=`, garbage, zero, and
   // negatives are positioned parse errors, never a silent default.
   const std::size_t threads =
@@ -1225,10 +1267,11 @@ int cmd_sweep_run(ArgParser& args) {
                        : 0;
 
   SweepCellSpec defaults;
-  defaults.m = static_cast<ProcCount>(m);
-  defaults.speed = speed;
-  defaults.eps = eps;
-  defaults.selector = parse_selector(selector_name);
+  defaults.scheduler = kDefaultScheduler;
+  defaults.m = machine.m;
+  defaults.speed = machine.speed;
+  defaults.eps = machine.eps;
+  defaults.selector = machine.selector;
 
   std::map<std::string, JobSet> pool;
   std::vector<SweepCellSpec> cells;
