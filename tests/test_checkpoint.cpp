@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -381,6 +382,76 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// Registry counters across a kill: a process resumed from a checkpoint
+// reports the kernel's engine.* counters as whole-run totals, so they agree
+// with the SimResult the same process returns.
+
+SimResult counted_run(const JobSet& jobs, MetricRegistry& registry,
+                      CheckpointSink* checkpoint, const CheckpointFile* resume,
+                      std::size_t die_at_decision) {
+  auto scheduler = make_named_scheduler("s", 0.5);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  ObsSink sink;
+  sink.metrics = &registry;
+  SimOptions options;
+  options.num_procs = kParityM;
+  options.obs = &sink;
+  options.checkpoint = checkpoint;
+  options.resume = resume;
+  options.die_at_decision = die_at_decision;
+  return run_simulation(EngineKind::kEvent, jobs, *scheduler, *selector,
+                        options);
+}
+
+TEST(KillResumeCountersDeathTest, ResumedCountersMatchSimResult) {
+  const JobSet jobs = parity_jobs();
+  MetricRegistry reference_registry;
+  const SimResult full =
+      counted_run(jobs, reference_registry, nullptr, nullptr, 0);
+  ASSERT_GE(full.decisions, 8u);
+  const std::size_t kill_at = full.decisions / 2;
+
+  // The death-test child checkpoints every kill_at/3 decisions and is
+  // killed (exit 9, no unwinding) at decision kill_at.
+  const std::string path = ::testing::TempDir() + "resume_counters.ckpt";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        MetricRegistry registry;
+        CheckpointMeta base;
+        base.scheduler = "s";
+        CheckpointSink sink(path, kill_at / 3, base, nullptr);
+        counted_run(jobs, registry, &sink, nullptr, kill_at);
+      },
+      ::testing::ExitedWithCode(9), "");
+
+  const CheckpointFile file = read_checkpoint_file(path);
+  ASSERT_GT(file.meta.decisions, 0u);
+  ASSERT_LT(file.meta.decisions, kill_at);
+  MetricRegistry registry;
+  const SimResult resumed = counted_run(jobs, registry, nullptr, &file, 0);
+  ASSERT_EQ(resumed.decisions, full.decisions);
+
+  auto counter = [&registry](const char* name) {
+    return registry.counter(name)->value();
+  };
+  EXPECT_EQ(counter("engine.decisions"),
+            static_cast<double>(resumed.decisions));
+  EXPECT_EQ(counter("engine.busy_proc_time"), resumed.busy_proc_time);
+  EXPECT_EQ(counter("engine.job_completions"),
+            static_cast<double>(resumed.jobs_completed));
+  EXPECT_EQ(counter("engine.node_preemptions"),
+            static_cast<double>(resumed.node_preemptions));
+  // Machine-time conservation from the counters alone: the event engine
+  // starts accounting at the first release.
+  const double machine_time = static_cast<double>(kParityM) *
+                              (resumed.end_time - jobs[0].release());
+  EXPECT_NEAR(counter("engine.busy_proc_time") +
+                  counter("engine.idle_proc_time"),
+              machine_time, 1e-6 * std::max(1.0, machine_time));
+}
 
 // ---------------------------------------------------------------------------
 // Corruption fuzzing.  Every mutation of a real checkpoint must either
