@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
       config.run.m = 8;
       config.trials = 5;
       config.base_seed = 606;
-      const TrialStats s = run_trials(config, paper_s(eps));
-      const TrialStats edf = run_trials(config, list_policy(ListPolicy::kEdf));
-      const TrialStats hdf = run_trials(config, list_policy(ListPolicy::kHdf));
+      const TrialStats s = run_trials(config, named("s", eps));
+      const TrialStats edf = run_trials(config, named("edf"));
+      const TrialStats hdf = run_trials(config, named("hdf"));
       table.add_row({pattern.label, TextTable::num(load),
                      TextTable::num(s.fraction.mean(), 3),
                      TextTable::num(edf.fraction.mean(), 3),

@@ -5,7 +5,6 @@
 // federated commits the whole machine to early arrivals, FCFS ignores both.
 // Under overload with heavy-tailed profits, S should win or tie; at low
 // load the work-conserving baselines may edge ahead (S idles b*m slack).
-#include "baselines/equi.h"
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
@@ -35,11 +34,9 @@ int main(int argc, char** argv) {
       table.add_row(
           {TextTable::num(load),
            TextTable::num(lo, 2) + "-" + TextTable::num(hi, 2),
-           frac(paper_s(eps)), frac(list_policy(ListPolicy::kEdf)),
-           frac(list_policy(ListPolicy::kLlf)),
-           frac(list_policy(ListPolicy::kHdf)),
-           frac(list_policy(ListPolicy::kFcfs)), frac(federated()),
-           frac([] { return std::make_unique<EquiScheduler>(); })});
+           frac(named("s", eps)), frac(named("edf")), frac(named("llf")),
+           frac(named("hdf")), frac(named("fcfs")), frac(named("federated")),
+           frac(named("equi"))});
     }
   }
   csv.emit("e7_baselines", table);

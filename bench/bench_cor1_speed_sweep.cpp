@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
     config.trials = 4;
     config.base_seed = 99;
     config.with_opt = true;  // OPT bracket stays at speed 1
-    const TrialStats s = run_trials(config, paper_s(eps));
+    const TrialStats s = run_trials(config, named("s", eps));
     config.with_opt = false;
-    const TrialStats edf = run_trials(config, list_policy(ListPolicy::kEdf));
+    const TrialStats edf = run_trials(config, named("edf"));
     table.add_row({TextTable::num(speed),
                    TextTable::num(s.fraction.mean(), 3),
                    TextTable::num(s.ratio_ub.mean(), 3),

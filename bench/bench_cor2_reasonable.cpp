@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     config.trials = 4;
     config.base_seed = 7;
     config.with_opt = true;
-    const TrialStats s = run_trials(config, paper_s(eps));
+    const TrialStats s = run_trials(config, named("s", eps));
     table.add_row({TextTable::num(speed),
                    TextTable::num(s.fraction.mean(), 3),
                    TextTable::num(s.ratio_ub.mean(), 3),

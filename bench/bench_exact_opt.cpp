@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
             dagsched::exact_opt_sequential(*sequential, m);
         if (!exact.proven_optimal || exact.value <= 0.0) continue;
 
-        auto scheduler = paper_s(eps)();
+        auto scheduler = named("s", eps)();
         dagsched::RunConfig run;
         run.m = m;
         const dagsched::RunMetrics metrics =

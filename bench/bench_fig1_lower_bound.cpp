@@ -14,6 +14,7 @@
 //     execution still meets a deadline of L (should also be 2 - 1/m).
 #include <memory>
 
+#include "baselines/list_scheduler.h"
 #include "bench_util.h"
 #include "dag/generators.h"
 #include "sim/event_engine.h"

@@ -7,6 +7,7 @@
 // unmeetable without clairvoyance about the DAG's future shape.
 #include <memory>
 
+#include "baselines/list_scheduler.h"
 #include "bench_util.h"
 #include "dag/generators.h"
 #include "sim/event_engine.h"

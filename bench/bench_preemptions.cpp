@@ -23,14 +23,14 @@ int main(int argc, char** argv) {
     SchedulerFactory factory;
   };
   const Entry entries[] = {
-      {"S(paper)", paper_s(eps)},
+      {"S(paper)", named("s", eps)},
       {"S(work-conserving)",
        paper_s_options({.params = Params::from_epsilon(eps),
                         .work_conserving = true})},
-      {"edf", list_policy(ListPolicy::kEdf)},
-      {"llf", list_policy(ListPolicy::kLlf)},
-      {"hdf", list_policy(ListPolicy::kHdf)},
-      {"federated", federated()},
+      {"edf", named("edf")},
+      {"llf", named("llf")},
+      {"hdf", named("hdf")},
+      {"federated", named("federated")},
       {"equi", [] { return std::make_unique<EquiScheduler>(); }},
       {"equi(profit)", [] {
          return std::make_unique<EquiScheduler>(EquiOptions{true, true});

@@ -13,6 +13,7 @@
 //    pessimism and where throughput-oriented S keeps earning after the
 //    all-deadlines regime collapses.
 #include "baselines/federated.h"
+#include "baselines/list_scheduler.h"
 #include "bench_util.h"
 #include "rt/schedulability.h"
 

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
       config.trials = 4;
       config.base_seed = 1234;
       config.with_opt = true;
-      const TrialStats s = run_trials(config, paper_s(eps));
+      const TrialStats s = run_trials(config, named("s", eps));
       config.with_opt = false;
-      const TrialStats edf = run_trials(config, list_policy(ListPolicy::kEdf));
+      const TrialStats edf = run_trials(config, named("edf"));
       table.add_row({TextTable::num(eps), TextTable::num(load),
                      TextTable::num(s.fraction.mean(), 3),
                      TextTable::num(s.ratio_ub.mean(), 3),

@@ -7,6 +7,7 @@
 // the step-function reduction (Section-3 S, which forfeits all post-plateau
 // profit) and EDF under load.
 #include "bench_util.h"
+#include "core/profit_scheduler.h"
 
 int main(int argc, char** argv) {
   const dagsched::bench::CsvSink csv(argc, argv);
@@ -39,12 +40,11 @@ int main(int argc, char** argv) {
       config.trials = 3;
       config.base_seed = 31;
       config.with_opt = true;
-      const TrialStats s5 = run_trials(config, paper_profit(eps));
+      const TrialStats s5 = run_trials(config, named("profit", eps));
       config.with_opt = false;
       const TrialStats s5wc = run_trials(config, s5_wc);
-      const TrialStats s3 = run_trials(config, paper_s(eps));
-      const TrialStats edf =
-          run_trials(config, list_policy(ListPolicy::kEdf));
+      const TrialStats s3 = run_trials(config, named("s", eps));
+      const TrialStats edf = run_trials(config, named("edf"));
       table.add_row({sc.label, TextTable::num(load),
                      TextTable::num(s5.fraction.mean(), 3),
                      TextTable::num(s5wc.fraction.mean(), 3),

@@ -7,11 +7,9 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "baselines/federated.h"
-#include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
-#include "core/profit_scheduler.h"
 #include "exp/runner.h"
 #include "util/arg_parse.h"
 #include "util/table.h"
@@ -19,33 +17,18 @@
 
 namespace dagsched::bench {
 
-inline SchedulerFactory paper_s(double eps) {
-  return [eps] {
-    return std::make_unique<DeadlineScheduler>(
-        DeadlineSchedulerOptions{.params = Params::from_epsilon(eps)});
+/// Factory for a scheduler by its CLI name (exp/runner.h); `eps` only
+/// matters for the paper's schedulers (s, s-wc, s-noadm, profit).
+inline SchedulerFactory named(std::string name, double eps = 0.5) {
+  return [name = std::move(name), eps] {
+    return make_named_scheduler(name, eps);
   };
 }
 
+/// Factory for scheduler S with ablation options the CLI names do not
+/// cover.
 inline SchedulerFactory paper_s_options(DeadlineSchedulerOptions options) {
   return [options] { return std::make_unique<DeadlineScheduler>(options); };
-}
-
-inline SchedulerFactory paper_profit(double eps) {
-  return [eps] {
-    return std::make_unique<ProfitScheduler>(
-        ProfitSchedulerOptions{.params = Params::from_epsilon(eps)});
-  };
-}
-
-inline SchedulerFactory list_policy(ListPolicy policy) {
-  return [policy] {
-    return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{policy, false, true});
-  };
-}
-
-inline SchedulerFactory federated() {
-  return [] { return std::make_unique<FederatedScheduler>(); };
 }
 
 inline void print_header(const std::string& experiment,

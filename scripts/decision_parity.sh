@@ -20,7 +20,9 @@
 #   4. resume mode: for every combo, kill a checkpointing run at a mid-run
 #      decision (--die-at-decision, exit 9), resume from the last snapshot,
 #      and require the resumed event log to be byte-identical to the
-#      uninterrupted run's suffix (docs/RECOVERY.md):
+#      uninterrupted run's suffix (docs/RECOVERY.md).  The resumed run also
+#      writes an --obs report, whose engine.decisions counter must equal
+#      its results' decisions (the counters are whole-run totals):
 #        scripts/decision_parity.sh resume BUILD_DIR
 #
 # The same matrix is pinned to absolute FNV-1a64 digests by the
@@ -156,7 +158,8 @@ telemetry_check() {
 # status file so the parallel pool can aggregate after `wait`.
 resume_one() {
   local sched="$1" engine="$2" wl="$3" fmode="$4"
-  local fargs tag decisions kill_at interval status emitted
+  local fargs tag decisions kill_at interval status emitted report
+  local result_decisions counter_decisions
   fargs="$(fault_args "$fmode")"
   tag="${sched}_${engine}_${wl}_${fmode}"
   # Uninterrupted reference run.
@@ -191,10 +194,23 @@ resume_one() {
   # shellcheck disable=SC2086
   "$cli" run "$workdir/$wl.wl" --scheduler "$sched" --engine "$engine" \
     --m 16 $fargs --resume "$workdir/$tag.ckpt" \
-    --events "$workdir/$tag.resumed.jsonl" >/dev/null
+    --events "$workdir/$tag.resumed.jsonl" \
+    --obs "$workdir/$tag.resumed.json" >/dev/null
   if ! cmp -s <(tail -n +$((emitted + 1)) "$workdir/$tag.full.jsonl") \
       "$workdir/$tag.resumed.jsonl"; then
     echo "RESUME DIVERGED: $tag (checkpoint events_emitted=$emitted)" \
+      > "$workdir/status/$tag.fail"
+    return 0
+  fi
+  report="$("$cli" report "$workdir/$tag.resumed.json")"
+  result_decisions="$(awk '/^\[/{section=$0} section=="[results]" &&
+    $1=="decisions:"{print $2}' <<<"$report")"
+  counter_decisions="$(awk '/^\[/{section=$0} section=="[counters]" &&
+    $1=="engine.decisions:"{print $2}' <<<"$report")"
+  if [ -z "$result_decisions" ] ||
+      [ "$counter_decisions" != "$result_decisions" ]; then
+    echo "RESUME COUNTERS DISAGREE: $tag (engine.decisions" \
+      "'$counter_decisions', results decisions '$result_decisions')" \
       > "$workdir/status/$tag.fail"
     return 0
   fi
@@ -222,7 +238,7 @@ resume_check() {
     return 1
   fi
   echo "crash-recovery parity: all $runs kill-resume" \
-    "combos byte-identical ($skips skipped as too short)"
+    "combos byte-identical, counters whole-run ($skips skipped as too short)"
 }
 
 case "$mode" in

@@ -34,67 +34,58 @@ std::string DeadlineScheduler::name() const {
   return n;
 }
 
-const char* audit_action_name(AuditEvent::Action action) {
-  switch (action) {
-    case AuditEvent::Action::kAdmitted: return "admitted";
-    case AuditEvent::Action::kQueuedNotGood: return "queued:not-delta-good";
-    case AuditEvent::Action::kQueuedWindowFull: return "queued:window-full";
-    case AuditEvent::Action::kPromoted: return "promoted";
-    case AuditEvent::Action::kDroppedStale: return "dropped:stale";
-    case AuditEvent::Action::kExpiredInQ: return "expired-in-Q";
+namespace {
+
+/// How each DeadlineScheduler::Transition (by index) appears in the
+/// decision log, the admission audit, and the sched.* counters.
+struct TransitionSpec {
+  ObsEventKind kind;
+  const char* reason;
+  const char* audit_name;
+  const char* counter;
+};
+constexpr TransitionSpec kTransitions[] = {
+    {ObsEventKind::kAdmit, "cond2-ok", "admitted", "sched.admissions"},
+    {ObsEventKind::kDefer, "not-delta-good", "queued:not-delta-good",
+     "sched.deferrals"},
+    {ObsEventKind::kDefer, "window-full", "queued:window-full",
+     "sched.deferrals"},
+    {ObsEventKind::kAdmit, "promoted", "promoted", "sched.promotions"},
+    {ObsEventKind::kDrop, "stale", "dropped:stale", "sched.drops.stale"},
+    {ObsEventKind::kDrop, "expired-in-q", "expired-in-Q",
+     "sched.drops.expired_in_q"},
+};
+
+}  // namespace
+
+const char* admission_transition_name(const DecisionEvent& event) {
+  for (const TransitionSpec& spec : kTransitions) {
+    if (spec.kind == event.kind && event.reason == spec.reason) {
+      return spec.audit_name;
+    }
   }
-  return "?";
+  return nullptr;
 }
 
 void DeadlineScheduler::record(const EngineContext& ctx, JobId job,
-                               AuditEvent::Action action) {
-  if (options_.record_audit) audit_.push_back({ctx.now(), job, action});
+                               Transition transition) {
   const ObsSink* obs = ctx.obs();
   if (obs == nullptr) return;
+  const TransitionSpec& spec =
+      kTransitions[static_cast<std::size_t>(transition)];
+  obs->count(spec.counter);
+  // A promotion is also an admission.
+  if (transition == Transition::kPromoted) obs->count("sched.admissions");
   // Every event carries the allocation the decision was made against, so a
   // consumer can replay condition (2) offline (see docs/OBSERVABILITY.md).
-  std::vector<std::pair<std::string, double>> detail = {
-      {"v", info_[job].alloc.v},
-      {"n", static_cast<double>(info_[job].alloc.n)},
-      {"good", info_[job].alloc.good ? 1.0 : 0.0}};
-  switch (action) {
-    case AuditEvent::Action::kAdmitted:
-      obs->count("sched.admissions");
-      obs->event(ctx.now(), job, ObsEventKind::kAdmit, "cond2-ok",
-                 std::move(detail));
-      break;
-    case AuditEvent::Action::kQueuedNotGood:
-      obs->count("sched.deferrals");
-      obs->event(ctx.now(), job, ObsEventKind::kDefer, "not-delta-good",
-                 std::move(detail));
-      break;
-    case AuditEvent::Action::kQueuedWindowFull:
-      obs->count("sched.deferrals");
-      obs->event(ctx.now(), job, ObsEventKind::kDefer, "window-full",
-                 std::move(detail));
-      break;
-    case AuditEvent::Action::kPromoted:
-      obs->count("sched.admissions");
-      obs->count("sched.promotions");
-      obs->event(ctx.now(), job, ObsEventKind::kAdmit, "promoted",
-                 std::move(detail));
-      break;
-    case AuditEvent::Action::kDroppedStale:
-      obs->count("sched.drops.stale");
-      obs->event(ctx.now(), job, ObsEventKind::kDrop, "stale",
-                 std::move(detail));
-      break;
-    case AuditEvent::Action::kExpiredInQ:
-      obs->count("sched.drops.expired_in_q");
-      obs->event(ctx.now(), job, ObsEventKind::kDrop, "expired-in-q",
-                 std::move(detail));
-      break;
-  }
+  obs->event(ctx.now(), job, spec.kind, spec.reason,
+             {{"v", info_[job].alloc.v},
+              {"n", static_cast<double>(info_[job].alloc.n)},
+              {"good", info_[job].alloc.good ? 1.0 : 0.0}});
 }
 
 void DeadlineScheduler::reset() {
   info_.clear();
-  audit_.clear();
   q_.clear();
   p_.clear();
   q_index_.clear();
@@ -183,7 +174,7 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   if (info.alloc.n == 0) {
     // Infeasible for any processor count: park in P; it will expire there.
     enqueue_p(job);
-    record(ctx, job, AuditEvent::Action::kQueuedNotGood);
+    record(ctx, job, Transition::kQueuedNotGood);
     return;
   }
   info.alloc.v = density_for(ctx, info, view.work(), view.span());
@@ -198,12 +189,12 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   }
   if (admissible) {
     admit_to_q(job);
-    record(ctx, job, AuditEvent::Action::kAdmitted);
+    record(ctx, job, Transition::kAdmitted);
   } else {
     enqueue_p(job);
     record(ctx, job,
-           info.alloc.good ? AuditEvent::Action::kQueuedWindowFull
-                           : AuditEvent::Action::kQueuedNotGood);
+           info.alloc.good ? Transition::kQueuedWindowFull
+                           : Transition::kQueuedNotGood);
   }
 }
 
@@ -256,7 +247,7 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
         approx_gt(ctx.now(), info.abs_plateau_deadline)) {
       info.dropped = true;
       remove_from_p(job, key_v);
-      record(ctx, job, AuditEvent::Action::kDroppedStale);
+      record(ctx, job, Transition::kDroppedStale);
       continue;
     }
     // Optional recomputation (future-work extension): re-derive the
@@ -279,7 +270,7 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
         }
       }
     }
-    const bool fresh = !options_.require_fresh || is_fresh(info, ctx.now());
+    const bool fresh = is_fresh(info, ctx.now());
     bool admissible = info.alloc.n > 0 && fresh;
     if (admissible && options_.enforce_admission) {
       if (ctx.obs() != nullptr) ctx.obs()->count("sched.admission_checks");
@@ -289,7 +280,7 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
     if (admissible) {
       remove_from_p(job, key_v);
       admit_to_q(job);
-      record(ctx, job, AuditEvent::Action::kPromoted);
+      record(ctx, job, Transition::kPromoted);
       continue;
     }
     info.alloc = saved;
@@ -333,7 +324,7 @@ void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
   for (const auto& [v, job] : evicted) {
     JobInfo& info = info_[job];
     mark_q_removal(v);  // eviction loosens windows for the jobs left behind
-    const bool fresh = !options_.require_fresh || is_fresh(info, ctx.now());
+    const bool fresh = is_fresh(info, ctx.now());
     const char* slug = info.alloc.n > new_m ? "too-wide" : "window-full";
     if (fresh) {
       enqueue_p(job);  // may be re-admitted when capacity recovers
@@ -376,8 +367,8 @@ void DeadlineScheduler::on_deadline(const EngineContext& ctx, JobId job) {
   }
   const bool was_in_p = info.in_p;
   if (was_in_p) remove_from_p(job, info.alloc.v);
-  if (was_in_q) record(ctx, job, AuditEvent::Action::kExpiredInQ);
-  if (was_in_p) record(ctx, job, AuditEvent::Action::kDroppedStale);
+  if (was_in_q) record(ctx, job, Transition::kExpiredInQ);
+  if (was_in_p) record(ctx, job, Transition::kDroppedStale);
   if (options_.admit_on_deadline && was_in_q) drain_p(ctx);
 }
 
@@ -574,7 +565,6 @@ std::size_t DeadlineScheduler::memory_bytes() const {
   // capacity-based like every other telemetry byte gauge.
   return q_.memory_bytes() + p_.memory_bytes() + q_index_.memory_bytes() +
          info_.capacity() * sizeof(JobInfo) +
-         audit_.capacity() * sizeof(AuditEvent) +
          p_expiry_.memory_bytes() + p_fresh_.capacity() * sizeof(JobId) +
          p_dirty_.capacity() * sizeof(std::pair<Density, Density>) +
          drain_scratch_.capacity() * sizeof(std::pair<Density, JobId>);

@@ -31,6 +31,7 @@
 #include "core/density_index.h"
 #include "core/job_queue.h"
 #include "core/params.h"
+#include "obs/event_log.h"
 #include "sim/scheduler.h"
 #include "util/dary_heap.h"
 
@@ -41,9 +42,6 @@ struct DeadlineSchedulerOptions {
 
   /// Condition (2).  Off = admit every delta-good job directly to Q.
   bool enforce_admission = true;
-
-  /// Require delta-freshness when moving jobs from P to Q (paper: yes).
-  bool require_fresh = true;
 
   /// Extension: also drain P when a deadline expiry frees Q capacity.
   bool admit_on_deadline = false;
@@ -65,28 +63,16 @@ struct DeadlineSchedulerOptions {
     kSquashed,   // p / max(L, W/m)   -- profit per unit of minimal runtime
   };
   DensityDef density_def = DensityDef::kPaper;
-
-  /// Record an audit trail of admission decisions (audit()); costs one
-  /// vector entry per queue transition.
-  bool record_audit = false;
 };
 
-/// One admission-path event for a job, in chronological order.
-struct AuditEvent {
-  enum class Action {
-    kAdmitted,        // entered Q (started)
-    kQueuedNotGood,   // to P: not delta-good (deadline below (1+2delta)x)
-    kQueuedWindowFull,// to P: condition (2) window over b*m
-    kPromoted,        // P -> Q at a completion
-    kDroppedStale,    // left P: no longer delta-fresh / expired
-    kExpiredInQ,      // removed from Q at its deadline
-  };
-  Time time = 0.0;
-  JobId job = kInvalidJob;
-  Action action = Action::kAdmitted;
-};
-
-const char* audit_action_name(AuditEvent::Action action);
+/// S's queue transitions are decision-log events, one (kind, reason) pair
+/// each: admit/cond2-ok (entered Q), defer/not-delta-good and
+/// defer/window-full (parked in P), admit/promoted (P -> Q at a
+/// completion), drop/stale (left P) and drop/expired-in-q (left Q at its
+/// deadline).  Returns the transition's admission-audit name ("admitted",
+/// "queued:window-full", ...; `dagsched run --audit`), or nullptr for any
+/// other event.
+const char* admission_transition_name(const DecisionEvent& event);
 
 class DeadlineScheduler final : public SchedulerBase {
  public:
@@ -113,7 +99,7 @@ class DeadlineScheduler final : public SchedulerBase {
                         std::size_t max_jobs) override;
   /// Checkpoint both queues, the per-job allocations, and the pending
   /// incremental-drain work.  q_index_ and p_expiry_ are derived (rebuilt
-  /// on load); the audit trail is diagnostics and restarts empty on resume.
+  /// on load).
   void save_state(CheckpointWriter& out) const override;
   void load_state(CheckpointReader& in) override;
   std::size_t queue_depth() const override { return q_.size() + p_.size(); }
@@ -134,10 +120,17 @@ class DeadlineScheduler final : public SchedulerBase {
   /// Allocation computed at arrival; nullptr if the job never arrived.
   const JobAllocation* allocation_of(JobId job) const;
 
-  /// Admission audit trail (empty unless options.record_audit).
-  const std::vector<AuditEvent>& audit() const { return audit_; }
-
  private:
+  /// The six queue transitions (see admission_transition_name()).
+  enum class Transition {
+    kAdmitted,
+    kQueuedNotGood,
+    kQueuedWindowFull,
+    kPromoted,
+    kDroppedStale,
+    kExpiredInQ,
+  };
+
   struct JobInfo {
     JobAllocation alloc;
     Profit peak = 0.0;
@@ -167,7 +160,6 @@ class DeadlineScheduler final : public SchedulerBase {
   DensityOrderedQueue q_;  // started jobs, (density desc, id asc)
   DensityOrderedQueue p_;  // waiting jobs, (density desc, id asc)
   DensityWindowIndex q_index_;
-  std::vector<AuditEvent> audit_;
   std::size_t started_count_ = 0;
   Profit started_profit_ = 0.0;
 
@@ -185,9 +177,9 @@ class DeadlineScheduler final : public SchedulerBase {
   bool p_dirty_all_ = false;
   std::vector<std::pair<Density, JobId>> drain_scratch_;
 
-  /// Appends to the audit trail (if recording) and mirrors the transition
-  /// to the run's ObsSink as a decision event + policy counter (if wired).
-  void record(const EngineContext& ctx, JobId job, AuditEvent::Action action);
+  /// Emits the transition to the run's ObsSink as a decision event and
+  /// policy counter (if wired).
+  void record(const EngineContext& ctx, JobId job, Transition transition);
 };
 
 }  // namespace dagsched

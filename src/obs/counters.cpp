@@ -32,29 +32,12 @@ double Histogram::bucket_lower_bound(std::size_t i) {
   return std::ldexp(1.0, static_cast<int>(i) - kBucketBias);
 }
 
-void Histogram::reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  std::fill(std::begin(buckets_), std::end(buckets_), 0);
-}
-
 Counter* MetricRegistry::counter(std::string_view name) {
   const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return it->second;
   counters_.emplace_back();
   Counter* instrument = &counters_.back();
   counter_index_.emplace(std::string(name), instrument);
-  return instrument;
-}
-
-Gauge* MetricRegistry::gauge(std::string_view name) {
-  const auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return it->second;
-  gauges_.emplace_back();
-  Gauge* instrument = &gauges_.back();
-  gauge_index_.emplace(std::string(name), instrument);
   return instrument;
 }
 
@@ -77,16 +60,6 @@ std::vector<std::pair<std::string, double>> MetricRegistry::counter_values()
   return out;  // std::map iteration is already name-sorted
 }
 
-std::vector<std::pair<std::string, double>> MetricRegistry::gauge_values()
-    const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauge_index_.size());
-  for (const auto& [name, instrument] : gauge_index_) {
-    out.emplace_back(name, instrument->value());
-  }
-  return out;
-}
-
 std::vector<std::pair<std::string, const Histogram*>>
 MetricRegistry::histogram_values() const {
   std::vector<std::pair<std::string, const Histogram*>> out;
@@ -95,12 +68,6 @@ MetricRegistry::histogram_values() const {
     out.emplace_back(name, instrument);
   }
   return out;
-}
-
-void MetricRegistry::reset() {
-  for (Counter& instrument : counters_) instrument.reset();
-  for (Gauge& instrument : gauges_) instrument.reset();
-  for (Histogram& instrument : histograms_) instrument.reset();
 }
 
 }  // namespace dagsched

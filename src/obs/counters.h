@@ -1,19 +1,16 @@
-// Low-overhead counter/gauge/histogram registry for run instrumentation.
+// Counter and histogram registry for run instrumentation.
 //
 // A MetricRegistry is owned by whoever drives a run (the CLI, a bench, a
-// test) and handed to engines/schedulers through ObsSink (obs/sink.h).
-// Instruments are registered on first use and live for the registry's
-// lifetime, so hot paths resolve a name once and then touch a pointer:
-//
-//   Counter* decisions = registry.counter("engine.decisions");
-//   ...
-//   DS_OBS_ADD(decisions, 1.0);     // no-op when the pointer is null
+// test, a sweep cell) and handed to engines/schedulers through ObsSink
+// (obs/sink.h).  Instruments are registered on first use and live for the
+// registry's lifetime.  The kernel writes its engine.*, fault.* and
+// overload.* counters once, when the run finishes, from figures it already
+// keeps (SimResult and its own tallies); schedulers bump their sched.*
+// counters as decisions happen, and the engines feed two histograms.
 //
 // The registry is deliberately not thread-safe: the simulation engines are
-// single-threaded per run, and parallel trial runners own one registry per
-// trial.  All instrumentation macros compile to nothing when
-// DAGSCHED_OBS_ENABLED is defined to 0, so a build can prove the layer has
-// zero cost.  The counter catalog lives in docs/OBSERVABILITY.md.
+// single-threaded per run, and parallel runners own one registry per run.
+// The counter catalog lives in docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstddef>
@@ -33,18 +30,6 @@ class Counter {
  public:
   void add(double delta = 1.0) { value_ += delta; }
   double value() const { return value_; }
-  void reset() { value_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double value) { value_ = value; }
-  double value() const { return value_; }
-  void reset() { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -71,8 +56,6 @@ class Histogram {
   /// Lower bound of bucket `i` (2^(i-kBucketBias)).
   static double bucket_lower_bound(std::size_t i);
 
-  void reset();
-
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -82,63 +65,22 @@ class Histogram {
 };
 
 /// Name -> instrument registry.  Instruments have stable addresses (deque
-/// storage); reset() zeroes every instrument but keeps registrations so
-/// resolved pointers stay valid across runs.
+/// storage), so a resolved pointer stays valid for the registry's lifetime.
 class MetricRegistry {
  public:
   Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
   /// Snapshots, sorted by name (deterministic report output).
   std::vector<std::pair<std::string, double>> counter_values() const;
-  std::vector<std::pair<std::string, double>> gauge_values() const;
   std::vector<std::pair<std::string, const Histogram*>> histogram_values()
       const;
 
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  /// Zeroes all instruments; registrations (and pointers) survive.
-  void reset();
-
  private:
   std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
   std::map<std::string, Counter*, std::less<>> counter_index_;
-  std::map<std::string, Gauge*, std::less<>> gauge_index_;
   std::map<std::string, Histogram*, std::less<>> histogram_index_;
 };
-
-#ifndef DAGSCHED_OBS_ENABLED
-#define DAGSCHED_OBS_ENABLED 1
-#endif
-
-#if DAGSCHED_OBS_ENABLED
-/// Adds `delta` to a possibly-null Counter*.
-#define DS_OBS_ADD(counter_ptr, delta)                         \
-  do {                                                         \
-    if ((counter_ptr) != nullptr) (counter_ptr)->add(delta);   \
-  } while (0)
-/// Increments a possibly-null Counter* by one.
-#define DS_OBS_INC(counter_ptr) DS_OBS_ADD(counter_ptr, 1.0)
-/// Records `value` into a possibly-null Histogram*.
-#define DS_OBS_OBSERVE(hist_ptr, value)                          \
-  do {                                                           \
-    if ((hist_ptr) != nullptr) (hist_ptr)->observe(value);       \
-  } while (0)
-#else
-#define DS_OBS_ADD(counter_ptr, delta) \
-  do {                                 \
-  } while (0)
-#define DS_OBS_INC(counter_ptr) \
-  do {                          \
-  } while (0)
-#define DS_OBS_OBSERVE(hist_ptr, value) \
-  do {                                  \
-  } while (0)
-#endif
 
 }  // namespace dagsched

@@ -110,11 +110,6 @@ JsonValue build_run_report(const RunReportInputs& inputs) {
       counters.set(name, JsonValue(value));
     }
     report.set("counters", std::move(counters));
-    JsonValue gauges = JsonValue::object();
-    for (const auto& [name, value] : inputs.registry->gauge_values()) {
-      gauges.set(name, JsonValue(value));
-    }
-    report.set("gauges", std::move(gauges));
     JsonValue histograms = JsonValue::object();
     for (const auto& [name, histogram] : inputs.registry->histogram_values()) {
       histograms.set(name, histogram_to_json(*histogram));

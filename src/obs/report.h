@@ -6,10 +6,10 @@
 // The document is the machine-readable artifact of a run (the
 // simulator-comparison literature's prerequisite for auditable cross-engine
 // results); `dagsched run --obs out.json` writes it and `dagsched report
-// out.json` pretty-prints it.  The schema is versioned ("dagsched.run_report/2")
-// and its top-level key set is locked by tests/test_obs_report.cpp --
-// extend by adding keys, never by repurposing existing ones; removing a
-// key bumps the version.
+// out.json` pretty-prints it (including /2 documents).  The schema is
+// versioned ("dagsched.run_report/3") and its top-level key set is locked by
+// tests/test_obs_report.cpp -- extend by adding keys, never by repurposing
+// existing ones; removing a key bumps the version.
 //
 // The same writer backs bench reports ("dagsched.bench_report/1") so perf
 // measurements land in mechanically trackable files instead of ad-hoc
@@ -32,7 +32,7 @@ namespace dagsched {
 
 class TelemetryRecorder;
 
-inline constexpr std::string_view kRunReportSchema = "dagsched.run_report/2";
+inline constexpr std::string_view kRunReportSchema = "dagsched.run_report/3";
 inline constexpr std::string_view kBenchReportSchema =
     "dagsched.bench_report/1";
 

@@ -125,7 +125,7 @@ SimResult EventEngine::run() {
     DS_CHECK_MSG(dt > 0.0, "non-positive step dt=" << dt << " at t=" << now);
 
     kernel.observe_running(running.size());
-    DS_OBS_OBSERVE(h_step_dt, dt);
+    if (h_step_dt != nullptr) h_step_dt->observe(dt);
 
     // (5) Advance every running node by speed*dt.
     for (std::size_t p = 0; p < running.size(); ++p) {

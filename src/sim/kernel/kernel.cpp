@@ -38,49 +38,29 @@ void SimKernel::begin(Time start_time) {
   ctx_.state_ = &state_;
   ctx_.obs_ = options_.obs;
 
-  // Resolve instruments once; null pointers make every emission a no-op.
+  // Registry counters are written in finish(); only the running-nodes
+  // histogram is resolved up front.
   obs_ = options_.obs;
-  if (obs_ != nullptr && obs_->metrics != nullptr) {
-    MetricRegistry& mr = *obs_->metrics;
-    c_decisions_ = mr.counter("engine.decisions");
-    c_arrivals_ = mr.counter("engine.arrivals");
-    c_expiries_ = mr.counter("engine.deadline_expiries");
-    c_node_starts_ = mr.counter("engine.node_starts");
-    c_node_completions_ = mr.counter("engine.node_completions");
-    c_job_completions_ = mr.counter("engine.job_completions");
-    c_node_preemptions_ = mr.counter("engine.node_preemptions");
-    c_job_preemptions_ = mr.counter("engine.job_preemptions");
-    c_busy_time_ = mr.counter("engine.busy_proc_time");
-    c_idle_time_ = mr.counter("engine.idle_proc_time");
-    h_running_ = mr.histogram("engine.running_nodes");
-  }
-  // Overload instruments are gated on the budget flag, like fault counters
-  // are gated on the injector: budget-off runs register nothing.
+  metrics_ = obs_ != nullptr ? obs_->metrics : nullptr;
+  h_running_ = metrics_ != nullptr
+                   ? metrics_->histogram("engine.running_nodes")
+                   : nullptr;
+  node_starts_ = 0;
+  node_completions_ = 0;
+  proc_downs_ = 0;
+  proc_ups_ = 0;
+  node_restarts_ = 0;
+  work_overruns_ = 0;
   overload_active_ = false;
-  if (options_.decide_budget_ns > 0 && obs_ != nullptr &&
-      obs_->metrics != nullptr) {
-    MetricRegistry& mr = *obs_->metrics;
-    c_overload_breaches_ = mr.counter("overload.breaches");
-    c_overload_sheds_ = mr.counter("overload.sheds");
-    c_overload_recoveries_ = mr.counter("overload.recoveries");
-  }
 
   telemetry_ = options_.telemetry;
   expiries_delivered_ = 0;
   if (telemetry_ != nullptr) telemetry_->begin_run(start_time);
 
-  // Fault state: all of it (including counter registration) is gated on
-  // options_.faults so fault-free runs stay byte-identical.
+  // Fault state: all of it is gated on options_.faults so fault-free runs
+  // stay byte-identical.
   const FaultInjector* faults = options_.faults;
   churn_ = faults != nullptr && faults->has_churn();
-  if (faults != nullptr && obs_ != nullptr && obs_->metrics != nullptr) {
-    MetricRegistry& mr = *obs_->metrics;
-    c_proc_downs_ = mr.counter("fault.proc_downs");
-    c_proc_ups_ = mr.counter("fault.proc_ups");
-    c_restarts_ = mr.counter("fault.node_restarts");
-    c_overruns_ = mr.counter("fault.work_overruns");
-    c_lost_work_ = mr.counter("fault.lost_work");
-  }
   next_transition_ = 0;
   proc_up_.assign(options_.num_procs, 1);
   avail_ = options_.num_procs;
@@ -130,7 +110,7 @@ void SimKernel::deliver_transitions(Time now) {
       proc_up_[tr.proc] = 1;
       ++avail_;
       capacity_changed = true;
-      DS_OBS_INC(c_proc_ups_);
+      ++proc_ups_;
       if (obs_ != nullptr) {
         obs_->event(tr.time, kInvalidJob, ObsEventKind::kProcUp, {},
                     {{"proc", static_cast<double>(tr.proc)}});
@@ -140,7 +120,7 @@ void SimKernel::deliver_transitions(Time now) {
       proc_up_[tr.proc] = 0;
       --avail_;
       capacity_changed = true;
-      DS_OBS_INC(c_proc_downs_);
+      ++proc_downs_;
       if (obs_ != nullptr) {
         obs_->event(tr.time, kInvalidJob, ObsEventKind::kProcDown, {},
                     {{"proc", static_cast<double>(tr.proc)}});
@@ -152,8 +132,7 @@ void SimKernel::deliver_transitions(Time now) {
           !state_.unfolding(vjob).is_done(vnode)) {
         const Work lost = state_.unfolding(vjob).reset_progress(vnode);
         result_.lost_work += lost;
-        DS_OBS_INC(c_restarts_);
-        DS_OBS_ADD(c_lost_work_, lost);
+        ++node_restarts_;
         if (obs_ != nullptr) {
           obs_->event(tr.time, vjob, ObsEventKind::kNodeRestart, {},
                       {{"node", static_cast<double>(vnode)}, {"lost", lost}});
@@ -194,11 +173,10 @@ void SimKernel::deliver_arrivals(Time now) {
     if (jobs_[id].has_deadline()) {
       deadlines_.emplace(jobs_[id].absolute_deadline(), id);
     }
-    DS_OBS_INC(c_arrivals_);
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kArrival);
     const Work actual_total = state_.unfolding(id).total_remaining_work();
     if (faults != nullptr && approx_gt(actual_total, jobs_[id].work())) {
-      DS_OBS_INC(c_overruns_);
+      ++work_overruns_;
       if (obs_ != nullptr) {
         obs_->event(now, id, ObsEventKind::kWorkOverrun, {},
                     {{"declared", jobs_[id].work()},
@@ -221,7 +199,6 @@ void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
     if (state_.completed(id) || state_.deadline_notified(id)) continue;
     state_.set_deadline_notified(id);
     ++expiries_delivered_;
-    DS_OBS_INC(c_expiries_);
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kExpire);
     scheduler_.on_deadline(ctx_, id);
   }
@@ -281,7 +258,6 @@ bool SimKernel::decide(Time now, Assignment& out) {
     }
     if (telemetry_ != nullptr) telemetry_->record_decide_since(t0);
   }
-  DS_OBS_INC(c_decisions_);
   ++result_.decisions;
   if (options_.die_at_decision != 0 &&
       result_.decisions == options_.die_at_decision) {
@@ -321,7 +297,6 @@ void SimKernel::handle_overload(Time now, std::uint64_t decide_ns) {
   }
   if (decide_ns > options_.decide_budget_ns) {
     ++result_.overload_breaches;
-    DS_OBS_INC(c_overload_breaches_);
     if (obs_ != nullptr) {
       obs_->event(now, kInvalidJob, ObsEventKind::kOverload,
                   "overload.breach",
@@ -338,11 +313,9 @@ void SimKernel::handle_overload(Time now, std::uint64_t decide_ns) {
         scheduler_.shed_load(ctx_, std::max<std::size_t>(
                                        1, options_.overload_shed_max));
     result_.overload_sheds += shed;
-    DS_OBS_ADD(c_overload_sheds_, static_cast<double>(shed));
   } else if (overload_active_) {
     overload_active_ = false;
     ++result_.overload_recoveries;
-    DS_OBS_INC(c_overload_recoveries_);
     if (obs_ != nullptr) {
       obs_->event(now, kInvalidJob, ObsEventKind::kOverload,
                   "overload.recovered");
@@ -367,7 +340,6 @@ void SimKernel::notify_completions_slow(Time notify_time) {
   for (const JobId id : completed_now_) state_.deactivate(id);
   state_.maybe_compact();
   for (const JobId id : completed_now_) {
-    DS_OBS_INC(c_job_completions_);
     if (obs_ != nullptr) obs_->event(notify_time, id, ObsEventKind::kComplete);
     scheduler_.on_completion(ctx_, id);
     ++jobs_done_;
@@ -396,10 +368,7 @@ void SimKernel::account_preemptions(
   jobs.resize(w);
   for (const auto& [job, node] : prev_nodes_) {
     if (state_.completed(job) || state_.unfolding(job).is_done(node)) continue;
-    if (state_.node_stamp(job, node) != e) {
-      ++result_.node_preemptions;
-      DS_OBS_INC(c_node_preemptions_);
-    }
+    if (state_.node_stamp(job, node) != e) ++result_.node_preemptions;
   }
   preempted_jobs_.clear();
   for (const JobId job : prev_jobs_) {
@@ -412,7 +381,6 @@ void SimKernel::account_preemptions(
     // produced -- so decision logs stay byte-identical.
     std::sort(preempted_jobs_.begin(), preempted_jobs_.end());
     for (const JobId job : preempted_jobs_) {
-      DS_OBS_INC(c_job_preemptions_);
       obs_->event(now, job, ObsEventKind::kPreempt);
     }
   }
@@ -422,6 +390,43 @@ void SimKernel::commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes,
                                 std::vector<JobId>& jobs) {
   std::swap(prev_nodes_, nodes);
   std::swap(prev_jobs_, jobs);
+}
+
+void SimKernel::publish_counters(double idle) const {
+  // Each figure comes from the one place the kernel already keeps it:
+  // SimResult fields and the checkpointed kernel members are whole-run
+  // totals after a resume; the tallies count from the resume point.
+  // Registration is gated: fault.* only with an injector, overload.* only
+  // with a decide budget.
+  MetricRegistry& mr = *metrics_;
+  const auto put = [&mr](std::string_view name, double value) {
+    mr.counter(name)->add(value);
+  };
+  const auto tally = [&put](std::string_view name, std::size_t count) {
+    put(name, static_cast<double>(count));
+  };
+  tally("engine.decisions", result_.decisions);
+  tally("engine.arrivals", next_arrival_);
+  tally("engine.deadline_expiries", expiries_delivered_);
+  tally("engine.node_starts", node_starts_);
+  tally("engine.node_completions", node_completions_);
+  tally("engine.job_completions", jobs_done_);
+  tally("engine.node_preemptions", result_.node_preemptions);
+  tally("engine.job_preemptions", result_.job_preemptions);
+  put("engine.busy_proc_time", result_.busy_proc_time);
+  put("engine.idle_proc_time", idle);
+  if (options_.faults != nullptr) {
+    tally("fault.proc_downs", proc_downs_);
+    tally("fault.proc_ups", proc_ups_);
+    tally("fault.node_restarts", node_restarts_);
+    tally("fault.work_overruns", work_overruns_);
+    put("fault.lost_work", result_.lost_work);
+  }
+  if (options_.decide_budget_ns > 0) {
+    tally("overload.breaches", result_.overload_breaches);
+    tally("overload.sheds", result_.overload_sheds);
+    tally("overload.recoveries", result_.overload_recoveries);
+  }
 }
 
 std::size_t SimKernel::kernel_bytes() const {
@@ -673,7 +678,7 @@ SimResult SimKernel::finish() {
   // for the rest of the slot.
   const double idle =
       std::max(0.0, capacity_time_ - result_.busy_proc_time);
-  DS_OBS_ADD(c_idle_time_, idle);
+  if (metrics_ != nullptr) publish_counters(idle);
   // The one place the machine-time conservation invariant is asserted: on a
   // fault-free run that did not terminate abnormally, every instant between
   // the accounting start and the last event is accounted exactly once, so

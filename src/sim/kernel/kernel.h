@@ -18,8 +18,11 @@
 //     on_capacity_change), decide() timing and the decision budget;
 //   * fault application: the processor up-set, the failure-victim map, and
 //     restart=resume|zero lost-work accounting;
-//   * observability emission (counters, decision events, telemetry) for
-//     all the shared lifecycle events;
+//   * observability for all the shared lifecycle events: decision events
+//     and telemetry as they happen, and the engine.*/fault.*/overload.*
+//     registry counters written once, in finish(), from the SimResult and
+//     the kernel's own tallies (so a resumed run reports whole-run totals
+//     wherever the checkpoint carries the figure);
 //   * busy/idle processor-time bookkeeping, with the
 //     busy + idle == m x (end - start) invariant asserted once, in finish().
 //
@@ -77,9 +80,9 @@ class SimKernel {
   /// accounted.
   void begin(Time start_time);
 
-  /// Finalizes per-job outcomes, emits the idle-time counter, asserts the
-  /// busy + idle == m x (end - start) accounting invariant (fault-free,
-  /// non-failed runs), and returns the result.
+  /// Finalizes per-job outcomes, asserts the busy + idle == m x (end -
+  /// start) accounting invariant (fault-free, non-failed runs), writes the
+  /// registry counters when a registry is attached, and returns the result.
   SimResult finish();
 
   // -- Shared state ---------------------------------------------------------
@@ -202,25 +205,24 @@ class SimKernel {
   }
 
   /// Advances `node` of `job` by `amount` work over [start, start+duration)
-  /// on physical processor `phys`: node start/completion counters, busy
-  /// processor-time, the execution trace, and the failure-victim map.
-  /// Inline: this is the innermost per-node operation of both hot loops.
+  /// on physical processor `phys`: busy processor-time, the execution
+  /// trace, the failure-victim map, and (with a registry attached) the node
+  /// start/completion tallies.  Inline: this is the innermost per-node
+  /// operation of both hot loops.
   void advance_node(JobId job, NodeId node, Work amount, Time start,
                     Time duration, ProcCount phys) {
     UnfoldingState& unfolding = state_.unfolding(job);
-    if (c_node_starts_ != nullptr &&
+    const bool counted = metrics_ != nullptr;
+    if (counted &&
         unfolding.remaining_work(node) == unfolding.initial_work(node)) {
-      c_node_starts_->add(1.0);
+      ++node_starts_;
     }
     unfolding.advance(node, amount);
-    if (c_node_completions_ != nullptr && unfolding.is_done(node)) {
-      c_node_completions_->add(1.0);
-    }
+    if (counted && unfolding.is_done(node)) ++node_completions_;
     state_.executed(job) += amount;
     Time& first_start = state_.first_start(job);
     first_start = std::min(first_start, start);
     result_.busy_proc_time += duration;
-    DS_OBS_ADD(c_busy_time_, duration);
     if (churn_) {
       proc_node_[phys] = {job, node};
       // A non-finishing node occupies its processor to the interval's end,
@@ -242,7 +244,7 @@ class SimKernel {
 
   /// Histogram of concurrently running nodes per decision interval.
   void observe_running(std::size_t count) {
-    DS_OBS_OBSERVE(h_running_, static_cast<double>(count));
+    if (h_running_ != nullptr) h_running_->observe(static_cast<double>(count));
   }
 
   // -- Completion epoch -----------------------------------------------------
@@ -306,6 +308,9 @@ class SimKernel {
   /// recorder (periodic when `final_snapshot` is false, unconditional final
   /// otherwise).  Only called with telemetry_ != nullptr.
   void emit_telemetry(Time now, bool final_snapshot);
+  /// Writes the registry counters: SimResult fields, kernel members and
+  /// tallies, and `idle` processor-time.  Only called with metrics_ set.
+  void publish_counters(double idle) const;
   /// Allocated bytes of the kernel's own bookkeeping containers.
   std::size_t kernel_bytes() const;
   /// Empty string when valid; otherwise a diagnosis of the first violation.
@@ -323,27 +328,20 @@ class SimKernel {
   EngineContext ctx_;
   SimResult result_;
 
-  // Resolved instruments (null = no-op emission).
+  // Observability outputs (null = off).  Registry counters are written once,
+  // in finish(); the tallies below are the ones with no other home.  The
+  // per-node pair is kept only with a registry attached, so an unobserved
+  // run does no extra work per node step.  None of them is checkpointed:
+  // after a resume they count from the resume point.
   const ObsSink* obs_ = nullptr;
-  Counter* c_decisions_ = nullptr;
-  Counter* c_arrivals_ = nullptr;
-  Counter* c_expiries_ = nullptr;
-  Counter* c_node_starts_ = nullptr;
-  Counter* c_node_completions_ = nullptr;
-  Counter* c_job_completions_ = nullptr;
-  Counter* c_node_preemptions_ = nullptr;
-  Counter* c_job_preemptions_ = nullptr;
-  Counter* c_busy_time_ = nullptr;
-  Counter* c_idle_time_ = nullptr;
-  Counter* c_proc_downs_ = nullptr;
-  Counter* c_proc_ups_ = nullptr;
-  Counter* c_restarts_ = nullptr;
-  Counter* c_overruns_ = nullptr;
-  Counter* c_lost_work_ = nullptr;
+  MetricRegistry* metrics_ = nullptr;
   Histogram* h_running_ = nullptr;
-  Counter* c_overload_breaches_ = nullptr;
-  Counter* c_overload_sheds_ = nullptr;
-  Counter* c_overload_recoveries_ = nullptr;
+  std::size_t node_starts_ = 0;
+  std::size_t node_completions_ = 0;
+  std::size_t proc_downs_ = 0;
+  std::size_t proc_ups_ = 0;
+  std::size_t node_restarts_ = 0;
+  std::size_t work_overruns_ = 0;
 
   /// True between an over-budget decide() and the next under-budget one.
   bool overload_active_ = false;

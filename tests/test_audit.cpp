@@ -1,11 +1,14 @@
-// The admission audit trail: every queue transition is recorded with the
-// right reason.
+// The admission audit: scheduler S's queue transitions, read from the
+// decision log, each carrying the right reason.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
+#include "obs/sink.h"
 #include "sim/event_engine.h"
 #include "workload/scenarios.h"
 
@@ -16,32 +19,26 @@ std::shared_ptr<const Dag> share(Dag dag) {
   return std::make_shared<const Dag>(std::move(dag));
 }
 
-using Action = AuditEvent::Action;
-
-std::vector<Action> actions_for(const DeadlineScheduler& scheduler,
-                                JobId job) {
-  std::vector<Action> actions;
-  for (const AuditEvent& event : scheduler.audit()) {
-    if (event.job == job) actions.push_back(event.action);
+/// The job's S transitions, by audit name, in log order.
+std::vector<std::string> transitions_for(const EventLog& log, JobId job) {
+  std::vector<std::string> names;
+  for (const DecisionEvent& event : log.events()) {
+    const char* name = admission_transition_name(event);
+    if (name != nullptr && event.job == job) names.emplace_back(name);
   }
-  return actions;
+  return names;
 }
 
-SimResult run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m) {
+EventLog run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
+  EventLog log;
+  ObsSink sink;
+  sink.events = &log;
   SimOptions options;
   options.num_procs = m;
-  return simulate(jobs, scheduler, *selector, options);
-}
-
-TEST(Audit, DisabledByDefault) {
-  JobSet jobs;
-  jobs.add(Job::with_deadline(share(make_parallel_block(8, 1.0)), 0.0, 10.0,
-                              1.0));
-  jobs.finalize();
-  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
-  run(jobs, scheduler, 8);
-  EXPECT_TRUE(scheduler.audit().empty());
+  options.obs = &sink;
+  simulate(jobs, scheduler, *selector, options);
+  return log;
 }
 
 TEST(Audit, RecordsAdmissionAndRejectionReasons) {
@@ -67,32 +64,30 @@ TEST(Audit, RecordsAdmissionAndRejectionReasons) {
                               30.0, 1.0));
   jobs.finalize();
 
-  DeadlineScheduler scheduler(
-      {.params = Params::from_epsilon(eps), .record_audit = true});
-  run(jobs, scheduler, m);
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(eps)});
+  const EventLog log = run(jobs, scheduler, m);
 
-  EXPECT_EQ(actions_for(scheduler, 0),
-            std::vector<Action>{Action::kAdmitted});
+  EXPECT_EQ(transitions_for(log, 0), std::vector<std::string>{"admitted"});
   {
-    const auto job1 = actions_for(scheduler, 1);
+    const auto job1 = transitions_for(log, 1);
     ASSERT_FALSE(job1.empty());
-    EXPECT_EQ(job1.front(), Action::kQueuedWindowFull);
-    EXPECT_EQ(job1.back(), Action::kDroppedStale);
+    EXPECT_EQ(job1.front(), "queued:window-full");
+    EXPECT_EQ(job1.back(), "dropped:stale");
   }
   {
-    const auto job2 = actions_for(scheduler, 2);
+    const auto job2 = transitions_for(log, 2);
     ASSERT_FALSE(job2.empty());
-    EXPECT_EQ(job2.front(), Action::kQueuedNotGood);
+    EXPECT_EQ(job2.front(), "queued:not-delta-good");
   }
   {
-    const auto job3 = actions_for(scheduler, 3);
+    const auto job3 = transitions_for(log, 3);
     ASSERT_GE(job3.size(), 2u);
-    EXPECT_EQ(job3.front(), Action::kQueuedWindowFull);
-    EXPECT_EQ(job3.back(), Action::kPromoted);
+    EXPECT_EQ(job3.front(), "queued:window-full");
+    EXPECT_EQ(job3.back(), "promoted");
   }
   // Times are non-decreasing.
-  for (std::size_t i = 1; i < scheduler.audit().size(); ++i) {
-    EXPECT_GE(scheduler.audit()[i].time, scheduler.audit()[i - 1].time);
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    EXPECT_GE(log.events()[i].time, log.events()[i - 1].time);
   }
 }
 
@@ -106,20 +101,33 @@ TEST(Audit, ExpiredInQRecorded) {
   jobs.add(Job::with_deadline(dag, 1.0, 7.5, 10.0));  // denser, steals procs
   jobs.finalize();
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5),
-                               .enforce_admission = false,
-                               .record_audit = true});
-  run(jobs, scheduler, m);
-  const auto job0 = actions_for(scheduler, 0);
+                               .enforce_admission = false});
+  const auto job0 = transitions_for(run(jobs, scheduler, m), 0);
   ASSERT_FALSE(job0.empty());
-  EXPECT_EQ(job0.front(), Action::kAdmitted);
-  EXPECT_EQ(job0.back(), Action::kExpiredInQ);
+  EXPECT_EQ(job0.front(), "admitted");
+  EXPECT_EQ(job0.back(), "expired-in-Q");
 }
 
 TEST(Audit, ActionNamesAreStable) {
-  EXPECT_STREQ(audit_action_name(Action::kAdmitted), "admitted");
-  EXPECT_STREQ(audit_action_name(Action::kQueuedWindowFull),
-               "queued:window-full");
-  EXPECT_STREQ(audit_action_name(Action::kExpiredInQ), "expired-in-Q");
+  auto name = [](ObsEventKind kind, const char* reason) {
+    DecisionEvent event;
+    event.kind = kind;
+    event.reason = reason;
+    const char* audit = admission_transition_name(event);
+    return audit == nullptr ? std::string("<none>") : std::string(audit);
+  };
+  EXPECT_EQ(name(ObsEventKind::kAdmit, "cond2-ok"), "admitted");
+  EXPECT_EQ(name(ObsEventKind::kDefer, "not-delta-good"),
+            "queued:not-delta-good");
+  EXPECT_EQ(name(ObsEventKind::kDefer, "window-full"), "queued:window-full");
+  EXPECT_EQ(name(ObsEventKind::kAdmit, "promoted"), "promoted");
+  EXPECT_EQ(name(ObsEventKind::kDrop, "stale"), "dropped:stale");
+  EXPECT_EQ(name(ObsEventKind::kDrop, "expired-in-q"), "expired-in-Q");
+  // Other events -- including S's own overload sheds and capacity-shrink
+  // evictions -- are not admission transitions.
+  EXPECT_EQ(name(ObsEventKind::kDrop, "overload.shed.waiting"), "<none>");
+  EXPECT_EQ(name(ObsEventKind::kReadmitFail, "stale"), "<none>");
+  EXPECT_EQ(name(ObsEventKind::kArrival, ""), "<none>");
 }
 
 TEST(Audit, EveryArrivedJobHasAFirstEvent) {
@@ -127,12 +135,11 @@ TEST(Audit, EveryArrivedJobHasAFirstEvent) {
   WorkloadConfig config = scenario_shootout(1.5, 8, 0.3, 1.2);
   config.horizon = 80.0;
   const JobSet jobs = generate_workload(rng, config);
-  DeadlineScheduler scheduler(
-      {.params = Params::from_epsilon(0.5), .record_audit = true});
-  run(jobs, scheduler, 8);
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  const EventLog log = run(jobs, scheduler, 8);
   std::vector<bool> seen(jobs.size(), false);
-  for (const AuditEvent& event : scheduler.audit()) {
-    seen[event.job] = true;
+  for (const DecisionEvent& event : log.events()) {
+    if (admission_transition_name(event) != nullptr) seen[event.job] = true;
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(seen[i]) << "job " << i << " has no audit event";

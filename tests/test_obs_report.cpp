@@ -118,8 +118,8 @@ TEST(RunReport, TopLevelKeySetIsLocked) {
   std::vector<std::string> keys;
   for (const auto& [key, value] : report.members()) keys.push_back(key);
   const std::vector<std::string> expected = {
-      "schema",     "run",       "results",  "metrics", "counters",
-      "gauges",     "histograms", "telemetry", "timeline", "events"};
+      "schema",     "run",       "results",  "metrics",
+      "counters",   "histograms", "telemetry", "timeline", "events"};
   EXPECT_EQ(keys, expected)
       << "top-level report keys changed -- bump the schema version and "
          "update every consumer before touching this list";

@@ -460,6 +460,12 @@ int cmd_run(ArgParser& args) {
     std::cerr << "run: --overload-shed must be >= 1\n";
     return 1;
   }
+  if (show_audit && flags.scheduler != "s" && flags.scheduler != "s-wc" &&
+      flags.scheduler != "s-noadm") {
+    std::cerr << "run: --audit is only available for the paper-S family "
+                 "(s, s-wc, s-noadm)\n";
+    return 1;
+  }
   SimOptions options = flags.sim_options();
   options.decide_budget_ns =
       decide_budget.empty() ? 0 : parse_decide_budget(decide_budget);
@@ -468,11 +474,15 @@ int cmd_run(ArgParser& args) {
 
   // Observability wiring: registries live here, the engines and schedulers
   // only see the (nullable) sink.  No flags => null sink => seed behavior.
+  // --audit alone keeps the decision log in memory only: it is not a
+  // requested output, so neither the crash dump nor checkpoints see it.
   MetricRegistry registry;
   EventLog event_log;
   ObsSink sink;
   if (!obs_path.empty()) sink.metrics = &registry;
-  if (!obs_path.empty() || !events_path.empty()) sink.events = &event_log;
+  EventLog* const requested_events =
+      !obs_path.empty() || !events_path.empty() ? &event_log : nullptr;
+  if (requested_events != nullptr || show_audit) sink.events = &event_log;
 
   // Runtime telemetry: a JSONL snapshot stream next to (and independent of)
   // the obs registries.  --obs alone attaches a histograms-only recorder
@@ -514,7 +524,7 @@ int cmd_run(ArgParser& args) {
   // With an event log wired, make DS_CHECK failures flush it (plus a final
   // engine-abort event) instead of losing the decision history.
   std::optional<CrashDumpGuard> crash_guard;
-  if (sink.events != nullptr) {
+  if (requested_events != nullptr) {
     crash_guard.emplace(&event_log, events_path.empty()
                                         ? obs_path + ".crash-events.jsonl"
                                         : events_path);
@@ -546,27 +556,11 @@ int cmd_run(ArgParser& args) {
     if (!checkpoint_path.empty()) {
       checkpoint_sink.emplace(checkpoint_path,
                               static_cast<std::uint64_t>(checkpoint_interval),
-                              std::move(meta), sink.events);
+                              std::move(meta), requested_events);
     }
   }
 
   auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
-  auto* deadline_scheduler = dynamic_cast<DeadlineScheduler*>(scheduler.get());
-  if (show_audit) {
-    if (deadline_scheduler == nullptr) {
-      std::cerr << "run: --audit is only available for the paper-S family "
-                   "(s, s-wc, s-noadm)\n";
-      return 1;
-    }
-    // Rebuild the scheduler with auditing enabled.
-    DeadlineSchedulerOptions audit_options;
-    audit_options.params = Params::from_epsilon(flags.eps);
-    audit_options.enforce_admission = flags.scheduler != "s-noadm";
-    audit_options.work_conserving = flags.scheduler == "s-wc";
-    audit_options.record_audit = true;
-    scheduler = std::make_unique<DeadlineScheduler>(audit_options);
-    deadline_scheduler = dynamic_cast<DeadlineScheduler*>(scheduler.get());
-  }
   auto sel = make_selector(flags.selector, 1);
   options.record_trace =
       show_gantt || show_profile || !svg_path.empty() || !obs_path.empty();
@@ -639,11 +633,14 @@ int cmd_run(ArgParser& args) {
     write_svg_gantt(svg, result.trace, m);
     std::cout << "wrote Gantt SVG to " << svg_path << "\n";
   }
-  if (show_audit && deadline_scheduler != nullptr) {
+  if (show_audit) {
+    // S's queue transitions, rendered from the decision log.
     std::cout << "\nadmission audit:\n";
-    for (const AuditEvent& event : deadline_scheduler->audit()) {
-      std::cout << "  t=" << event.time << "  J" << event.job << "  "
-                << audit_action_name(event.action) << "\n";
+    for (const DecisionEvent& event : event_log.events()) {
+      if (const char* name = admission_transition_name(event)) {
+        std::cout << "  t=" << event.time << "  J" << event.job << "  "
+                  << name << "\n";
+      }
     }
   }
   if (!events_path.empty()) {
