@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
 #include "workload/scenarios.h"
+#include "workload/workload_io.h"
 
 namespace {
 
@@ -322,6 +324,34 @@ void BM_DagGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_DagGeneration);
 
+// ---- ingest ----------------------------------------------------------------
+//
+// Parse time of the .wl reader alone: the 10000-arg scale instance (the 81k
+// job thm2 workload) is serialized once, and each iteration parses those
+// bytes, as `dagsched run` does after its one read of the file.
+
+void BM_LoadWorkload(benchmark::State& state) {
+  std::string bytes;
+  {
+    std::ostringstream out;
+    write_workload(out,
+                   make_scale_jobs(static_cast<std::size_t>(state.range(0))));
+    bytes = std::move(out).str();
+  }
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    const JobSet parsed = read_workload(bytes, "<bench>");
+    jobs = parsed.size();
+    benchmark::DoNotOptimize(jobs);
+  }
+  state.counters["mb_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(bytes.size()) / 1e6,
+      benchmark::Counter::kIsRate);
+  state.counters["jobs"] = static_cast<double>(jobs);
+}
+BENCHMARK(BM_LoadWorkload)->Arg(10000);
+
 /// Console output as usual, plus a structured copy of every finished run
 /// for the --out bench report.
 class CollectingReporter : public benchmark::ConsoleReporter {
@@ -371,7 +401,7 @@ int main(int argc, char** argv) {
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
-      "BM_SlotEngineEdfTelemetry/100$";
+      "BM_SlotEngineEdfTelemetry/100$|BM_LoadWorkload/10000$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

@@ -146,7 +146,16 @@ CheckpointReader CheckpointFile::section_reader(std::string_view name) const {
 
 std::string serialize_checkpoint(const CheckpointFile& file) {
   const std::string header = header_json(file.meta);
+  // One exactly sized buffer per snapshot.  Growing it by doubling copies
+  // each snapshot several times and, through glibc's dynamic mmap
+  // threshold, leaves freed megabyte-sized blocks on the heap, which shows
+  // as peak RSS on checkpointing runs.
+  std::size_t size = kMagic.size() + 4 + header.size() + 4 + 4;
+  for (const CheckpointSection& section : file.sections) {
+    size += 4 + section.name.size() + 8 + section.payload.size() + 4;
+  }
   CheckpointWriter out;
+  out.reserve(size);
   out.raw(kMagic);
   out.u32(static_cast<std::uint32_t>(header.size()));
   out.raw(header);

@@ -52,6 +52,8 @@ class CheckpointWriter {
   }
   /// Un-prefixed bytes; the reader side must know the length.
   void raw(std::string_view value) { buf_.append(value); }
+  /// Capacity hint for a writer whose final size is known up front.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   const std::string& data() const { return buf_; }
   std::string take() { return std::move(buf_); }

@@ -13,25 +13,33 @@
 //   <u> <v>            (e lines)
 //   end
 //
-// Numbers round-trip exactly (printed with max precision).  read_workload
-// throws ParseError (util/parse_error.h, a std::runtime_error) with
-// "source:line:column" positioning on malformed input; values are
-// validated (finite, positive work, in-range edge endpoints, acyclic).
+// Numbers round-trip exactly (printed with max precision).  Reals use
+// std::stod's grammar and indices are plain digit strings (docs/FORMAT.md).
+// read_workload throws ParseError (util/parse_error.h, a
+// std::runtime_error) with "source:line:column" positioning on malformed
+// input; values are validated (finite, positive work, in-range edge
+// endpoints, acyclic).
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "job/job.h"
 
 namespace dagsched {
 
 void write_workload(std::ostream& os, const JobSet& jobs);
-/// `source` names the input in diagnostics (file path or "<stream>").
+/// Parses the whole workload from `bytes`; the JobSet keeps no reference
+/// to them.  `source` names the input in diagnostics (file path or
+/// "<stream>").
+JobSet read_workload(std::string_view bytes, const std::string& source);
+/// Reads the stream to its end, then parses those bytes.
 JobSet read_workload(std::istream& is,
                      const std::string& source = "<stream>");
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure.
+/// load_workload reads the file into one buffer and parses it.
 void save_workload(const std::string& path, const JobSet& jobs);
 JobSet load_workload(const std::string& path);
 

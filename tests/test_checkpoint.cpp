@@ -222,6 +222,14 @@ TEST(CheckpointFormat, ResumeCompatibilityDiagnostics) {
   expect_mismatch(meta, "config");
 }
 
+TEST(CheckpointFormat, FingerprintValueIsPinned) {
+  // Checkpoints written by earlier builds must keep resuming: the hash of
+  // the workload bytes and flags is part of the file format.
+  EXPECT_EQ(run_config_fingerprint("dagsched-workload 1\n", "s", 0.5, 4, 1.0,
+                                   "event", "fifo", ""),
+            9621715377253786510u);
+}
+
 TEST(CheckpointFormat, FingerprintCoversEveryInput) {
   const std::uint64_t base = run_config_fingerprint(
       "bytes", "s", 0.5, 4, 1.0, "event", "fifo", "mtbf=10");

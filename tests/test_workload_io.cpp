@@ -2,12 +2,16 @@
 // instances, malformed-input errors.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
 #include "sim/event_engine.h"
+#include "util/parse_error.h"
 #include "workload/scenarios.h"
 #include "workload/workload_io.h"
 
@@ -126,6 +130,148 @@ TEST(WorkloadIo, MalformedInputsThrowWithLineNumbers) {
     std::stringstream in(text);
     EXPECT_THROW(read_workload(in), std::runtime_error) << text;
   }
+}
+
+// ---- buffer boundaries ----------------------------------------------------
+//
+// The reader scans one in-memory buffer; these pin its edges: the last
+// byte, line ends, and bytes a line-based reader never had to think about.
+
+ParseError parse_error_of(const std::string& text) {
+  try {
+    (void)read_workload(text, "edge.wl");
+  } catch (const ParseError& error) {
+    return error;
+  }
+  ADD_FAILURE() << "expected ParseError for:\n" << text;
+  return ParseError("none", 0, 0, "no error");
+}
+
+const std::string kOneJob =
+    "dagsched-workload 1\n"
+    "job 0\n"
+    "profit step 2 10\n"
+    "nodes 3\n"
+    "1 2 3\n"
+    "edges 2\n"
+    "0 1\n"
+    "1 2\n"
+    "end";
+
+TEST(WorkloadIo, FinalEndWithoutNewlineParses) {
+  const JobSet jobs = read_workload(kOneJob, "edge.wl");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_DOUBLE_EQ(jobs[0].span(), 6.0);
+}
+
+TEST(WorkloadIo, InputEndingMidTokenIsPositioned) {
+  // Inside the 'end' keyword, a node work, and the edges keyword.
+  ParseError error = parse_error_of(kOneJob.substr(0, kOneJob.size() - 1));
+  EXPECT_EQ(error.line(), 9u);
+  EXPECT_EQ(error.column(), 1u);
+  EXPECT_NE(std::string(error.what()).find("expected 'end', got 'en'"),
+            std::string::npos)
+      << error.what();
+
+  error = parse_error_of(
+      "dagsched-workload 1\njob 0\nprofit step 2 10\nnodes 2\n1 2e");
+  EXPECT_EQ(error.line(), 5u);
+  EXPECT_EQ(error.column(), 3u);
+  EXPECT_NE(std::string(error.what()).find("trailing junk in node work '2e'"),
+            std::string::npos)
+      << error.what();
+
+  error = parse_error_of(
+      "dagsched-workload 1\njob 0\nprofit step 2 10\nnodes 1\n1\nedg");
+  EXPECT_EQ(error.line(), 6u);
+  EXPECT_NE(std::string(error.what()).find("expected 'edges', got 'edg'"),
+            std::string::npos)
+      << error.what();
+}
+
+TEST(WorkloadIo, CarriageReturnOnlyLinesBetweenEdgesAreBlank) {
+  const JobSet jobs = read_workload(
+      "dagsched-workload 1\njob 0\nprofit step 2 10\nnodes 3\n1 2 3\n"
+      "edges 2\n0 1\n\r\n\r\r\n1 2\r\nend\r\n",
+      "edge.wl");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].dag().num_edges(), 2u);
+  EXPECT_DOUBLE_EQ(jobs[0].span(), 6.0);
+}
+
+TEST(WorkloadIo, CommentsInsideTheEdgeBlockCountTowardLineNumbers) {
+  const std::string text =
+      "dagsched-workload 1\njob 0\nprofit step 2 10\nnodes 3\n1 2 3\n"
+      "edges 2\n"
+      "# first edge\n"
+      "0 1\n"
+      "  # second edge\n"
+      "\n"
+      "1 2\n";
+  const JobSet jobs = read_workload(text + "end\n", "edge.wl");
+  EXPECT_EQ(jobs[0].dag().num_edges(), 2u);
+  // Line 12 is the first line past the comments and the blank line.
+  const ParseError error = parse_error_of(text + "fin\n");
+  EXPECT_EQ(error.line(), 12u);
+  EXPECT_EQ(error.column(), 1u);
+  EXPECT_NE(std::string(error.what()).find("expected 'end'"),
+            std::string::npos);
+  EXPECT_EQ(parse_error_of(text).line(), 12u);  // missing 'end'
+}
+
+TEST(WorkloadIo, NulByteInsideATokenIsAParseError) {
+  std::string work = kOneJob;
+  work.replace(work.find("1 2 3"), 5, std::string("1 2\0x 3", 7));
+  ParseError error = parse_error_of(work);
+  EXPECT_EQ(error.line(), 5u);
+  EXPECT_EQ(error.column(), 3u);
+  EXPECT_NE(std::string(error.what()).find("trailing junk in node work"),
+            std::string::npos)
+      << error.what();
+
+  std::string edge = kOneJob;
+  edge.replace(edge.find("1 2\nend"), 1, std::string("1\0", 2));
+  error = parse_error_of(edge);
+  EXPECT_EQ(error.line(), 8u);
+  EXPECT_EQ(error.column(), 1u);
+  EXPECT_NE(std::string(error.what()).find("bad edge source"),
+            std::string::npos)
+      << error.what();
+}
+
+std::string text_of(const JobSet& jobs) {
+  std::ostringstream out;
+  write_workload(out, jobs);
+  return out.str();
+}
+
+/// The stream, buffer and file entry points build the same JobSet.
+void expect_entry_points_agree(const std::string& path) {
+  const JobSet from_file = load_workload(path);
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  std::istringstream stream(bytes.str());
+  const std::string expected = text_of(from_file);
+  EXPECT_EQ(text_of(read_workload(stream, path)), expected);
+  EXPECT_EQ(text_of(read_workload(bytes.str(), path)), expected);
+}
+
+TEST(WorkloadIo, EntryPointsAgreeOnTheSample) {
+  expect_entry_points_agree(std::string(DAGSCHED_DATA_DIR) + "/sample.wl");
+}
+
+TEST(WorkloadIo, EntryPointsAgreeOnAGeneratedThm2Instance) {
+  Rng rng(2017);
+  WorkloadConfig config = scenario_thm2(0.5, 4.0, 16);
+  config.horizon = 800.0;
+  const JobSet jobs = generate_workload(rng, config);
+  ASSERT_GT(jobs.size(), 1500u);
+  const std::string path = ::testing::TempDir() + "/dagsched_io_thm2.wl";
+  save_workload(path, jobs);
+  expect_entry_points_agree(path);
+  EXPECT_EQ(text_of(load_workload(path)), text_of(jobs));
+  std::remove(path.c_str());
 }
 
 TEST(WorkloadIo, LoadMissingFileThrows) {

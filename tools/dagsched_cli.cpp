@@ -60,6 +60,7 @@
 #include "sim/gantt.h"
 #include "sim/metrics.h"
 #include "util/arg_parse.h"
+#include "util/file_bytes.h"
 #include "util/parse_error.h"
 #include "util/table.h"
 #include "workload/analyzer.h"
@@ -71,12 +72,18 @@ namespace {
 
 using namespace dagsched;
 
+/// Parses the bytes of a .wl workload file or a .csv parameterized trace.
+JobSet parse_instance(std::string_view bytes, const std::string& path) {
+  if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv") {
+    std::istringstream in{std::string(bytes)};
+    return import_trace_csv(in, {}, path);
+  }
+  return read_workload(bytes, path);
+}
+
 /// Loads either a .wl workload file or a .csv parameterized trace.
 JobSet load_instance(const std::string& path) {
-  if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv") {
-    return load_trace_csv(path);
-  }
-  return load_workload(path);
+  return parse_instance(read_file_bytes(path), path);
 }
 
 int usage() {
@@ -409,18 +416,12 @@ RunFlags read_run_flags(ArgParser& args) {
   return flags;
 }
 
-/// Reads a file verbatim for config fingerprinting; returns empty on a
-/// missing file (the load_instance call before this would have thrown).
-std::string slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 int cmd_run(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
-  const JobSet jobs = load_instance(args.positional()[1]);
+  // The workload is read once: parsed here, hashed by the checkpoint
+  // fingerprint below, and released before the simulation starts.
+  std::string workload_bytes = read_file_bytes(args.positional()[1]);
+  const JobSet jobs = parse_instance(workload_bytes, args.positional()[1]);
   const bool show_gantt = args.get_flag("gantt");
   const bool show_profile = args.get_flag("profile");
   const bool show_audit = args.get_flag("audit");
@@ -539,7 +540,7 @@ int cmd_run(ArgParser& args) {
   if (!checkpoint_path.empty() || !resume_path.empty()) {
     CheckpointMeta meta;
     meta.config_hash = run_config_fingerprint(
-        slurp_file(args.positional()[1]), flags.scheduler, flags.eps, m,
+        workload_bytes, flags.scheduler, flags.eps, m,
         flags.speed, engine_kind_name(flags.engine),
         selector_kind_name(flags.selector), flags.fault_spec);
     meta.workload = args.positional()[1];
@@ -559,6 +560,8 @@ int cmd_run(ArgParser& args) {
                               std::move(meta), requested_events);
     }
   }
+
+  std::string().swap(workload_bytes);
 
   auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
   auto sel = make_selector(flags.selector, 1);
