@@ -2,7 +2,7 @@
 //
 // Measures the cost of the building blocks so users can size experiments:
 // event-engine decision throughput, slot-engine slot throughput, admission
-// index operations, allocation math, and the simplex OPT bound.
+// index operations, allocation math, and the interval-capacity OPT bound.
 //
 // Pass `--out perf.json` (stripped before google-benchmark sees the
 // arguments) to additionally write the measurements as a versioned

@@ -183,10 +183,8 @@ OptBracket estimate_opt(const JobSet& jobs, ProcCount m, double opt_speed) {
     bracket.lower_scheduler = "offline-greedy-plan";
   }
 
-  // Upper bound: interval-capacity LP.
-  OptBoundOptions bound_options;
-  bound_options.opt_speed = opt_speed;
-  const OptBound bound = compute_opt_upper_bound(jobs, m, bound_options);
+  // Upper bound: interval-capacity relaxation.
+  const OptBound bound = compute_opt_upper_bound(jobs, m, opt_speed);
   bracket.upper = bound.value();
   bracket.lp_used = bound.lp_used;
   DS_CHECK_MSG(bracket.upper + 1e-6 >= bracket.lower,

@@ -84,7 +84,8 @@ RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
 /// Bracket of the clairvoyant optimum:
 ///   lower = best profit achieved by the clairvoyant offline baselines
 ///           (EDF / HDF / clairvoyant-LLF with critical-path node choice),
-///   upper = interval-capacity LP bound (opt/upper_bound.h).
+///   upper = interval-capacity bound (opt/upper_bound.h); lp_used is false
+///           when the job cap left it at the trivial sum of feasible peaks.
 struct OptBracket {
   Profit lower = 0.0;
   Profit upper = 0.0;

@@ -1,10 +1,9 @@
 #include "opt/upper_bound.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <vector>
 
-#include "opt/simplex.h"
 #include "util/check.h"
 #include "util/float_cmp.h"
 
@@ -19,113 +18,176 @@ bool clairvoyantly_feasible(const Job& job, ProcCount m, double speed) {
 
 namespace {
 
-struct LpJob {
-  std::size_t var;     // LP variable index
+struct BoundJob {
   Time release;
-  Time due;            // end of profit support (finite)
+  Time due;  // end of profit support (finite)
   Work work;
   Profit peak;
+  /// First window end (index into the sorted dues) that contains `due`.
+  std::size_t due_slot = 0;
+  /// Work y_i granted by the greedy.
+  Work granted = 0.0;
+};
+
+// Range-add / range-min segment tree over window ends; every update and
+// query covers a suffix.  A node's pending add is kept on the node (no
+// push-down), so its min already includes it.
+class SuffixMinTree {
+ public:
+  explicit SuffixMinTree(const std::vector<double>& leaves)
+      : size_(leaves.size()), min_(4 * size_), add_(4 * size_, 0.0) {
+    build(1, 0, size_, leaves);
+  }
+
+  void add_suffix(std::size_t from, double delta) {
+    add_at(1, 0, size_, from, delta);
+  }
+  double min_suffix(std::size_t from) const {
+    return min_at(1, 0, size_, from);
+  }
+
+ private:
+  void build(std::size_t node, std::size_t lo, std::size_t hi,
+             const std::vector<double>& leaves) {
+    if (hi - lo == 1) {
+      min_[node] = leaves[lo];
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    build(2 * node, lo, mid, leaves);
+    build(2 * node + 1, mid, hi, leaves);
+    min_[node] = std::min(min_[2 * node], min_[2 * node + 1]);
+  }
+
+  void add_at(std::size_t node, std::size_t lo, std::size_t hi,
+              std::size_t from, double delta) {
+    if (hi <= from) return;
+    if (lo >= from) {
+      min_[node] += delta;
+      add_[node] += delta;
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    add_at(2 * node, lo, mid, from, delta);
+    add_at(2 * node + 1, mid, hi, from, delta);
+    min_[node] = std::min(min_[2 * node], min_[2 * node + 1]) + add_[node];
+  }
+
+  double min_at(std::size_t node, std::size_t lo, std::size_t hi,
+                std::size_t from) const {
+    if (hi <= from) return std::numeric_limits<double>::infinity();
+    if (lo >= from) return min_[node];
+    const std::size_t mid = lo + (hi - lo) / 2;
+    return std::min(min_at(2 * node, lo, mid, from),
+                    min_at(2 * node + 1, mid, hi, from)) +
+           add_[node];
+  }
+
+  std::size_t size_;
+  std::vector<double> min_;
+  std::vector<double> add_;
 };
 
 }  // namespace
 
 OptBound compute_opt_upper_bound(const JobSet& jobs, ProcCount m,
-                                 const OptBoundOptions& options) {
-  DS_CHECK(m >= 1 && options.opt_speed > 0.0);
+                                 double opt_speed) {
+  DS_CHECK(m >= 1 && opt_speed > 0.0);
   OptBound bound;
 
-  // Trivial bound plus collection of finite-support feasible jobs for the LP
-  // (jobs with unbounded support always contribute their full peak: no
-  // finite window contains them, so the LP could not restrict them anyway).
-  std::vector<LpJob> lp_jobs;
+  // Trivial bound plus collection of finite-support feasible jobs (jobs
+  // with unbounded support always contribute their full peak: no finite
+  // window contains them, so capacity could not restrict them anyway).
+  std::vector<BoundJob> finite;
   Profit unbounded_support_profit = 0.0;
   for (const Job& job : jobs.jobs()) {
-    if (!clairvoyantly_feasible(job, m, options.opt_speed)) continue;
+    if (!clairvoyantly_feasible(job, m, opt_speed)) continue;
     bound.trivial += job.peak_profit();
     const Time support = job.profit().support_end();
     if (support < kTimeInfinity) {
-      lp_jobs.push_back({lp_jobs.size(), job.release(),
-                         job.release() + support, job.work(),
-                         job.peak_profit()});
+      finite.push_back({job.release(), job.release() + support, job.work(),
+                        job.peak_profit()});
     } else {
       unbounded_support_profit += job.peak_profit();
     }
   }
   bound.lp = bound.trivial;
-  if (lp_jobs.empty() || lp_jobs.size() > options.max_lp_jobs) return bound;
-
-  // Window generation: event times are releases and dues.
-  std::vector<Time> events;
-  events.reserve(lp_jobs.size() * 2);
-  for (const LpJob& j : lp_jobs) {
-    events.push_back(j.release);
-    events.push_back(j.due);
-  }
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end()), events.end());
-  const std::size_t k = events.size();
-
-  std::vector<std::pair<Time, Time>> windows;
-  // Every job's own interval.
-  for (const LpJob& j : lp_jobs) windows.emplace_back(j.release, j.due);
-  // Dyadic family over event indices: spans of 1, 2, 4, ... events.
-  for (std::size_t len = 1; len < k; len *= 2) {
-    const std::size_t step = std::max<std::size_t>(1, len / 2);
-    for (std::size_t i = 0; i + len < k; i += step) {
-      windows.emplace_back(events[i], events[i + len]);
-      if (windows.size() >= options.max_windows) break;
-    }
-    if (windows.size() >= options.max_windows) break;
-  }
-  // Full horizon.
-  windows.emplace_back(events.front(), events.back());
-  std::sort(windows.begin(), windows.end());
-  windows.erase(std::unique(windows.begin(), windows.end()), windows.end());
-
-  // Build the LP.
-  LpProblem lp;
-  lp.num_vars = lp_jobs.size();
-  lp.objective.resize(lp.num_vars);
-  for (const LpJob& j : lp_jobs) lp.objective[j.var] = j.peak;
-
-  // x_i <= 1.
-  for (const LpJob& j : lp_jobs) {
-    lp.add_row({{j.var, 1.0}}, 1.0);
-  }
-
-  const double capacity_rate =
-      static_cast<double>(m) * options.opt_speed;
-  for (const auto& [t1, t2] : windows) {
-    if (!(t2 > t1)) continue;
-    std::vector<std::pair<std::size_t, double>> terms;
-    Work contained_work = 0.0;
-    for (const LpJob& j : lp_jobs) {
-      if (approx_ge(j.release, t1) && approx_le(j.due, t2)) {
-        terms.emplace_back(j.var, j.work);
-        contained_work += j.work;
-      }
-    }
-    const double rhs = capacity_rate * (t2 - t1);
-    // Vacuous constraints (capacity exceeds all contained work) only bloat
-    // the tableau.
-    if (terms.empty() || contained_work <= rhs) continue;
-    lp.add_row(std::move(terms), rhs);
-  }
-
-  if (lp.rows.size() == lp_jobs.size()) {
-    // Only the x<=1 rows survived: LP value is exactly the trivial bound.
-    return bound;
-  }
-
-  const LpSolution solution = solve_lp_max(lp);
-  if (solution.status != LpSolution::Status::kOptimal) {
-    // A non-certified value may undercut the true LP optimum and therefore
-    // OPT; keep the trivial bound instead.
-    return bound;
-  }
-  bound.lp = std::min(bound.trivial,
-                      solution.value + unbounded_support_profit);
+  if (finite.size() > kMaxBoundJobs) return bound;
   bound.lp_used = true;
+  if (finite.empty()) return bound;
+
+  // A binding window starts on an accepted release and ends on a due.  Per
+  // window end b the tree holds m*s*b minus the grants of the contained
+  // jobs added so far; subtracting m*s*a gives the slack of [a, b].
+  std::vector<Time> dues;
+  dues.reserve(finite.size());
+  for (const BoundJob& job : finite) dues.push_back(job.due);
+  std::sort(dues.begin(), dues.end());
+  dues.erase(std::unique(dues.begin(), dues.end()), dues.end());
+  const double rate = static_cast<double>(m) * opt_speed;
+  std::vector<double> capacity_to(dues.size());
+  for (std::size_t b = 0; b < dues.size(); ++b) capacity_to[b] = rate * dues[b];
+  const SuffixMinTree empty_tree(capacity_to);
+  for (BoundJob& job : finite) {
+    job.due_slot = static_cast<std::size_t>(
+        std::partition_point(dues.begin(), dues.end(),
+                             [&](Time b) { return !approx_le(job.due, b); }) -
+        dues.begin());
+  }
+
+  std::stable_sort(finite.begin(), finite.end(),
+                   [](const BoundJob& a, const BoundJob& b) {
+                     return a.peak / a.work > b.peak / b.work;
+                   });
+  // Jobs granted work so far, latest release first.
+  std::vector<BoundJob*> accepted;
+  Work accepted_work = 0.0;
+  Profit value = unbounded_support_profit;
+  for (BoundJob& job : finite) {
+    const auto slot = accepted.insert(
+        std::upper_bound(accepted.begin(), accepted.end(), job.release,
+                         [](Time release, const BoundJob* other) {
+                           return release > other->release;
+                         }),
+        &job);
+    // Sweep the window start down over the accepted releases (the job's
+    // own among them).  A newly contained job due no later than this one
+    // lies in every window [start, b] the query covers, so it only shifts
+    // the query; a job due later comes off the window ends past its due.
+    SuffixMinTree tree = empty_tree;
+    Work grant = job.work;
+    Work due_before = 0.0;
+    double tail_min = capacity_to[job.due_slot];
+    std::size_t added = 0;
+    for (const BoundJob* start_job : accepted) {
+      const Time start = start_job->release;
+      if (!approx_ge(job.release, start)) continue;
+      // No window starting here or earlier has less slack than this.
+      if (rate * (job.due - start) - accepted_work >= grant) break;
+      bool reshaped = false;
+      for (; added < accepted.size() &&
+             approx_ge(accepted[added]->release, start);
+           ++added) {
+        const BoundJob& other = *accepted[added];
+        if (other.due_slot <= job.due_slot) {
+          due_before += other.granted;
+        } else {
+          tree.add_suffix(other.due_slot, -other.granted);
+          reshaped = true;
+        }
+      }
+      if (reshaped) tail_min = tree.min_suffix(job.due_slot);
+      grant = std::min(grant, tail_min - due_before - rate * start);
+    }
+    if (grant <= 0.0) {
+      accepted.erase(slot);
+      continue;
+    }
+    job.granted = grant;
+    accepted_work += grant;
+    value += job.peak / job.work * grant;
+  }
+  bound.lp = std::min(bound.trivial, value);
   return bound;
 }
 

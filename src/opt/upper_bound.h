@@ -5,41 +5,36 @@
 //   * below by the best clairvoyant offline baseline run (exp/ harness),
 //   * above by the bounds here.
 //
-// The LP relaxation: pick x_i in [0, 1] per clairvoyantly-feasible job,
-// maximize sum p_i x_i subject to interval-capacity constraints -- for a
-// time window [t1, t2], jobs whose whole feasibility interval [r_i, d_i]
-// lies inside the window can receive at most m * s * (t2 - t1) units of
-// work from any speed-s schedule:
-//     sum_{i : [r_i, d_i] ⊆ [t1, t2]} W_i x_i  <=  m * s * (t2 - t1).
-//
-// Any subset of windows yields a valid (weaker) upper bound; we use every
-// job's own interval plus a dyadic family over event times, keeping the LP
-// dense-simplex-sized.  If the simplex fails to prove optimality the code
-// falls back to the trivial bound (sum of feasible peaks), never returning
-// a value that could undercut OPT.
+// The interval-capacity relaxation: give each clairvoyantly-feasible job
+// y_i in [0, W_i] units of work and maximize sum (p_i / W_i) y_i subject
+// to, for every time window I, the jobs whose whole feasibility interval
+// [r_i, d_i] lies inside I receiving at most the window's capacity:
+//     sum_{i : [r_i, d_i] ⊆ I} y_i  <=  m * s * |I|.
+// No speed-s schedule can beat it.  These are Horn's conditions for a
+// fluid (rate up to m * s per job) schedule, so the feasible y form a
+// polymatroid and filling jobs greedily by density p_i / W_i, each up to
+// the least remaining slack of a window around it, solves the relaxation
+// exactly.  Above kMaxBoundJobs finite-support jobs the quadratic slack
+// query is skipped and the bound is the trivial sum of feasible peaks.
 #pragma once
+
+#include <cstddef>
 
 #include "job/job.h"
 #include "util/types.h"
 
 namespace dagsched {
 
-struct OptBoundOptions {
-  /// Speed of the optimal schedule being bounded (1.0 except in
-  /// augmentation sanity checks where OPT itself is sped up).
-  double opt_speed = 1.0;
-  /// Skip the LP (trivial bound only) above this many jobs.
-  std::size_t max_lp_jobs = 512;
-  /// Cap on generated capacity windows.
-  std::size_t max_windows = 4096;
-};
+/// Largest number of finite-support feasible jobs the relaxation is
+/// solved for; above it compute_opt_upper_bound returns the trivial bound.
+inline constexpr std::size_t kMaxBoundJobs = 512;
 
 struct OptBound {
   /// Sum of peaks over clairvoyantly-feasible jobs.
   Profit trivial = 0.0;
-  /// LP interval-capacity bound; == trivial when the LP was skipped or
-  /// could not be certified optimal.
+  /// Interval-capacity bound; == trivial when the job cap skipped it.
   Profit lp = 0.0;
+  /// True when the relaxation was solved (not skipped by the job cap).
   bool lp_used = false;
 
   /// The tightest available upper bound.
@@ -51,7 +46,9 @@ struct OptBound {
 /// unbounded profit support are always feasible.
 bool clairvoyantly_feasible(const Job& job, ProcCount m, double speed);
 
+/// `opt_speed` is the speed of the optimal schedule being bounded (1.0
+/// except in augmentation checks where OPT itself is sped up).
 OptBound compute_opt_upper_bound(const JobSet& jobs, ProcCount m,
-                                 const OptBoundOptions& options = {});
+                                 double opt_speed = 1.0);
 
 }  // namespace dagsched

@@ -1,11 +1,10 @@
-// SlotEngine legality for the whole scheduler zoo, plus truncation paths
-// of the OPT machinery (LP window cap, branch-and-bound node limit) and
+// SlotEngine legality for the whole scheduler zoo, plus the truncation path
+// of the OPT machinery (branch-and-bound node limit) and
 // bracket-ordering stress for the combined OPT estimate.
 #include <gtest/gtest.h>
 
 #include "exp/runner.h"
 #include "opt/exact.h"
-#include "opt/upper_bound.h"
 #include "sim/slot_engine.h"
 #include "workload/scenarios.h"
 
@@ -50,18 +49,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return label;
     });
-
-TEST(UpperBoundCaps, WindowCapStillSound) {
-  Rng rng(31);
-  const JobSet jobs = generate_workload(rng, scenario_shootout(1.5, 8, 0.3, 1.0));
-  OptBoundOptions tight_options;
-  tight_options.max_windows = 4;  // drastically fewer capacity constraints
-  const OptBound capped = compute_opt_upper_bound(jobs, 8, tight_options);
-  const OptBound full = compute_opt_upper_bound(jobs, 8);
-  // Fewer constraints can only weaken (raise) the LP bound.
-  EXPECT_GE(capped.value(), full.value() - 1e-6);
-  EXPECT_LE(full.value(), jobs.total_peak_profit() + 1e-9);
-}
 
 TEST(ExactCaps, NodeLimitTruncationReported) {
   // 18 mutually-conflicting jobs with a 1-node budget: truncated result,
