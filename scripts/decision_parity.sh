@@ -48,7 +48,9 @@ workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
 # Workloads: a deadline-heavy thm2 instance (exercises Q/P admission and
-# drains) and a profit-function instance for the Section-5 scheduler.
+# drains) and two profit-function instances for the Section-5 scheduler --
+# one at load 0.8 and one overloaded at 2.5, where most arrivals exhaust
+# their decay range without a valid deadline.
 gen_workloads() {
   "$cli" generate --scenario thm2 --load 0.9 --m 16 --horizon 400 --seed 7 \
     --out "$workdir/thm2.wl" >/dev/null
@@ -56,6 +58,8 @@ gen_workloads() {
     --out "$workdir/tight.wl" >/dev/null
   "$cli" generate --scenario profit --load 0.8 --m 16 --horizon 200 --seed 3 \
     --out "$workdir/profit.wl" >/dev/null
+  "$cli" generate --scenario profit --load 2.5 --m 16 --horizon 200 --seed 5 \
+    --out "$workdir/profit-over.wl" >/dev/null
 }
 
 # scheduler:engine pairs; the profit scheduler is slot-engine-only.
@@ -67,6 +71,7 @@ combos() {
     echo "$s event tight"
   done
   echo "profit slot profit"
+  echo "profit slot profit-over"
 }
 
 fault_spec() {

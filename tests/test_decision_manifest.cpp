@@ -1,7 +1,8 @@
 // Golden decision manifest: every serial event log of the decision-parity
 // matrix (scripts/decision_parity.sh -- scheduler x engine x fault mode on
-// the thm2 seed 7, tight seed 11 and profit seed 3 instances) must hash to
-// the FNV-1a64 digest committed in tests/golden/decision_manifest.txt.
+// the thm2 seed 7, tight seed 11, profit seed 3 and overloaded profit seed 5
+// instances) must hash to the FNV-1a64 digest committed in
+// tests/golden/decision_manifest.txt.
 //
 // The parity script's emit/diff modes compare a change against itself; this
 // pins the decisions to an absolute reference, so a silent behaviour change
@@ -74,6 +75,10 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
        parity_instance(scenario_profit(0.5, 0.8, 16,
                                        ProfitPolicy::Shape::kPlateauLinear),
                        200.0, 3)},
+      {"profit-over",
+       parity_instance(scenario_profit(0.5, 2.5, 16,
+                                       ProfitPolicy::Shape::kPlateauLinear),
+                       200.0, 5)},
   };
 
   // decision_parity.sh's combos(): the profit scheduler is slot-only.
@@ -85,6 +90,7 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
     combos.emplace_back(name, EngineKind::kEvent, "tight");
   }
   combos.emplace_back("profit", EngineKind::kSlot, "profit");
+  combos.emplace_back("profit", EngineKind::kSlot, "profit-over");
 
   // decision_parity.sh's fault_spec().
   const std::pair<std::string, std::string> fault_modes[] = {
@@ -111,7 +117,7 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
       cells.push_back(std::move(cell));
     }
   }
-  ASSERT_EQ(cells.size(), 93u);
+  ASSERT_EQ(cells.size(), 96u);
 
   SweepOptions options;
   options.threads = 2;
