@@ -1,8 +1,9 @@
 // E11 -- substrate microbenchmarks (google-benchmark).
 //
 // Measures the cost of the building blocks so users can size experiments:
-// event-engine decision throughput, slot-engine slot throughput, admission
-// index operations, allocation math, and the interval-capacity OPT bound.
+// event-engine decision throughput, slot-engine slot throughput (EDF, and
+// the Section-5 profit scheduler under overload), admission index
+// operations, allocation math, and the interval-capacity OPT bound.
 //
 // Pass `--out perf.json` (stripped before google-benchmark sees the
 // arguments) to additionally write the measurements as a versioned
@@ -29,6 +30,7 @@
 #include "core/deadline_scheduler.h"
 #include "core/density_index.h"
 #include "core/job_queue.h"
+#include "core/profit_scheduler.h"
 #include "dag/generators.h"
 #include "obs/report.h"
 #include "obs/telemetry/telemetry.h"
@@ -279,6 +281,28 @@ void BM_SlotEngineEdf(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotEngineEdf)->Arg(100)->Arg(400);
 
+// The Section-5 scheduler under overload (load 4, as in the perfbench
+// run-profit-slot workload): most arrivals search their whole decay range
+// without finding a valid deadline, so the minimal-valid-deadline search,
+// not the slot engine, sets the time.  The Arg is the horizon.
+void BM_SlotEngineProfit(benchmark::State& state) {
+  Rng rng(7);
+  WorkloadConfig config =
+      scenario_profit(0.5, 4.0, 16, ProfitPolicy::Shape::kPlateauLinear);
+  config.horizon = static_cast<double>(state.range(0));
+  const JobSet jobs = generate_workload(rng, config);
+  for (auto _ : state) {
+    ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
+    auto sel = make_selector(SelectorKind::kFifo);
+    SimOptions options;
+    options.num_procs = 16;
+    SlotEngine engine(jobs, scheduler, *sel, options);
+    benchmark::DoNotOptimize(engine.run().total_profit);
+  }
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_SlotEngineProfit)->Arg(400);
+
 void BM_DensityIndexAdmit(benchmark::State& state) {
   Rng rng(3);
   DensityWindowIndex index;
@@ -393,7 +417,8 @@ int main(int argc, char** argv) {
   // min-time each they cost a handful of iterations per gate run.
   static char quick_filter[] =
       "--benchmark_filter=BM_EventEngineEdf/50$|BM_EventEnginePaperS/50$|"
-      "BM_SlotEngineEdf/100$|BM_DensityIndexAdmit/128$|BM_AllocationMath$|"
+      "BM_SlotEngineEdf/100$|BM_SlotEngineProfit/400$|"
+      "BM_DensityIndexAdmit/128$|BM_AllocationMath$|"
       "BM_OptUpperBoundLp/50$|BM_DagGeneration$|"
       "BM_EventEnginePaperSScale/10000$|BM_EventEngineEdfScale/10000$|"
       "BM_SlotEngineEdfScale/10000$|BM_EventEngineLlfScale/10000$|"

@@ -42,16 +42,6 @@ void ProfitScheduler::insert_slot_job(SlotInfo& slot, JobId job) {
   slot.jobs.insert(pos, job);
 }
 
-bool ProfitScheduler::slot_admits(std::uint64_t t, Density v,
-                                  ProcCount n) const {
-  const auto it = slots_.find(t);
-  if (it == slots_.end()) {
-    // Empty slot: only the job's own window matters.
-    return static_cast<double>(n) <= cap_;
-  }
-  return it->second.index.admits(v, n, options_.params.c, cap_);
-}
-
 void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   if (info_.size() < ctx.num_jobs()) info_.resize(ctx.num_jobs());
   JobInfo& info = info_[job];
@@ -103,30 +93,59 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
                               std::floor(profit.support_end() + kEps)));
   }
 
+  // The window's slot indexes, resolved once per arrival and extended as
+  // the deadline grows: window_[t - first_slot] is slot t's index with its
+  // admits() cursor.  Map nodes stay put and the indexes unchanged during
+  // the search, and v only falls as D grows, so a slot's cursor keeps its
+  // answer until v, c*v or v/c passes one of the slot's jobs.
+  window_.clear();
+  auto next_slot = slots_.lower_bound(first_slot);
+  const double c = options_.params.c;
+  const auto admits = [&](std::uint64_t t, Density v) {
+    WindowSlot& slot = window_[t - first_slot];
+    // Empty slot: only the job's own window matters.
+    if (slot.index == nullptr) return static_cast<double>(n) <= cap_;
+    return slot.index->admits(v, n, c, cap_, slot.cursor);
+  };
+
   std::vector<std::uint64_t> assignable;
   Profit last_profit = -1.0;
   std::uint64_t scanned_until = first_slot;  // exclusive end of last scan
-  for (std::uint64_t d = d_lo; d <= d_hi; ++d) {
-    const Profit p_at_d = profit.at(static_cast<Time>(d));
+  Profit p_at_d = profit.at(static_cast<Time>(d_lo));
+  Profit p_next = 0.0;
+  for (std::uint64_t d = d_lo; d <= d_hi; ++d, p_at_d = p_next) {
     if (!(p_at_d > 0.0)) break;  // zero profit => zero density => stop
+    p_next = d < d_hi ? profit.at(static_cast<Time>(d + 1)) : 0.0;
     const Density v = p_at_d / xn;
     // Absolute end (exclusive) of the window [r, r + d).
     const auto end_slot = static_cast<std::uint64_t>(
         std::floor(view.release() + static_cast<double>(d) + kEps));
     if (end_slot <= first_slot) continue;
+    while (first_slot + window_.size() < end_slot) {
+      const std::uint64_t t = first_slot + window_.size();
+      if (next_slot != slots_.end() && next_slot->first == t) {
+        window_.push_back({&next_slot->second.index, {}});
+        ++next_slot;
+      } else {
+        window_.push_back({nullptr, {}});
+      }
+    }
 
-    if (approx_eq(p_at_d, last_profit)) {
-      // Density unchanged: the previous scan is still valid; only the newly
-      // exposed slots need checking.
-      for (std::uint64_t t = scanned_until; t < end_slot; ++t) {
-        if (slot_admits(t, v, n)) assignable.push_back(t);
-      }
-    } else {
-      // Density changed: rescan the whole window under the new density.
+    // Density unchanged: the previous scan is still valid; only the newly
+    // exposed slots need checking.  Density changed: rescan the whole
+    // window under the new density.
+    std::uint64_t scan = scanned_until;
+    if (!approx_eq(p_at_d, last_profit)) {
       assignable.clear();
-      for (std::uint64_t t = first_slot; t < end_slot; ++t) {
-        if (slot_admits(t, v, n)) assignable.push_back(t);
-      }
+      scan = first_slot;
+    }
+    // When the next deadline rescans anyway (or this is the last one), this
+    // list is never read again, so the scan stops once even an all-admitting
+    // remainder could not reach `needed`.
+    const bool list_dies = d == d_hi || !approx_eq(p_next, p_at_d);
+    for (; scan < end_slot; ++scan) {
+      if (list_dies && assignable.size() + (end_slot - scan) < needed) break;
+      if (admits(scan, v)) assignable.push_back(scan);
     }
     last_profit = p_at_d;
     scanned_until = end_slot;
@@ -135,11 +154,11 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
       // Minimal valid deadline found: pin the job.
       info.deadline = static_cast<Time>(d);
       info.v = v;
-      info.assigned = assignable;
+      info.assigned = std::move(assignable);
       info.scheduled = true;
       ++scheduled_count_;
       scheduled_profit_ += p_at_d;
-      for (const std::uint64_t t : assignable) {
+      for (const std::uint64_t t : info.assigned) {
         SlotInfo& slot = slots_[t];
         slot.index.insert(job, v, n);
         insert_slot_job(slot, job);
@@ -152,7 +171,8 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
                          {{"d", static_cast<double>(d)},
                           {"v", v},
                           {"n", static_cast<double>(n)},
-                          {"slots", static_cast<double>(assignable.size())}});
+                          {"slots",
+                           static_cast<double>(info.assigned.size())}});
       }
       return;
     }
@@ -426,10 +446,16 @@ double ProfitScheduler::slot_window_load(std::uint64_t slot) const {
   return it->second.index.max_window_load(options_.params.c);
 }
 
+const std::vector<JobId>* ProfitScheduler::slot_jobs(
+    std::uint64_t slot) const {
+  const auto it = slots_.find(slot);
+  return it == slots_.end() ? nullptr : &it->second.jobs;
+}
+
 std::size_t ProfitScheduler::memory_bytes() const {
   // Per-slot maps dominate: one tree node per slot (key + SlotInfo header)
   // plus each slot's job vector and window index; then the work-conserving
-  // order set, per-job info, and assigned-slot lists.
+  // order set, per-job info, the search window, and assigned-slot lists.
   std::size_t bytes = 0;
   for (const auto& [slot, slot_info] : slots_) {
     bytes += sizeof(std::uint64_t) + sizeof(SlotInfo) + 4 * sizeof(void*) +
@@ -438,7 +464,8 @@ std::size_t ProfitScheduler::memory_bytes() const {
   }
   bytes += work_order_.size() *
            (sizeof(std::pair<Density, JobId>) + 4 * sizeof(void*));
-  bytes += info_.capacity() * sizeof(JobInfo);
+  bytes += info_.capacity() * sizeof(JobInfo) +
+           window_.capacity() * sizeof(WindowSlot);
   for (const JobInfo& info : info_) {
     bytes += info.assigned.capacity() * sizeof(std::uint64_t);
   }

@@ -16,7 +16,16 @@
 //    the SlotEngine (decide() is called once per slot).
 //  * While p_i(D) is flat in D (the plateau, or a piecewise level) the scan
 //    extends incrementally; when p_i(D) changes, the density changes and the
-//    window is rescanned from scratch for that D.
+//    window is rescanned from scratch for that D.  A scan whose list the
+//    next D discards (p_i(D+1) differs, or D is the last candidate) stops
+//    as soon as the slots left cannot make up ceil((1+delta) x_i).  The
+//    window's slot indexes are resolved from the slot map once per arrival,
+//    each with a DensityWindowIndex::AdmitCursor: re-checking a slot at the
+//    next, lower density is O(1) until v, c*v or v/c passes one of the
+//    slot's k jobs, and O(log k + r) otherwise.  Per arrival the search
+//    makes one check per slot scanned, summed over D: up to O(D_i^2) when
+//    p_i decays every slot and the job ends unscheduled
+//    (docs/PERFORMANCE.md).
 //  * Jobs whose profit support is exhausted before any valid D exist are
 //    left unscheduled (with an unbounded-support profit function this cannot
 //    happen -- the paper's "a valid assignment always exists").
@@ -102,6 +111,9 @@ class ProfitScheduler final : public SchedulerBase {
   Density density_of(JobId job) const;
   /// Max window load over a slot's J(t) -- Lemma 15 checks (test hook).
   double slot_window_load(std::uint64_t slot) const;
+  /// A slot's J(t) in (density desc, id asc) order, or null if no job was
+  /// ever assigned to it (test hook).
+  const std::vector<JobId>* slot_jobs(std::uint64_t slot) const;
   std::size_t scheduled_count() const { return scheduled_count_; }
   /// Sum over scheduled jobs of p_i(D_i): the paper's ||J|| for Lemma 17.
   Profit scheduled_profit() const { return scheduled_profit_; }
@@ -125,8 +137,11 @@ class ProfitScheduler final : public SchedulerBase {
     bool completed = false;
   };
 
-  /// True if `job` (density v, requirement n) could be added to slot `t`.
-  bool slot_admits(std::uint64_t t, Density v, ProcCount n) const;
+  /// One slot of the window an arrival's deadline search scans.
+  struct WindowSlot {
+    const DensityWindowIndex* index;  // null: no job assigned to the slot
+    DensityWindowIndex::AdmitCursor cursor;
+  };
 
   /// Insert into slot.jobs keeping the (density desc, id asc) order.
   void insert_slot_job(SlotInfo& slot, JobId job);
@@ -138,7 +153,10 @@ class ProfitScheduler final : public SchedulerBase {
   /// re-scanning and sorting every job per decision.
   std::set<std::pair<Density, JobId>, DensityDescIdAsc> work_order_;
   std::vector<JobInfo> info_;
-  double cap_ = 0.0;  // b*m, fixed at first arrival
+  /// on_arrival's search window.  Its index pointers are only read during
+  /// that call; the vector is kept between arrivals for its capacity.
+  std::vector<WindowSlot> window_;
+  double cap_ = 0.0;  // b*m for the current m (set on arrival and churn)
   std::size_t scheduled_count_ = 0;
   Profit scheduled_profit_ = 0.0;
 };

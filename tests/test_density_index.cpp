@@ -130,6 +130,112 @@ TEST_P(DensityIndexFuzz, AdmitsMatchesBruteForce) {
   }
 }
 
+double brute_max_window(const std::vector<std::pair<Density, double>>& members,
+                        double c) {
+  double worst = 0.0;
+  for (const auto& [vj, nj] : members) {
+    (void)nj;
+    double load = 0.0;
+    for (const auto& [vk, nk] : members) {
+      if (vk >= vj && vk < c * vj) load += nk;
+    }
+    worst = std::max(worst, load);
+  }
+  return worst;
+}
+
+// The cached per-member window loads are keyed on c and dropped by every
+// mutation, and admits() cursors keep an answer only while it stands.
+// Interleave inserts, erases and queries under two alternating c values,
+// with densities drawn from a small pool so duplicates are common; every
+// answer must match the brute force, with and without a cursor.
+TEST_P(DensityIndexFuzz, CachesFollowMutationsAndC) {
+  Rng rng(GetParam());
+  const double c_small = rng.uniform(1.5, 4.0);
+  const double c_large = rng.uniform(6.0, 20.0);
+  const double cap = rng.uniform(6.0, 24.0);
+  std::vector<Density> pool;
+  for (int i = 0; i < 10; ++i) pool.push_back(rng.uniform(0.05, 10.0));
+  const auto draw = [&] {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+
+  DensityWindowIndex index;
+  std::vector<std::pair<Density, double>> members;
+  std::vector<JobId> ids;
+  JobId next_id = 0;
+  // One cursor per c and one shared by both, all kept throughout.
+  DensityWindowIndex::AdmitCursor cursors[2];
+  DensityWindowIndex::AdmitCursor shared;
+
+  for (int step = 0; step < 600; ++step) {
+    const int which = step % 2;
+    const double c = which == 0 ? c_small : c_large;
+    const std::int64_t op = rng.uniform_int(0, 3);
+    if (op == 0 && !members.empty()) {
+      const auto victim = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(members.size()) - 1));
+      ASSERT_TRUE(index.erase(ids[victim]));
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(victim));
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else if (op == 1) {
+      // Keep every window within cap under the larger c (hence under both),
+      // the invariant admits() relies on.
+      const Density v = draw();
+      const auto n = static_cast<ProcCount>(rng.uniform_int(1, 4));
+      if (brute_admits(members, v, n, c_large, cap)) {
+        index.insert(next_id, v, n);
+        ids.push_back(next_id++);
+        members.emplace_back(v, static_cast<double>(n));
+      }
+    }
+    // A run of queries at falling densities, as the profit search makes:
+    // pool values (hitting duplicates and window edges exactly) and values
+    // in between, through the cursor and without it.
+    const auto n = static_cast<ProcCount>(rng.uniform_int(1, 4));
+    Density v = 10.5;
+    for (int q = 0; q < 6; ++q) {
+      v = rng.bernoulli(0.5) ? std::min(v, draw()) : v * rng.uniform(0.5, 1.0);
+      const bool expected = brute_admits(members, v, n, c, cap);
+      ASSERT_EQ(index.admits(v, n, c, cap), expected)
+          << "step " << step << " v=" << v << " n=" << n << " c=" << c;
+      ASSERT_EQ(index.admits(v, n, c, cap, cursors[which]), expected)
+          << "cursor, step " << step << " v=" << v << " n=" << n
+          << " c=" << c;
+      ASSERT_EQ(index.admits(v, n, c, cap, shared), expected)
+          << "shared cursor, step " << step << " v=" << v << " n=" << n
+          << " c=" << c;
+    }
+    ASSERT_DOUBLE_EQ(index.max_window_load(c), brute_max_window(members, c))
+        << "step " << step << " c=" << c;
+  }
+}
+
+TEST(DensityIndex, CursorAnswersRisingDensities) {
+  // A cursor left at a low density must not keep its answer for a higher
+  // one: window [1, 2) holds 6 of cap 8, so density 1.5 (inside it) fails
+  // for n = 3 while 0.4 (own window [0.4, 0.8) empty) and 2.5 pass.
+  DensityWindowIndex index;
+  index.insert(0, 1.0, 6);
+  DensityWindowIndex::AdmitCursor cursor;
+  EXPECT_TRUE(index.admits(0.4, 3, 2.0, 8.0, cursor));
+  EXPECT_FALSE(index.admits(1.5, 3, 2.0, 8.0, cursor));
+  EXPECT_TRUE(index.admits(2.5, 3, 2.0, 8.0, cursor));
+  // Falling again, across the member at 1.0.
+  EXPECT_FALSE(index.admits(1.0, 3, 2.0, 8.0, cursor));
+  EXPECT_TRUE(index.admits(0.45, 3, 2.0, 8.0, cursor));
+  // A mutation drops the cursor's answer: 1.1 moves no bound past 1.2's,
+  // but the member is gone.
+  EXPECT_FALSE(index.admits(1.2, 3, 2.0, 8.0, cursor));
+  index.erase(0);
+  EXPECT_TRUE(index.admits(1.1, 3, 2.0, 8.0, cursor));
+  // So do another requirement and another cap.
+  EXPECT_FALSE(index.admits(1.05, 9, 2.0, 8.0, cursor));
+  EXPECT_TRUE(index.admits(1.04, 3, 2.0, 8.0, cursor));
+  EXPECT_FALSE(index.admits(1.03, 3, 2.0, 2.0, cursor));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DensityIndexFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 

@@ -3,13 +3,22 @@
 // SlotEngine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/allocation.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "job/job.h"
 #include "sim/slot_engine.h"
+#include "util/float_cmp.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 
@@ -186,6 +195,234 @@ TEST(ProfitScheduler, SlotReleaseAblationBothWork) {
     EXPECT_LE(result.total_profit, jobs.total_peak_profit() + 1e-9);
   }
 }
+
+// ---- Search oracle ---------------------------------------------------------
+//
+// The minimal-valid-deadline search, written out literally: every slot check
+// looks the slot up by key and tests condition (2) over all of J(t) + {J_i}
+// by brute force, and every change of p_i(D) rescans the whole window.  The
+// scheduler's search (resolved window, pruned rescans, cached window loads)
+// must choose the same deadline and the same slots for every job.
+
+struct SearchChoice {
+  Time deadline = kTimeInfinity;
+  std::vector<std::uint64_t> slots;
+};
+
+bool literal_slot_admits(const ProfitScheduler& scheduler, std::uint64_t t,
+                         Density v, ProcCount n, double cap) {
+  const std::vector<JobId>* jobs = scheduler.slot_jobs(t);
+  std::vector<std::pair<Density, double>> members;
+  if (jobs != nullptr) {
+    for (const JobId job : *jobs) {
+      const double n_job =
+          static_cast<double>(scheduler.allocation_of(job)->n);
+      members.emplace_back(scheduler.density_of(job), n_job);
+    }
+  }
+  members.emplace_back(v, static_cast<double>(n));
+  const double c = scheduler.params().c;
+  for (const auto& [vj, nj] : members) {
+    (void)nj;
+    double load = 0.0;
+    for (const auto& [vk, nk] : members) {
+      if (vk >= vj && vk < c * vj) load += nk;
+    }
+    if (load > cap) return false;
+  }
+  return true;
+}
+
+SearchChoice literal_search(const ProfitScheduler& scheduler,
+                            const EngineContext& ctx, JobId job,
+                            std::uint64_t max_search_slots) {
+  const Params& params = scheduler.params();
+  const JobView view = ctx.view(job);
+  const ProfitFn& profit = view.profit();
+  const JobAllocation alloc =
+      compute_profit_allocation(view.work(), view.span(), profit.plateau_end(),
+                                params, ctx.speed());
+  if (alloc.n == 0) return {};
+  const double cap = params.b * static_cast<double>(ctx.num_procs());
+  const double xn = alloc.x * static_cast<double>(alloc.n);
+  const auto needed = static_cast<std::uint64_t>(
+      std::ceil((1.0 + params.delta) * alloc.x - kEps));
+  const auto first_slot = static_cast<std::uint64_t>(
+      std::max(std::ceil(view.release() - kEps), std::floor(ctx.now() + kEps)));
+  const double d_min_time =
+      (1.0 + params.epsilon) * (view.span() / ctx.speed());
+  std::uint64_t d_lo = static_cast<std::uint64_t>(std::floor(d_min_time)) + 1;
+  d_lo = std::max<std::uint64_t>(std::max(d_lo, needed), 1);
+  std::uint64_t d_hi = max_search_slots;
+  if (profit.support_end() < kTimeInfinity) {
+    d_hi = std::min(d_hi, static_cast<std::uint64_t>(
+                              std::floor(profit.support_end() + kEps)));
+  }
+
+  std::vector<std::uint64_t> assignable;
+  Profit last_profit = -1.0;
+  std::uint64_t scanned_until = first_slot;
+  for (std::uint64_t d = d_lo; d <= d_hi; ++d) {
+    const Profit p = profit.at(static_cast<Time>(d));
+    if (!(p > 0.0)) break;
+    const Density v = p / xn;
+    const auto end_slot = static_cast<std::uint64_t>(
+        std::floor(view.release() + static_cast<double>(d) + kEps));
+    if (end_slot <= first_slot) continue;
+    std::uint64_t from = scanned_until;
+    if (!approx_eq(p, last_profit)) {
+      assignable.clear();
+      from = first_slot;
+    }
+    for (std::uint64_t t = from; t < end_slot; ++t) {
+      if (literal_slot_admits(scheduler, t, v, alloc.n, cap)) {
+        assignable.push_back(t);
+      }
+    }
+    last_profit = p;
+    scanned_until = end_slot;
+    if (assignable.size() >= needed) {
+      return {static_cast<Time>(d), std::move(assignable)};
+    }
+  }
+  return {};
+}
+
+/// Drives a ProfitScheduler and, before each arrival reaches it, runs the
+/// literal search against the scheduler's current slots; the scheduler's
+/// choice must match it.
+class SearchOracle final : public SchedulerBase {
+ public:
+  explicit SearchOracle(ProfitScheduler& inner, std::uint64_t max_search_slots)
+      : inner_(inner), max_search_slots_(max_search_slots) {}
+
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  void on_arrival(const EngineContext& ctx, JobId job) override {
+    const SearchChoice want =
+        literal_search(inner_, ctx, job, max_search_slots_);
+    inner_.on_arrival(ctx, job);
+    ++arrivals;
+    if (want.deadline < kTimeInfinity) ++scheduled;
+    EXPECT_EQ(inner_.chosen_deadline(job), want.deadline) << "job " << job;
+    EXPECT_EQ(inner_.assigned_slots(job), want.slots) << "job " << job;
+  }
+  void on_completion(const EngineContext& ctx, JobId job) override {
+    inner_.on_completion(ctx, job);
+  }
+  void on_capacity_change(const EngineContext& ctx, ProcCount old_m,
+                          ProcCount new_m) override {
+    ++capacity_changes;
+    inner_.on_capacity_change(ctx, old_m, new_m);
+  }
+  void decide(const EngineContext& ctx, Assignment& out) override {
+    inner_.decide(ctx, out);
+  }
+  std::size_t shed_load(const EngineContext& ctx,
+                        std::size_t max_jobs) override {
+    return inner_.shed_load(ctx, max_jobs);
+  }
+  Time next_wakeup(const EngineContext& ctx) const override {
+    return inner_.next_wakeup(ctx);
+  }
+
+  std::size_t arrivals = 0;
+  std::size_t scheduled = 0;
+  std::size_t capacity_changes = 0;
+
+ private:
+  ProfitScheduler& inner_;
+  std::uint64_t max_search_slots_;
+};
+
+/// Replaces each job's decay with a staircase after its plateau: levels one
+/// to three slots wide, so single-slot decays alternate with flat runs and
+/// an equal-profit step often follows a decaying one.
+JobSet with_piecewise_profits(const JobSet& jobs, Rng& rng) {
+  JobSet out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    Profit p = job.profit().peak();
+    Time t = job.profit().plateau_end();
+    std::vector<std::pair<Time, Profit>> levels = {{t, p}};
+    for (int k = 0; k < 12; ++k) {
+      t += static_cast<Time>(rng.uniform_int(1, 3));
+      p *= rng.uniform(0.6, 0.95);
+      levels.emplace_back(t, p);
+    }
+    out.add(Job(job.dag_ptr(), job.release(),
+                ProfitFn::piecewise(std::move(levels))));
+  }
+  out.finalize();
+  return out;
+}
+
+struct OracleCase {
+  const char* name;
+  ProfitPolicy::Shape shape;
+  bool piecewise;
+  bool churn;
+};
+
+void PrintTo(const OracleCase& param, std::ostream* os) { *os << param.name; }
+
+class ProfitSearchOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(ProfitSearchOracle, MatchesLiteralSearch) {
+  const OracleCase& param = GetParam();
+  const ProcCount m = 16;
+  Rng rng(21);
+  WorkloadConfig config = scenario_profit(0.5, 2.5, m, param.shape);
+  config.horizon = 200.0;
+  JobSet jobs = generate_workload(rng, config);
+  if (param.piecewise) jobs = with_piecewise_profits(jobs, rng);
+
+  FaultPlanConfig fault_config;
+  fault_config.seed = 9;
+  fault_config.mtbf = 45.0;
+  fault_config.mttr = 15.0;
+  fault_config.horizon = 200.0;
+  fault_config.min_procs = 4;
+  fault_config.integral_times = true;
+  fault_config.restart = RestartPolicy::kRestartFromZero;
+  const FaultInjector injector(build_fault_plan(fault_config, m));
+
+  const ProfitSchedulerOptions options{.params = Params::from_epsilon(0.5)};
+  ProfitScheduler scheduler(options);
+  SearchOracle oracle(scheduler, options.max_search_slots);
+  auto sel = make_selector(SelectorKind::kFifo);
+  SimOptions sim;
+  sim.num_procs = m;
+  if (param.churn) sim.faults = &injector;
+  SlotEngine engine(jobs, oracle, *sel, sim);
+  const SimResult result = engine.run();
+
+  EXPECT_EQ(oracle.arrivals, jobs.size());
+  // Overloaded: the search both succeeds and, where the profit support is
+  // finite, runs out of deadlines.
+  EXPECT_GT(oracle.scheduled, 0u);
+  if (param.shape != ProfitPolicy::Shape::kPlateauExp) {
+    EXPECT_LT(oracle.scheduled, oracle.arrivals);
+  }
+  EXPECT_EQ(oracle.capacity_changes > 0, param.churn);
+  EXPECT_GT(result.total_profit, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ProfitSearchOracle,
+    ::testing::Values(
+        OracleCase{"step", ProfitPolicy::Shape::kStep, false, false},
+        OracleCase{"plateau_linear", ProfitPolicy::Shape::kPlateauLinear,
+                   false, false},
+        OracleCase{"plateau_exp", ProfitPolicy::Shape::kPlateauExp, false,
+                   false},
+        OracleCase{"piecewise", ProfitPolicy::Shape::kPlateauLinear, true,
+                   false},
+        OracleCase{"plateau_linear_churn", ProfitPolicy::Shape::kPlateauLinear,
+                   false, true}),
+    [](const ::testing::TestParamInfo<OracleCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace dagsched
