@@ -3,7 +3,8 @@
 // Measures the cost of the building blocks so users can size experiments:
 // event-engine decision throughput, slot-engine slot throughput (EDF, and
 // the Section-5 profit scheduler under overload), admission index
-// operations, allocation math, and the interval-capacity OPT bound.
+// operations, allocation math, the interval-capacity OPT bound, workload
+// ingest, and the durable-run costs (checkpoint snapshots, event lines).
 //
 // Pass `--out perf.json` (stripped before google-benchmark sees the
 // arguments) to additionally write the measurements as a versioned
@@ -16,11 +17,14 @@
 // flags after --quick still win (they are appended later).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,11 +36,16 @@
 #include "core/job_queue.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
+#include "obs/event_log.h"
 #include "obs/report.h"
+#include "obs/sink.h"
 #include "obs/telemetry/telemetry.h"
 #include "opt/upper_bound.h"
+#include "sim/checkpoint/checkpoint.h"
 #include "sim/event_engine.h"
+#include "sim/kernel/kernel.h"
 #include "sim/slot_engine.h"
+#include "util/wire.h"
 #include "workload/scenarios.h"
 #include "workload/workload_io.h"
 
@@ -376,6 +385,122 @@ void BM_LoadWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadWorkload)->Arg(10000);
 
+// ---- durable I/O -------------------------------------------------------------
+//
+// The two costs a `--checkpoint`/`--events` run adds on the overloaded thm2
+// instance (load 4; Arg 300 is ~2.4k jobs, the size of the perfbench
+// durable-churn input): one checkpoint snapshot -- kernel and scheduler
+// save plus container serialization, without the file write -- and the
+// formatting of recorded decision events into JSONL lines.
+
+void BM_CheckpointSnapshot(benchmark::State& state) {
+  const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
+  auto sel = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 16;
+  // One real mid-run snapshot, taken by a checkpointing run and restored
+  // into a kernel that the loop then snapshots again and again.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_checkpoint_snapshot.ckpt")
+          .string();
+  {
+    DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+    const std::size_t decisions =
+        simulate(jobs, scheduler, *sel, options).decisions;
+    CheckpointMeta meta;
+    meta.scheduler = scheduler.name();
+    CheckpointSink sink(path, decisions / 2, meta, nullptr);
+    sink.set_snapshot_limit(1);
+    SimOptions checkpointed = options;
+    checkpointed.checkpoint = &sink;
+    simulate(jobs, scheduler, *sel, checkpointed);
+  }
+  const CheckpointFile file = read_checkpoint_file(path);
+  std::filesystem::remove(path);
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  SimKernel kernel(jobs, scheduler, *sel, options);
+  kernel.begin(jobs[0].release());
+  CheckpointReader kernel_in = file.section_reader("kernel");
+  CheckpointReader scheduler_in = file.section_reader("scheduler");
+  kernel.load_checkpoint_state(kernel_in, scheduler_in);
+
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    CheckpointFile snapshot;
+    snapshot.meta = file.meta;
+    CheckpointWriter kernel_out;
+    CheckpointWriter scheduler_out;
+    kernel.save_checkpoint_state(kernel_out, scheduler_out);
+    snapshot.sections.push_back({"kernel", kernel_out.take()});
+    snapshot.sections.push_back({"scheduler", scheduler_out.take()});
+    bytes = serialize_checkpoint(snapshot).size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_CheckpointSnapshot)->Arg(300);
+
+/// Counts and discards what is written, through an 8 KiB put area as a
+/// file stream buffers it: the event bench times line formatting, not
+/// storage.
+class DiscardingBuffer final : public std::streambuf {
+ public:
+  DiscardingBuffer() { setp(area_, area_ + sizeof area_); }
+  std::size_t bytes() const {
+    return flushed_ + static_cast<std::size_t>(pptr() - pbase());
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    flushed_ += static_cast<std::size_t>(pptr() - pbase());
+    setp(area_, area_ + sizeof area_);
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    return sputc(traits_type::to_char_type(ch));
+  }
+
+ private:
+  char area_[8192];
+  std::size_t flushed_ = 0;
+};
+
+void BM_EventJsonl(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  EventLog log;
+  {
+    const JobSet jobs = make_scale_jobs(count / 8);
+    DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+    auto sel = make_selector(SelectorKind::kFifo);
+    ObsSink sink;
+    sink.events = &log;
+    SimOptions options;
+    options.num_procs = 16;
+    options.obs = &sink;
+    simulate(jobs, scheduler, *sel, options);
+  }
+  const std::vector<DecisionEvent> events(
+      log.events().begin(),
+      log.events().begin() +
+          static_cast<std::ptrdiff_t>(std::min(count, log.size())));
+  DiscardingBuffer buffer;
+  std::ostream out(&buffer);
+  for (auto _ : state) {
+    for (const DecisionEvent& event : events) write_event_jsonl(out, event);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events.size()));
+  state.counters["bytes_per_event"] =
+      static_cast<double>(buffer.bytes()) /
+      static_cast<double>(state.iterations()) /
+      static_cast<double>(events.size());
+}
+BENCHMARK(BM_EventJsonl)->Arg(10000);
+
 /// Console output as usual, plus a structured copy of every finished run
 /// for the --out bench report.
 class CollectingReporter : public benchmark::ConsoleReporter {
@@ -426,7 +551,8 @@ int main(int argc, char** argv) {
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
-      "BM_SlotEngineEdfTelemetry/100$|BM_LoadWorkload/10000$";
+      "BM_SlotEngineEdfTelemetry/100$|BM_LoadWorkload/10000$|"
+      "BM_CheckpointSnapshot/300$|BM_EventJsonl/10000$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

@@ -31,6 +31,9 @@ class Dag {
   /// Processing time of `node` on a unit-speed processor. Always > 0.
   Work node_work(NodeId node) const { return work_[node]; }
 
+  /// Every node's processing time, indexed by node id.
+  std::span<const Work> node_works() const { return work_; }
+
   std::span<const NodeId> successors(NodeId node) const {
     return {succ_flat_.data() + succ_off_[node],
             succ_off_[node + 1] - succ_off_[node]};

@@ -46,16 +46,19 @@ void UnfoldingState::init_structure(const Dag& dag, bool fill_rem) {
   // -- and, for the plain constructor, the remaining-work column fused into
   // the same pass over the fresh block (one sweep instead of two; the
   // fault-scaled constructor fills rem_ itself).  Sources become ready in
-  // id order.
+  // id order.  The ready list's unused tail holds kNpos, here and after
+  // every removal, so the block's bytes (which save_state writes whole)
+  // depend only on the job's state, never on what the arena held before.
   NodeId* pending = idx_ + pending_off();
+  NodeId* ready = idx_ + ready_off();
   NodeId* ready_pos = idx_ + ready_pos_off();
   for (NodeId v = 0; v < n_; ++v) {
     if (fill_rem) rem_[v] = dag.node_work(v);
     pending[v] = dag.in_degree(v);
+    ready[v] = kNpos;
     ready_pos[v] = kNpos;
     set_status(v, Status::kWaiting);
   }
-  NodeId* ready = idx_ + ready_off();
   for (NodeId v : dag.sources()) {
     set_status(v, Status::kReady);
     ready_pos[v] = ready_size_;
@@ -135,6 +138,7 @@ void UnfoldingState::mark_done(NodeId node, std::vector<NodeId>* newly_ready) {
   ready[pos] = moved;
   ready_pos[moved] = pos;
   --ready_size_;
+  ready[ready_size_] = kNpos;
   ready_pos[node] = kNpos;
 
   NodeId* pending = idx_ + pending_off();
@@ -151,12 +155,12 @@ void UnfoldingState::mark_done(NodeId node, std::vector<NodeId>* newly_ready) {
 
 void UnfoldingState::save_state(CheckpointWriter& out) const {
   out.u64(n_);
-  // Fixed dagsched.checkpoint/1 order: the initial-work column is written
-  // even when elided in memory (it then equals the Dag's declared works).
-  for (NodeId v = 0; v < n_; ++v) out.f64(initial_work(v));
-  for (NodeId v = 0; v < n_; ++v) out.f64(rem_[v]);
-  const std::size_t idx_len = 4 * static_cast<std::size_t>(n_);
-  for (std::size_t i = 0; i < idx_len; ++i) out.u32(idx_[i]);
+  // Fixed field order: the initial-work column is written even when elided
+  // in memory (it then equals the Dag's declared works).
+  out.f64s(init_ != nullptr ? std::span<const Work>(init_, n_)
+                            : dag_->node_works());
+  out.f64s({rem_, n_});
+  out.u32s({idx_, 4 * static_cast<std::size_t>(n_)});
   out.u64(ready_size_);
   out.f64(total_remaining_);
   out.u32(nodes_remaining_);
@@ -168,19 +172,20 @@ void UnfoldingState::load_state(CheckpointReader& in) {
     in.fail("unfolding has " + std::to_string(n) + " nodes, DAG has " +
             std::to_string(n_));
   }
-  for (NodeId v = 0; v < n_; ++v) {
-    const Work w = in.f64();
-    if (init_ != nullptr) {
-      init_[v] = w;
-    } else if (w != dag_->node_work(v)) {
-      // Fault-scaled run: materialize the initial-work column on the first
-      // value that diverges from the Dag (entries before it were equal).
-      ensure_init()[v] = w;
+  if (init_ != nullptr) {
+    in.f64s({init_, n_});
+  } else {
+    // Stage the initial column in rem_ (overwritten just below) and
+    // materialize init_ only for a fault-scaled job, whose initial works
+    // diverge from the Dag's.
+    in.f64s({rem_, n_});
+    const std::span<const Work> declared = dag_->node_works();
+    if (!std::equal(declared.begin(), declared.end(), rem_)) {
+      std::copy(rem_, rem_ + n_, ensure_init());
     }
   }
-  for (NodeId v = 0; v < n_; ++v) rem_[v] = in.f64();
-  const std::size_t idx_len = 4 * static_cast<std::size_t>(n_);
-  for (std::size_t i = 0; i < idx_len; ++i) idx_[i] = in.u32();
+  in.f64s({rem_, n_});
+  in.u32s({idx_, 4 * static_cast<std::size_t>(n_)});
   const std::uint64_t ready = in.u64();
   if (ready > n_) in.fail("ready count exceeds node count");
   ready_size_ = static_cast<NodeId>(ready);

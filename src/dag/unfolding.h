@@ -133,8 +133,8 @@ class UnfoldingState {
   }
 
   /// Serializes the per-node state plus the derived aggregates verbatim, in
-  /// the fixed dagsched.checkpoint/1 field order (initial works, remaining
-  /// works, index block).  The ready list order is part of engine
+  /// a fixed field order (initial works, remaining works, index block), one
+  /// bulk column write each.  The ready list order is part of engine
   /// determinism (FIFO selectors read it), so it is saved, not rebuilt.
   void save_state(CheckpointWriter& out) const;
 
@@ -176,8 +176,8 @@ class UnfoldingState {
   /// Initial work per node; null while initial == the Dag's declared works.
   Work* init_ = nullptr;
   /// [0, n): pending predecessor counts; [n, n + ready_size_): the ready
-  /// list; [2n, 3n): node -> ready-list index (kNpos when absent);
-  /// [3n, 4n): Status per node.
+  /// list, then kNpos up to 2n; [2n, 3n): node -> ready-list index (kNpos
+  /// when absent); [3n, 4n): Status per node.
   NodeId* idx_ = nullptr;
   NodeId n_ = 0;  // == dag_->num_nodes()
   NodeId ready_size_ = 0;

@@ -1,5 +1,6 @@
 #include "obs/event_log.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -55,21 +56,58 @@ double DecisionEvent::detail_value(std::string_view key,
   return fallback;
 }
 
-void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
-  JsonValue line = JsonValue::object();
-  line.set("t", JsonValue(event.time));
-  line.set("job", JsonValue(static_cast<double>(event.job)));
-  line.set("kind", JsonValue(obs_event_kind_name(event.kind)));
-  if (!event.reason.empty()) line.set("reason", JsonValue(event.reason));
-  if (!event.detail.empty()) {
-    JsonValue detail = JsonValue::object();
-    for (const auto& [key, value] : event.detail) {
-      detail.set(key, JsonValue(value));
-    }
-    line.set("detail", std::move(detail));
+namespace {
+
+void append_event_jsonl(std::string& out, const DecisionEvent& event) {
+  // The bytes JsonValue::write gives an object built with set() in this
+  // order, without building it.
+  out += "{\"t\":";
+  append_json_number(out, event.time);
+  out += ",\"job\":";
+  append_json_number(out, static_cast<double>(event.job));
+  out += ",\"kind\":";
+  append_json_string(out, obs_event_kind_name(event.kind));
+  if (!event.reason.empty()) {
+    out += ",\"reason\":";
+    append_json_string(out, event.reason);
   }
-  line.write(out);
-  out << '\n';
+  if (!event.detail.empty()) {
+    out += ",\"detail\":{";
+    const auto& detail = event.detail;
+    bool first = true;
+    for (std::size_t i = 0; i < detail.size(); ++i) {
+      const std::string& key = detail[i].first;
+      // set() on a repeated key keeps the first position and the last
+      // value: skip later repeats, and write the last value at the first.
+      const auto is_key = [&key](const auto& entry) {
+        return entry.first == key;
+      };
+      if (std::any_of(detail.begin(),
+                      detail.begin() + static_cast<std::ptrdiff_t>(i),
+                      is_key)) {
+        continue;
+      }
+      const auto last = std::find_if(detail.rbegin(), detail.rend(), is_key);
+      if (!first) out += ',';
+      first = false;
+      append_json_string(out, key);
+      out += ':';
+      append_json_number(out, last->second);
+    }
+    out += '}';
+  }
+  out += "}\n";
+}
+
+}  // namespace
+
+void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
+  // One reused buffer per thread (sweep workers write logs concurrently)
+  // and one stream write per line.
+  thread_local std::string line;
+  line.clear();
+  append_event_jsonl(line, event);
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 void EventLog::write_jsonl(std::ostream& out) const {

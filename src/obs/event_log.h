@@ -70,9 +70,12 @@ struct DecisionEvent {
   }
 };
 
-/// Writes one event as a compact JSON object followed by '\n'.  Both
-/// EventLog::write_jsonl and the streaming path below go through this, so
-/// a streamed log is byte-identical to a write-at-end one.
+/// Writes one event as a compact JSON object followed by '\n', with one
+/// out.write per line.  Both EventLog::write_jsonl and the streaming path
+/// below go through this, so a streamed log is byte-identical to a
+/// write-at-end one.  The bytes are those of a JsonValue object holding
+/// t, job, kind, then reason and detail when non-empty; the line is
+/// formatted directly, through util/json.h's number and string encoders.
 void write_event_jsonl(std::ostream& out, const DecisionEvent& event);
 
 class EventLog {

@@ -4,12 +4,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/event_log.h"
 #include "sim/kernel/kernel.h"
+#include "util/file_bytes.h"
 #include "util/json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -251,13 +251,15 @@ void write_checkpoint_file(const std::string& path,
 }
 
 CheckpointFile read_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw CheckpointError(path, "file", 0, "cannot open checkpoint file");
+  std::string bytes;
+  try {
+    bytes = read_file_bytes(path);
+  } catch (const std::runtime_error& error) {
+    throw CheckpointError(path, "file", 0,
+                          std::string("cannot read checkpoint file: ") +
+                              error.what());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_checkpoint_bytes(buffer.str(), path);
+  return parse_checkpoint_bytes(bytes, path);
 }
 
 std::uint64_t run_config_fingerprint(std::string_view workload_bytes,
@@ -331,8 +333,10 @@ void CheckpointSink::write(const SimKernel& kernel, Time now,
     events_->stream()->flush();
   }
   CheckpointWriter kernel_out;
+  kernel_out.reserve(last_kernel_bytes_);
   CheckpointWriter scheduler_out;
   kernel.save_checkpoint_state(kernel_out, scheduler_out);
+  last_kernel_bytes_ = kernel_out.size();
   file.sections.push_back({"kernel", kernel_out.take()});
   file.sections.push_back({"scheduler", scheduler_out.take()});
   write_checkpoint_file(path_, file);

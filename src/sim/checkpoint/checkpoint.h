@@ -1,10 +1,13 @@
 // Durable checkpoint/restore for the simulation kernel.
 //
-// A checkpoint is one file in the `dagsched.checkpoint/1` format: an 8-byte
+// A checkpoint is one file in the `dagsched.checkpoint/2` format: an 8-byte
 // magic, a single-line JSON header (human-inspectable with head -2; carries
 // the schema version, a run-configuration fingerprint, and resume cursors),
 // and CRC-32-guarded named binary sections -- one for the kernel, one for
-// the scheduler -- encoded with util/wire.h.  Files are written atomically
+// the scheduler -- encoded with util/wire.h.  The kernel section carries a
+// job's per-node unfolding block only once the job has started; a job that
+// has not started is rebuilt on load exactly as its arrival built it
+// (docs/RECOVERY.md).  Files are written atomically
 // (temp file + rename) so a crash mid-write can never leave a truncated
 // checkpoint where a good one used to be, and every decode failure is a
 // CheckpointError (a ParseError: file:1:byte: message, CLI exit 2), never
@@ -32,7 +35,7 @@ namespace dagsched {
 class EventLog;
 class SimKernel;
 
-inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/1";
+inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/2";
 
 /// Decoded JSON header.  `config_hash` fingerprints everything that must
 /// match between the checkpointing run and the resuming run (workload
@@ -145,6 +148,9 @@ class CheckpointSink {
   std::uint64_t last_decisions_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t snapshot_limit_ = 0;
+  /// Kernel-section size of the previous snapshot: the next one reserves
+  /// it up front instead of growing by doubling.
+  std::size_t last_kernel_bytes_ = 0;
 };
 
 }  // namespace dagsched

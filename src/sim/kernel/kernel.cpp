@@ -149,6 +149,19 @@ void SimKernel::deliver_transitions(Time now) {
   if (telemetry_ != nullptr) telemetry_->record_transition_since(telemetry_t0);
 }
 
+void SimKernel::emplace_arrived(JobId id) {
+  const FaultInjector* faults = options_.faults;
+  std::vector<Work> actual_works;
+  if (faults != nullptr && faults->scales_work()) {
+    actual_works = faults->scaled_works(id, jobs_[id].dag());
+  }
+  if (actual_works.empty()) {
+    state_.emplace_unfolding(id, jobs_[id].dag());
+  } else {
+    state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
+  }
+}
+
 void SimKernel::deliver_arrivals(Time now) {
   const std::size_t n = jobs_.size();
   const FaultInjector* faults = options_.faults;
@@ -160,15 +173,7 @@ void SimKernel::deliver_arrivals(Time now) {
                                   : TelemetryRecorder::Clock::time_point{};
     const JobId id = static_cast<JobId>(next_arrival_++);
     state_.set_arrived(id);
-    std::vector<Work> actual_works;
-    if (faults != nullptr && faults->scales_work()) {
-      actual_works = faults->scaled_works(id, jobs_[id].dag());
-    }
-    if (actual_works.empty()) {
-      state_.emplace_unfolding(id, jobs_[id].dag());
-    } else {
-      state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
-    }
+    emplace_arrived(id);
     state_.activate(id);
     if (jobs_[id].has_deadline()) {
       deadlines_.emplace(jobs_[id].absolute_deadline(), id);
@@ -478,12 +483,23 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
   for (std::size_t i = 0; i < n; ++i) {
     const JobId id = static_cast<JobId>(i);
     // The table's flag bits are the wire encoding (JobStateTable::kArrived
-    // et al. match the dagsched.checkpoint/1 layout).
+    // et al. match the checkpoint layout).
     out.u8(state_.flags(id));
     out.f64(state_.completion_time(id));
-    out.f64(state_.first_start(id));
+    const Time first_start = state_.first_start(id);
+    out.f64(first_start);
     out.f64(state_.executed(id));
-    if (state_.arrived(id)) state_.unfolding(id).save_state(out);
+    if (!state_.arrived(id)) continue;
+    // advance_node() is the only writer of first_start, so a job that never
+    // started still holds exactly the unfolding its arrival built, and the
+    // loader rebuilds it instead of reading it: first_start is the tag.
+    const UnfoldingState& unfolding = state_.unfolding(id);
+    if (first_start != kTimeInfinity) {
+      unfolding.save_state(out);
+    } else {
+      DS_CHECK_MSG(unfolding.nodes_remaining() == unfolding.dag().num_nodes(),
+                   "job " << id << " never started but has finished nodes");
+    }
   }
   out.u64(state_.active_slots().size());
   for (const JobId id : state_.active_slots()) out.u32(id);
@@ -554,13 +570,20 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
       in.fail("job " + std::to_string(i) + " completed without arriving");
     }
     state_.completion_time(id) = in.f64();
-    state_.first_start(id) = in.f64();
+    const Time first_start = in.f64();
+    state_.first_start(id) = first_start;
     state_.executed(id) = in.f64();
-    if (state_.arrived(id)) {
+    if (state_.arrived(id) && first_start != kTimeInfinity) {
       // Re-emplace from the DAG, then overwrite the per-node block;
       // overrun-scaled works are captured in the serialized initial column.
       state_.emplace_unfolding(id, jobs_[i].dag());
       state_.unfolding(id).load_state(in);
+    } else if (state_.arrived(id)) {
+      if (state_.completed(id)) {
+        in.fail("job " + std::to_string(i) + " completed without starting");
+      }
+      // Never started: its unfolding is the one arrival built.
+      emplace_arrived(id);
     }
     if (state_.completed(id)) ++completed_count;
   }

@@ -298,6 +298,10 @@ class SimKernel {
   }
   void deliver_transitions(Time now);
   void deliver_arrivals(Time now);
+  /// Builds job `id`'s unfolding as its arrival does, with the fault
+  /// injector's overrun-scaled works; the checkpoint loader uses it to
+  /// rebuild a job that never started.
+  void emplace_arrived(JobId id);
   void deliver_expiries(Time now, DeadlineDuePolicy policy);
   void notify_completions_slow(Time notify_time);
   /// Applies the decision-latency budget to one decide() measurement:

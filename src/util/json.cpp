@@ -1,12 +1,9 @@
 #include "util/json.h"
 
-#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "util/check.h"
 
@@ -94,118 +91,138 @@ std::string string_at(const JsonValue& object, std::string_view key,
                                                 : std::string(fallback);
 }
 
-std::string json_number_to_string(double value) {
+void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Infinity/NaN; encode as null-adjacent sentinel strings is
     // worse than clamping -- emit a very large magnitude instead.
-    return value > 0 ? "1e308" : (value < 0 ? "-1e308" : "0");
+    out += value > 0 ? "1e308" : (value < 0 ? "-1e308" : "0");
+    return;
   }
+  char buffer[32];
+  char* end = buffer;
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     // Integral: no exponent, no trailing ".0" -- keeps counters readable.
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-    return buffer;
+    // The integer conversion is exact below 1e15; -0.0 keeps its sign, as
+    // printf's "%.0f" does.
+    if (value == 0.0 && std::signbit(value)) *end++ = '-';
+    end = std::to_chars(end, buffer + sizeof buffer,
+                        static_cast<std::int64_t>(value))
+              .ptr;
+  } else {
+    // Shortest representation that round-trips.
+    end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
   }
-  // Shortest representation that round-trips.
-  std::array<char, 32> buffer{};
-  const auto result = std::to_chars(buffer.data(),
-                                    buffer.data() + buffer.size(), value);
-  return std::string(buffer.data(), result.ptr);
+  out.append(buffer, end);
+}
+
+std::string json_number_to_string(double value) {
+  std::string out;
+  append_json_number(out, value);
+  return out;
+}
+
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
+  // Copy runs of plain characters in one append; escape the rest.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto ch = static_cast<unsigned char>(text[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static const char* kHex = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[ch >> 4],
+                               kHex[ch & 0xfu]};
+        out.append(escape, sizeof escape);
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
 }
 
 namespace {
 
-void write_escaped(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out << buffer;
-        } else {
-          out << ch;
-        }
-    }
-  }
-  out << '"';
-}
-
-void write_newline_indent(std::ostream& out, int indent, int depth) {
+void append_newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
-  out << '\n';
-  for (int i = 0; i < indent * depth; ++i) out << ' ';
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
 }  // namespace
 
-void JsonValue::write_impl(std::ostream& out, int indent, int depth) const {
+void JsonValue::append_impl(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull:
-      out << "null";
+      out += "null";
       return;
     case Kind::kBool:
-      out << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       return;
     case Kind::kNumber:
-      out << json_number_to_string(number_);
+      append_json_number(out, number_);
       return;
     case Kind::kString:
-      write_escaped(out, string_);
+      append_json_string(out, string_);
       return;
     case Kind::kArray: {
       if (array_.empty()) {
-        out << "[]";
+        out += "[]";
         return;
       }
-      out << '[';
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) out << ',';
-        write_newline_indent(out, indent, depth + 1);
-        array_[i].write_impl(out, indent, depth + 1);
+        if (i > 0) out += ',';
+        append_newline_indent(out, indent, depth + 1);
+        array_[i].append_impl(out, indent, depth + 1);
       }
-      write_newline_indent(out, indent, depth);
-      out << ']';
+      append_newline_indent(out, indent, depth);
+      out += ']';
       return;
     }
     case Kind::kObject: {
       if (object_.empty()) {
-        out << "{}";
+        out += "{}";
         return;
       }
-      out << '{';
+      out += '{';
       for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) out << ',';
-        write_newline_indent(out, indent, depth + 1);
-        write_escaped(out, object_[i].first);
-        out << ':';
-        if (indent > 0) out << ' ';
-        object_[i].second.write_impl(out, indent, depth + 1);
+        if (i > 0) out += ',';
+        append_newline_indent(out, indent, depth + 1);
+        append_json_string(out, object_[i].first);
+        out += ':';
+        if (indent > 0) out += ' ';
+        object_[i].second.append_impl(out, indent, depth + 1);
       }
-      write_newline_indent(out, indent, depth);
-      out << '}';
+      append_newline_indent(out, indent, depth);
+      out += '}';
       return;
     }
   }
 }
 
-void JsonValue::write(std::ostream& out) const { write_impl(out, 0, 0); }
+void JsonValue::write(std::ostream& out) const {
+  const std::string text = dump();
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
 
 void JsonValue::write_pretty(std::ostream& out, int indent) const {
-  write_impl(out, indent, 0);
+  std::string text;
+  append_impl(text, indent, 0);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string JsonValue::dump() const {
-  std::ostringstream out;
-  write(out);
-  return out.str();
+  std::string text;
+  append_impl(text, 0, 0);
+  return text;
 }
 
 bool operator==(const JsonValue& lhs, const JsonValue& rhs) {

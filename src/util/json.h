@@ -80,7 +80,7 @@ class JsonValue {
   friend bool operator==(const JsonValue& lhs, const JsonValue& rhs);
 
  private:
-  void write_impl(std::ostream& out, int indent, int depth) const;
+  void append_impl(std::string& out, int indent, int depth) const;
 
   Kind kind_;
   bool bool_ = false;
@@ -102,6 +102,12 @@ JsonParseResult json_parse(std::string_view text);
 
 /// Serializes a double the way the writer does (shortest round-trip form).
 std::string json_number_to_string(double value);
+
+/// The writer's two leaf encoders, appending to `out`: every JSON number
+/// and string this program emits goes through them (JsonValue::write and
+/// the event-log line writer), so there is one encoding of each.
+void append_json_number(std::string& out, double value);
+void append_json_string(std::string& out, std::string_view text);
 
 /// Null-safe field readers for documents read from outside the program:
 /// the value of `key` when `object` is an object holding it with the right

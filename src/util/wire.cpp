@@ -4,43 +4,21 @@
 
 namespace dagsched {
 
-void CheckpointWriter::u32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<char>((value >> shift) & 0xffu));
-  }
-}
-
-void CheckpointWriter::u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<char>((value >> shift) & 0xffu));
-  }
-}
-
 std::uint8_t CheckpointReader::u8() {
   if (remaining() < 1) fail("truncated: expected 1 more byte");
   return static_cast<std::uint8_t>(data_[pos_++]);
 }
 
-std::uint32_t CheckpointReader::u32() {
-  if (remaining() < 4) fail("truncated: expected a 4-byte integer");
-  std::uint32_t value = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    value |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data_[pos_++]))
-             << shift;
-  }
-  return value;
+void CheckpointReader::fail_truncated(const char* what) const {
+  fail(std::string("truncated: expected ") + what);
 }
 
-std::uint64_t CheckpointReader::u64() {
-  if (remaining() < 8) fail("truncated: expected an 8-byte integer");
-  std::uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    value |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(data_[pos_++]))
-             << shift;
+void CheckpointReader::need_column(std::size_t n, std::size_t width) {
+  if (n > remaining() / width) {
+    fail("truncated: a column of " + std::to_string(n) + " x " +
+         std::to_string(width) + " bytes exceeds the " +
+         std::to_string(remaining()) + " remaining bytes");
   }
-  return value;
 }
 
 bool CheckpointReader::boolean() {
@@ -99,25 +77,49 @@ void CheckpointReader::fail(const std::string& message) const {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: table[0] is the bytewise CRC table, and table[k][b]
+/// is the CRC of byte b followed by k zero bytes.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32Tables make_crc32_tables() {
+  Crc32Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = make_crc32_table();
+  static const Crc32Tables tables = make_crc32_tables();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char byte : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(byte)) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    // Little-endian assembly of the two words, independent of host order.
+    const std::uint32_t lo =
+        crc ^ (static_cast<std::uint32_t>(bytes[0]) |
+               static_cast<std::uint32_t>(bytes[1]) << 8 |
+               static_cast<std::uint32_t>(bytes[2]) << 16 |
+               static_cast<std::uint32_t>(bytes[3]) << 24);
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+          tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+          tables[3][bytes[4]] ^ tables[2][bytes[5]] ^ tables[1][bytes[6]] ^
+          tables[0][bytes[7]];
+  }
+  for (; n > 0; --n, ++bytes) {
+    crc = tables[0][(crc ^ *bytes) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

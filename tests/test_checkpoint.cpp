@@ -1,18 +1,19 @@
-// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/1
+// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/2
 // container, kill-resume decision parity across every scheduler x engine x
-// fault mode, and corruption fuzzing (bit flips, truncation at every
-// boundary, version skew) -- a corrupt checkpoint must always surface as a
-// structured CheckpointError, never a crash.
+// fault mode, the rebuild of jobs that had not started, and corruption
+// fuzzing (bit flips, truncation at every boundary, version skew) -- a
+// corrupt checkpoint must always surface as a structured CheckpointError,
+// never a crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/engine_factory.h"
 #include "sim/kernel/kernel.h"
+#include "util/file_bytes.h"
+#include "util/rng.h"
 #include "util/wire.h"
 #include "workload/scenarios.h"
 
@@ -94,6 +97,108 @@ TEST(Wire, TruncationAndStrictnessThrow) {
     // Unconsumed trailing bytes are schema drift, not success.
     CheckpointReader in(out.data(), "<test>", "t");
     EXPECT_THROW(in.expect_done(), CheckpointError);
+  }
+}
+
+/// Bit-at-a-time CRC-32, the definition the table-driven crc32 must match.
+std::uint32_t crc32_bitwise(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char byte : data) {
+    crc ^= static_cast<unsigned char>(byte);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Wire, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(5);
+  std::string buffer(72, '\0');
+  for (char& byte : buffer) {
+    byte = static_cast<char>(rng.uniform_int(0, 255));
+  }
+  // Every start offset 0-7 puts the 8-byte slices at every alignment, and
+  // every length 0-64 covers zero to eight slices plus each tail length.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view slice(buffer.data() + offset, length);
+      EXPECT_EQ(crc32(slice), crc32_bitwise(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Wire, BulkWritesMatchTheScalarLoop) {
+  const std::vector<std::uint32_t> words = {0u, 1u, 0xDEADBEEFu, 0x80000000u,
+                                            0xFFFFFFFFu, 42u};
+  const std::vector<double> values = {
+      0.0,  -0.0, 1.5, -2.25, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(), 1e308};
+  CheckpointWriter scalar;
+  for (const std::uint32_t word : words) scalar.u32(word);
+  for (const double value : values) scalar.f64(value);
+  CheckpointWriter bulk;
+  bulk.u32s(words);
+  bulk.f64s(values);
+  EXPECT_EQ(bulk.data(), scalar.data());
+  // Little-endian on the wire regardless of the host.
+  EXPECT_EQ(bulk.data().substr(8, 4), std::string("\xEF\xBE\xAD\xDE", 4));
+
+  CheckpointReader in(bulk.data(), "<test>", "t");
+  std::vector<std::uint32_t> words_back(words.size());
+  std::vector<double> values_back(values.size());
+  in.u32s(words_back);
+  in.f64s(values_back);
+  in.expect_done();
+  EXPECT_EQ(words_back, words);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(values_back[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "value " << i;
+  }
+}
+
+TEST(Wire, BulkReadsOfATruncatedPayloadThrowPositioned) {
+  CheckpointWriter out;
+  out.u64(3);
+  out.u32s(std::vector<std::uint32_t>{1, 2, 3});
+  out.f64(1.0);
+  {
+    // Six u32s (24 bytes) after the 8-byte prefix, where only 20 remain.
+    CheckpointReader in(out.data(), "<test>", "t");
+    in.u64();
+    std::vector<std::uint32_t> column(6);
+    try {
+      in.u32s(column);
+      FAIL() << "truncated u32 column accepted";
+    } catch (const CheckpointError& error) {
+      EXPECT_EQ(error.column(), 9u) << error.what();  // the column's 1st byte
+      EXPECT_NE(std::string(error.what()).find("section 't'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  {
+    CheckpointReader in(out.data(), "<test>", "t");
+    in.u64();
+    in.u32();
+    std::vector<double> column(3);
+    try {
+      in.f64s(column);
+      FAIL() << "truncated f64 column accepted";
+    } catch (const CheckpointError& error) {
+      EXPECT_EQ(error.column(), 13u) << error.what();
+    }
+  }
+  {
+    // An exact fit is not a truncation.
+    CheckpointReader in(out.data(), "<test>", "t");
+    in.u64();
+    std::vector<std::uint32_t> column(5);
+    in.u32s(column);
+    EXPECT_TRUE(in.done());
   }
 }
 
@@ -171,14 +276,15 @@ TEST(CheckpointFormat, FileRoundTripAndOverwrite) {
 }
 
 TEST(CheckpointFormat, VersionSkewIsDiagnosed) {
+  // A /1 file (every unfolding written out) is not read as /2.
   CheckpointFile file = sample_file();
-  file.meta.schema = "dagsched.checkpoint/2";
+  file.meta.schema = "dagsched.checkpoint/1";
   const std::string bytes = serialize_checkpoint(file);
   try {
     parse_checkpoint_bytes(bytes, "<mem>");
     FAIL() << "version skew accepted";
   } catch (const CheckpointError& error) {
-    EXPECT_NE(std::string(error.what()).find("dagsched.checkpoint/2"),
+    EXPECT_NE(std::string(error.what()).find("dagsched.checkpoint/1"),
               std::string::npos)
         << error.what();
   }
@@ -277,11 +383,10 @@ std::optional<FaultInjector> parity_faults(const std::string& spec) {
   return injector;
 }
 
-SimResult parity_run(const JobSet& jobs, const std::string& scheduler_name,
+SimResult parity_run(const JobSet& jobs, SchedulerBase& scheduler,
                      EngineKind engine, const std::string& fault_spec,
                      EventLog* log, CheckpointSink* checkpoint,
                      const CheckpointFile* resume) {
-  auto scheduler = make_named_scheduler(scheduler_name, 0.5);
   auto selector = make_selector(SelectorKind::kFifo, 1);
   std::optional<FaultInjector> injector = parity_faults(fault_spec);
   ObsSink sink;
@@ -292,8 +397,24 @@ SimResult parity_run(const JobSet& jobs, const std::string& scheduler_name,
   options.faults = injector ? &*injector : nullptr;
   options.checkpoint = checkpoint;
   options.resume = resume;
-  return run_simulation(engine, jobs, *scheduler, *selector, options);
+  return run_simulation(engine, jobs, scheduler, *selector, options);
 }
+
+SimResult parity_run(const JobSet& jobs, const std::string& scheduler_name,
+                     EngineKind engine, const std::string& fault_spec,
+                     EventLog* log, CheckpointSink* checkpoint,
+                     const CheckpointFile* resume) {
+  auto scheduler = make_named_scheduler(scheduler_name, 0.5);
+  return parity_run(jobs, *scheduler, engine, fault_spec, log, checkpoint,
+                    resume);
+}
+
+// Churn with restart-from-zero plus work overruns: some jobs arrive with
+// scaled works, so a checkpoint must rebuild a not-yet-started job with the
+// scaling its arrival applied.
+const char* const kOverrunSpec =
+    "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=zero,"
+    "overrun-prob=0.3,overrun-factor=2";
 
 class KillResumeParity
     : public ::testing::TestWithParam<
@@ -321,8 +442,11 @@ TEST_P(KillResumeParity, ResumedSuffixIsByteIdentical) {
   const std::string fault_tag =
       fault_spec.empty()
           ? "_nofault"
-          : (fault_spec.find("restart=zero") != std::string::npos ? "_zero"
-                                                                  : "_resume");
+          : (fault_spec.find("overrun") != std::string::npos
+                 ? "_overrun"
+                 : (fault_spec.find("restart=zero") != std::string::npos
+                        ? "_zero"
+                        : "_resume"));
   const std::string path = ::testing::TempDir() + "parity_" + scheduler_name +
                            (engine == EngineKind::kEvent ? "_ev" : "_sl") +
                            fault_tag + ".ckpt";
@@ -371,7 +495,8 @@ INSTANTIATE_TEST_SUITE_P(
             std::string(
                 "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=resume"),
             std::string(
-                "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=zero"))),
+                "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=zero"),
+            std::string(kOverrunSpec))),
     [](const ::testing::TestParamInfo<
         std::tuple<std::string, EngineKind, std::string>>& param_info) {
       std::string name = std::get<0>(param_info.param);
@@ -383,6 +508,8 @@ INSTANTIATE_TEST_SUITE_P(
       const std::string& faults = std::get<2>(param_info.param);
       if (faults.empty()) {
         name += "_none";
+      } else if (faults.find("overrun") != std::string::npos) {
+        name += "_churn_overrun";
       } else if (faults.find("restart=zero") != std::string::npos) {
         name += "_churn_zero";
       } else {
@@ -390,6 +517,148 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// Rebuild of jobs that had not started.  A checkpoint omits their per-node
+// blocks and the loader rebuilds them as arrival did; the rebuilt bytes must
+// equal the uninterrupted run's at the same decision.
+
+/// Forwards every callback to `inner` and, on its `capture_at`-th decide(),
+/// records the save_state bytes of every active job's unfolding.  It calls
+/// itself clairvoyant only to be allowed to read unfoldings; that changes
+/// no decision.
+class UnfoldingCapture final : public SchedulerBase {
+ public:
+  UnfoldingCapture(SchedulerBase& inner, std::size_t capture_at)
+      : inner_(inner), capture_at_(capture_at) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool clairvoyant() const override { return true; }
+  void reset() override { inner_.reset(); }
+  void on_arrival(const EngineContext& ctx, JobId job) override {
+    inner_.on_arrival(ctx, job);
+  }
+  void on_completion(const EngineContext& ctx, JobId job) override {
+    inner_.on_completion(ctx, job);
+  }
+  void on_deadline(const EngineContext& ctx, JobId job) override {
+    inner_.on_deadline(ctx, job);
+  }
+  void on_capacity_change(const EngineContext& ctx, ProcCount old_m,
+                          ProcCount new_m) override {
+    inner_.on_capacity_change(ctx, old_m, new_m);
+  }
+  Time next_wakeup(const EngineContext& ctx) const override {
+    return inner_.next_wakeup(ctx);
+  }
+  void decide(const EngineContext& ctx, Assignment& out) override {
+    if (++calls_ == capture_at_) {
+      for (const JobId id : ctx.active_jobs()) {
+        CheckpointWriter bytes;
+        ctx.unfolding_of(id).save_state(bytes);
+        captured[id] = bytes.take();
+      }
+    }
+    inner_.decide(ctx, out);
+  }
+  std::size_t arrival_precompute_size() const override {
+    return inner_.arrival_precompute_size();
+  }
+  void precompute_arrival(const Job& job, JobId id, double speed,
+                          void* out) const override {
+    inner_.precompute_arrival(job, id, speed, out);
+  }
+  void save_state(CheckpointWriter& out) const override {
+    inner_.save_state(out);
+  }
+  void load_state(CheckpointReader& in) override { inner_.load_state(in); }
+  std::size_t shed_load(const EngineContext& ctx,
+                        std::size_t max_jobs) override {
+    return inner_.shed_load(ctx, max_jobs);
+  }
+  std::size_t queue_depth() const override { return inner_.queue_depth(); }
+  std::size_t memory_bytes() const override { return inner_.memory_bytes(); }
+
+  std::map<JobId, std::string> captured;
+
+ private:
+  SchedulerBase& inner_;
+  std::size_t capture_at_;
+  std::size_t calls_ = 0;
+};
+
+class NeverStartedRebuild : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(NeverStartedRebuild, RestoredBytesEqualTheUninterruptedRun) {
+  const EngineKind engine = GetParam();
+  const JobSet jobs = parity_jobs();
+  const SimResult plain =
+      parity_run(jobs, "s", engine, kOverrunSpec, nullptr, nullptr, nullptr);
+  ASSERT_GE(plain.decisions, 8u);
+
+  // Two identical checkpointing runs: one mid-run snapshot each, and the
+  // two files must be byte-identical.
+  const std::string tag =
+      engine == EngineKind::kEvent ? "rebuild_ev" : "rebuild_sl";
+  std::string snapshots[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::string path = ::testing::TempDir() + tag +
+                             std::to_string(run) + ".ckpt";
+    CheckpointMeta base;
+    base.scheduler = "s";
+    CheckpointSink sink(path, plain.decisions / 2, base, nullptr);
+    sink.set_snapshot_limit(1);
+    parity_run(jobs, "s", engine, kOverrunSpec, nullptr, &sink, nullptr);
+    ASSERT_EQ(sink.snapshots(), 1u);
+    snapshots[run] = read_file_bytes(path);
+  }
+  EXPECT_EQ(snapshots[0], snapshots[1]) << "checkpoints are not deterministic";
+  const CheckpointFile file = parse_checkpoint_bytes(snapshots[0], "<mem>");
+  const std::size_t at = file.meta.decisions;
+
+  // The uninterrupted run and the resumed one, each read at the first
+  // decide() after the snapshot point.
+  auto reference_inner = make_named_scheduler("s", 0.5);
+  UnfoldingCapture reference(*reference_inner, at + 1);
+  const SimResult full = parity_run(jobs, reference, engine, kOverrunSpec,
+                                    nullptr, nullptr, nullptr);
+  auto resumed_inner = make_named_scheduler("s", 0.5);
+  UnfoldingCapture resumed(*resumed_inner, 1);
+  const SimResult after = parity_run(jobs, resumed, engine, kOverrunSpec,
+                                     nullptr, nullptr, &file);
+  EXPECT_EQ(after.decisions, full.decisions);
+  ASSERT_FALSE(reference.captured.empty());
+
+  // Jobs that had arrived at the snapshot but started no earlier than it
+  // are the ones the checkpoint omitted.
+  const std::optional<FaultInjector> faults = parity_faults(kOverrunSpec);
+  std::size_t omitted = 0;
+  std::size_t omitted_scaled = 0;
+  for (const auto& [id, bytes] : reference.captured) {
+    if (!(jobs[id].release() < file.meta.sim_time) ||
+        full.outcomes[id].first_start < file.meta.sim_time) {
+      continue;
+    }
+    ++omitted;
+    if (!faults->scaled_works(id, jobs[id].dag()).empty()) ++omitted_scaled;
+    const auto restored = resumed.captured.find(id);
+    ASSERT_NE(restored, resumed.captured.end()) << "job " << id;
+    EXPECT_EQ(restored->second, bytes) << "job " << id;
+  }
+  EXPECT_GT(omitted, 0u);
+  EXPECT_GT(omitted_scaled, 0u);
+  // Every other job active at that decision matches too.
+  EXPECT_EQ(resumed.captured, reference.captured);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, NeverStartedRebuild,
+                         ::testing::Values(EngineKind::kEvent,
+                                           EngineKind::kSlot),
+                         [](const ::testing::TestParamInfo<EngineKind>& p) {
+                           return std::string(p.param == EngineKind::kEvent
+                                                  ? "event"
+                                                  : "slot");
+                         });
 
 // ---------------------------------------------------------------------------
 // Registry counters across a kill: a process resumed from a checkpoint
@@ -480,10 +749,7 @@ std::string real_checkpoint_bytes() {
   CheckpointSink sink(path, 5, base, &log);
   sink.set_snapshot_limit(1);
   parity_run(jobs, "s", EngineKind::kEvent, "", &log, &sink, nullptr);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return read_file_bytes(path);
 }
 
 TEST(CheckpointFuzz, EveryTruncationIsAStructuredError) {

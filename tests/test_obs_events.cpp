@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +23,7 @@
 #include "obs/trace_export.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -100,6 +104,126 @@ TEST(EventLog, FaultEventKindsRoundTripExactly) {
   ASSERT_EQ(parsed->size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ((*parsed)[i], log.events()[i]) << "event " << i;
+  }
+}
+
+/// The line a JsonValue built field by field writes for `event`: the
+/// reference the direct line writer must reproduce byte for byte.
+std::string json_value_line(const DecisionEvent& event) {
+  JsonValue line = JsonValue::object();
+  line.set("t", JsonValue(event.time));
+  line.set("job", JsonValue(static_cast<double>(event.job)));
+  line.set("kind", JsonValue(obs_event_kind_name(event.kind)));
+  if (!event.reason.empty()) line.set("reason", JsonValue(event.reason));
+  if (!event.detail.empty()) {
+    JsonValue detail = JsonValue::object();
+    for (const auto& [key, value] : event.detail) {
+      detail.set(key, JsonValue(value));
+    }
+    line.set("detail", std::move(detail));
+  }
+  return line.dump() + "\n";
+}
+
+TEST(EventLog, LinesEqualTheJsonValueWriterForRandomEvents) {
+  const double numbers[] = {
+      0.0, -0.0, 1.0, -7.0, 42.0, 123456789012345.0, 1e15, -1e15, 1e20,
+      0.5, -2.25, 1.0 / 3.0, 1e-7, -3.5e-300,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max()};
+  const std::string keys[] = {"v", "n", "proc", "a\"b", "back\\slash",
+                              std::string("nul\0key", 7), "tab\t"};
+  Rng rng(17);
+  auto pick_number = [&]() -> double {
+    if (rng.uniform_int(0, 3) == 0) return rng.uniform(-1e6, 1e6);
+    return numbers[rng.uniform_int(0, std::size(numbers) - 1)];
+  };
+  auto random_text = [&]() {
+    std::string text;
+    const auto length = rng.uniform_int(0, 12);
+    for (std::int64_t i = 0; i < length; ++i) {
+      switch (rng.uniform_int(0, 5)) {
+        case 0: text += '"'; break;
+        case 1: text += '\\'; break;
+        case 2: text += static_cast<char>(rng.uniform_int(0, 0x1f)); break;
+        default:
+          text += static_cast<char>(rng.uniform_int(0x20, 0x7e));
+      }
+    }
+    return text;
+  };
+
+  std::vector<DecisionEvent> events;
+  for (int i = 0; i < 2000; ++i) {
+    DecisionEvent event;
+    event.time = pick_number();
+    event.job = rng.uniform_int(0, 9) == 0
+                    ? kInvalidJob
+                    : static_cast<JobId>(rng.uniform_int(0, 1 << 20));
+    event.kind = static_cast<ObsEventKind>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ObsEventKind::kOverload)));
+    event.reason = random_text();
+    const auto details = rng.uniform_int(0, 4);
+    for (std::int64_t d = 0; d < details; ++d) {
+      // Seven keys for up to four entries: repeats are common.
+      event.detail.emplace_back(
+          rng.uniform_int(0, 3) == 0
+              ? random_text()
+              : keys[rng.uniform_int(0, std::size(keys) - 1)],
+          pick_number());
+    }
+    events.push_back(std::move(event));
+  }
+  // The cases above by construction, not by chance.
+  events.push_back({-0.0, 3, ObsEventKind::kDrop, "q\"uote\\\x01\x1f\n",
+                    {{"v", 1.0}, {"n", 2.0}, {"v", 3.0}}});
+  events.push_back({std::numeric_limits<double>::quiet_NaN(), kInvalidJob,
+                    ObsEventKind::kOverload, "",
+                    {{"x", -std::numeric_limits<double>::infinity()}}});
+
+  std::ostringstream stream;
+  std::string expected;
+  for (const DecisionEvent& event : events) {
+    std::ostringstream one;
+    write_event_jsonl(one, event);
+    const std::string reference = json_value_line(event);
+    ASSERT_EQ(one.str(), reference) << "event " << expected.size();
+    write_event_jsonl(stream, event);
+    expected += reference;
+  }
+  ASSERT_EQ(stream.str(), expected);
+
+  // Every line parses back to the event in the writer's normal form: a
+  // non-finite number clamped as json_number_to_string clamps it, and a
+  // repeated detail key folded into its first position with its last value.
+  auto clamp = [](double value) {
+    if (std::isnan(value)) return 0.0;
+    if (std::isinf(value)) return value > 0 ? 1e308 : -1e308;
+    return value;
+  };
+  std::istringstream in(stream.str());
+  std::string error;
+  const auto parsed = EventLog::parse_jsonl(in, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    DecisionEvent normal = events[i];
+    normal.time = clamp(normal.time);
+    normal.detail.clear();
+    for (const auto& [key, value] : events[i].detail) {
+      auto same = std::find_if(
+          normal.detail.begin(), normal.detail.end(),
+          [&key](const auto& entry) { return entry.first == key; });
+      if (same != normal.detail.end()) {
+        same->second = clamp(value);
+      } else {
+        normal.detail.emplace_back(key, clamp(value));
+      }
+    }
+    EXPECT_EQ((*parsed)[i], normal) << "event " << i;
   }
 }
 

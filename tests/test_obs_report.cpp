@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +59,38 @@ TEST(Json, IntegralNumbersPrintWithoutExponent) {
   EXPECT_EQ(JsonValue(8).dump(), "8");
   EXPECT_EQ(JsonValue(1e6).dump(), "1000000");
   EXPECT_EQ(JsonValue(0.5).dump(), "0.5");
+}
+
+TEST(Json, NumbersKeepTheirPrintfIntegralForm) {
+  // Integral values below 1e15 print as printf's "%.0f" does, -0 included;
+  // non-finite values clamp.
+  Rng rng(23);
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 999999999999999.0,
+                                -999999999999999.0, 4294967295.0};
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(std::floor(rng.uniform(-1e15, 1e15) /
+                                std::pow(10.0, rng.uniform_int(0, 14))));
+  }
+  for (const double value : values) {
+    char expected[32];
+    std::snprintf(expected, sizeof expected, "%.0f", value);
+    EXPECT_EQ(json_number_to_string(value), expected) << value;
+  }
+  EXPECT_EQ(json_number_to_string(1e15), "1e+15");
+  EXPECT_EQ(json_number_to_string(std::numeric_limits<double>::infinity()),
+            "1e308");
+  EXPECT_EQ(json_number_to_string(-std::numeric_limits<double>::infinity()),
+            "-1e308");
+  EXPECT_EQ(json_number_to_string(std::numeric_limits<double>::quiet_NaN()),
+            "0");
+}
+
+TEST(Json, StringsEscapeQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  append_json_string(out, std::string("a\"b\\c\n\r\t\x01\x1f\0\x7f\xc3\xa9", 14));
+  EXPECT_EQ(out,
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\\u0000\x7f\xc3\xa9\"");
+  EXPECT_EQ(JsonValue(std::string("q\"")).dump(), "\"q\\\"\"");
 }
 
 struct ReportFixture {
