@@ -362,6 +362,7 @@ BENCHMARK(BM_DagGeneration);
 // Parse time of the .wl reader alone: the 10000-arg scale instance (the 81k
 // job thm2 workload) is serialized once, and each iteration parses those
 // bytes, as `dagsched run` does after its one read of the file.
+// input_bytes_per_job is the parsed JobSet's heap per job.
 
 void BM_LoadWorkload(benchmark::State& state) {
   std::string bytes;
@@ -382,6 +383,11 @@ void BM_LoadWorkload(benchmark::State& state) {
           static_cast<double>(bytes.size()) / 1e6,
       benchmark::Counter::kIsRate);
   state.counters["jobs"] = static_cast<double>(jobs);
+  // Heap the parsed instance holds (the input_bytes gauge), measured on
+  // one more parse outside the timed loop.
+  state.counters["input_bytes_per_job"] =
+      static_cast<double>(read_workload(bytes, "<bench>").input_bytes()) /
+      static_cast<double>(std::max<std::size_t>(1, jobs));
 }
 BENCHMARK(BM_LoadWorkload)->Arg(10000);
 

@@ -1,6 +1,8 @@
 #include "dag/builder.h"
 
 #include <algorithm>
+#include <charconv>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -9,6 +11,115 @@
 
 namespace dagsched {
 
+Dag pack_dag(std::span<const Work> works,
+             std::span<const std::pair<NodeId, NodeId>> edges,
+             std::vector<NodeId>& pending) {
+  if (works.empty()) throw std::invalid_argument("DAG must be non-empty");
+  DS_CHECK(works.size() < std::numeric_limits<NodeId>::max());
+  DS_CHECK(edges.size() < std::numeric_limits<std::uint32_t>::max());
+  const auto n = static_cast<NodeId>(works.size());
+  const auto m = static_cast<std::uint32_t>(edges.size());
+
+  Dag dag;
+  dag.n_ = n;
+  dag.m_ = m;
+  dag.block_ =
+      std::make_unique_for_overwrite<std::byte[]>(Dag::block_bytes(n, m));
+  Work* const work = dag.works_begin();
+  Work* const bottom = work + n;
+  NodeId* const succ_off = dag.succ_off();
+  NodeId* const pred_off = dag.pred_off();
+  NodeId* const topo = dag.topo();
+  NodeId* const succ = dag.succ();
+  NodeId* const pred = dag.pred();
+  std::copy(works.begin(), works.end(), work);
+
+  // Successor rows by counting sort: out-degrees become row ends, and the
+  // edges, taken last to first, drop in at their row's decremented end.
+  // That keeps each row in input order and leaves every offset at its
+  // row's start.
+  std::fill_n(succ_off, n + 1, NodeId{0});
+  for (const auto& [from, to] : edges) {
+    DS_CHECK(from < n && to < n && from != to);
+    ++succ_off[from];
+  }
+  for (NodeId v = 1; v < n; ++v) succ_off[v] += succ_off[v - 1];
+  succ_off[n] = m;
+  for (std::uint32_t e = m; e-- > 0;) {
+    succ[--succ_off[edges[e].first]] = edges[e].second;
+  }
+
+  // Each row sorted on its own (a row already strictly ascending, as a
+  // written workload's are, is left as it is).  Scanning the rows in id
+  // order finds the lexicographically smallest duplicated pair first;
+  // duplicates are rejected (they usually indicate a generator bug and
+  // would skew in-degree bookkeeping).
+  for (NodeId v = 0; v < n; ++v) {
+    NodeId* const row = succ + succ_off[v];
+    NodeId* const row_end = succ + succ_off[v + 1];
+    if (std::adjacent_find(row, row_end, std::greater_equal<>()) == row_end) {
+      continue;
+    }
+    std::sort(row, row_end);
+    const NodeId* const dup = std::adjacent_find(row, row_end);
+    if (dup != row_end) {
+      throw std::invalid_argument("duplicate edge " + std::to_string(v) +
+                                  "->" + std::to_string(*dup));
+    }
+  }
+
+  // Predecessor rows the same way.  Filling from the highest source id
+  // down leaves each row in ascending order.
+  std::fill_n(pred_off, n + 1, NodeId{0});
+  for (std::uint32_t e = 0; e < m; ++e) ++pred_off[succ[e]];
+  for (NodeId v = 1; v < n; ++v) pred_off[v] += pred_off[v - 1];
+  pred_off[n] = m;
+  for (NodeId v = n; v-- > 0;) {
+    for (NodeId e = succ_off[v]; e < succ_off[v + 1]; ++e) {
+      pred[--pred_off[succ[e]]] = v;
+    }
+  }
+
+  // Kahn topological sort, sources first in id order; doubles as the
+  // acyclicity check.  Total work is summed in the same topological order.
+  pending.resize(n);
+  NodeId tail = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    pending[v] = pred_off[v + 1] - pred_off[v];
+    if (pending[v] == 0) topo[tail++] = v;
+  }
+  dag.num_sources_ = tail;
+  Work total_work = 0.0;
+  for (NodeId head = 0; head < tail; ++head) {
+    const NodeId u = topo[head];
+    total_work += work[u];
+    for (NodeId e = succ_off[u]; e < succ_off[u + 1]; ++e) {
+      if (--pending[succ[e]] == 0) topo[tail++] = succ[e];
+    }
+  }
+  if (tail != n) throw std::invalid_argument("DAG contains a cycle");
+
+  // Bottom levels by one backward sweep of the topological order; the span
+  // is the largest bottom level of a source.
+  for (NodeId i = n; i-- > 0;) {
+    const NodeId v = topo[i];
+    Work longest_suffix = 0.0;
+    for (NodeId e = succ_off[v]; e < succ_off[v + 1]; ++e) {
+      longest_suffix = std::max(longest_suffix, bottom[succ[e]]);
+    }
+    bottom[v] = longest_suffix + work[v];
+  }
+  Work span = 0.0;
+  for (NodeId i = 0; i < dag.num_sources_; ++i) {
+    span = std::max(span, bottom[topo[i]]);
+  }
+  dag.total_work_ = total_work;
+  dag.span_ = span;
+  DS_CHECK(dag.span_ > 0.0);
+  DS_CHECK(dag.span_ <= dag.total_work_ + 1e-9);
+  return dag;
+}
+
 void DagBuilder::reserve(std::size_t nodes, std::size_t edges) {
   work_.reserve(nodes);
   edges_.reserve(edges);
@@ -16,8 +127,12 @@ void DagBuilder::reserve(std::size_t nodes, std::size_t edges) {
 
 NodeId DagBuilder::add_node(Work processing_time) {
   if (!(processing_time > 0.0)) {
+    // Shortest round-trip form: -1e-09, not std::to_string's -0.000000.
+    char text[32];
+    const auto printed =
+        std::to_chars(text, text + sizeof text, processing_time);
     throw std::invalid_argument("node processing time must be > 0, got " +
-                                std::to_string(processing_time));
+                                std::string(text, printed.ptr));
   }
   if (work_.size() >= std::numeric_limits<NodeId>::max()) {
     throw std::invalid_argument("too many nodes");
@@ -50,97 +165,8 @@ std::pair<NodeId, NodeId> DagBuilder::add_chain(std::size_t count,
 }
 
 Dag DagBuilder::build() && {
-  if (work_.empty()) throw std::invalid_argument("DAG must be non-empty");
-
-  // Sort and deduplicate edges; duplicates are rejected (they usually
-  // indicate a generator bug and would skew in-degree bookkeeping).
-  std::sort(edges_.begin(), edges_.end());
-  const auto dup = std::adjacent_find(edges_.begin(), edges_.end());
-  if (dup != edges_.end()) {
-    throw std::invalid_argument("duplicate edge " + std::to_string(dup->first) +
-                                "->" + std::to_string(dup->second));
-  }
-
-  Dag dag;
-  const std::size_t n = work_.size();
-  dag.work_ = std::move(work_);
-
-  // Build CSR adjacency in both directions.
-  dag.succ_off_.assign(n + 1, 0);
-  dag.pred_off_.assign(n + 1, 0);
-  for (const auto& [from, to] : edges_) {
-    ++dag.succ_off_[from + 1];
-    ++dag.pred_off_[to + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    dag.succ_off_[i + 1] += dag.succ_off_[i];
-    dag.pred_off_[i + 1] += dag.pred_off_[i];
-  }
-  dag.succ_flat_.resize(edges_.size());
-  dag.pred_flat_.resize(edges_.size());
-  {
-    std::vector<std::size_t> succ_cursor(dag.succ_off_.begin(),
-                                         dag.succ_off_.end() - 1);
-    std::vector<std::size_t> pred_cursor(dag.pred_off_.begin(),
-                                         dag.pred_off_.end() - 1);
-    for (const auto& [from, to] : edges_) {
-      dag.succ_flat_[succ_cursor[from]++] = to;
-      dag.pred_flat_[pred_cursor[to]++] = from;
-    }
-  }
-
-  // Kahn topological sort; doubles as the acyclicity check.
-  std::vector<NodeId> indegree(n);
-  for (NodeId v = 0; v < n; ++v) indegree[v] = dag.in_degree(v);
-  dag.topo_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (indegree[v] == 0) {
-      dag.topo_.push_back(v);
-      dag.sources_.push_back(v);
-    }
-  }
-  for (std::size_t head = 0; head < dag.topo_.size(); ++head) {
-    const NodeId u = dag.topo_[head];
-    for (NodeId v : dag.successors(u)) {
-      if (--indegree[v] == 0) dag.topo_.push_back(v);
-    }
-  }
-  if (dag.topo_.size() != n) {
-    throw std::invalid_argument("DAG contains a cycle");
-  }
-
-  for (NodeId v = 0; v < n; ++v) {
-    if (dag.out_degree(v) == 0) dag.sinks_.push_back(v);
-  }
-
-  // Longest-path levels via one forward and one backward sweep of the
-  // topological order; span and total work fall out of the same pass.
-  dag.top_level_.assign(n, 0.0);
-  dag.bottom_level_.assign(n, 0.0);
-  dag.total_work_ = 0.0;
-  for (NodeId v : dag.topo_) {
-    Work longest_prefix = 0.0;
-    for (NodeId u : dag.predecessors(v)) {
-      longest_prefix = std::max(longest_prefix, dag.top_level_[u]);
-    }
-    dag.top_level_[v] = longest_prefix + dag.node_work(v);
-    dag.total_work_ += dag.node_work(v);
-  }
-  for (auto it = dag.topo_.rbegin(); it != dag.topo_.rend(); ++it) {
-    const NodeId v = *it;
-    Work longest_suffix = 0.0;
-    for (NodeId u : dag.successors(v)) {
-      longest_suffix = std::max(longest_suffix, dag.bottom_level_[u]);
-    }
-    dag.bottom_level_[v] = longest_suffix + dag.node_work(v);
-  }
-  dag.span_ = 0.0;
-  for (NodeId v : dag.sources_) {
-    dag.span_ = std::max(dag.span_, dag.bottom_level_[v]);
-  }
-  DS_CHECK(dag.span_ > 0.0);
-  DS_CHECK(dag.span_ <= dag.total_work_ + 1e-9);
-  return dag;
+  std::vector<NodeId> pending;
+  return pack_dag(work_, edges_, pending);
 }
 
 }  // namespace dagsched

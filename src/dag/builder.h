@@ -1,4 +1,5 @@
-// Mutable construction interface for Dag.
+// Mutable construction interface for Dag, and the one routine that packs a
+// node/edge list into a Dag.
 //
 // Usage:
 //   DagBuilder b;
@@ -7,13 +8,16 @@
 //   b.add_edge(a, c);
 //   Dag dag = std::move(b).build();   // validates: acyclic, positive work
 //
-// build() throws std::invalid_argument on cycles, self-edges, duplicate
-// edges, out-of-range endpoints, or non-positive node work.  Disconnected
-// DAGs are allowed (the paper's Figure-1 construction is a chain next to an
-// independent block).
+// add_node() and add_edge() throw std::invalid_argument on non-positive
+// node work, self-edges and out-of-range endpoints; build() throws it on an
+// empty DAG, duplicate edges and cycles.  Disconnected DAGs are allowed (the
+// paper's Figure-1 construction is a chain next to an independent block).
+// The workload parser checks the per-node and per-edge rules itself, with
+// positions, and then calls pack_dag() directly.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,17 @@
 #include "util/types.h"
 
 namespace dagsched {
+
+/// Packs `works` (node processing times, all > 0) and `edges` ((from, to)
+/// pairs, endpoints in range, no self-edges) into a Dag: counting-sorts the
+/// edges into CSR rows, sorts each row, runs Kahn's algorithm and the
+/// bottom-level pass.  Throws std::invalid_argument on an empty node list,
+/// a duplicate edge (naming the smallest duplicated `a->b` pair) or a
+/// cycle.  `pending` is scratch for Kahn's in-degree counters; a caller
+/// packing many DAGs passes the same vector each time.
+Dag pack_dag(std::span<const Work> works,
+             std::span<const std::pair<NodeId, NodeId>> edges,
+             std::vector<NodeId>& pending);
 
 class DagBuilder {
  public:
@@ -39,9 +54,8 @@ class DagBuilder {
   /// connected consecutively; returns (first, last) ids.
   std::pair<NodeId, NodeId> add_chain(std::size_t count, Work node_work);
 
-  std::size_t num_nodes() const { return work_.size(); }
-
-  /// Validates and produces the immutable Dag. Consumes the builder.
+  /// Validates and produces the immutable Dag (through pack_dag()).
+  /// Consumes the builder.
   Dag build() &&;
 
  private:

@@ -3,10 +3,16 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "dag/dag.h"
 
 namespace dagsched {
+
+/// Longest-path weight of any path *ending* at each node, inclusive of the
+/// node's own work ("top level"), indexed by node id.  Computed on demand:
+/// the Dag stores only bottom levels, which the selectors read.
+std::vector<Work> top_levels(const Dag& dag);
 
 /// Writes `dag` in DOT format.  Node labels show "id / work"; critical-path
 /// nodes (those whose top+bottom level equals the span) are highlighted.

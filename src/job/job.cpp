@@ -33,6 +33,8 @@ JobSet::JobSet(std::vector<Job> jobs) : jobs_(std::move(jobs)) { finalize(); }
 void JobSet::add(Job job) { jobs_.push_back(std::move(job)); }
 
 void JobSet::finalize() {
+  // A parsed or generated instance usually arrives sorted already.
+  if (sorted_by_release()) return;
   std::stable_sort(jobs_.begin(), jobs_.end(),
                    [](const Job& a, const Job& b) {
                      return a.release() < b.release();
@@ -57,6 +59,17 @@ double JobSet::utilization(ProcCount m, Time horizon) const {
   Work total = 0.0;
   for (const Job& job : jobs_) total += job.work();
   return total / (static_cast<double>(m) * horizon);
+}
+
+std::size_t JobSet::input_bytes() const {
+  std::vector<const Dag*> dags;
+  dags.reserve(jobs_.size());
+  for (const Job& job : jobs_) dags.push_back(&job.dag());
+  std::sort(dags.begin(), dags.end());
+  dags.erase(std::unique(dags.begin(), dags.end()), dags.end());
+  std::size_t bytes = jobs_.capacity() * sizeof(Job);
+  for (const Dag* dag : dags) bytes += dag->memory_bytes();
+  return bytes;
 }
 
 Time JobSet::profit_horizon() const {

@@ -84,6 +84,10 @@ class JobSet {
   /// profit after this time.
   Time profit_horizon() const;
 
+  /// Heap bytes of the loaded instance: the job array plus each distinct
+  /// DAG (object and packed block) once, however many jobs share it.
+  std::size_t input_bytes() const;
+
  private:
   std::vector<Job> jobs_;
 };

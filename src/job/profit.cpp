@@ -102,4 +102,16 @@ Time ProfitFn::deadline() const {
   return plateau_end_;
 }
 
+double ProfitFn::rate() const {
+  DS_CHECK_MSG(kind_ == Kind::kPlateauExp,
+               "rate() on a non-exponential profit");
+  return rate_;
+}
+
+const std::vector<std::pair<Time, Profit>>& ProfitFn::levels() const {
+  DS_CHECK_MSG(kind_ == Kind::kPiecewise,
+               "levels() on a non-piecewise profit");
+  return levels_;
+}
+
 }  // namespace dagsched

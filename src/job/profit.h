@@ -59,9 +59,22 @@ class ProfitFn {
   /// For step functions only: the relative deadline D.
   Time deadline() const;
 
- private:
+  /// Which constructor built this function; with the accessors below it
+  /// gives back that constructor's arguments exactly (the workload writer
+  /// prints them verbatim).
   enum class Kind { kStep, kPlateauLinear, kPlateauExp, kPiecewise };
+  Kind kind() const { return kind_; }
 
+  /// For plateau_exponential only: the decay rate.
+  double rate() const;
+
+  /// For piecewise only: the (level end, profit) staircase.
+  const std::vector<std::pair<Time, Profit>>& levels() const;
+
+  /// Same shape and equal parameters.
+  bool operator==(const ProfitFn&) const = default;
+
+ private:
   ProfitFn() = default;
 
   Kind kind_ = Kind::kStep;

@@ -59,6 +59,7 @@ JsonValue TelemetryRecorder::build_snapshot(const TelemetrySample& sample,
   gauges.set("scheduler_bytes",
              static_cast<std::uint64_t>(sample.scheduler_bytes));
   gauges.set("tracked_bytes", static_cast<std::uint64_t>(tracked_bytes));
+  gauges.set("input_bytes", static_cast<std::uint64_t>(sample.input_bytes));
   gauges.set("bytes_per_job",
              static_cast<double>(tracked_bytes) /
                  static_cast<double>(std::max<std::uint64_t>(1, sample.arrivals)));
@@ -175,6 +176,7 @@ JsonValue telemetry_to_json(const TelemetryRecorder& recorder) {
     gauges.set("scheduler_bytes",
                static_cast<std::uint64_t>(s.scheduler_bytes));
     gauges.set("tracked_bytes", static_cast<std::uint64_t>(tracked));
+    gauges.set("input_bytes", static_cast<std::uint64_t>(s.input_bytes));
     gauges.set("bytes_per_job",
                static_cast<double>(tracked) /
                    static_cast<double>(std::max<std::uint64_t>(1, s.arrivals)));

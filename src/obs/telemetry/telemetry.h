@@ -84,6 +84,9 @@ struct TelemetrySample {
   std::size_t kernel_bytes = 0;     // kernel bookkeeping containers
   std::size_t unfolding_bytes = 0;  // all live UnfoldingState arenas
   std::size_t scheduler_bytes = 0;  // scheduler-reported queue/state bytes
+  // The loaded JobSet (JobSet::input_bytes()).  Not part of tracked_bytes,
+  // so RSS - (tracked + input) is what no gauge accounts for.
+  std::size_t input_bytes = 0;
 };
 
 class TelemetryRecorder {

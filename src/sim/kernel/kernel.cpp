@@ -55,7 +55,10 @@ void SimKernel::begin(Time start_time) {
 
   telemetry_ = options_.telemetry;
   expiries_delivered_ = 0;
-  if (telemetry_ != nullptr) telemetry_->begin_run(start_time);
+  if (telemetry_ != nullptr) {
+    input_bytes_ = jobs_.input_bytes();
+    telemetry_->begin_run(start_time);
+  }
 
   // Fault state: all of it is gated on options_.faults so fault-free runs
   // stay byte-identical.
@@ -464,6 +467,7 @@ void SimKernel::emit_telemetry(Time now, bool final_snapshot) {
   sample.kernel_bytes = kernel_bytes();
   sample.unfolding_bytes = state_.unfolding_arena().high_water();
   sample.scheduler_bytes = scheduler_.memory_bytes();
+  sample.input_bytes = input_bytes_;
   if (final_snapshot) {
     telemetry_->finish_run(sample);
   } else {

@@ -356,6 +356,9 @@ class SimKernel {
   // mark directly, so nothing accumulates on the hot path.
   TelemetryRecorder* telemetry_ = nullptr;
   std::size_t expiries_delivered_ = 0;
+  // The input_bytes gauge: the JobSet does not change during a run, so it
+  // is measured once, at begin(), and only when telemetry is on.
+  std::size_t input_bytes_ = 0;
 
   // Fault state.
   bool churn_ = false;

@@ -170,55 +170,29 @@ class Fields {
   std::size_t pos_ = 0;
 };
 
+/// Writes the parameters `fn` was built from, verbatim: read_profit()
+/// rebuilds an equal ProfitFn, and writing that again gives the same bytes.
 void write_profit(std::ostream& os, const ProfitFn& fn) {
   os << "profit ";
-  if (fn.is_step()) {
-    os << "step " << fn.peak() << ' ' << fn.deadline() << '\n';
-  } else if (fn.support_end() == kTimeInfinity) {
-    // Recover the exponential rate from one sample past the plateau.
-    const Time probe = fn.plateau_end() + 1.0;
-    const double rate = -std::log(fn.at(probe) / fn.peak());
-    os << "plateau_exp " << fn.peak() << ' ' << fn.plateau_end() << ' '
-       << rate << '\n';
-  } else {
-    // Distinguish linear from piecewise by sampling the midpoint.
-    const Time mid = 0.5 * (fn.plateau_end() + fn.support_end());
-    const double linear_value = fn.peak() * (fn.support_end() - mid) /
-                                (fn.support_end() - fn.plateau_end());
-    if (std::abs(fn.at(mid) - linear_value) < 1e-9 * fn.peak()) {
+  switch (fn.kind()) {
+    case ProfitFn::Kind::kStep:
+      os << "step " << fn.peak() << ' ' << fn.deadline() << '\n';
+      return;
+    case ProfitFn::Kind::kPlateauLinear:
       os << "plateau_linear " << fn.peak() << ' ' << fn.plateau_end() << ' '
          << fn.support_end() << '\n';
-    } else {
-      // Piecewise staircase: enumerate the level changes by probing just
-      // after each breakpoint is not possible generically -- instead, the
-      // writer is only ever given ProfitFn values this library built, and
-      // piecewise is the only remaining case; sample densely to recover
-      // levels (exact because the staircase is right-continuous at its
-      // breakpoints and breakpoints are the stored times).
-      os << "piecewise";
-      // Binary-search each level end over a dense grid.
-      std::vector<std::pair<Time, Profit>> levels;
-      Time t = 0.0;
-      while (t < fn.support_end() + 1e-9) {
-        const Profit value = fn.at(t);
-        if (value <= 0.0) break;
-        // Find the largest end with the same value.
-        Time lo = t, hi = fn.support_end();
-        while (hi - lo > 1e-9) {
-          const Time mid2 = 0.5 * (lo + hi);
-          if (std::abs(fn.at(mid2) - value) < 1e-12) {
-            lo = mid2;
-          } else {
-            hi = mid2;
-          }
-        }
-        levels.emplace_back(hi, value);
-        t = hi + 1e-6;
+      return;
+    case ProfitFn::Kind::kPlateauExp:
+      os << "plateau_exp " << fn.peak() << ' ' << fn.plateau_end() << ' '
+         << fn.rate() << '\n';
+      return;
+    case ProfitFn::Kind::kPiecewise:
+      os << "piecewise " << fn.levels().size();
+      for (const auto& [end, value] : fn.levels()) {
+        os << ' ' << end << ' ' << value;
       }
-      os << ' ' << levels.size();
-      for (const auto& [end, value] : levels) os << ' ' << end << ' ' << value;
       os << '\n';
-    }
+      return;
   }
 }
 
@@ -360,6 +334,10 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
   }
 
   JobSet jobs;
+  // One works/edges scratch for the whole load, reused by every job.
+  std::vector<Work> works;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<NodeId> pending;
   while (lines.next(line)) {
     Fields job_in(source, line, lines.lineno());
     const std::size_t kw_col = job_in.next_column();
@@ -386,17 +364,16 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
     if (num_nodes == 0) nodes_in.fail(count_col, "node count must be >= 1");
     nodes_in.expect_end();
 
-    // Capacity comes from what the bytes can hold (two per node work, four
-    // per edge line), never from a declared count alone: a corrupt count
-    // must fail as missing input, not as an allocation.
+    // The scratch vectors grow only as tokens parse, never from a declared
+    // count alone: a corrupt count must fail as missing input, not as an
+    // allocation.
     Fields works_in = need_line("node works line");
-    DagBuilder builder;
-    builder.reserve(std::min(num_nodes, works_in.remaining() / 2 + 1));
+    works.clear();
     for (std::size_t i = 0; i < num_nodes; ++i) {
       const std::size_t work_col = works_in.next_column();
       const Work work = works_in.number("node work");
       if (!(work > 0.0)) works_in.fail(work_col, "node work must be positive");
-      builder.add_node(work);
+      works.push_back(work);
     }
     works_in.expect_end();
 
@@ -409,8 +386,7 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
     }
     const std::size_t num_edges = edges_in.index("edge count");
     edges_in.expect_end();
-    builder.reserve(builder.num_nodes(),
-                    std::min(num_edges, lines.remaining() / 4));
+    edges.clear();
     for (std::size_t e = 0; e < num_edges; ++e) {
       Fields edge_in = need_line("edge line");
       const std::size_t from_col = edge_in.next_column();
@@ -429,7 +405,7 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
       }
       if (from == to) edge_in.fail(from_col, "self-edge");
       edge_in.expect_end();
-      builder.add_edge(static_cast<NodeId>(from), static_cast<NodeId>(to));
+      edges.emplace_back(static_cast<NodeId>(from), static_cast<NodeId>(to));
     }
 
     Fields end_in = need_line("'end'");
@@ -440,10 +416,10 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
     }
     end_in.expect_end();
 
-    // DagBuilder::build() validates acyclicity and duplicate edges; wrap
-    // its exception so the caller still gets a positioned diagnostic.
+    // pack_dag() rejects cycles and duplicate edges; wrap its exception so
+    // the caller still gets a positioned diagnostic.
     try {
-      jobs.add(Job(std::make_shared<const Dag>(std::move(builder).build()),
+      jobs.add(Job(std::make_shared<const Dag>(pack_dag(works, edges, pending)),
                    release, std::move(profit)));
     } catch (const std::invalid_argument& err) {
       throw ParseError(source, lines.lineno(), 1,

@@ -80,8 +80,9 @@ TEST(Dag, DiamondAdjacency) {
   const Dag dag = diamond();
   EXPECT_EQ(dag.sources().size(), 1u);
   EXPECT_EQ(dag.sources()[0], 0u);
-  EXPECT_EQ(dag.sinks().size(), 1u);
-  EXPECT_EQ(dag.sinks()[0], 3u);
+  // The only sink: no other node lacks successors.
+  for (NodeId v = 0; v < 3; ++v) EXPECT_GT(dag.out_degree(v), 0u);
+  EXPECT_EQ(dag.out_degree(3), 0u);
   EXPECT_EQ(dag.out_degree(0), 2u);
   EXPECT_EQ(dag.in_degree(3), 2u);
   EXPECT_EQ(dag.successors(1).size(), 1u);
@@ -105,10 +106,11 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
 
 TEST(Dag, Levels) {
   const Dag dag = diamond();
-  EXPECT_DOUBLE_EQ(dag.top_level(0), 1.0);
-  EXPECT_DOUBLE_EQ(dag.top_level(1), 3.0);   // 1 + 2
-  EXPECT_DOUBLE_EQ(dag.top_level(2), 4.0);   // 1 + 3
-  EXPECT_DOUBLE_EQ(dag.top_level(3), 8.0);   // 1 + 3 + 4
+  const std::vector<Work> top = top_levels(dag);
+  EXPECT_DOUBLE_EQ(top[0], 1.0);
+  EXPECT_DOUBLE_EQ(top[1], 3.0);   // 1 + 2
+  EXPECT_DOUBLE_EQ(top[2], 4.0);   // 1 + 3
+  EXPECT_DOUBLE_EQ(top[3], 8.0);   // 1 + 3 + 4
   EXPECT_DOUBLE_EQ(dag.bottom_level(0), 8.0);
   EXPECT_DOUBLE_EQ(dag.bottom_level(1), 6.0);  // 2 + 4
   EXPECT_DOUBLE_EQ(dag.bottom_level(2), 7.0);  // 3 + 4

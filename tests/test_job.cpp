@@ -85,5 +85,18 @@ TEST(JobSetTest, SharedDagAcrossJobs) {
   EXPECT_EQ(&jobs[0].dag(), &jobs[1].dag());
 }
 
+TEST(JobSetTest, InputBytesCountsEachSharedDagOnce) {
+  auto shared = block_dag();
+  auto own = block_dag();
+  JobSet jobs;
+  jobs.add(Job::with_deadline(shared, 0.0, 1.0, 1.0));
+  jobs.add(Job::with_deadline(own, 0.5, 1.0, 1.0));
+  jobs.add(Job::with_deadline(shared, 1.0, 1.0, 1.0));
+  jobs.finalize();
+  EXPECT_EQ(jobs.input_bytes(), jobs.jobs().capacity() * sizeof(Job) +
+                                    shared->memory_bytes() +
+                                    own->memory_bytes());
+}
+
 }  // namespace
 }  // namespace dagsched

@@ -177,6 +177,7 @@ TEST(TelemetryRecorder, JsonlRoundTripsThroughParser) {
   sample.kernel_bytes = 100;
   sample.unfolding_bytes = 200;
   sample.scheduler_bytes = 50;
+  sample.input_bytes = 4000;
   ASSERT_TRUE(recorder.snapshot_due(sample.sim_time));
   recorder.emit_snapshot(sample);
   EXPECT_FALSE(recorder.snapshot_due(11.0));  // deadline advanced past now
@@ -202,6 +203,8 @@ TEST(TelemetryRecorder, JsonlRoundTripsThroughParser) {
   const JsonValue* gauges = first.find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_DOUBLE_EQ(gauges->find("tracked_bytes")->as_number(), 350.0);
+  // The input is reported beside the tracked bytes, not inside them.
+  EXPECT_DOUBLE_EQ(gauges->find("input_bytes")->as_number(), 4000.0);
   EXPECT_DOUBLE_EQ(gauges->find("bytes_per_job")->as_number(), 350.0 / 2.0);
   EXPECT_DOUBLE_EQ(gauges->find("rss_bytes")->as_number(), 0.0);
   ASSERT_NE(first.find("decide_ns"), nullptr);
@@ -307,6 +310,7 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
   EXPECT_GT(sample.kernel_bytes, 0u);
   EXPECT_GT(sample.unfolding_bytes, 0u);
   EXPECT_GT(sample.scheduler_bytes, 0u);
+  EXPECT_EQ(sample.input_bytes, jobs.input_bytes());
 
   // Periodic + final snapshots landed in the stream and parse back.
   EXPECT_GE(recorder.snapshots_emitted(), 2u);
@@ -348,6 +352,8 @@ TEST(TelemetryIntegration, RunReportGainsTelemetrySectionOnlyWhenAttached) {
   EXPECT_GT(section->find("decide_ns")->find("count")->as_number(), 0.0);
   ASSERT_NE(section->find("gauges"), nullptr);
   EXPECT_GT(section->find("gauges")->find("tracked_bytes")->as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(section->find("gauges")->find("input_bytes")->as_number(),
+                   static_cast<double>(jobs.input_bytes()));
   // The renderer shows the section.
   EXPECT_NE(format_run_report(with).find("[telemetry]"), std::string::npos);
   EXPECT_EQ(format_run_report(without).find("[telemetry]"),

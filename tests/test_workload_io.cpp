@@ -63,6 +63,54 @@ TEST(WorkloadIo, RoundTripAllProfitShapes) {
   expect_jobsets_equal(jobs, round_trip(jobs));
 }
 
+std::string written(const JobSet& jobs) {
+  std::ostringstream out;
+  write_workload(out, jobs);
+  return std::move(out).str();
+}
+
+TEST(WorkloadIo, ProfitRoundTripsAreExact) {
+  // Each shape, including the values a writer that probed the function
+  // got wrong: a two-level staircase whose midpoint lies on the line
+  // through its ends (once written as plateau_linear), level ends that
+  // came back as 2.0000000023283064, and a rate of 0.1 that came back as
+  // 0.099999999999999936.
+  const std::vector<ProfitFn> shapes = {
+      ProfitFn::step(2.0, 5.0),
+      ProfitFn::step(0.1, 1.0 / 3.0),
+      ProfitFn::plateau_linear(3.0, 4.0, 12.0),
+      ProfitFn::plateau_linear(0.7, 1e-3, 2.0 / 3.0),
+      ProfitFn::plateau_exponential(1.5, 6.0, 0.25),
+      ProfitFn::plateau_exponential(2.0, 3.0, 0.1),
+      ProfitFn::plateau_exponential(1.0, 0.3, 1e-7),
+      ProfitFn::piecewise({{2.0, 4.0}, {6.0, 2.0}}),
+      ProfitFn::piecewise({{2.0, 5.0}, {4.0, 3.0}, {9.0, 1.0}}),
+      ProfitFn::piecewise({{0.1, 3.0}, {0.2, 3.0}, {1.0 / 3.0, 0.3}}),
+      ProfitFn::piecewise({{7.5, 1.0}}),
+  };
+  auto dag = std::make_shared<const Dag>(make_chain(2, 1.0));
+  for (const ProfitFn& shape : shapes) {
+    JobSet jobs;
+    jobs.add(Job(dag, 0.0, shape));
+    jobs.finalize();
+    const std::string first = written(jobs);
+    const JobSet loaded = read_workload(first, "<test>");
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_TRUE(loaded[0].profit() == shape) << first;
+    EXPECT_EQ(written(loaded), first);
+  }
+  // The staircase keeps its own value between the levels' ends.
+  const ProfitFn stairs = ProfitFn::piecewise({{2.0, 4.0}, {6.0, 2.0}});
+  JobSet jobs;
+  jobs.add(Job(dag, 0.0, stairs));
+  jobs.finalize();
+  const JobSet loaded = read_workload(written(jobs), "<test>");
+  EXPECT_EQ(loaded[0].profit().kind(), ProfitFn::Kind::kPiecewise);
+  EXPECT_EQ(loaded[0].profit().at(3.0), 2.0);
+  EXPECT_NE(written(jobs).find("profit piecewise 2 2 4 6 2\n"),
+            std::string::npos);
+}
+
 TEST(WorkloadIo, RoundTripGeneratedWorkload) {
   Rng rng(314);
   const JobSet jobs = generate_workload(rng, scenario_thm2(0.5, 0.8, 8));

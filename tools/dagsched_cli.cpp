@@ -1092,6 +1092,10 @@ int cmd_top(ArgParser& args) {
             << static_cast<std::uint64_t>(
                    nested_num(last, "gauges", "scheduler_bytes"))
             << ")\n"
+            << "  input bytes:   "
+            << static_cast<std::uint64_t>(
+                   nested_num(last, "gauges", "input_bytes"))
+            << "\n"
             << "  rss bytes:     "
             << static_cast<std::uint64_t>(
                    nested_num(last, "gauges", "rss_bytes"))
