@@ -10,7 +10,11 @@
 #      generated workloads and save the event logs:
 #        scripts/decision_parity.sh emit BUILD_DIR OUT_DIR
 #   2. diff mode: compare two such log directories decisions-only with
-#      `dagsched trace diff --decisions` (exit 4 on divergence):
+#      `dagsched trace diff --decisions` (exit 4 on divergence), then the
+#      rolled-up `counters` object in the summary line of each directory's
+#      sweep.report.  Every counter is a function of the decision sequence
+#      (docs/OBSERVABILITY.md), so a value that differs for a name both
+#      sides have fails; a name on only one side is listed, not failed:
 #        scripts/decision_parity.sh diff BUILD_DIR PRE_DIR POST_DIR
 #   3. telemetry mode: run the whole matrix twice -- once plain
 #      (--no-telemetry), once with per-cell telemetry recorders attached --
@@ -134,7 +138,31 @@ diff_dirs() {
     fi
   done
   [ "$fail" -eq 0 ] && echo "decision-log parity: all $(ls "$pre"/*.jsonl | wc -l) combos identical"
+  diff_counters "$pre/sweep.report" "$post/sweep.report" || fail=1
   return "$fail"
+}
+
+# "name value" per counter of a sweep report's summary line (the writer's
+# flat "counters" object), sorted by name.
+summary_counters() {
+  grep '"kind":"summary"' "$1" |
+    sed -n 's/.*"counters":{\([^}]*\)}.*/\1/p' | tr ',' '\n' |
+    sed 's/^"\([^"]*\)":/\1 /' | LC_ALL=C sort
+}
+
+diff_counters() {
+  local pre="$1" post="$2" f
+  for f in "$pre" "$post"; do
+    [ -f "$f" ] || { echo "MISSING sweep report: $f"; return 1; }
+  done
+  LC_ALL=C join -a 1 -a 2 -e '<none>' -o 0,1.2,2.2 \
+      <(summary_counters "$pre") <(summary_counters "$post") |
+    awk '$2 == "<none>" { print "counter only in post: " $1; next }
+         $3 == "<none>" { print "counter only in pre: " $1; next }
+         { n++ }
+         $2 != $3 { print "COUNTER DIFFERS: " $1 ": " $2 " -> " $3; bad = 1 }
+         END { if (!bad) print "counter parity: all " n " shared counters equal"
+               exit bad }'
 }
 
 telemetry_check() {

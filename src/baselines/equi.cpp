@@ -84,7 +84,6 @@ std::size_t EquiScheduler::shed_load(const EngineContext& ctx,
     if (victim == kInvalidJob) break;
     overload_shed_.insert(victim);
     if (obs != nullptr) {
-      obs->count("sched.drops.overload");
       obs->event(ctx.now(), victim, ObsEventKind::kDrop,
                  "overload.shed.share", {{"weight", victim_weight}});
     }

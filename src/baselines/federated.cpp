@@ -31,7 +31,6 @@ void FederatedScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   const Work span_eff = view.span() / ctx.speed();
   if (!(deadline > span_eff)) {  // infeasible on any cluster
     if (ctx.obs() != nullptr) {
-      ctx.obs()->count("sched.drops.infeasible");
       ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop, "infeasible");
     }
     return;
@@ -49,7 +48,6 @@ void FederatedScheduler::on_arrival(const EngineContext& ctx, JobId job) {
 
   if (committed_ + cluster > ctx.num_procs()) {  // reject permanently
     if (ctx.obs() != nullptr) {
-      ctx.obs()->count("sched.drops.cluster_overflow");
       ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop, "cluster-overflow",
                        {{"cluster", static_cast<double>(cluster)},
                         {"committed", static_cast<double>(committed_)}});
@@ -62,7 +60,6 @@ void FederatedScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   ++admitted_count_;
   running_.push_back(job);
   if (ctx.obs() != nullptr) {
-    ctx.obs()->count("sched.admissions");
     ctx.obs()->event(ctx.now(), job, ObsEventKind::kAdmit, "cluster-fit",
                      {{"cluster", static_cast<double>(cluster)}});
   }
@@ -94,7 +91,6 @@ void FederatedScheduler::on_capacity_change(const EngineContext& ctx,
     committed_ -= info.cluster;
     info.admitted = false;
     if (ctx.obs() != nullptr) {
-      ctx.obs()->count("sched.readmit_fails");
       ctx.obs()->event(ctx.now(), job, ObsEventKind::kReadmitFail,
                        "capacity-lost",
                        {{"cluster", static_cast<double>(info.cluster)},
@@ -115,7 +111,6 @@ std::size_t FederatedScheduler::shed_load(const EngineContext& ctx,
     committed_ -= info.cluster;
     info.admitted = false;
     if (obs != nullptr) {
-      obs->count("sched.drops.overload");
       obs->event(ctx.now(), job, ObsEventKind::kDrop, "overload.shed.cluster",
                  {{"cluster", static_cast<double>(info.cluster)}});
     }

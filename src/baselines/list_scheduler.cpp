@@ -90,7 +90,6 @@ std::size_t ListScheduler::shed_load(const EngineContext& ctx,
   const ObsSink* obs = ctx.obs();
   auto emit = [&](JobId job) {
     if (obs == nullptr) return;
-    obs->count("sched.drops.overload");
     obs->event(ctx.now(), job, ObsEventKind::kDrop,
                "overload.shed.lowest-priority");
   };
@@ -206,8 +205,7 @@ void ListScheduler::decide(const EngineContext& ctx, Assignment& out) {
 // jobs permanently as they are first seen.  Grants are identical to
 // decide_sorted -- the index holds exactly the active jobs minus
 // already-shed ones, in the order the sort would produce -- but a decision
-// costs O(grants + newly expired), and each job is skip-counted once
-// instead of on every decision (see docs/OBSERVABILITY.md).
+// costs O(grants + newly expired).
 void ListScheduler::decide_indexed(const EngineContext& ctx, Assignment& out) {
   static thread_local std::vector<std::pair<double, JobId>> expired;
   expired.clear();
@@ -215,16 +213,12 @@ void ListScheduler::decide_indexed(const EngineContext& ctx, Assignment& out) {
   for (const auto& entry : order_index_) {
     const JobView view = ctx.view(entry.second);
     if (options_.drop_expired && view.deadline_unreachable(ctx.now())) {
-      if (ctx.obs() != nullptr) ctx.obs()->count("sched.skips.expired");
       expired.push_back(entry);
       continue;
     }
     if (free == 0) break;
     const auto ready = view.ready_count();
-    if (ready == 0) {
-      if (ctx.obs() != nullptr) ctx.obs()->count("sched.skips.not_ready");
-      continue;
-    }
+    if (ready == 0) continue;
     const ProcCount grant =
         static_cast<ProcCount>(std::min<std::size_t>(ready, free));
     out.add(entry.second, grant);
@@ -245,15 +239,12 @@ void ListScheduler::decide_sorted(const EngineContext& ctx, Assignment& out) {
     const JobId job = llf_candidates_[i];
     const JobView view = ctx.view(job);
     if (options_.drop_expired && view.deadline_unreachable(ctx.now())) {
-      if (ctx.obs() != nullptr) ctx.obs()->count("sched.skips.expired");
       llf_remove(job);  // swap-removal refills slot i; do not advance
       continue;
     }
     ++i;
-    if (view.ready_count() == 0) {  // completed jobs leave via on_completion
-      if (ctx.obs() != nullptr) ctx.obs()->count("sched.skips.not_ready");
-      continue;
-    }
+    // Completed jobs leave via on_completion.
+    if (view.ready_count() == 0) continue;
     order.emplace_back(key(ctx, job), job);
   }
   std::sort(order.begin(), order.end());

@@ -37,23 +37,19 @@ std::string DeadlineScheduler::name() const {
 namespace {
 
 /// How each DeadlineScheduler::Transition (by index) appears in the
-/// decision log, the admission audit, and the sched.* counters.
+/// decision log and the admission audit.
 struct TransitionSpec {
   ObsEventKind kind;
   const char* reason;
   const char* audit_name;
-  const char* counter;
 };
 constexpr TransitionSpec kTransitions[] = {
-    {ObsEventKind::kAdmit, "cond2-ok", "admitted", "sched.admissions"},
-    {ObsEventKind::kDefer, "not-delta-good", "queued:not-delta-good",
-     "sched.deferrals"},
-    {ObsEventKind::kDefer, "window-full", "queued:window-full",
-     "sched.deferrals"},
-    {ObsEventKind::kAdmit, "promoted", "promoted", "sched.promotions"},
-    {ObsEventKind::kDrop, "stale", "dropped:stale", "sched.drops.stale"},
-    {ObsEventKind::kDrop, "expired-in-q", "expired-in-Q",
-     "sched.drops.expired_in_q"},
+    {ObsEventKind::kAdmit, "cond2-ok", "admitted"},
+    {ObsEventKind::kDefer, "not-delta-good", "queued:not-delta-good"},
+    {ObsEventKind::kDefer, "window-full", "queued:window-full"},
+    {ObsEventKind::kAdmit, "promoted", "promoted"},
+    {ObsEventKind::kDrop, "stale", "dropped:stale"},
+    {ObsEventKind::kDrop, "expired-in-q", "expired-in-Q"},
 };
 
 }  // namespace
@@ -73,9 +69,6 @@ void DeadlineScheduler::record(const EngineContext& ctx, JobId job,
   if (obs == nullptr) return;
   const TransitionSpec& spec =
       kTransitions[static_cast<std::size_t>(transition)];
-  obs->count(spec.counter);
-  // A promotion is also an admission.
-  if (transition == Transition::kPromoted) obs->count("sched.admissions");
   // Every event carries the allocation the decision was made against, so a
   // consumer can replay condition (2) offline (see docs/OBSERVABILITY.md).
   obs->event(ctx.now(), job, spec.kind, spec.reason,
@@ -183,7 +176,6 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
       options_.params.b * static_cast<double>(ctx.num_procs());
   bool admissible = info.alloc.good;
   if (admissible && options_.enforce_admission) {
-    if (ctx.obs() != nullptr) ctx.obs()->count("sched.admission_checks");
     admissible =
         q_index_.admits(info.alloc.v, info.alloc.n, options_.params.c, cap);
   }
@@ -260,7 +252,6 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
       const Time remaining_window =
           info.abs_plateau_deadline - ctx.now();
       if (remaining_window > 0.0) {
-        if (ctx.obs() != nullptr) ctx.obs()->count("sched.recomputes");
         JobAllocation fresh_alloc = compute_deadline_allocation(
             view.work(), view.span(), remaining_window, info.peak,
             options_.params, ctx.speed());
@@ -273,7 +264,6 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
     const bool fresh = is_fresh(info, ctx.now());
     bool admissible = info.alloc.n > 0 && fresh;
     if (admissible && options_.enforce_admission) {
-      if (ctx.obs() != nullptr) ctx.obs()->count("sched.admission_checks");
       admissible = q_index_.admits(info.alloc.v, info.alloc.n,
                                    options_.params.c, cap);
     }
@@ -333,7 +323,6 @@ void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
       slug = "stale";
     }
     if (obs != nullptr) {
-      obs->count("sched.readmit_fails");
       obs->event(ctx.now(), job, ObsEventKind::kReadmitFail, slug,
                  {{"v", info.alloc.v},
                   {"n", static_cast<double>(info.alloc.n)},
@@ -406,7 +395,6 @@ std::size_t DeadlineScheduler::shed_load(const EngineContext& ctx,
   const ObsSink* obs = ctx.obs();
   auto emit = [&](JobId job, const char* slug) {
     if (obs == nullptr) return;
-    obs->count("sched.drops.overload");
     obs->event(ctx.now(), job, ObsEventKind::kDrop, slug,
                {{"v", info_[job].alloc.v},
                 {"n", static_cast<double>(info_[job].alloc.n)}});

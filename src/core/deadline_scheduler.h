@@ -177,8 +177,7 @@ class DeadlineScheduler final : public SchedulerBase {
   bool p_dirty_all_ = false;
   std::vector<std::pair<Density, JobId>> drain_scratch_;
 
-  /// Emits the transition to the run's ObsSink as a decision event and
-  /// policy counter (if wired).
+  /// Emits the transition to the run's ObsSink as a decision event.
   void record(const EngineContext& ctx, JobId job, Transition transition);
 };
 

@@ -60,7 +60,6 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
     DS_LOG_DEBUG("profit scheduler: job " << job
                                           << " infeasible (x* too tight)");
     if (ctx.obs() != nullptr) {
-      ctx.obs()->count("sched.drops.infeasible");
       ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop, "infeasible");
     }
     return;
@@ -165,7 +164,6 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
       }
       work_order_.emplace(v, job);
       if (ctx.obs() != nullptr) {
-        ctx.obs()->count("sched.admissions");
         ctx.obs()->event(ctx.now(), job, ObsEventKind::kSchedule,
                          "deadline-found",
                          {{"d", static_cast<double>(d)},
@@ -180,7 +178,6 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   DS_LOG_DEBUG("profit scheduler: no valid deadline for job "
                << job << " within " << d_hi << " slots");
   if (ctx.obs() != nullptr) {
-    ctx.obs()->count("sched.drops.no_valid_deadline");
     ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop,
                      "no-valid-deadline",
                      {{"d_hi", static_cast<double>(d_hi)}});
@@ -219,7 +216,6 @@ void ProfitScheduler::on_capacity_change(const EngineContext& ctx,
     info.assigned.clear();
     work_order_.erase({info.v, job});
     if (obs != nullptr) {
-      obs->count("sched.readmit_fails");
       obs->event(ctx.now(), job, ObsEventKind::kReadmitFail, slug,
                  {{"n", static_cast<double>(info.alloc.n)},
                   {"m", static_cast<double>(new_m)}});
@@ -314,7 +310,6 @@ std::size_t ProfitScheduler::shed_load(const EngineContext& ctx,
     info.assigned.clear();
     work_order_.erase({v, job});
     if (obs != nullptr) {
-      obs->count("sched.drops.overload");
       obs->event(ctx.now(), job, ObsEventKind::kDrop, "overload.shed.window",
                  {{"v", v}, {"n", static_cast<double>(info.alloc.n)}});
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/event_log.h"
+
 namespace dagsched {
 
 void Histogram::observe(double value) {
@@ -68,6 +70,33 @@ MetricRegistry::histogram_values() const {
     out.emplace_back(name, instrument);
   }
   return out;
+}
+
+void count_event(MetricRegistry& metrics, ObsEventKind kind,
+                 std::string_view reason) {
+  const auto bump = [&metrics](std::string_view name) {
+    metrics.counter(name)->add(1.0);
+  };
+  switch (kind) {
+    case ObsEventKind::kAdmit:
+      if (reason == "promoted") bump("sched.promotions");
+      [[fallthrough]];
+    case ObsEventKind::kSchedule: return bump("sched.admissions");
+    case ObsEventKind::kDefer: return bump("sched.deferrals");
+    case ObsEventKind::kReadmitFail: return bump("sched.readmit_fails");
+    case ObsEventKind::kProcDown: return bump("fault.proc_downs");
+    case ObsEventKind::kProcUp: return bump("fault.proc_ups");
+    case ObsEventKind::kNodeRestart: return bump("fault.node_restarts");
+    case ObsEventKind::kWorkOverrun: return bump("fault.work_overruns");
+    case ObsEventKind::kDrop: break;
+    default: return;  // lifecycle, overload and abort events count nothing
+  }
+  if (reason.starts_with("overload.shed.")) {
+    return bump("sched.drops.overload");
+  }
+  std::string name = "sched.drops.";  // the slug with '-' written as '_'
+  for (const char c : reason) name += c == '-' ? '_' : c;
+  bump(name);
 }
 
 }  // namespace dagsched

@@ -3,10 +3,10 @@
 // A MetricRegistry is owned by whoever drives a run (the CLI, a bench, a
 // test, a sweep cell) and handed to engines/schedulers through ObsSink
 // (obs/sink.h).  Instruments are registered on first use and live for the
-// registry's lifetime.  The kernel writes its engine.*, fault.* and
-// overload.* counters once, when the run finishes, from figures it already
-// keeps (SimResult and its own tallies); schedulers bump their sched.*
-// counters as decisions happen, and the engines feed two histograms.
+// registry's lifetime.  Decision events bump the sched.* and fault.*
+// transition counters (ObsSink::event); the kernel writes the rest once,
+// when the run finishes, from figures it already keeps (SimResult and its
+// own tallies), and the engines feed two histograms.
 //
 // The registry is deliberately not thread-safe: the simulation engines are
 // single-threaded per run, and parallel runners own one registry per run.
@@ -82,5 +82,12 @@ class MetricRegistry {
   std::map<std::string, Counter*, std::less<>> counter_index_;
   std::map<std::string, Histogram*, std::less<>> histogram_index_;
 };
+
+enum class ObsEventKind;
+
+/// The event->counter table (docs/OBSERVABILITY.md): bumps the counter(s)
+/// of an event of `kind` with `reason`.  ObsSink::event calls it.
+void count_event(MetricRegistry& metrics, ObsEventKind kind,
+                 std::string_view reason);
 
 }  // namespace dagsched

@@ -115,14 +115,12 @@ void EventLog::write_jsonl(std::ostream& out) const {
 }
 
 std::optional<std::vector<DecisionEvent>> EventLog::parse_jsonl(
-    std::istream& in, std::string* error) {
+    std::istream& in, JsonlError* error) {
   std::vector<DecisionEvent> events;
   std::string line;
   std::size_t line_number = 0;
-  auto fail = [error, &line_number](const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_number) + ": " + message;
-    }
+  auto fail = [&](std::string message, std::size_t column = 1) {
+    if (error != nullptr) *error = {line_number, column, std::move(message)};
     return std::nullopt;
   };
 
@@ -130,7 +128,7 @@ std::optional<std::vector<DecisionEvent>> EventLog::parse_jsonl(
     ++line_number;
     if (line.empty()) continue;
     const JsonParseResult parsed = json_parse(line);
-    if (!parsed.ok) return fail(parsed.error);
+    if (!parsed.ok) return fail(parsed.error, parsed.offset + 1);
     const JsonValue& doc = parsed.value;
     if (!doc.is_object()) return fail("event is not a JSON object");
     const JsonValue* t = doc.find("t");

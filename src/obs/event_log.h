@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/json.h"
 #include "util/types.h"
 
 namespace dagsched {
@@ -104,9 +105,10 @@ class EventLog {
   void write_jsonl(std::ostream& out) const;
 
   /// Parses a JSONL stream produced by write_jsonl.  Returns std::nullopt
-  /// (with a message in `error` if non-null) on the first malformed line.
+  /// (with the position and message in `error` if non-null) on the first
+  /// malformed line.
   static std::optional<std::vector<DecisionEvent>> parse_jsonl(
-      std::istream& in, std::string* error = nullptr);
+      std::istream& in, JsonlError* error = nullptr);
 
  private:
   std::vector<DecisionEvent> events_;

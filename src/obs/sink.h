@@ -5,9 +5,10 @@
 // takes exactly the seed code path.  The struct is plain pointers; the
 // caller owns the registries and decides which of the two channels are
 // active (e.g. `--events` without `--obs` enables the event log only).
+// A decision is recorded once, as an event; its counters are derived from
+// it (count_event, obs/counters.h).
 #pragma once
 
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,17 +24,12 @@ struct ObsSink {
 
   bool enabled() const { return metrics != nullptr || events != nullptr; }
 
-  /// Convenience: bump a named counter if metrics are attached.  Hot paths
-  /// should resolve Counter* once instead; this is for event-frequency call
-  /// sites (arrivals, admissions) where a map lookup is irrelevant.
-  void count(std::string_view name, double delta = 1.0) const {
-    if (metrics != nullptr) metrics->counter(name)->add(delta);
-  }
-
-  /// Convenience: append a decision event if the log is attached.
+  /// Records a decision event: counts it if metrics are attached, appends
+  /// it if the log is attached.
   void event(Time time, JobId job, ObsEventKind kind,
              std::string reason = {},
              std::vector<std::pair<std::string, double>> detail = {}) const {
+    if (metrics != nullptr) count_event(*metrics, kind, reason);
     if (events != nullptr) {
       events->emit(time, job, kind, std::move(reason), std::move(detail));
     }

@@ -29,11 +29,10 @@ std::string percent(double delta) {
 }  // namespace
 
 std::optional<SweepReportDoc> parse_sweep_report(std::istream& in,
-                                                 std::string* error) {
-  auto fail = [error](std::size_t line, const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line) + ": " + message;
-    }
+                                                 JsonlError* error) {
+  auto fail = [error](std::size_t line, std::string message,
+                      std::size_t column = 1) {
+    if (error != nullptr) *error = {line, column, std::move(message)};
     return std::nullopt;
   };
 
@@ -45,7 +44,7 @@ std::optional<SweepReportDoc> parse_sweep_report(std::istream& in,
     ++line_number;
     if (line.empty()) continue;
     JsonParseResult parsed = json_parse(line);
-    if (!parsed.ok) return fail(line_number, parsed.error);
+    if (!parsed.ok) return fail(line_number, parsed.error, parsed.offset + 1);
     if (!parsed.value.is_object()) {
       return fail(line_number, "expected a JSON object");
     }

@@ -46,12 +46,12 @@ struct SweepReportDoc {
   bool has_summary() const { return summary.is_object(); }
 };
 
-/// Parses a dagsched.sweep/1 JSONL stream.  Returns nullopt (with a
-/// "line N: ..." message in `error`) on malformed JSON, a wrong schema, or
+/// Parses a dagsched.sweep/1 JSONL stream.  Returns nullopt (with the
+/// position and message in `error`) on malformed JSON, a wrong schema, or
 /// a missing header; unknown "kind" lines are skipped for forward
 /// compatibility.
 std::optional<SweepReportDoc> parse_sweep_report(std::istream& in,
-                                                 std::string* error = nullptr);
+                                                 JsonlError* error = nullptr);
 
 /// Human-readable rendering (`dagsched report SWEEP.jsonl`).
 std::string format_sweep_report(const SweepReportDoc& doc);

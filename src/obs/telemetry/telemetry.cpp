@@ -186,29 +186,24 @@ JsonValue telemetry_to_json(const TelemetryRecorder& recorder) {
 }
 
 std::optional<std::vector<JsonValue>> parse_telemetry_jsonl(
-    std::istream& in, std::string* error) {
+    std::istream& in, JsonlError* error) {
   std::vector<JsonValue> snapshots;
   std::string line;
   std::size_t line_no = 0;
+  auto fail = [&](std::string message, std::size_t column = 1) {
+    if (error != nullptr) *error = {line_no, column, std::move(message)};
+    return std::nullopt;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
     JsonParseResult parsed = json_parse(line);
-    if (!parsed.ok) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": " + parsed.error;
-      }
-      return std::nullopt;
-    }
+    if (!parsed.ok) return fail(parsed.error, parsed.offset + 1);
     const JsonValue* schema = parsed.value.find("schema");
     if (schema == nullptr || !schema->is_string() ||
         schema->as_string() != kTelemetrySchema) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) +
-                 ": missing or unsupported schema (want " +
-                 std::string(kTelemetrySchema) + ")";
-      }
-      return std::nullopt;
+      return fail("missing or unsupported schema (want " +
+                  std::string(kTelemetrySchema) + ")");
     }
     snapshots.push_back(std::move(parsed.value));
   }

@@ -189,9 +189,9 @@ JsonValue telemetry_to_json(const TelemetryRecorder& recorder);
 
 /// Parses a dagsched.telemetry/1 JSONL stream back into one JsonValue per
 /// snapshot (`dagsched top`, tests).  Rejects the first malformed or
-/// wrong-schema line with a `line N:` positioned message.
+/// wrong-schema line, with its position in `error`.
 std::optional<std::vector<JsonValue>> parse_telemetry_jsonl(
-    std::istream& in, std::string* error = nullptr);
+    std::istream& in, JsonlError* error = nullptr);
 
 /// Current process resident-set size in bytes (/proc/self/statm); 0 when
 /// unavailable.

@@ -77,8 +77,8 @@ class EngineContext {
   std::size_t num_jobs() const { return jobs_->size(); }
 
   /// Observability sink wired by the engine (nullptr when instrumentation
-  /// is off -- the default).  Schedulers use it to emit decision events and
-  /// policy counters; see obs/sink.h.
+  /// is off -- the default).  Schedulers use it to emit decision events;
+  /// see obs/sink.h.
   const ObsSink* obs() const { return obs_; }
 
   /// Semi-non-clairvoyant window onto job `id` (any job, arrived or not --

@@ -47,10 +47,6 @@ void SimKernel::begin(Time start_time) {
                    : nullptr;
   node_starts_ = 0;
   node_completions_ = 0;
-  proc_downs_ = 0;
-  proc_ups_ = 0;
-  node_restarts_ = 0;
-  work_overruns_ = 0;
   overload_active_ = false;
 
   telemetry_ = options_.telemetry;
@@ -113,7 +109,6 @@ void SimKernel::deliver_transitions(Time now) {
       proc_up_[tr.proc] = 1;
       ++avail_;
       capacity_changed = true;
-      ++proc_ups_;
       if (obs_ != nullptr) {
         obs_->event(tr.time, kInvalidJob, ObsEventKind::kProcUp, {},
                     {{"proc", static_cast<double>(tr.proc)}});
@@ -123,7 +118,6 @@ void SimKernel::deliver_transitions(Time now) {
       proc_up_[tr.proc] = 0;
       --avail_;
       capacity_changed = true;
-      ++proc_downs_;
       if (obs_ != nullptr) {
         obs_->event(tr.time, kInvalidJob, ObsEventKind::kProcDown, {},
                     {{"proc", static_cast<double>(tr.proc)}});
@@ -135,7 +129,6 @@ void SimKernel::deliver_transitions(Time now) {
           !state_.unfolding(vjob).is_done(vnode)) {
         const Work lost = state_.unfolding(vjob).reset_progress(vnode);
         result_.lost_work += lost;
-        ++node_restarts_;
         if (obs_ != nullptr) {
           obs_->event(tr.time, vjob, ObsEventKind::kNodeRestart, {},
                       {{"node", static_cast<double>(vnode)}, {"lost", lost}});
@@ -184,7 +177,6 @@ void SimKernel::deliver_arrivals(Time now) {
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kArrival);
     const Work actual_total = state_.unfolding(id).total_remaining_work();
     if (faults != nullptr && approx_gt(actual_total, jobs_[id].work())) {
-      ++work_overruns_;
       if (obs_ != nullptr) {
         obs_->event(now, id, ObsEventKind::kWorkOverrun, {},
                     {{"declared", jobs_[id].work()},
@@ -424,10 +416,11 @@ void SimKernel::publish_counters(double idle) const {
   put("engine.busy_proc_time", result_.busy_proc_time);
   put("engine.idle_proc_time", idle);
   if (options_.faults != nullptr) {
-    tally("fault.proc_downs", proc_downs_);
-    tally("fault.proc_ups", proc_ups_);
-    tally("fault.node_restarts", node_restarts_);
-    tally("fault.work_overruns", work_overruns_);
+    // Registered so they read 0 when their events never happened.
+    for (const char* name : {"fault.proc_downs", "fault.proc_ups",
+                             "fault.node_restarts", "fault.work_overruns"}) {
+      mr.counter(name);
+    }
     put("fault.lost_work", result_.lost_work);
   }
   if (options_.decide_budget_ns > 0) {

@@ -19,10 +19,10 @@
 //   * fault application: the processor up-set, the failure-victim map, and
 //     restart=resume|zero lost-work accounting;
 //   * observability for all the shared lifecycle events: decision events
-//     and telemetry as they happen, and the engine.*/fault.*/overload.*
-//     registry counters written once, in finish(), from the SimResult and
-//     the kernel's own tallies (so a resumed run reports whole-run totals
-//     wherever the checkpoint carries the figure);
+//     and telemetry as they happen (events bump their own counters), and
+//     the other registry counters written once, in finish(), from the
+//     SimResult and the kernel's own tallies (so a resumed run reports
+//     whole-run totals wherever the checkpoint carries the figure);
 //   * busy/idle processor-time bookkeeping, with the
 //     busy + idle == m x (end - start) invariant asserted once, in finish().
 //
@@ -342,10 +342,6 @@ class SimKernel {
   Histogram* h_running_ = nullptr;
   std::size_t node_starts_ = 0;
   std::size_t node_completions_ = 0;
-  std::size_t proc_downs_ = 0;
-  std::size_t proc_ups_ = 0;
-  std::size_t node_restarts_ = 0;
-  std::size_t work_overruns_ = 0;
 
   /// True between an over-budget decide() and the next under-budget one.
   bool overload_active_ = false;

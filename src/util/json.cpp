@@ -253,11 +253,13 @@ class Parser {
     skip_ws();
     if (!parse_value(result.value)) {
       result.error = error_ + " at offset " + std::to_string(pos_);
+      result.offset = pos_;
       return result;
     }
     skip_ws();
     if (pos_ != text_.size()) {
       result.error = "trailing content at offset " + std::to_string(pos_);
+      result.offset = pos_;
       return result;
     }
     result.ok = true;

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/parse_error.h"
+
 namespace dagsched {
 
 class JsonValue {
@@ -96,6 +98,17 @@ struct JsonParseResult {
   bool ok = false;
   JsonValue value;
   std::string error;  // message with character offset when !ok
+  std::size_t offset = 0;  // 0-based offset of that failure
+};
+
+/// Where line-oriented (JSONL) input failed: the 1-based line and column
+/// (1 unless the JSON parser located the fault) and the bare message.
+struct JsonlError {
+  std::size_t line = 1, column = 1;
+  std::string message;
+  ParseError at(std::string source) const {
+    return ParseError(std::move(source), line, column, message);
+  }
 };
 
 JsonParseResult json_parse(std::string_view text);

@@ -33,9 +33,9 @@ TEST(CrashDumpDeathTest, FlushesEventsAndEmitsEngineAbort) {
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << "crash dump was not written to " << path;
-  std::string error;
+  JsonlError error;
   const auto events = EventLog::parse_jsonl(in, &error);
-  ASSERT_TRUE(events.has_value()) << error;
+  ASSERT_TRUE(events.has_value()) << error.message;
   ASSERT_EQ(events->size(), 3u);
   EXPECT_EQ((*events)[0].kind, ObsEventKind::kArrival);
   EXPECT_EQ((*events)[1].kind, ObsEventKind::kAdmit);
@@ -87,9 +87,9 @@ TEST(CrashDumpDeathTest, StreamedLogEndsOnCompleteLine) {
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << "streamed crash dump missing at " << path;
-  std::string error;
+  JsonlError error;
   const auto events = EventLog::parse_jsonl(in, &error);
-  ASSERT_TRUE(events.has_value()) << error;  // no partial record survived
+  ASSERT_TRUE(events.has_value()) << error.message;  // no partial record survived
   ASSERT_EQ(events->size(), 3u);
   EXPECT_EQ((*events)[0].kind, ObsEventKind::kArrival);
   EXPECT_EQ((*events)[1].kind, ObsEventKind::kArrival);

@@ -1,17 +1,29 @@
 // Counter/histogram registry semantics: register-on-first-use, accumulate,
-// name-sorted snapshots, and engine-integrated counter agreement (idle time
-// across both engines).
+// name-sorted snapshots, engine-integrated counter agreement (idle time
+// across both engines), and the event-derived counters: every sched.* and
+// fault.* transition counter equals a tally of the decision log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
+#include "exp/runner.h"
+#include "fault/injector.h"
 #include "job/job.h"
 #include "obs/counters.h"
+#include "obs/event_log.h"
 #include "obs/sink.h"
 #include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/slot_engine.h"
+#include "workload/scenarios.h"
 
 namespace dagsched {
 namespace {
@@ -141,6 +153,195 @@ TEST(EngineCounters, IdleTimeAgreesAcrossEnginesOnSparseWorkloads) {
   EXPECT_NEAR(ev_idle, slot_idle, 1e-9);
   EXPECT_NEAR(ev_busy + ev_idle, static_cast<double>(m) * ev_end, 1e-9);
   EXPECT_NEAR(slot_busy + slot_idle, static_cast<double>(m) * slot_end, 1e-9);
+}
+
+// --- Event-derived counters -------------------------------------------------
+
+constexpr const char* kFaultTallies[] = {
+    "fault.proc_downs", "fault.proc_ups", "fault.node_restarts",
+    "fault.work_overruns"};
+
+bool is_event_counter(const std::string& name) {
+  return name.rfind("sched.", 0) == 0 ||
+         std::find(std::begin(kFaultTallies), std::end(kFaultTallies),
+                   name) != std::end(kFaultTallies);
+}
+
+/// The counters a decision log implies, tallied here from the documented
+/// event->counter table (docs/OBSERVABILITY.md) rather than through the
+/// production one.
+std::map<std::string, double> tally_log(
+    const std::vector<DecisionEvent>& events) {
+  std::map<std::string, double> out;
+  for (const DecisionEvent& event : events) {
+    const std::string kind = obs_event_kind_name(event.kind);
+    const std::string& reason = event.reason;
+    if (kind == "admit" || kind == "schedule") ++out["sched.admissions"];
+    if (kind == "admit" && reason == "promoted") ++out["sched.promotions"];
+    if (kind == "defer") ++out["sched.deferrals"];
+    if (kind == "drop") {
+      std::string suffix =
+          reason.rfind("overload.shed.", 0) == 0 ? "overload" : reason;
+      std::replace(suffix.begin(), suffix.end(), '-', '_');
+      ++out["sched.drops." + suffix];
+    }
+    if (kind == "readmit-fail") ++out["sched.readmit_fails"];
+    if (kind == "proc-down") ++out["fault.proc_downs"];
+    if (kind == "proc-up") ++out["fault.proc_ups"];
+    if (kind == "node-restart") ++out["fault.node_restarts"];
+    if (kind == "work-overrun") ++out["fault.work_overruns"];
+  }
+  return out;
+}
+
+double count_of(const std::map<std::string, double>& counters,
+                const std::string& name) {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0.0 : it->second;
+}
+
+struct CountedRun {
+  std::map<std::string, double> counters;
+  std::vector<DecisionEvent> events;
+};
+
+/// Runs `scheduler` with both a registry and a log attached.  A non-empty
+/// `faults` spec attaches an injector; a non-zero `decide_budget_ns` makes
+/// every fourth decision breach it (through the latency probe), so the
+/// scheduler sheds load.
+CountedRun run_counted(const JobSet& jobs, const std::string& scheduler,
+                       EngineKind engine, ProcCount m,
+                       const std::string& faults = {},
+                       std::uint64_t decide_budget_ns = 0) {
+  MetricRegistry registry;
+  EventLog log;
+  ObsSink sink;
+  sink.metrics = &registry;
+  sink.events = &log;
+  SimOptions options;
+  options.num_procs = m;
+  options.obs = &sink;
+  std::optional<FaultInjector> injector;
+  if (!faults.empty()) {
+    std::string error;
+    injector = make_fault_injector(faults, m, error);
+    EXPECT_TRUE(injector.has_value()) << error;
+    if (injector) options.faults = &*injector;
+  }
+  if (decide_budget_ns > 0) {
+    options.decide_budget_ns = decide_budget_ns;
+    options.overload_probe = [decide_budget_ns](std::size_t decision,
+                                                std::uint64_t) {
+      return decision % 4 == 1 ? decide_budget_ns * 10 : 0;
+    };
+  }
+  auto sched = make_named_scheduler(scheduler, 0.5);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  const SimResult result =
+      run_simulation(engine, jobs, *sched, *selector, options);
+  EXPECT_FALSE(result.failed()) << result.failure_message;
+  CountedRun run;
+  for (const auto& [name, value] : registry.counter_values()) {
+    run.counters[name] = value;
+  }
+  run.events = log.events();
+  return run;
+}
+
+/// Every event-derived counter equals the log's tally; the four fault.*
+/// tallies are present (at 0 if nothing happened) exactly when an injector
+/// is attached; the counters of implementation work are gone.  Returns the
+/// tally so callers can require the run covered the decisions they target.
+std::map<std::string, double> expect_counters_match_log(
+    const CountedRun& run, bool injector) {
+  std::map<std::string, double> expected = tally_log(run.events);
+  if (injector) {
+    for (const char* name : kFaultTallies) expected[name] += 0.0;
+  }
+  std::map<std::string, double> actual;
+  for (const auto& [name, value] : run.counters) {
+    if (is_event_counter(name)) actual[name] = value;
+    EXPECT_NE(name, "sched.admission_checks");
+    EXPECT_NE(name, "sched.recomputes");
+    EXPECT_NE(name.rfind("sched.skips.", 0), 0u) << name;
+  }
+  EXPECT_EQ(actual, expected);
+  return expected;
+}
+
+JobSet thm2_jobs() {
+  Rng rng(7);
+  WorkloadConfig config = scenario_thm2(0.5, 0.9, 16);
+  config.horizon = 400.0;
+  return generate_workload(rng, config);
+}
+
+// restart=zero churn plus work overruns: churn shrinks capacity (readmit
+// failures, stale drops), and overruns make admitted jobs miss their
+// deadlines in Q.
+constexpr const char* kChurnOverrun =
+    "mtbf=45,mttr=15,horizon=300,seed=9,min-procs=4,restart=zero,"
+    "overrun-prob=0.3,overrun-factor=3";
+
+TEST(EventCounters, DeadlineSchedulerUnderChurn) {
+  const CountedRun run =
+      run_counted(thm2_jobs(), "s", EngineKind::kEvent, 16, kChurnOverrun);
+  const auto tally = expect_counters_match_log(run, /*injector=*/true);
+  for (const char* name :
+       {"sched.admissions", "sched.promotions", "sched.deferrals",
+        "sched.drops.stale", "sched.drops.expired_in_q",
+        "sched.readmit_fails", "fault.proc_downs", "fault.proc_ups",
+        "fault.node_restarts", "fault.work_overruns"}) {
+    EXPECT_GT(count_of(tally, name), 0.0) << name;
+  }
+}
+
+TEST(EventCounters, OverloadedProfitSchedulerOnSlotEngine) {
+  Rng rng(5);
+  WorkloadConfig config = scenario_profit(
+      0.5, 2.5, 16, ProfitPolicy::Shape::kPlateauLinear);
+  config.horizon = 200.0;
+  const CountedRun run = run_counted(generate_workload(rng, config),
+                                     "profit", EngineKind::kSlot, 16);
+  const auto tally = expect_counters_match_log(run, /*injector=*/false);
+  EXPECT_GT(count_of(tally, "sched.admissions"), 0.0);
+  EXPECT_GT(count_of(tally, "sched.drops.no_valid_deadline"), 0.0);
+}
+
+TEST(EventCounters, FederatedUnderChurn) {
+  const CountedRun run = run_counted(
+      thm2_jobs(), "federated", EngineKind::kEvent, 16,
+      "mtbf=45,mttr=15,horizon=300,seed=9,min-procs=4,restart=zero");
+  const auto tally = expect_counters_match_log(run, /*injector=*/true);
+  EXPECT_GT(count_of(tally, "sched.admissions"), 0.0);
+  EXPECT_GT(count_of(tally, "sched.drops.cluster_overflow"), 0.0);
+  EXPECT_GT(count_of(tally, "sched.readmit_fails"), 0.0);
+}
+
+TEST(EventCounters, LoadSheddingUnderADecideBudget) {
+  for (const char* scheduler : {"edf", "equi"}) {
+    SCOPED_TRACE(scheduler);
+    const CountedRun run = run_counted(thm2_jobs(), scheduler,
+                                       EngineKind::kEvent, 16, {}, 1000);
+    const auto tally = expect_counters_match_log(run, /*injector=*/false);
+    EXPECT_GT(count_of(tally, "sched.drops.overload"), 0.0);
+    EXPECT_GT(count_of(run.counters, "overload.sheds"), 0.0);
+  }
+}
+
+TEST(EventCounters, WorkOverrunsWithoutChurn) {
+  // An injector without churn still registers all four fault.* tallies;
+  // only the overruns are non-zero.
+  const CountedRun run =
+      run_counted(thm2_jobs(), "edf", EngineKind::kEvent, 16,
+                  "overrun-prob=0.3,overrun-factor=3,seed=4");
+  const auto tally = expect_counters_match_log(run, /*injector=*/true);
+  EXPECT_GT(count_of(tally, "fault.work_overruns"), 0.0);
+  for (const char* name : {"fault.proc_downs", "fault.proc_ups",
+                           "fault.node_restarts"}) {
+    ASSERT_EQ(run.counters.count(name), 1u) << name;
+    EXPECT_EQ(run.counters.at(name), 0.0) << name;
+  }
 }
 
 }  // namespace

@@ -55,9 +55,9 @@ TEST(EventLog, JsonlRoundTripsExactly) {
   std::stringstream stream;
   log.write_jsonl(stream);
 
-  std::string error;
+  JsonlError error;
   const auto parsed = EventLog::parse_jsonl(stream, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_TRUE(parsed.has_value()) << error.message;
   ASSERT_EQ(parsed->size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ((*parsed)[i], log.events()[i]) << "event " << i;
@@ -66,18 +66,30 @@ TEST(EventLog, JsonlRoundTripsExactly) {
 
 TEST(EventLog, ParseRejectsMalformedLines) {
   std::istringstream bad("{\"t\":0,\"job\":1,\"kind\":\"arrival\"}\nnot json\n");
-  std::string error;
+  JsonlError error;
   EXPECT_FALSE(EventLog::parse_jsonl(bad, &error).has_value());
-  // The error must locate the offending line for the user.
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // The error must locate the offending line (and, for malformed JSON, the
+  // column the JSON parser stopped at) for the user.
+  EXPECT_EQ(error.line, 2u) << error.message;
+  EXPECT_EQ(error.column, 1u) << error.message;
+  EXPECT_EQ(error.message.find("line "), std::string::npos) << error.message;
+
+  std::istringstream bad_column(
+      "{\"t\":0,\"job\":1,\"kind\":\"arrival\"}\n{\"t\":0,}\n");
+  EXPECT_FALSE(EventLog::parse_jsonl(bad_column, &error).has_value());
+  EXPECT_EQ(error.line, 2u) << error.message;
+  EXPECT_EQ(error.column, 8u) << error.message;  // offset 7, 1-based
+  EXPECT_EQ(error.at("e.jsonl").what(),
+            "e.jsonl:2:8: " + error.message);
 
   std::istringstream unknown_kind(
       "{\"t\":0,\"job\":1,\"kind\":\"arrival\"}\n"
       "{\"t\":1,\"job\":1,\"kind\":\"teleport\"}\n");
-  error.clear();
   EXPECT_FALSE(EventLog::parse_jsonl(unknown_kind, &error).has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("teleport"), std::string::npos) << error;
+  EXPECT_EQ(error.line, 2u) << error.message;
+  EXPECT_EQ(error.column, 1u) << error.message;
+  EXPECT_NE(error.message.find("teleport"), std::string::npos)
+      << error.message;
 }
 
 TEST(EventLog, FaultEventKindsRoundTripExactly) {
@@ -98,9 +110,9 @@ TEST(EventLog, FaultEventKindsRoundTripExactly) {
 
   std::stringstream stream;
   log.write_jsonl(stream);
-  std::string error;
+  JsonlError error;
   const auto parsed = EventLog::parse_jsonl(stream, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_TRUE(parsed.has_value()) << error.message;
   ASSERT_EQ(parsed->size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ((*parsed)[i], log.events()[i]) << "event " << i;
@@ -205,9 +217,9 @@ TEST(EventLog, LinesEqualTheJsonValueWriterForRandomEvents) {
     return value;
   };
   std::istringstream in(stream.str());
-  std::string error;
+  JsonlError error;
   const auto parsed = EventLog::parse_jsonl(in, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_TRUE(parsed.has_value()) << error.message;
   ASSERT_EQ(parsed->size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     DecisionEvent normal = events[i];

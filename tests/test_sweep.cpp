@@ -290,9 +290,9 @@ SweepReportDoc report_roundtrip(const SweepResult& sweep) {
   std::ostringstream out;
   write_sweep_report(out, sweep);
   std::istringstream in(out.str());
-  std::string error;
+  JsonlError error;
   const auto doc = parse_sweep_report(in, &error);
-  EXPECT_TRUE(doc.has_value()) << error;
+  EXPECT_TRUE(doc.has_value()) << error.message;
   return doc.value_or(SweepReportDoc{});
 }
 
@@ -320,19 +320,22 @@ TEST(SweepReport, RoundTripPreservesCellsAndSummary) {
 }
 
 TEST(SweepReport, ParserRejectsMalformedInput) {
-  std::string error;
+  JsonlError error;
   std::istringstream empty("");
   EXPECT_FALSE(parse_sweep_report(empty, &error).has_value());
-  EXPECT_NE(error.find("line 1"), std::string::npos);
+  EXPECT_EQ(error.line, 1u);
 
   std::istringstream wrong_schema(
       "{\"schema\":\"dagsched.run_report/1\",\"kind\":\"header\"}\n");
   EXPECT_FALSE(parse_sweep_report(wrong_schema, &error).has_value());
 
   std::istringstream bad_json(
-      "{\"schema\":\"dagsched.sweep/1\",\"kind\":\"header\"}\nnot json\n");
+      "{\"schema\":\"dagsched.sweep/1\",\"kind\":\"header\"}\n"
+      "{\"t\":1,x}\n");
   EXPECT_FALSE(parse_sweep_report(bad_json, &error).has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos);
+  EXPECT_EQ(error.line, 2u) << error.message;
+  EXPECT_EQ(error.column, 8u) << error.message;  // offset 7, 1-based
+  EXPECT_EQ(error.message.find("line "), std::string::npos) << error.message;
 }
 
 /// Builds a minimal sweep doc with one cell from literal JSON.

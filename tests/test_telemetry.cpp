@@ -188,9 +188,9 @@ TEST(TelemetryRecorder, JsonlRoundTripsThroughParser) {
   EXPECT_EQ(recorder.snapshots_emitted(), 2u);
 
   std::istringstream in(out.str());
-  std::string error;
+  JsonlError error;
   const auto snapshots = parse_telemetry_jsonl(in, &error);
-  ASSERT_TRUE(snapshots.has_value()) << error;
+  ASSERT_TRUE(snapshots.has_value()) << error.message;
   ASSERT_EQ(snapshots->size(), 2u);
 
   const JsonValue& first = (*snapshots)[0];
@@ -218,16 +218,19 @@ TEST(TelemetryRecorder, JsonlRoundTripsThroughParser) {
 }
 
 TEST(TelemetryParser, RejectsMalformedAndWrongSchemaLines) {
-  std::istringstream bad("{\"schema\":\"dagsched.telemetry/1\"}\nnot json\n");
-  std::string error;
+  std::istringstream bad(
+      "{\"schema\":\"dagsched.telemetry/1\"}\n{\"schema\":,}\n");
+  JsonlError error;
   EXPECT_FALSE(parse_telemetry_jsonl(bad, &error).has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_EQ(error.line, 2u) << error.message;
+  EXPECT_EQ(error.column, 11u) << error.message;  // offset 10, 1-based
 
   std::istringstream wrong("{\"schema\":\"dagsched.run_report/1\"}\n");
-  error.clear();
   EXPECT_FALSE(parse_telemetry_jsonl(wrong, &error).has_value());
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("schema"), std::string::npos) << error;
+  EXPECT_EQ(error.line, 1u) << error.message;
+  EXPECT_EQ(error.column, 1u) << error.message;
+  EXPECT_NE(error.message.find("schema"), std::string::npos)
+      << error.message;
 }
 
 // ---------------------------------------------------------------------------
@@ -315,9 +318,9 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
   // Periodic + final snapshots landed in the stream and parse back.
   EXPECT_GE(recorder.snapshots_emitted(), 2u);
   std::istringstream in(out.str());
-  std::string error;
+  JsonlError error;
   const auto snapshots = parse_telemetry_jsonl(in, &error);
-  ASSERT_TRUE(snapshots.has_value()) << error;
+  ASSERT_TRUE(snapshots.has_value()) << error.message;
   EXPECT_EQ(snapshots->size(), recorder.snapshots_emitted());
   EXPECT_TRUE(snapshots->back().find("final")->as_bool());
   EXPECT_GT(snapshots->back().find("gauges")->find("bytes_per_job")

@@ -754,8 +754,7 @@ int cmd_report(ArgParser& args) {
   if (!parsed.ok) {
     // Not a single JSON document -- maybe a multi-line sweep JSONL report.
     std::istringstream stream(buffer.str());
-    std::string sweep_error;
-    if (const auto doc = parse_sweep_report(stream, &sweep_error)) {
+    if (const auto doc = parse_sweep_report(stream)) {
       std::cout << format_sweep_report(*doc);
       return 0;
     }
@@ -783,10 +782,10 @@ int cmd_report(ArgParser& args) {
   if (schema_name.rfind("dagsched.sweep/", 0) == 0) {
     // Header-only sweep file (or the whole report on one line).
     std::istringstream stream(buffer.str());
-    std::string sweep_error;
+    JsonlError sweep_error;
     const auto doc = parse_sweep_report(stream, &sweep_error);
     if (!doc) {
-      std::cerr << "report: " << path << ": " << sweep_error << "\n";
+      std::cerr << "report: " << sweep_error.at(path).what() << "\n";
       return 1;
     }
     std::cout << format_sweep_report(*doc);
@@ -823,11 +822,9 @@ int cmd_trace(ArgParser& args) {
         std::cerr << "cannot open " << *paths[side] << "\n";
         return 1;
       }
-      std::string error;
+      JsonlError error;
       auto parsed = EventLog::parse_jsonl(in, &error);
-      if (!parsed) {
-        throw ParseError(*paths[side], 1, 1, error);
-      }
+      if (!parsed) throw error.at(*paths[side]);
       logs[side] = std::move(*parsed);
     }
     EventLogDiffOptions options;
@@ -852,10 +849,8 @@ int cmd_trace(ArgParser& args) {
   // Both modes need the execution trace and the decision log; the export
   // also embeds a histograms-only telemetry summary (run wall time and
   // decide histogram).
-  MetricRegistry registry;
   EventLog event_log;
   ObsSink sink;
-  sink.metrics = &registry;
   sink.events = &event_log;
   TelemetryRecorder telemetry;
 
@@ -1021,12 +1016,9 @@ int cmd_top(ArgParser& args) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  std::string error;
+  JsonlError error;
   const auto snapshots = parse_telemetry_jsonl(in, &error);
-  if (!snapshots) {
-    std::cerr << "top: " << path << ": " << error << "\n";
-    return 2;
-  }
+  if (!snapshots) throw error.at(path);
   if (snapshots->empty()) {
     std::cout << "no telemetry snapshots in " << path << "\n";
     return 0;
@@ -1183,7 +1175,7 @@ std::vector<SweepCellSpec> parse_cells_file(
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     const JsonParseResult parsed = json_parse(line);
     if (!parsed.ok || !parsed.value.is_object()) {
-      throw ParseError(path, lineno, 1,
+      throw ParseError(path, lineno, parsed.ok ? 1 : parsed.offset + 1,
                        parsed.ok ? "expected a JSON object" : parsed.error);
     }
     const JsonValue& cell = parsed.value;
@@ -1391,10 +1383,11 @@ int cmd_sweep_run(ArgParser& args) {
   // Render the summary through the same parse path `dagsched report` uses,
   // so what the user sees is what a consumer of the file would parse.
   std::istringstream parse_in(report.str());
-  std::string parse_error;
+  JsonlError parse_error;
   const auto doc = parse_sweep_report(parse_in, &parse_error);
   if (!doc) {
-    std::cerr << "sweep: internal error: " << parse_error << "\n";
+    std::cerr << "sweep: internal error: " << parse_error.at("<stream>").what()
+              << "\n";
     return 1;
   }
   std::cout << format_sweep_report(*doc);
@@ -1435,9 +1428,9 @@ SweepDiffInput load_sweep_diff_input(const std::string& path) {
     }
   }
   std::istringstream stream(content);
-  std::string error;
+  JsonlError error;
   auto doc = parse_sweep_report(stream, &error);
-  if (!doc) throw ParseError(path, 1, 1, error);
+  if (!doc) throw error.at(path);
   input.sweep = std::move(*doc);
   return input;
 }
