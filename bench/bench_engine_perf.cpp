@@ -359,17 +359,15 @@ BENCHMARK(BM_DagGeneration);
 
 // ---- ingest ----------------------------------------------------------------
 //
-// Parse time of the .wl reader alone: the 10000-arg scale instance (the 81k
-// job thm2 workload) is serialized once, and each iteration parses those
-// bytes, as `dagsched run` does after its one read of the file.
-// input_bytes_per_job is the parsed JobSet's heap per job.
-
-void BM_LoadWorkload(benchmark::State& state) {
+// Parse time of the .wl reader alone: the instance is serialized once, and
+// each iteration parses those bytes, as `dagsched run` does after its one
+// read of the file.  input_bytes_per_job is the parsed JobSet's heap per
+// job.
+void load_workload_bench(benchmark::State& state, const JobSet& instance) {
   std::string bytes;
   {
     std::ostringstream out;
-    write_workload(out,
-                   make_scale_jobs(static_cast<std::size_t>(state.range(0))));
+    write_workload(out, instance);
     bytes = std::move(out).str();
   }
   std::size_t jobs = 0;
@@ -389,7 +387,26 @@ void BM_LoadWorkload(benchmark::State& state) {
       static_cast<double>(read_workload(bytes, "<bench>").input_bytes()) /
       static_cast<double>(std::max<std::size_t>(1, jobs));
 }
+
+// The 10000-arg scale instance: the 81k-job thm2 workload, whose bytes are
+// mostly 17-digit node works.
+void BM_LoadWorkload(benchmark::State& state) {
+  load_workload_bench(
+      state, make_scale_jobs(static_cast<std::size_t>(state.range(0))));
+}
 BENCHMARK(BM_LoadWorkload)->Arg(10000);
+
+// A unit-node profit instance at horizon Arg and load 4, the shape of the
+// `dagsched generate --scenario profit` input: its bytes are mostly short
+// "a b" edge lines.
+void BM_LoadWorkloadProfit(benchmark::State& state) {
+  Rng rng(42);
+  WorkloadConfig config = scenario_profit(
+      0.5, 4.0, 16, ProfitPolicy::Shape::kPlateauLinear);
+  config.horizon = static_cast<double>(state.range(0));
+  load_workload_bench(state, generate_workload(rng, config));
+}
+BENCHMARK(BM_LoadWorkloadProfit)->Arg(3000);
 
 // ---- durable I/O -------------------------------------------------------------
 //
@@ -558,6 +575,7 @@ int main(int argc, char** argv) {
       "BM_DensityQueueOps/100000$|"
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
       "BM_SlotEngineEdfTelemetry/100$|BM_LoadWorkload/10000$|"
+      "BM_LoadWorkloadProfit/3000$|"
       "BM_CheckpointSnapshot/300$|BM_EventJsonl/10000$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";
   for (int i = 1; i < argc; ++i) {

@@ -11,10 +11,11 @@
 #        scripts/decision_parity.sh emit BUILD_DIR OUT_DIR
 #   2. diff mode: compare two such log directories decisions-only with
 #      `dagsched trace diff --decisions` (exit 4 on divergence), then the
-#      rolled-up `counters` object in the summary line of each directory's
-#      sweep.report.  Every counter is a function of the decision sequence
-#      (docs/OBSERVABILITY.md), so a value that differs for a name both
-#      sides have fails; a name on only one side is listed, not failed:
+#      `counters` of every cell line, and the summary's roll-up, in each
+#      directory's sweep.report.  Every counter is a function of the
+#      decision sequence (docs/OBSERVABILITY.md), so a value that differs
+#      for a key both sides have fails; a key on one side only is counted,
+#      not failed:
 #        scripts/decision_parity.sh diff BUILD_DIR PRE_DIR POST_DIR
 #   3. telemetry mode: run the whole matrix twice -- once plain
 #      (--no-telemetry), once with per-cell telemetry recorders attached --
@@ -142,26 +143,49 @@ diff_dirs() {
   return "$fail"
 }
 
-# "name value" per counter of a sweep report's summary line (the writer's
-# flat "counters" object), sorted by name.
-summary_counters() {
-  grep '"kind":"summary"' "$1" |
-    sed -n 's/.*"counters":{\([^}]*\)}.*/\1/p' | tr ',' '\n' |
-    sed 's/^"\([^"]*\)":/\1 /' | LC_ALL=C sort
+# "key value" per counter of a sweep report, sorted by key: "ID:name" for
+# the counters object of each cell line (cell ID) and "summary:name" for
+# the summary's roll-up.  Each is a flat object of numbers.
+report_counters() {
+  awk '
+    /^[{]"kind":"cell","id":"/ {
+      key = $0
+      sub(/^[{]"kind":"cell","id":"/, "", key)
+      sub(/".*/, "", key)
+    }
+    /^[{]"kind":"summary"/ { key = "summary" }
+    !/^[{]"kind":"(cell|summary)"/ { next }
+    match($0, /"counters":[{][^}]*[}]/) {
+      n = split(substr($0, RSTART + 12, RLENGTH - 13), pairs, ",")
+      for (i = 1; i <= n; ++i) {
+        split(pairs[i], kv, ":")
+        gsub(/"/, "", kv[1])
+        print key ":" kv[1], kv[2]
+      }
+    }' "$1" | LC_ALL=C sort
 }
 
+# Compares counters cell by cell, so two opposite changes in different
+# cells cannot cancel out in the roll-up.  A key on one side only (say, a
+# pre report written before cell lines carried counters) is counted and
+# its first few are listed, not failed.
 diff_counters() {
   local pre="$1" post="$2" f
   for f in "$pre" "$post"; do
     [ -f "$f" ] || { echo "MISSING sweep report: $f"; return 1; }
   done
   LC_ALL=C join -a 1 -a 2 -e '<none>' -o 0,1.2,2.2 \
-      <(summary_counters "$pre") <(summary_counters "$post") |
-    awk '$2 == "<none>" { print "counter only in post: " $1; next }
-         $3 == "<none>" { print "counter only in pre: " $1; next }
+      <(report_counters "$pre") <(report_counters "$post") |
+    awk '$2 == "<none>" { if (++post_only <= 5) print "counter only in post: " $1
+                          next }
+         $3 == "<none>" { if (++pre_only <= 5) print "counter only in pre: " $1
+                          next }
          { n++ }
          $2 != $3 { print "COUNTER DIFFERS: " $1 ": " $2 " -> " $3; bad = 1 }
-         END { if (!bad) print "counter parity: all " n " shared counters equal"
+         END { if (post_only + pre_only > 0)
+                 print post_only + 0 " counters only in post, " \
+                       pre_only + 0 " only in pre"
+               if (!bad) print "counter parity: all " n " shared counters equal"
                exit bad }'
 }
 

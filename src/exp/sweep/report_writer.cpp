@@ -11,6 +11,18 @@
 
 namespace dagsched {
 
+namespace {
+
+/// A flat name -> value object of counter snapshots.
+JsonValue counters_json(
+    const std::vector<std::pair<std::string, double>>& counters) {
+  JsonValue object = JsonValue::object();
+  for (const auto& [name, value] : counters) object.set(name, value);
+  return object;
+}
+
+}  // namespace
+
 JsonValue sweep_header_json(const SweepResult& sweep) {
   JsonValue header = JsonValue::object();
   header.set("schema", std::string(kSweepReportSchema));
@@ -70,6 +82,9 @@ JsonValue sweep_cell_json(const SweepResult& sweep, std::size_t index) {
   cell.set("decide_ns", latency_histogram_to_json(result.decide));
   cell.set("transition_ns", latency_histogram_to_json(result.transition));
   cell.set("admission_ns", latency_histogram_to_json(result.admission));
+  if (!result.counters.empty()) {
+    cell.set("counters", counters_json(result.counters));
+  }
   return cell;
 }
 
@@ -139,11 +154,7 @@ JsonValue sweep_summary_json(const SweepResult& sweep) {
   summary.set("rollups", std::move(rollups));
 
   if (!sweep.counters.empty()) {
-    JsonValue counters = JsonValue::object();
-    for (const auto& [name, value] : sweep.counters) {
-      counters.set(name, value);
-    }
-    summary.set("counters", std::move(counters));
+    summary.set("counters", counters_json(sweep.counters));
   }
 
   // Slowest-cell attribution: where did the sweep's serial time go?

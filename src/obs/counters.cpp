@@ -1,7 +1,9 @@
 #include "obs/counters.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "obs/event_log.h"
 
@@ -94,9 +96,21 @@ void count_event(MetricRegistry& metrics, ObsEventKind kind,
   if (reason.starts_with("overload.shed.")) {
     return bump("sched.drops.overload");
   }
-  std::string name = "sched.drops.";  // the slug with '-' written as '_'
-  for (const char c : reason) name += c == '-' ? '_' : c;
-  bump(name);
+  // The slug with '-' written as '_', built on the stack so that counting
+  // an event allocates nothing; only an unusually long slug takes the heap.
+  constexpr std::string_view kPrefix = "sched.drops.";
+  std::array<char, 64> stack{};
+  std::string heap;
+  const std::size_t size = kPrefix.size() + reason.size();
+  char* name = stack.data();
+  if (size > stack.size()) {
+    heap.resize(size);
+    name = heap.data();
+  }
+  std::copy(kPrefix.begin(), kPrefix.end(), name);
+  std::replace_copy(reason.begin(), reason.end(), name + kPrefix.size(), '-',
+                    '_');
+  bump(std::string_view(name, size));
 }
 
 }  // namespace dagsched

@@ -14,6 +14,7 @@
 // parser reuses util/json.h so emit -> parse round-trips exactly.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -81,11 +82,21 @@ void write_event_jsonl(std::ostream& out, const DecisionEvent& event);
 
 class EventLog {
  public:
-  void emit(Time time, JobId job, ObsEventKind kind, std::string reason = {},
-            std::vector<std::pair<std::string, double>> detail = {}) {
-    events_.push_back(
-        {time, job, kind, std::move(reason), std::move(detail)});
-    if (stream_ != nullptr) write_event_jsonl(*stream_, events_.back());
+  /// Appends an event that owns copies of `reason` and `detail`.
+  void emit(Time time, JobId job, ObsEventKind kind,
+            std::string_view reason = {},
+            std::initializer_list<std::pair<std::string_view, double>>
+                detail = {}) {
+    DecisionEvent& event = events_.emplace_back();
+    event.time = time;
+    event.job = job;
+    event.kind = kind;
+    event.reason = reason;
+    event.detail.reserve(detail.size());
+    for (const auto& [key, value] : detail) {
+      event.detail.emplace_back(key, value);
+    }
+    if (stream_ != nullptr) write_event_jsonl(*stream_, event);
   }
 
   /// Streaming mode: every emit() additionally appends its JSONL line to

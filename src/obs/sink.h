@@ -9,8 +9,9 @@
 // it (count_event, obs/counters.h).
 #pragma once
 
+#include <initializer_list>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "obs/counters.h"
 #include "obs/event_log.h"
@@ -25,14 +26,14 @@ struct ObsSink {
   bool enabled() const { return metrics != nullptr || events != nullptr; }
 
   /// Records a decision event: counts it if metrics are attached, appends
-  /// it if the log is attached.
+  /// it if the log is attached.  Only the log copies `reason` and `detail`,
+  /// so a run with just a registry allocates nothing per event.
   void event(Time time, JobId job, ObsEventKind kind,
-             std::string reason = {},
-             std::vector<std::pair<std::string, double>> detail = {}) const {
+             std::string_view reason = {},
+             std::initializer_list<std::pair<std::string_view, double>>
+                 detail = {}) const {
     if (metrics != nullptr) count_event(*metrics, kind, reason);
-    if (events != nullptr) {
-      events->emit(time, job, kind, std::move(reason), std::move(detail));
-    }
+    if (events != nullptr) events->emit(time, job, kind, reason, detail);
   }
 };
 

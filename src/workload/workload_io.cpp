@@ -25,51 +25,40 @@ constexpr const char* kMagic = "dagsched-workload";
 constexpr int kVersion = 1;
 
 bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+bool ends_token(char c) { return is_ws(c) || c == '\n'; }
 
-/// Hands out the lines of the workload bytes that are neither blank nor
-/// '#' comments.  Every line counts toward `lineno()`, so diagnostics keep
-/// the positions a reader sees in an editor.
-class LineScanner {
+/// One cursor over the whole workload buffer.  A line starts where the
+/// cursor stops: blank lines and '#' comments are skipped there, a token
+/// ends at whitespace or '\n', and expect_end() consumes the '\n'.  Each
+/// token is read where it lies and each number is parsed in the pass that
+/// checks it; strings are built only for diagnostics.  Every line counts
+/// toward lineno(), so diagnostics keep the positions a reader sees in an
+/// editor.
+class Cursor {
  public:
-  explicit LineScanner(std::string_view bytes) : bytes_(bytes) {}
+  Cursor(std::string_view bytes, const std::string& source)
+      : pos_(bytes.data()),
+        end_(bytes.data() + bytes.size()),
+        line_(pos_),
+        source_(source) {}
 
-  /// Moves to the next non-blank, non-comment line; false at end of input.
-  bool next(std::string_view& line) {
-    while (pos_ < bytes_.size()) {
-      const char* begin = bytes_.data() + pos_;
-      const std::size_t left = bytes_.size() - pos_;
-      const auto* newline =
-          static_cast<const char*>(std::memchr(begin, '\n', left));
-      const std::size_t length =
-          newline == nullptr ? left : static_cast<std::size_t>(newline - begin);
-      pos_ += newline == nullptr ? length : length + 1;
+  /// Moves to the next line that is neither blank nor a '#' comment; false
+  /// at end of input.
+  bool next_line() {
+    while (pos_ != end_) {
+      line_ = pos_;
       ++lineno_;
-      std::size_t first = 0;
-      while (first < length && is_ws(begin[first])) ++first;
-      if (first == length || begin[first] == '#') continue;
-      line = std::string_view(begin, length);
-      return true;
+      skip_ws();
+      if (pos_ != end_ && *pos_ != '\n' && *pos_ != '#') return true;
+      pos_ = line_end();
+      if (pos_ != end_) ++pos_;
     }
     return false;
   }
 
+  /// 1-based number of the line the cursor last moved to; at end of input,
+  /// the number of lines.
   std::size_t lineno() const { return lineno_; }
-  /// Bytes not yet scanned: an upper bound on what later lines can hold.
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  std::size_t lineno_ = 0;
-};
-
-/// Whitespace-token cursor over one line, tracking the 1-based column of
-/// each token so diagnostics can point at the offending field.  Tokens are
-/// views into the line; strings are built only for diagnostics.
-class Fields {
- public:
-  Fields(const std::string& source, std::string_view line, std::size_t lineno)
-      : source_(source), line_(line), lineno_(lineno) {}
 
   [[noreturn]] void fail(std::size_t column, const std::string& what) const {
     throw ParseError(source_, lineno_, column, what);
@@ -78,25 +67,26 @@ class Fields {
   /// Column (1-based) where the next token would start.
   std::size_t next_column() {
     skip_ws();
-    return pos_ + 1;
+    return column_of(pos_);
   }
 
   /// Number of bytes left on the line.
-  std::size_t remaining() const { return line_.size() - pos_; }
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(line_end() - pos_);
+  }
 
   std::string_view token(std::string_view what) {
     skip_ws();
-    if (pos_ >= line_.size()) fail(pos_ + 1, "missing " + std::string(what));
-    const std::size_t start = pos_;
-    while (pos_ < line_.size() && !is_ws(line_[pos_])) ++pos_;
-    return line_.substr(start, pos_ - start);
+    const char* const start = pos_;
+    while (pos_ != end_ && !ends_token(*pos_)) ++pos_;
+    if (pos_ == start) fail(column_of(start), "missing " + std::string(what));
+    return {start, static_cast<std::size_t>(pos_ - start)};
   }
 
   /// Parses a finite double with std::stod's grammar; rejects NaN/inf and
   /// trailing junk.
   double number(std::string_view what) {
-    const std::size_t column = next_column();
-    const std::string_view tok = token(what);
+    skip_ws();
     // from_chars agrees with stod on every token it consumes whole to a
     // finite value above the smallest normal double.  Everything else --
     // zero, values that underflow (stod's ERANGE also covers tokens that
@@ -104,49 +94,70 @@ class Fields {
     // a leading \v or \f -- goes to stod, which keeps the accepted set and
     // the diagnostics exactly as they were.
     double value = 0.0;
-    const char* const end = tok.data() + tok.size();
-    const auto [stop, ec] = std::from_chars(tok.data(), end, value);
-    if (ec == std::errc() && stop == end && std::isfinite(value) &&
+    const auto [stop, ec] = std::from_chars(pos_, end_, value);
+    if (ec == std::errc() && (stop == end_ || ends_token(*stop)) &&
+        std::isfinite(value) &&
         std::fabs(value) > std::numeric_limits<double>::min()) {
+      pos_ = stop;
       return value;
     }
-    return stod_number(column, std::string(tok), what);
+    return stod_number(what);
   }
 
   /// Parses a non-negative integer (node ids, counts).
   std::size_t index(std::string_view what) {
-    const std::size_t column = next_column();
-    const std::string_view tok = token(what);
-    for (const char c : tok) {
-      if (c < '0' || c > '9') {
-        fail(column, "bad " + std::string(what) + " '" + std::string(tok) +
-                         "' (expected a non-negative integer)");
-      }
-    }
+    skip_ws();
+    const char* const start = pos_;
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
     std::size_t value = 0;
-    const auto [stop, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), value);
-    if (ec != std::errc()) {
-      fail(column, std::string(what) + " '" + std::string(tok) +
-                       "' out of range");
+    bool overflow = false;
+    for (; pos_ != end_; ++pos_) {
+      const auto digit = static_cast<std::size_t>(
+          static_cast<unsigned char>(*pos_) - static_cast<unsigned char>('0'));
+      if (digit > 9) break;
+      if (value > kMax / 10 || (value == kMax / 10 && digit > kMax % 10)) {
+        overflow = true;
+      }
+      value = value * 10 + digit;
+    }
+    if (pos_ == start || overflow || (pos_ != end_ && !ends_token(*pos_))) {
+      fail_index(start, what);
     }
     return value;
   }
 
+  /// Requires the rest of the line to be blank and moves past its '\n'.
   void expect_end() {
     skip_ws();
-    if (pos_ < line_.size()) {
-      fail(pos_ + 1, "trailing junk '" + std::string(line_.substr(pos_)) + "'");
+    if (pos_ != end_ && *pos_ != '\n') {
+      fail(column_of(pos_), "trailing junk '" + std::string(pos_, line_end()) +
+                                "'");
     }
+    if (pos_ != end_) ++pos_;
   }
 
  private:
   void skip_ws() {
-    while (pos_ < line_.size() && is_ws(line_[pos_])) ++pos_;
+    while (pos_ != end_ && is_ws(*pos_)) ++pos_;
   }
 
-  double stod_number(std::size_t column, const std::string& tok,
-                     std::string_view what) const {
+  std::size_t column_of(const char* at) const {
+    return static_cast<std::size_t>(at - line_) + 1;
+  }
+
+  /// Where the current line ends: its '\n', or the end of the input.
+  const char* line_end() const {
+    if (pos_ == end_) return end_;
+    const auto* newline = static_cast<const char*>(
+        std::memchr(pos_, '\n', static_cast<std::size_t>(end_ - pos_)));
+    return newline == nullptr ? end_ : newline;
+  }
+
+  /// The number at the cursor that from_chars did not take, read the way
+  /// std::stod reads it.
+  double stod_number(std::string_view what) {
+    const std::size_t column = next_column();
+    const std::string tok(token(what));
     const std::string name(what);
     double value = 0.0;
     std::size_t used = 0;
@@ -164,10 +175,24 @@ class Fields {
     return value;
   }
 
+  /// Diagnoses the index token at `start`: a missing token, then a
+  /// non-digit anywhere in it, and only then an overflow.
+  [[noreturn]] void fail_index(const char* start, std::string_view what) {
+    pos_ = start;
+    const std::string tok(token(what));
+    const std::string name(what);
+    if (tok.find_first_not_of("0123456789") != std::string::npos) {
+      fail(column_of(start),
+           "bad " + name + " '" + tok + "' (expected a non-negative integer)");
+    }
+    fail(column_of(start), name + " '" + tok + "' out of range");
+  }
+
+  const char* pos_;
+  const char* end_;
+  const char* line_;  // start of the current line
+  std::size_t lineno_ = 0;
   const std::string& source_;
-  std::string_view line_;
-  std::size_t lineno_;
-  std::size_t pos_ = 0;
 };
 
 /// Writes the parameters `fn` was built from, verbatim: read_profit()
@@ -196,7 +221,7 @@ void write_profit(std::ostream& os, const ProfitFn& fn) {
   }
 }
 
-ProfitFn read_profit(Fields in) {
+ProfitFn read_profit(Cursor& in) {
   const std::size_t kw_col = in.next_column();
   const std::string_view keyword = in.token("profit keyword");
   if (keyword != "profit") {
@@ -304,117 +329,111 @@ void write_workload(std::ostream& os, const JobSet& jobs) {
 }
 
 JobSet read_workload(std::string_view bytes, const std::string& source) {
-  LineScanner lines(bytes);
-  std::string_view line;
-  // Reads the next line or fails with a diagnostic just past the input.
+  Cursor in(bytes, source);
+  // Moves to the next line or fails with a diagnostic just past the input.
   auto need_line = [&](const char* what) {
-    if (!lines.next(line)) {
-      throw ParseError(source, lines.lineno() + 1, 1,
+    if (!in.next_line()) {
+      throw ParseError(source, in.lineno() + 1, 1,
                        std::string("missing ") + what);
     }
-    return Fields(source, line, lines.lineno());
   };
-  if (!lines.next(line)) throw ParseError(source, 1, 1, "empty input");
-  {
-    Fields in(source, line, lines.lineno());
-    const std::size_t magic_col = in.next_column();
-    const std::string_view magic = in.token("header magic");
-    if (magic != kMagic) {
-      in.fail(magic_col, "bad header (expected '" + std::string(kMagic) +
-                             " " + std::to_string(kVersion) + "')");
-    }
-    const std::size_t version_col = in.next_column();
-    const std::size_t version = in.index("format version");
-    if (version != static_cast<std::size_t>(kVersion)) {
-      in.fail(version_col,
-              "unsupported version " + std::to_string(version) +
-                  " (expected " + std::to_string(kVersion) + ")");
-    }
-    in.expect_end();
+  if (!in.next_line()) throw ParseError(source, 1, 1, "empty input");
+  const std::size_t magic_col = in.next_column();
+  const std::string_view magic = in.token("header magic");
+  if (magic != kMagic) {
+    in.fail(magic_col, "bad header (expected '" + std::string(kMagic) + " " +
+                           std::to_string(kVersion) + "')");
   }
+  const std::size_t version_col = in.next_column();
+  const std::size_t version = in.index("format version");
+  if (version != static_cast<std::size_t>(kVersion)) {
+    in.fail(version_col, "unsupported version " + std::to_string(version) +
+                             " (expected " + std::to_string(kVersion) + ")");
+  }
+  in.expect_end();
 
   JobSet jobs;
   // One works/edges scratch for the whole load, reused by every job.
   std::vector<Work> works;
   std::vector<std::pair<NodeId, NodeId>> edges;
   std::vector<NodeId> pending;
-  while (lines.next(line)) {
-    Fields job_in(source, line, lines.lineno());
-    const std::size_t kw_col = job_in.next_column();
-    const std::string_view keyword = job_in.token("job keyword");
+  while (in.next_line()) {
+    const std::size_t kw_col = in.next_column();
+    const std::string_view keyword = in.token("job keyword");
     if (keyword != "job") {
-      job_in.fail(kw_col, "expected 'job', got '" + std::string(keyword) + "'");
+      in.fail(kw_col, "expected 'job', got '" + std::string(keyword) + "'");
     }
-    const std::size_t release_col = job_in.next_column();
-    const Time release = job_in.number("release time");
-    if (release < 0.0) job_in.fail(release_col, "release time must be >= 0");
-    job_in.expect_end();
+    const std::size_t release_col = in.next_column();
+    const Time release = in.number("release time");
+    if (release < 0.0) in.fail(release_col, "release time must be >= 0");
+    in.expect_end();
 
-    ProfitFn profit = read_profit(need_line("profit line"));
+    need_line("profit line");
+    ProfitFn profit = read_profit(in);
 
-    Fields nodes_in = need_line("nodes line");
-    const std::size_t nodes_kw_col = nodes_in.next_column();
-    const std::string_view nodes_kw = nodes_in.token("nodes keyword");
+    need_line("nodes line");
+    const std::size_t nodes_kw_col = in.next_column();
+    const std::string_view nodes_kw = in.token("nodes keyword");
     if (nodes_kw != "nodes") {
-      nodes_in.fail(nodes_kw_col,
-                    "expected 'nodes', got '" + std::string(nodes_kw) + "'");
+      in.fail(nodes_kw_col,
+              "expected 'nodes', got '" + std::string(nodes_kw) + "'");
     }
-    const std::size_t count_col = nodes_in.next_column();
-    const std::size_t num_nodes = nodes_in.index("node count");
-    if (num_nodes == 0) nodes_in.fail(count_col, "node count must be >= 1");
-    nodes_in.expect_end();
+    const std::size_t count_col = in.next_column();
+    const std::size_t num_nodes = in.index("node count");
+    if (num_nodes == 0) in.fail(count_col, "node count must be >= 1");
+    in.expect_end();
 
     // The scratch vectors grow only as tokens parse, never from a declared
     // count alone: a corrupt count must fail as missing input, not as an
     // allocation.
-    Fields works_in = need_line("node works line");
+    need_line("node works line");
     works.clear();
     for (std::size_t i = 0; i < num_nodes; ++i) {
-      const std::size_t work_col = works_in.next_column();
-      const Work work = works_in.number("node work");
-      if (!(work > 0.0)) works_in.fail(work_col, "node work must be positive");
+      const std::size_t work_col = in.next_column();
+      const Work work = in.number("node work");
+      if (!(work > 0.0)) in.fail(work_col, "node work must be positive");
       works.push_back(work);
     }
-    works_in.expect_end();
+    in.expect_end();
 
-    Fields edges_in = need_line("edges line");
-    const std::size_t edges_kw_col = edges_in.next_column();
-    const std::string_view edges_kw = edges_in.token("edges keyword");
+    need_line("edges line");
+    const std::size_t edges_kw_col = in.next_column();
+    const std::string_view edges_kw = in.token("edges keyword");
     if (edges_kw != "edges") {
-      edges_in.fail(edges_kw_col,
-                    "expected 'edges', got '" + std::string(edges_kw) + "'");
+      in.fail(edges_kw_col,
+              "expected 'edges', got '" + std::string(edges_kw) + "'");
     }
-    const std::size_t num_edges = edges_in.index("edge count");
-    edges_in.expect_end();
+    const std::size_t num_edges = in.index("edge count");
+    in.expect_end();
     edges.clear();
     for (std::size_t e = 0; e < num_edges; ++e) {
-      Fields edge_in = need_line("edge line");
-      const std::size_t from_col = edge_in.next_column();
-      const std::size_t from = edge_in.index("edge source");
-      const std::size_t to_col = edge_in.next_column();
-      const std::size_t to = edge_in.index("edge target");
+      need_line("edge line");
+      const std::size_t from_col = in.next_column();
+      const std::size_t from = in.index("edge source");
+      const std::size_t to_col = in.next_column();
+      const std::size_t to = in.index("edge target");
       if (from >= num_nodes) {
-        edge_in.fail(from_col, "edge source " + std::to_string(from) +
-                                   " out of range (nodes: " +
-                                   std::to_string(num_nodes) + ")");
+        in.fail(from_col, "edge source " + std::to_string(from) +
+                              " out of range (nodes: " +
+                              std::to_string(num_nodes) + ")");
       }
       if (to >= num_nodes) {
-        edge_in.fail(to_col, "edge target " + std::to_string(to) +
-                                 " out of range (nodes: " +
-                                 std::to_string(num_nodes) + ")");
+        in.fail(to_col, "edge target " + std::to_string(to) +
+                            " out of range (nodes: " +
+                            std::to_string(num_nodes) + ")");
       }
-      if (from == to) edge_in.fail(from_col, "self-edge");
-      edge_in.expect_end();
+      if (from == to) in.fail(from_col, "self-edge");
+      in.expect_end();
       edges.emplace_back(static_cast<NodeId>(from), static_cast<NodeId>(to));
     }
 
-    Fields end_in = need_line("'end'");
-    const std::size_t end_col = end_in.next_column();
-    const std::string_view end_kw = end_in.token("end keyword");
+    need_line("'end'");
+    const std::size_t end_col = in.next_column();
+    const std::string_view end_kw = in.token("end keyword");
     if (end_kw != "end") {
-      end_in.fail(end_col, "expected 'end', got '" + std::string(end_kw) + "'");
+      in.fail(end_col, "expected 'end', got '" + std::string(end_kw) + "'");
     }
-    end_in.expect_end();
+    in.expect_end();
 
     // pack_dag() rejects cycles and duplicate edges; wrap its exception so
     // the caller still gets a positioned diagnostic.
@@ -422,7 +441,7 @@ JobSet read_workload(std::string_view bytes, const std::string& source) {
       jobs.add(Job(std::make_shared<const Dag>(pack_dag(works, edges, pending)),
                    release, std::move(profit)));
     } catch (const std::invalid_argument& err) {
-      throw ParseError(source, lines.lineno(), 1,
+      throw ParseError(source, in.lineno(), 1,
                        std::string("invalid DAG: ") + err.what());
     }
   }

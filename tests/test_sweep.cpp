@@ -319,6 +319,33 @@ TEST(SweepReport, RoundTripPreservesCellsAndSummary) {
   EXPECT_FALSE(format_sweep_report(doc).empty());
 }
 
+TEST(SweepReport, CellLinesCarryTheirOwnCounters) {
+  const JobSet jobs = small_workload();
+  SweepOptions options;
+  options.threads = 2;
+  const SweepResult sweep = run_sweep(acceptance_cells(jobs), options);
+  const SweepReportDoc doc = report_roundtrip(sweep);
+  ASSERT_EQ(doc.cells.size(), sweep.results.size());
+  for (std::size_t i = 0; i < doc.cells.size(); ++i) {
+    const JsonValue* counters = doc.cells[i].find("counters");
+    ASSERT_NE(counters, nullptr) << sweep.cells[i].id;
+    ASSERT_EQ(counters->members().size(), sweep.results[i].counters.size());
+    for (const auto& [name, value] : sweep.results[i].counters) {
+      EXPECT_EQ(counters->at(name).as_number(), value)
+          << sweep.cells[i].id << " " << name;
+    }
+  }
+  // Cell lines written before cells carried counters still parse.
+  std::istringstream old_cell(
+      "{\"schema\":\"dagsched.sweep/1\",\"kind\":\"header\"}\n"
+      "{\"kind\":\"cell\",\"id\":\"a\",\"ok\":true}\n");
+  const auto parsed = parse_sweep_report(old_cell);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->cells.size(), 1u);
+  EXPECT_EQ(parsed->cells[0].find("counters"), nullptr);
+  EXPECT_FALSE(format_sweep_report(*parsed).empty());
+}
+
 TEST(SweepReport, ParserRejectsMalformedInput) {
   JsonlError error;
   std::istringstream empty("");

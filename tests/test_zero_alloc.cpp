@@ -23,6 +23,7 @@
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "job/job.h"
+#include "obs/sink.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
 #include "util/rng.h"
@@ -153,6 +154,24 @@ TEST(ZeroAlloc, EventEngineEdf) {
   EventEngine engine(jobs, scheduler, *selector,
                      make_options(first, last, armed));
   expect_zero_steady_state_allocs(engine, first, last, armed);
+}
+
+// A sweep cell attaches a registry and no event log: counting each
+// decision event (count_event) must not allocate either.
+TEST(ZeroAlloc, EventEnginePaperSWithRegistryOnly) {
+  const JobSet jobs = workload();
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  auto selector = make_selector(SelectorKind::kFifo);
+  std::size_t first = 0, last = 0;
+  bool armed = false;
+  MetricRegistry registry;
+  ObsSink sink;
+  sink.metrics = &registry;
+  SimOptions options = make_options(first, last, armed);
+  options.obs = &sink;
+  EventEngine engine(jobs, scheduler, *selector, options);
+  expect_zero_steady_state_allocs(engine, first, last, armed);
+  EXPECT_GT(registry.counter("sched.drops.stale")->value(), 0.0);
 }
 
 TEST(ZeroAlloc, SlotEnginePaperS) {

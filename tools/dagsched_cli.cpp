@@ -750,45 +750,42 @@ int cmd_report(ArgParser& args) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const JsonParseResult parsed = json_parse(buffer.str());
+  const std::string text = std::move(buffer).str();
+  const JsonParseResult parsed = json_parse(text);
+  // A sweep report is JSONL (several documents), so its schema marker is
+  // on the first line.  A file that starts with a sweep header is read as
+  // one, and a malformed line in it is a positioned diagnostic.
+  const JsonValue first_line =
+      parsed.ok ? JsonValue()
+                : json_parse(std::string_view(text).substr(0, text.find('\n')))
+                      .value;
+  const std::string schema_name =
+      string_at(parsed.ok ? parsed.value : first_line, "schema");
+  if (schema_name.rfind("dagsched.sweep/", 0) == 0) {
+    std::istringstream stream(text);
+    JsonlError sweep_error;
+    const auto doc = parse_sweep_report(stream, &sweep_error);
+    if (!doc) throw sweep_error.at(path);
+    std::cout << format_sweep_report(*doc);
+    return 0;
+  }
   if (!parsed.ok) {
-    // Not a single JSON document -- maybe a multi-line sweep JSONL report.
-    std::istringstream stream(buffer.str());
-    if (const auto doc = parse_sweep_report(stream)) {
-      std::cout << format_sweep_report(*doc);
-      return 0;
-    }
     std::cerr << "report: " << path << " is not valid JSON: " << parsed.error
               << "\n";
     return 1;
   }
   // Dispatch on the schema marker.  Unknown *sections* inside a known
   // report still render best-effort; unknown schemas get a clear error.
-  const JsonValue* schema = parsed.value.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string().rfind("dagsched.", 0) != 0) {
+  if (schema_name.rfind("dagsched.", 0) != 0) {
     std::cerr << "report: " << path << " has no dagsched schema marker\n";
     return 1;
   }
-  const std::string& schema_name = schema->as_string();
   if (schema_name.rfind("dagsched.run_report/", 0) == 0) {
     std::cout << format_run_report(parsed.value);
     return 0;
   }
   if (schema_name.rfind("dagsched.bench_report/", 0) == 0) {
     std::cout << format_bench_report(parsed.value);
-    return 0;
-  }
-  if (schema_name.rfind("dagsched.sweep/", 0) == 0) {
-    // Header-only sweep file (or the whole report on one line).
-    std::istringstream stream(buffer.str());
-    JsonlError sweep_error;
-    const auto doc = parse_sweep_report(stream, &sweep_error);
-    if (!doc) {
-      std::cerr << "report: " << sweep_error.at(path).what() << "\n";
-      return 1;
-    }
-    std::cout << format_sweep_report(*doc);
     return 0;
   }
   std::cerr << "report: unknown schema '" << schema_name
