@@ -4,9 +4,11 @@
 # Default mode: AddressSanitizer + UndefinedBehaviorSanitizer (the
 # `asan-ubsan` preset in CMakePresets.json) over the whole suite.
 #
-# --tsan: ThreadSanitizer (the `tsan` preset) over the one threaded suite,
-# the sweep executor (test_sweep: the shared cell cursor, the progress lock,
-# per-cell isolation).  Extra ctest args narrow further.
+# --tsan: ThreadSanitizer (the `tsan` preset) over the threaded code: the
+# sweep executor (test_sweep: the shared cell cursor, the progress lock,
+# per-cell isolation) and the workload reader's per-piece parse threads
+# (test_workload: the WorkloadReader* parity tests).  Extra ctest args
+# narrow further.
 #
 # Usage: scripts/check_sanitizers.sh [--tsan] [ctest-args...]
 #   e.g. scripts/check_sanitizers.sh -R ObsReplay
@@ -24,14 +26,14 @@ fi
 
 if [ "$mode" = "tsan" ]; then
   cmake --preset tsan
-  cmake --build --preset tsan -j"$(nproc)" --target test_sweep
+  cmake --build --preset tsan -j"$(nproc)" --target test_sweep test_workload
   # second_deadlock_stack makes lock-inversion reports actionable;
   # halt_on_error turns any report into a test failure instead of a log line.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
   if [ "$#" -gt 0 ]; then
     ctest --preset tsan "$@"
   else
-    ctest --preset tsan -R 'Sweep|LatencyHistogram'
+    ctest --preset tsan -R 'Sweep|LatencyHistogram|WorkloadReader'
   fi
   exit 0
 fi

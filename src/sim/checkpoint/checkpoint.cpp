@@ -268,11 +268,21 @@ std::uint64_t run_config_fingerprint(std::string_view workload_bytes,
                                      std::string_view engine,
                                      std::string_view selector,
                                      std::string_view fault_spec) {
+  return run_config_fingerprint(fnv1a64(workload_bytes), scheduler, eps, m,
+                                speed, engine, selector, fault_spec);
+}
+
+std::uint64_t run_config_fingerprint(std::uint64_t workload_digest,
+                                     std::string_view scheduler, double eps,
+                                     ProcCount m, double speed,
+                                     std::string_view engine,
+                                     std::string_view selector,
+                                     std::string_view fault_spec) {
   std::ostringstream params;
   params << "scheduler=" << scheduler << "|eps=" << eps << "|m=" << m
          << "|speed=" << speed << "|engine=" << engine
          << "|selector=" << selector << "|faults=" << fault_spec;
-  return fnv1a64(params.str(), fnv1a64(workload_bytes));
+  return fnv1a64(params.str(), workload_digest);
 }
 
 void verify_resume_compatible(const CheckpointFile& file,

@@ -106,6 +106,14 @@ std::uint64_t run_config_fingerprint(std::string_view workload_bytes,
                                      std::string_view engine,
                                      std::string_view selector,
                                      std::string_view fault_spec);
+/// The same fingerprint from `workload_digest` = fnv1a64(workload_bytes),
+/// for a caller that hashes the bytes while it parses them.
+std::uint64_t run_config_fingerprint(std::uint64_t workload_digest,
+                                     std::string_view scheduler, double eps,
+                                     ProcCount m, double speed,
+                                     std::string_view engine,
+                                     std::string_view selector,
+                                     std::string_view fault_spec);
 
 /// Verifies a checkpoint belongs to the run configuration about to resume
 /// it; throws CheckpointError naming the first mismatched field (scheduler,

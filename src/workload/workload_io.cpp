@@ -1,16 +1,20 @@
 #include "workload/workload_io.h"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "dag/builder.h"
@@ -27,13 +31,21 @@ constexpr int kVersion = 1;
 bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 bool ends_token(char c) { return is_ws(c) || c == '\n'; }
 
-/// One cursor over the whole workload buffer.  A line starts where the
-/// cursor stops: blank lines and '#' comments are skipped there, a token
-/// ends at whitespace or '\n', and expect_end() consumes the '\n'.  Each
-/// token is read where it lies and each number is parsed in the pass that
-/// checks it; strings are built only for diagnostics.  Every line counts
-/// toward lineno(), so diagnostics keep the positions a reader sees in an
-/// editor.
+/// The start of the line after the one that holds `at`, or `end`.
+const char* after_line(const char* at, const char* end) {
+  const auto* newline = static_cast<const char*>(
+      std::memchr(at, '\n', static_cast<std::size_t>(end - at)));
+  return newline == nullptr ? end : newline + 1;
+}
+
+/// One cursor over a workload buffer, or over a piece of one that starts at
+/// a line (its line numbers then count from the piece).  A line starts
+/// where the cursor stops: blank lines and '#' comments are skipped there,
+/// a token ends at whitespace or '\n', and expect_end() consumes the '\n'.
+/// Each token is read where it lies and each number is parsed in the pass
+/// that checks it; strings are built only for diagnostics.  Every line
+/// counts toward lineno(), so diagnostics keep the positions a reader sees
+/// in an editor.
 class Cursor {
  public:
   Cursor(std::string_view bytes, const std::string& source)
@@ -56,9 +68,21 @@ class Cursor {
     return false;
   }
 
+  /// Moves to the next line or fails with a diagnostic just past the input.
+  void need_line(const char* what) {
+    if (!next_line()) {
+      throw ParseError(source_, lineno_ + 1, 1, std::string("missing ") + what);
+    }
+  }
+
   /// 1-based number of the line the cursor last moved to; at end of input,
   /// the number of lines.
   std::size_t lineno() const { return lineno_; }
+
+  /// The bytes from the cursor to the end of the input.
+  std::string_view rest() const {
+    return {pos_, static_cast<std::size_t>(end_ - pos_)};
+  }
 
   [[noreturn]] void fail(std::size_t column, const std::string& what) const {
     throw ParseError(source_, lineno_, column, what);
@@ -303,6 +327,152 @@ ProfitFn read_profit(Cursor& in) {
   in.fail(kind_col, "unknown profit kind '" + std::string(kind) + "'");
 }
 
+/// Reads the "dagsched-workload 1" line.
+void read_header(Cursor& in, const std::string& source) {
+  if (!in.next_line()) throw ParseError(source, 1, 1, "empty input");
+  const std::size_t magic_col = in.next_column();
+  const std::string_view magic = in.token("header magic");
+  if (magic != kMagic) {
+    in.fail(magic_col, "bad header (expected '" + std::string(kMagic) + " " +
+                           std::to_string(kVersion) + "')");
+  }
+  const std::size_t version_col = in.next_column();
+  const std::size_t version = in.index("format version");
+  if (version != static_cast<std::size_t>(kVersion)) {
+    in.fail(version_col, "unsupported version " + std::to_string(version) +
+                             " (expected " + std::to_string(kVersion) + ")");
+  }
+  in.expect_end();
+}
+
+/// Parses job records from the cursor's line to the end of its input and
+/// appends them to `jobs`.  Each call has its own scratch, so calls on
+/// disjoint cursors may run concurrently.
+void parse_records(Cursor& in, std::vector<Job>& jobs) {
+  // One works/edges scratch for the whole cursor, reused by every job.
+  std::vector<Work> works;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<NodeId> pending;
+  while (in.next_line()) {
+    const std::size_t kw_col = in.next_column();
+    const std::string_view keyword = in.token("job keyword");
+    if (keyword != "job") {
+      in.fail(kw_col, "expected 'job', got '" + std::string(keyword) + "'");
+    }
+    const std::size_t release_col = in.next_column();
+    const Time release = in.number("release time");
+    if (release < 0.0) in.fail(release_col, "release time must be >= 0");
+    in.expect_end();
+
+    in.need_line("profit line");
+    ProfitFn profit = read_profit(in);
+
+    in.need_line("nodes line");
+    const std::size_t nodes_kw_col = in.next_column();
+    const std::string_view nodes_kw = in.token("nodes keyword");
+    if (nodes_kw != "nodes") {
+      in.fail(nodes_kw_col,
+              "expected 'nodes', got '" + std::string(nodes_kw) + "'");
+    }
+    const std::size_t count_col = in.next_column();
+    const std::size_t num_nodes = in.index("node count");
+    if (num_nodes == 0) in.fail(count_col, "node count must be >= 1");
+    in.expect_end();
+
+    // The scratch vectors grow only as tokens parse, never from a declared
+    // count alone: a corrupt count must fail as missing input, not as an
+    // allocation.
+    in.need_line("node works line");
+    works.clear();
+    for (std::size_t i = 0; i < num_nodes; ++i) {
+      const std::size_t work_col = in.next_column();
+      const Work work = in.number("node work");
+      if (!(work > 0.0)) in.fail(work_col, "node work must be positive");
+      works.push_back(work);
+    }
+    in.expect_end();
+
+    in.need_line("edges line");
+    const std::size_t edges_kw_col = in.next_column();
+    const std::string_view edges_kw = in.token("edges keyword");
+    if (edges_kw != "edges") {
+      in.fail(edges_kw_col,
+              "expected 'edges', got '" + std::string(edges_kw) + "'");
+    }
+    const std::size_t num_edges = in.index("edge count");
+    in.expect_end();
+    edges.clear();
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      in.need_line("edge line");
+      const std::size_t from_col = in.next_column();
+      const std::size_t from = in.index("edge source");
+      const std::size_t to_col = in.next_column();
+      const std::size_t to = in.index("edge target");
+      if (from >= num_nodes) {
+        in.fail(from_col, "edge source " + std::to_string(from) +
+                              " out of range (nodes: " +
+                              std::to_string(num_nodes) + ")");
+      }
+      if (to >= num_nodes) {
+        in.fail(to_col, "edge target " + std::to_string(to) +
+                            " out of range (nodes: " +
+                            std::to_string(num_nodes) + ")");
+      }
+      if (from == to) in.fail(from_col, "self-edge");
+      in.expect_end();
+      edges.emplace_back(static_cast<NodeId>(from), static_cast<NodeId>(to));
+    }
+
+    in.need_line("'end'");
+    const std::size_t end_col = in.next_column();
+    const std::string_view end_kw = in.token("end keyword");
+    if (end_kw != "end") {
+      in.fail(end_col, "expected 'end', got '" + std::string(end_kw) + "'");
+    }
+    in.expect_end();
+
+    // pack_dag() rejects cycles and duplicate edges; wrap its exception so
+    // the caller still gets a positioned diagnostic.
+    try {
+      jobs.emplace_back(
+          std::make_shared<const Dag>(pack_dag(works, edges, pending)),
+          release, std::move(profit));
+    } catch (const std::invalid_argument& err) {
+      in.fail(1, std::string("invalid DAG: ") + err.what());
+    }
+  }
+}
+
+/// True if the line that starts at `at` has `job` as its first token.  In a
+/// valid file only a record header does: every other record line starts
+/// with `profit`, `nodes`, a number, `edges`, an index or `end`.
+bool starts_job_line(const char* at, const char* end) {
+  while (at != end && is_ws(*at)) ++at;
+  return end - at >= 3 && std::memcmp(at, "job", 3) == 0 &&
+         (end - at == 3 || ends_token(at[3]));
+}
+
+/// Cuts `body` into at most `chunks` pieces, each after the first starting
+/// at a line whose first token is `job`.  Pieces hold whole records of a
+/// valid file, so they parse if and only if `body` does, to the same jobs.
+std::vector<std::string_view> cut_at_jobs(std::string_view body,
+                                          std::size_t chunks) {
+  const char* const end = body.data() + body.size();
+  const char* from = body.data();
+  std::vector<std::string_view> pieces;
+  for (std::size_t i = 1; i < chunks; ++i) {
+    const char* at = std::max(from, body.data() + body.size() * i / chunks);
+    if (at != body.data() && at[-1] != '\n') at = after_line(at, end);
+    while (at != end && !starts_job_line(at, end)) at = after_line(at, end);
+    if (at == end) break;
+    if (at == from) continue;
+    pieces.emplace_back(from, static_cast<std::size_t>(at - from));
+    from = at;
+  }
+  pieces.emplace_back(from, static_cast<std::size_t>(end - from));
+  return pieces;
+}
+
 }  // namespace
 
 void write_workload(std::ostream& os, const JobSet& jobs) {
@@ -328,125 +498,65 @@ void write_workload(std::ostream& os, const JobSet& jobs) {
   }
 }
 
-JobSet read_workload(std::string_view bytes, const std::string& source) {
+namespace detail {
+
+JobSet read_workload_chunked(std::string_view bytes, const std::string& source,
+                             std::size_t chunks) {
   Cursor in(bytes, source);
-  // Moves to the next line or fails with a diagnostic just past the input.
-  auto need_line = [&](const char* what) {
-    if (!in.next_line()) {
-      throw ParseError(source, in.lineno() + 1, 1,
-                       std::string("missing ") + what);
-    }
-  };
-  if (!in.next_line()) throw ParseError(source, 1, 1, "empty input");
-  const std::size_t magic_col = in.next_column();
-  const std::string_view magic = in.token("header magic");
-  if (magic != kMagic) {
-    in.fail(magic_col, "bad header (expected '" + std::string(kMagic) + " " +
-                           std::to_string(kVersion) + "')");
-  }
-  const std::size_t version_col = in.next_column();
-  const std::size_t version = in.index("format version");
-  if (version != static_cast<std::size_t>(kVersion)) {
-    in.fail(version_col, "unsupported version " + std::to_string(version) +
-                             " (expected " + std::to_string(kVersion) + ")");
-  }
-  in.expect_end();
-
-  JobSet jobs;
-  // One works/edges scratch for the whole load, reused by every job.
-  std::vector<Work> works;
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  std::vector<NodeId> pending;
-  while (in.next_line()) {
-    const std::size_t kw_col = in.next_column();
-    const std::string_view keyword = in.token("job keyword");
-    if (keyword != "job") {
-      in.fail(kw_col, "expected 'job', got '" + std::string(keyword) + "'");
-    }
-    const std::size_t release_col = in.next_column();
-    const Time release = in.number("release time");
-    if (release < 0.0) in.fail(release_col, "release time must be >= 0");
-    in.expect_end();
-
-    need_line("profit line");
-    ProfitFn profit = read_profit(in);
-
-    need_line("nodes line");
-    const std::size_t nodes_kw_col = in.next_column();
-    const std::string_view nodes_kw = in.token("nodes keyword");
-    if (nodes_kw != "nodes") {
-      in.fail(nodes_kw_col,
-              "expected 'nodes', got '" + std::string(nodes_kw) + "'");
-    }
-    const std::size_t count_col = in.next_column();
-    const std::size_t num_nodes = in.index("node count");
-    if (num_nodes == 0) in.fail(count_col, "node count must be >= 1");
-    in.expect_end();
-
-    // The scratch vectors grow only as tokens parse, never from a declared
-    // count alone: a corrupt count must fail as missing input, not as an
-    // allocation.
-    need_line("node works line");
-    works.clear();
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      const std::size_t work_col = in.next_column();
-      const Work work = in.number("node work");
-      if (!(work > 0.0)) in.fail(work_col, "node work must be positive");
-      works.push_back(work);
-    }
-    in.expect_end();
-
-    need_line("edges line");
-    const std::size_t edges_kw_col = in.next_column();
-    const std::string_view edges_kw = in.token("edges keyword");
-    if (edges_kw != "edges") {
-      in.fail(edges_kw_col,
-              "expected 'edges', got '" + std::string(edges_kw) + "'");
-    }
-    const std::size_t num_edges = in.index("edge count");
-    in.expect_end();
-    edges.clear();
-    for (std::size_t e = 0; e < num_edges; ++e) {
-      need_line("edge line");
-      const std::size_t from_col = in.next_column();
-      const std::size_t from = in.index("edge source");
-      const std::size_t to_col = in.next_column();
-      const std::size_t to = in.index("edge target");
-      if (from >= num_nodes) {
-        in.fail(from_col, "edge source " + std::to_string(from) +
-                              " out of range (nodes: " +
-                              std::to_string(num_nodes) + ")");
+  read_header(in, source);
+  const std::vector<std::string_view> pieces = cut_at_jobs(in.rest(), chunks);
+  if (pieces.size() > 1) {
+    std::vector<std::vector<Job>> parts(pieces.size());
+    std::atomic<bool> failed{false};
+    const auto parse = [&](std::size_t i) {
+      try {
+        Cursor piece(pieces[i], source);
+        parse_records(piece, parts[i]);
+      } catch (...) {
+        failed = true;
       }
-      if (to >= num_nodes) {
-        in.fail(to_col, "edge target " + std::to_string(to) +
-                            " out of range (nodes: " +
-                            std::to_string(num_nodes) + ")");
+    };
+    {  // Leaving this scope joins the workers.
+      std::vector<std::jthread> workers;
+      workers.reserve(pieces.size() - 1);
+      for (std::size_t i = 1; i < pieces.size(); ++i) {
+        try {
+          workers.emplace_back(parse, i);
+        } catch (const std::system_error&) {
+          failed = true;
+        }
       }
-      if (from == to) in.fail(from_col, "self-edge");
-      in.expect_end();
-      edges.emplace_back(static_cast<NodeId>(from), static_cast<NodeId>(to));
+      parse(0);
     }
-
-    need_line("'end'");
-    const std::size_t end_col = in.next_column();
-    const std::string_view end_kw = in.token("end keyword");
-    if (end_kw != "end") {
-      in.fail(end_col, "expected 'end', got '" + std::string(end_kw) + "'");
-    }
-    in.expect_end();
-
-    // pack_dag() rejects cycles and duplicate edges; wrap its exception so
-    // the caller still gets a positioned diagnostic.
-    try {
-      jobs.add(Job(std::make_shared<const Dag>(pack_dag(works, edges, pending)),
-                   release, std::move(profit)));
-    } catch (const std::invalid_argument& err) {
-      throw ParseError(source, in.lineno(), 1,
-                       std::string("invalid DAG: ") + err.what());
+    if (!failed) {
+      std::size_t total = 0;
+      for (const auto& part : parts) total += part.size();
+      std::vector<Job> jobs;
+      jobs.reserve(total);
+      for (auto& part : parts) {
+        std::move(part.begin(), part.end(), std::back_inserter(jobs));
+        std::vector<Job>().swap(part);
+      }
+      return JobSet(std::move(jobs));
     }
   }
-  jobs.finalize();
-  return jobs;
+  // One piece, or a piece failed: parse the records serially from the
+  // header on, so every diagnostic carries its place in the whole file.
+  std::vector<Job> jobs;
+  parse_records(in, jobs);
+  return JobSet(std::move(jobs));
+}
+
+}  // namespace detail
+
+JobSet read_workload(std::string_view bytes, const std::string& source) {
+  // One piece per kPieceBytes begun, at most one per hardware thread.
+  constexpr std::size_t kPieceBytes = std::size_t{256} << 10;
+  const std::size_t threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  return detail::read_workload_chunked(
+      bytes, source,
+      std::min(threads, (bytes.size() + kPieceBytes - 1) / kPieceBytes));
 }
 
 JobSet read_workload(std::istream& is, const std::string& source) {

@@ -21,6 +21,7 @@
 // endpoints, acyclic).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -32,7 +33,9 @@ namespace dagsched {
 void write_workload(std::ostream& os, const JobSet& jobs);
 /// Parses the whole workload from `bytes`; the JobSet keeps no reference
 /// to them.  `source` names the input in diagnostics (file path or
-/// "<stream>").
+/// "<stream>").  Inputs above 256 KiB are cut into pieces at `job` lines
+/// and parsed on up to one thread per core; if any piece fails, the records
+/// are parsed again serially, so diagnostics are those of a serial parse.
 JobSet read_workload(std::string_view bytes, const std::string& source);
 /// Reads the stream to its end, then parses those bytes.
 JobSet read_workload(std::istream& is,
@@ -42,5 +45,13 @@ JobSet read_workload(std::istream& is,
 /// load_workload reads the file into one buffer and parses it.
 void save_workload(const std::string& path, const JobSet& jobs);
 JobSet load_workload(const std::string& path);
+
+namespace detail {
+/// read_workload with the records cut into at most `chunks` pieces (one
+/// per thread); read_workload picks the count from the input size.  Tests
+/// call it to pin that every count gives the same result.
+JobSet read_workload_chunked(std::string_view bytes, const std::string& source,
+                             std::size_t chunks);
+}  // namespace detail
 
 }  // namespace dagsched

@@ -334,6 +334,10 @@ TEST(CheckpointFormat, FingerprintValueIsPinned) {
   EXPECT_EQ(run_config_fingerprint("dagsched-workload 1\n", "s", 0.5, 4, 1.0,
                                    "event", "fifo", ""),
             9621715377253786510u);
+  // The CLI hashes the bytes while it parses them and passes the digest.
+  EXPECT_EQ(run_config_fingerprint(fnv1a64("dagsched-workload 1\n"), "s", 0.5,
+                                   4, 1.0, "event", "fifo", ""),
+            9621715377253786510u);
 }
 
 TEST(CheckpointFormat, FingerprintCoversEveryInput) {

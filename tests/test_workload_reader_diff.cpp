@@ -5,7 +5,8 @@
 // same inputs with single tokens swapped for hostile ones, and every
 // truncation, bit flip and forged count of the WorkloadFuzz corpus -- both
 // readers must either write back the same bytes or throw the same
-// ParseError message.
+// ParseError message, and so must the current reader with its records cut
+// into 1 to 8 pieces parsed on their own threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -397,11 +398,11 @@ JobSet reference_read(std::string_view bytes, const std::string& source) {
 
 /// What a reader made of `bytes`: the written-back workload, or the
 /// diagnostic, marked so that the two can never compare equal.
-std::string outcome(JobSet (*reader)(std::string_view, const std::string&),
-                    std::string_view bytes) {
+template <class Reader>
+std::string outcome(Reader read, std::string_view bytes) {
   try {
     std::ostringstream out;
-    write_workload(out, reader(bytes, "<diff>"));
+    write_workload(out, read(bytes, "<diff>"));
     return "parsed\n" + std::move(out).str();
   } catch (const ParseError& error) {
     return std::string("ParseError: ") + error.what();
@@ -412,11 +413,23 @@ JobSet current_read(std::string_view bytes, const std::string& source) {
   return read_workload(bytes, source);
 }
 
-/// Parses `bytes` with both readers; returns true when it parsed.
-bool expect_same(std::string_view bytes) {
+/// The current reader with its records cut into at most `chunks` pieces.
+auto chunked_read(std::size_t chunks) {
+  return [chunks](std::string_view bytes, const std::string& source) {
+    return detail::read_workload_chunked(bytes, source, chunks);
+  };
+}
+
+/// Parses `bytes` with the reference reader, with read_workload, and with
+/// the current reader at every piece count up to `max_chunks`; returns
+/// true when it parsed.
+bool expect_same(std::string_view bytes, std::size_t max_chunks = 8) {
   const std::string want = outcome(reference_read, bytes);
-  const std::string got = outcome(current_read, bytes);
-  EXPECT_EQ(got, want) << "on input:\n" << bytes;
+  EXPECT_EQ(outcome(current_read, bytes), want) << "on input:\n" << bytes;
+  for (std::size_t chunks = 1; chunks <= max_chunks; ++chunks) {
+    EXPECT_EQ(outcome(chunked_read(chunks), bytes), want)
+        << "in " << chunks << " pieces, on input:\n" << bytes;
+  }
   return want.rfind("parsed", 0) == 0;
 }
 
@@ -691,6 +704,118 @@ TEST(WorkloadReaderParity, ForgedCountsFailAlike) {
     forged.replace(forged.find(from), std::strlen(from), to);
     EXPECT_FALSE(expect_same(forged)) << to;
   }
+}
+
+
+// ---- where the pieces are cut -----------------------------------------------
+//
+// Each input below is parsed at every piece count up to 32, so on these
+// inputs of a few hundred bytes every `job` line is a cut at some count.
+
+constexpr std::size_t kAllCuts = 32;
+
+/// One valid record under the given `job` line (without its newline).
+std::string record(std::string_view header) {
+  return std::string(header) +
+         "\nprofit step 4 9\nnodes 3\n1 2 1\nedges 2\n0 1\n1 2\nend\n";
+}
+
+TEST(WorkloadReaderChunks, IndentedJobLinesAreCuts) {
+  const std::string text = "dagsched-workload 1\n" + record("job 0") +
+                           record("   job 1") + record("\t \tjob 2") +
+                           record("job\r3") + record(" \r job 4");
+  EXPECT_TRUE(expect_same(text, kAllCuts));
+  EXPECT_EQ(detail::read_workload_chunked(text, "<cut>", kAllCuts).size(), 5u);
+}
+
+TEST(WorkloadReaderChunks, JobLookalikesAreNotCuts) {
+  // A comment that starts with "job" is skipped wherever it lies.
+  EXPECT_TRUE(expect_same("dagsched-workload 1\n" + record("job 0") +
+                              "#job 1\n  #job 2\n" + record("job 3") +
+                              "#job\n",
+                          kAllCuts));
+  // "jobs" is not the job keyword, and "job\r" has no release time.
+  for (const std::string_view bad : {"jobs 1", "job\r", "job", "jobx 1",
+                                     "job# 1", "Job 1"}) {
+    EXPECT_FALSE(expect_same("dagsched-workload 1\n" + record("job 0") +
+                                 record(bad) + record("job 2"),
+                             kAllCuts))
+        << bad;
+  }
+}
+
+TEST(WorkloadReaderChunks, CutAfterARecordWithoutEnd) {
+  // The piece before the cut ends without its `end` line; the serial parse
+  // instead reads the next `job` line where `end` should be.
+  std::string first = record("job 0");
+  first.erase(first.rfind("end\n"));
+  const std::string text = "dagsched-workload 1\n" + first +
+                           record("job 1") + record("job 2");
+  EXPECT_FALSE(expect_same(text, kAllCuts));
+  EXPECT_EQ(outcome(chunked_read(3), text),
+            "ParseError: <diff>:9:1: expected 'end', got 'job'");
+  // The same with the last edge line missing, so a cut piece is short of
+  // lines that the serial parse takes from the next record.
+  std::string short_edges = record("job 0");
+  short_edges.erase(short_edges.rfind("1 2\n"), 4);
+  EXPECT_FALSE(expect_same("dagsched-workload 1\n" + short_edges +
+                               record("job 1") + record("job 2"),
+                           kAllCuts));
+}
+
+TEST(WorkloadReaderChunks, CutsInsideLeadingComments) {
+  std::string text = "dagsched-workload 1\n";
+  for (int i = 0; i < 12; ++i) text += "# a long leading comment line\n\n";
+  text += record("job 0") + record("job 1");
+  EXPECT_TRUE(expect_same(text, kAllCuts));
+  // An error in the record after the comments keeps its line in the file.
+  EXPECT_FALSE(expect_same(text + "job -1\n", kAllCuts));
+}
+
+TEST(WorkloadReaderChunks, MorePiecesThanRecords) {
+  EXPECT_TRUE(expect_same("dagsched-workload 1\n", kAllCuts));
+  EXPECT_TRUE(expect_same("dagsched-workload 1\n# no jobs\n", kAllCuts));
+  EXPECT_TRUE(expect_same("dagsched-workload 1\n" + record("job 0"), kAllCuts));
+  EXPECT_TRUE(expect_same(
+      "dagsched-workload 1\n" + record("job 0") + record("job 1"), kAllCuts));
+  EXPECT_EQ(detail::read_workload_chunked(
+                "dagsched-workload 1\n" + record("job 5") + record("job 2"),
+                "<cut>", 1000)
+                .jobs()
+                .front()
+                .release(),
+            2.0);
+}
+
+TEST(WorkloadReaderChunks, LastRecordWithoutFinalNewline) {
+  std::string text = "dagsched-workload 1\n" + record("job 0") +
+                     record("job 1") + record("job 2");
+  text.pop_back();
+  EXPECT_TRUE(expect_same(text, kAllCuts));
+  // Cut short inside the last record's `end`, and after its `job` keyword.
+  EXPECT_FALSE(expect_same(text.substr(0, text.size() - 1), kAllCuts));
+  EXPECT_FALSE(expect_same(
+      "dagsched-workload 1\n" + record("job 0") + record("job 1") + "job",
+      kAllCuts));
+}
+
+TEST(WorkloadReaderChunks, LargeInputsMatchTheSerialParse) {
+  // Large enough that read_workload cuts it into pieces of its own choosing
+  // on any machine with more than one hardware thread.
+  Rng rng(26);
+  std::string text = "dagsched-workload 1\n";
+  for (int i = 0; text.size() < (std::size_t{768} << 10); ++i) {
+    Lines lines = random_lines(rng);
+    lines.erase(lines.begin());  // the header
+    text += render(rng, lines);
+    if (text.back() != '\n') text += '\n';
+  }
+  EXPECT_TRUE(expect_same(text));
+  // A fault near the end is reported at its line in the whole file.
+  const std::size_t last_job = text.rfind("job");
+  std::string broken = text;
+  broken.replace(last_job, 3, "jab");
+  EXPECT_FALSE(expect_same(broken));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -63,6 +64,7 @@
 #include "util/file_bytes.h"
 #include "util/parse_error.h"
 #include "util/table.h"
+#include "util/wire.h"
 #include "workload/analyzer.h"
 #include "workload/scenarios.h"
 #include "workload/trace_import.h"
@@ -418,9 +420,16 @@ RunFlags read_run_flags(ArgParser& args) {
 
 int cmd_run(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
-  // The workload is read once: parsed here, hashed by the checkpoint
-  // fingerprint below, and released before the simulation starts.
+  // The workload is read once: parsed here and released before the
+  // simulation starts.  Under --checkpoint/--resume a second thread hashes
+  // the same bytes for the config fingerprint while the parse runs.
   std::string workload_bytes = read_file_bytes(args.positional()[1]);
+  std::future<std::uint64_t> workload_digest;
+  if (args.has("checkpoint") || args.has("resume")) {
+    workload_digest = std::async(std::launch::async, [&workload_bytes] {
+      return fnv1a64(workload_bytes);
+    });
+  }
   const JobSet jobs = parse_instance(workload_bytes, args.positional()[1]);
   const bool show_gantt = args.get_flag("gantt");
   const bool show_profile = args.get_flag("profile");
@@ -540,7 +549,7 @@ int cmd_run(ArgParser& args) {
   if (!checkpoint_path.empty() || !resume_path.empty()) {
     CheckpointMeta meta;
     meta.config_hash = run_config_fingerprint(
-        workload_bytes, flags.scheduler, flags.eps, m,
+        workload_digest.get(), flags.scheduler, flags.eps, m,
         flags.speed, engine_kind_name(flags.engine),
         selector_kind_name(flags.selector), flags.fault_spec);
     meta.workload = args.positional()[1];
@@ -561,6 +570,9 @@ int cmd_run(ArgParser& args) {
     }
   }
 
+  // An empty --checkpoint= still started the digest thread, which reads
+  // the buffer until it finishes.
+  if (workload_digest.valid()) workload_digest.wait();
   std::string().swap(workload_bytes);
 
   auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
