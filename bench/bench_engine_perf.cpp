@@ -73,7 +73,7 @@ void BM_EventEngineEdf(benchmark::State& state) {
   const JobSet jobs = make_jobs(static_cast<std::size_t>(state.range(0)));
   std::size_t decisions = 0;
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
@@ -132,7 +132,7 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
   std::size_t decisions = 0;
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
@@ -154,7 +154,7 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
   std::size_t decisions = 0;
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kLlf, false, true});
+    ListScheduler scheduler({ListPolicy::kLlf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
@@ -171,7 +171,7 @@ void BM_SlotEngineEdfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
   std::size_t decisions = 0;
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
@@ -235,7 +235,7 @@ void BM_SlotEngineEdfTelemetry(benchmark::State& state) {
   TelemetryRecorder telemetry;
   std::size_t decisions = 0;
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
@@ -279,7 +279,7 @@ void BM_SlotEngineEdf(benchmark::State& state) {
   config.horizon = static_cast<double>(state.range(0));
   const JobSet jobs = generate_workload(rng, config);
   for (auto _ : state) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;

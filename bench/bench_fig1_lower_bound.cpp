@@ -28,7 +28,7 @@ double makespan(const std::shared_ptr<const Dag>& dag, ProcCount m,
   JobSet jobs;
   jobs.add(Job::with_deadline(dag, 0.0, 1e9, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   auto sel = make_selector(selector);
   SimOptions options;
   options.num_procs = m;

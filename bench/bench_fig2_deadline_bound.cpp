@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     JobSet jobs;
     jobs.add(Job::with_deadline(dag, 0.0, 1e9, 1.0));
     jobs.finalize();
-    ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+    ListScheduler scheduler({ListPolicy::kFcfs, false});
     auto sel = make_selector(SelectorKind::kCriticalPath);
     SimOptions options;
     options.num_procs = m;

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
       {"federated", named("federated")},
       {"equi", [] { return std::make_unique<EquiScheduler>(); }},
       {"equi(profit)", [] {
-         return std::make_unique<EquiScheduler>(EquiOptions{true, true});
+         return std::make_unique<EquiScheduler>(
+             EquiOptions{.weight_by_profit = true});
        }},
   };
 

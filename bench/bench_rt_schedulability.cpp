@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       dagsched::FederatedScheduler federated_scheduler;
       met_fed.add(met_fraction(jobs, federated_scheduler, m));
       dagsched::ListScheduler edf(
-          {dagsched::ListPolicy::kEdf, false, true});
+          {dagsched::ListPolicy::kEdf, false});
       met_edf.add(met_fraction(jobs, edf, m));
       dagsched::DeadlineScheduler s({.params = params});
       dagsched::RunConfig run;

@@ -34,7 +34,7 @@ void run_fig1(ProcCount m) {
     JobSet jobs;
     jobs.add(Job::with_deadline(dag, 0.0, 1e9, 1.0));
     jobs.finalize();
-    ListScheduler greedy({ListPolicy::kFcfs, false, true});
+    ListScheduler greedy({ListPolicy::kFcfs, false});
     auto selector = make_selector(kind);
     SimOptions options;
     options.num_procs = m;

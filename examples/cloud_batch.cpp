@@ -78,7 +78,7 @@ int main() {
         {.params = dagsched::Params::from_epsilon(0.6)});
     dagsched::DeadlineScheduler s3(
         {.params = dagsched::Params::from_epsilon(0.6)});
-    dagsched::ListScheduler edf({dagsched::ListPolicy::kEdf, false, true});
+    dagsched::ListScheduler edf({dagsched::ListPolicy::kEdf, false});
 
     const double p5 = run(jobs, s5, m);
     const double p3 = run(jobs, s3, m);

@@ -88,7 +88,7 @@ int main() {
     dagsched::DeadlineScheduler paper_s(
         {.params = dagsched::Params::from_epsilon(0.5)});
     dagsched::ListScheduler edf(
-        {dagsched::ListPolicy::kEdf, false, true});
+        {dagsched::ListPolicy::kEdf, false});
     const double s_rev = revenue(jobs, paper_s, m);
     const double edf_rev = revenue(jobs, edf, m);
     table.add_row({dagsched::TextTable::num(load),

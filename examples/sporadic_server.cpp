@@ -68,7 +68,7 @@ void simulate_all(const TaskSet& tasks, ProcCount m, std::uint64_t seed) {
                       DeadlineSchedulerOptions{
                           .params = Params::from_epsilon(0.5)})},
       {"EDF", std::make_unique<ListScheduler>(
-                  ListSchedulerOptions{ListPolicy::kEdf, false, true})},
+                  ListSchedulerOptions{.policy = ListPolicy::kEdf})},
       {"federated", std::make_unique<FederatedScheduler>()},
   };
   for (Entry& entry : entries) {

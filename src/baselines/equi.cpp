@@ -19,9 +19,7 @@ void EquiScheduler::decide(const EngineContext& ctx, Assignment& out) {
   for (const JobId job : ctx.active_jobs()) {
     if (!overload_shed_.empty() && overload_shed_.count(job) != 0) continue;
     const JobView view = ctx.view(job);
-    if (options_.drop_expired && view.deadline_unreachable(ctx.now())) {
-      continue;
-    }
+    if (view.deadline_unreachable(ctx.now())) continue;
     if (view.ready_count() == 0) continue;
     const double weight =
         options_.weight_by_profit ? view.peak_profit() : 1.0;

@@ -22,7 +22,6 @@ namespace dagsched {
 struct EquiOptions {
   /// Weight each job's share by its peak profit instead of equally.
   bool weight_by_profit = false;
-  bool drop_expired = true;
 };
 
 class EquiScheduler final : public SchedulerBase {

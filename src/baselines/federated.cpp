@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/sink.h"
 #include "util/check.h"
@@ -9,9 +10,6 @@
 #include "util/wire.h"
 
 namespace dagsched {
-
-FederatedScheduler::FederatedScheduler(FederatedOptions options)
-    : options_(options) {}
 
 void FederatedScheduler::reset() {
   info_.clear();
@@ -121,43 +119,33 @@ std::size_t FederatedScheduler::shed_load(const EngineContext& ctx,
 
 void FederatedScheduler::save_state(CheckpointWriter& out) const {
   out.u64(info_.size());
-  for (const JobInfo& info : info_) {
-    out.u32(info.cluster);
-    out.boolean(info.admitted);
-  }
+  for (const JobInfo& info : info_) out.u32(info.cluster);
   // running_ order is the admission (LIFO-eviction) order; saved verbatim.
+  // The admitted flags are membership in it and committed_ is the sum of
+  // its clusters, so both are derived on load.
   out.u64(running_.size());
   for (const JobId job : running_) out.u32(job);
-  out.u32(committed_);
   out.u64(admitted_count_);
 }
 
 void FederatedScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t n = in.count(5);
+  const std::uint64_t n = in.count(4);
   info_.resize(static_cast<std::size_t>(n));
-  std::size_t flagged = 0;
-  for (JobInfo& info : info_) {
-    info.cluster = in.u32();
-    info.admitted = in.boolean();
-    if (info.admitted && info.cluster == 0) {
-      in.fail("admitted job with empty cluster");
-    }
-    flagged += info.admitted ? 1 : 0;
-  }
-  const std::uint64_t running = in.count(4);
-  if (running != flagged) in.fail("running list disagrees with flags");
-  running_.resize(static_cast<std::size_t>(running));
+  for (JobInfo& info : info_) info.cluster = in.u32();
+  running_.resize(static_cast<std::size_t>(in.count(4)));
   std::uint64_t total = 0;
   for (JobId& job : running_) {
     job = in.u32();
-    if (job >= n || !info_[job].admitted) in.fail("invalid running entry");
-    total += info_[job].cluster;
+    if (job >= n || info_[job].admitted) in.fail("invalid running entry");
+    JobInfo& info = info_[job];
+    if (info.cluster == 0) in.fail("admitted job with empty cluster");
+    info.admitted = true;
+    total += info.cluster;
   }
-  // Duplicate-free: flagged admitted jobs == list length and every entry is
-  // admitted, so a duplicate would leave some admitted job unlisted; catch
-  // it via the committed total instead of an O(n^2) scan.
-  committed_ = in.u32();
-  if (total != committed_) in.fail("committed total disagrees with clusters");
+  if (total > std::numeric_limits<ProcCount>::max()) {
+    in.fail("committed total out of range");
+  }
+  committed_ = static_cast<ProcCount>(total);
   admitted_count_ = static_cast<std::size_t>(in.u64());
 }
 

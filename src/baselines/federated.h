@@ -22,17 +22,8 @@
 
 namespace dagsched {
 
-struct FederatedOptions {
-  /// Admit in profit-density order when several jobs arrive simultaneously?
-  /// (Arrival order is already serialized by the engine; this is kept for
-  /// interface symmetry and future batched variants.)
-  bool reserve_full_machine = true;
-};
-
 class FederatedScheduler final : public SchedulerBase {
  public:
-  explicit FederatedScheduler(FederatedOptions options = {});
-
   std::string name() const override { return "federated"; }
   void reset() override;
   void on_arrival(const EngineContext& ctx, JobId job) override;
@@ -62,7 +53,6 @@ class FederatedScheduler final : public SchedulerBase {
     bool admitted = false;
   };
 
-  FederatedOptions options_;
   std::vector<JobInfo> info_;
   std::vector<JobId> running_;  // admitted, incomplete
   ProcCount committed_ = 0;

@@ -136,31 +136,28 @@ void ListScheduler::save_state(CheckpointWriter& out) const {
       out.u32(job);
     }
   } else {
-    // kLlf candidates reuse the index wire shape; the key slot is unused
-    // (laxity is recomputed from now() every decision).  Sorted by id so
-    // the bytes do not depend on swap-removal history.
+    // kLlf candidates carry no key (laxity is recomputed from now() every
+    // decision).  Sorted by id so the bytes do not depend on swap-removal
+    // history.
     std::vector<JobId> sorted(llf_candidates_);
     std::sort(sorted.begin(), sorted.end());
     out.u64(sorted.size());
-    for (const JobId job : sorted) {
-      out.f64(0.0);
-      out.u32(job);
-    }
+    for (const JobId job : sorted) out.u32(job);
   }
   out.u64(overload_shed_.size());
   for (const JobId job : overload_shed_) out.u32(job);
 }
 
 void ListScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t indexed_count = in.count(12);
-  for (std::uint64_t i = 0; i < indexed_count; ++i) {
-    const double k = in.f64();
-    const JobId job = in.u32();
+  const std::uint64_t entries = in.count(indexed() ? 12 : 4);
+  for (std::uint64_t i = 0; i < entries; ++i) {
     if (indexed()) {
-      if (!order_index_.emplace(k, job).second) {
+      const double k = in.f64();
+      if (!order_index_.emplace(k, in.u32()).second) {
         in.fail("duplicate order-index entry");
       }
     } else {
+      const JobId job = in.u32();
       if (job < llf_pos_.size() && llf_pos_[job] != kNoSlot) {
         in.fail("duplicate order-index entry");
       }
@@ -212,7 +209,7 @@ void ListScheduler::decide_indexed(const EngineContext& ctx, Assignment& out) {
   ProcCount free = ctx.num_procs();
   for (const auto& entry : order_index_) {
     const JobView view = ctx.view(entry.second);
-    if (options_.drop_expired && view.deadline_unreachable(ctx.now())) {
+    if (view.deadline_unreachable(ctx.now())) {
       expired.push_back(entry);
       continue;
     }
@@ -238,7 +235,7 @@ void ListScheduler::decide_sorted(const EngineContext& ctx, Assignment& out) {
   for (std::size_t i = 0; i < llf_candidates_.size();) {
     const JobId job = llf_candidates_[i];
     const JobView view = ctx.view(job);
-    if (options_.drop_expired && view.deadline_unreachable(ctx.now())) {
+    if (view.deadline_unreachable(ctx.now())) {
       llf_remove(job);  // swap-removal refills slot i; do not advance
       continue;
     }

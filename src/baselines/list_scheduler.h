@@ -57,9 +57,6 @@ struct ListSchedulerOptions {
   /// Use the exact remaining critical path for laxity (requires DAG access,
   /// making the scheduler clairvoyant). kLlf only.
   bool clairvoyant_laxity = false;
-  /// Skip jobs whose deadline already passed (default) -- running them is
-  /// wasted capacity.
-  bool drop_expired = true;
 };
 
 class ListScheduler final : public SchedulerBase {

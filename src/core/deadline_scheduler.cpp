@@ -436,15 +436,6 @@ void DeadlineScheduler::save_state(CheckpointWriter& out) const {
   }
   out.u64(started_count_);
   out.f64(started_profit_);
-  auto write_queue = [&out](const DensityOrderedQueue& queue) {
-    out.u64(queue.size());
-    for (const auto& [v, job] : queue) {
-      out.f64(v);
-      out.u32(job);
-    }
-  };
-  write_queue(q_);
-  write_queue(p_);
   out.u64(p_fresh_.size());
   for (const JobId job : p_fresh_) out.u32(job);
   out.u64(p_dirty_.size());
@@ -458,8 +449,6 @@ void DeadlineScheduler::save_state(CheckpointWriter& out) const {
 void DeadlineScheduler::load_state(CheckpointReader& in) {
   const std::uint64_t n = in.count(46);
   info_.resize(static_cast<std::size_t>(n));
-  std::size_t flagged_q = 0;
-  std::size_t flagged_p = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     JobInfo& info = info_[static_cast<std::size_t>(i)];
     info.alloc.n = in.u32();
@@ -484,38 +473,23 @@ void DeadlineScheduler::load_state(CheckpointReader& in) {
                        !(info.alloc.v > 0.0)))) {
       in.fail("job " + std::to_string(i) + " has inconsistent queue flags");
     }
-    flagged_q += info.in_q ? 1 : 0;
-    flagged_p += info.in_p ? 1 : 0;
+    // Q and P are the flagged jobs, each keyed by its allocation's density
+    // (every queue insert uses alloc.v).  The admission index and P's
+    // expiry heap are derived too: the index is a function of the member
+    // set, and the heap's live entries are one (plateau deadline, job) pair
+    // per P member -- the lazily deleted entries the running process still
+    // carried are skipped on pop anyway.
+    const JobId job = static_cast<JobId>(i);
+    if (info.in_q) {
+      q_.insert(job, info.alloc.v);
+      q_index_.insert(job, info.alloc.v, info.alloc.n);
+    } else if (info.in_p) {
+      p_.insert(job, info.alloc.v);
+      p_expiry_.emplace(info.abs_plateau_deadline, job);
+    }
   }
   started_count_ = static_cast<std::size_t>(in.u64());
   started_profit_ = in.f64();
-  // Q: the admission index is derived state, rebuilt entry by entry (its
-  // contents are a function of the member set, not of insertion history).
-  const std::uint64_t q_size = in.count(12);
-  for (std::uint64_t i = 0; i < q_size; ++i) {
-    const Density v = in.f64();
-    const JobId job = in.u32();
-    if (job >= n || !info_[job].in_q || info_[job].alloc.v != v) {
-      in.fail("Q entry " + std::to_string(i) + " does not match job state");
-    }
-    if (!q_.insert(job, v)) in.fail("duplicate Q member");
-    q_index_.insert(job, v, info_[job].alloc.n);
-  }
-  if (q_.size() != flagged_q) in.fail("Q size disagrees with in_q flags");
-  // P: the expiry heap is derived too -- its live entries are exactly one
-  // (plateau deadline, job) pair per current member; the lazily deleted
-  // entries the running process still carried are skipped on pop anyway.
-  const std::uint64_t p_size = in.count(12);
-  for (std::uint64_t i = 0; i < p_size; ++i) {
-    const Density v = in.f64();
-    const JobId job = in.u32();
-    if (job >= n || !info_[job].in_p || info_[job].alloc.v != v) {
-      in.fail("P entry " + std::to_string(i) + " does not match job state");
-    }
-    if (!p_.insert(job, v)) in.fail("duplicate P member");
-    p_expiry_.emplace(info_[job].abs_plateau_deadline, job);
-  }
-  if (p_.size() != flagged_p) in.fail("P size disagrees with in_p flags");
   const std::uint64_t fresh = in.count(4);
   p_fresh_.resize(static_cast<std::size_t>(fresh));
   for (JobId& job : p_fresh_) {

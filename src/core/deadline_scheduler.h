@@ -97,9 +97,9 @@ class DeadlineScheduler final : public SchedulerBase {
   /// `overload.shed.started` slugs.
   std::size_t shed_load(const EngineContext& ctx,
                         std::size_t max_jobs) override;
-  /// Checkpoint both queues, the per-job allocations, and the pending
-  /// incremental-drain work.  q_index_ and p_expiry_ are derived (rebuilt
-  /// on load).
+  /// Checkpoint the per-job allocations and flags and the pending
+  /// incremental-drain work.  Q, P, q_index_ and p_expiry_ are derived from
+  /// the in_q/in_p flags (rebuilt on load).
   void save_state(CheckpointWriter& out) const override;
   void load_state(CheckpointReader& in) override;
   std::size_t queue_depth() const override { return q_.size() + p_.size(); }

@@ -36,24 +36,25 @@ std::unique_ptr<SchedulerBase> make_named_scheduler(const std::string& name,
   }
   if (name == "edf") {
     return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kEdf, false, true});
+        ListSchedulerOptions{.policy = ListPolicy::kEdf});
   }
   if (name == "llf") {
     return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kLlf, false, true});
+        ListSchedulerOptions{.policy = ListPolicy::kLlf});
   }
   if (name == "hdf") {
     return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kHdf, false, true});
+        ListSchedulerOptions{.policy = ListPolicy::kHdf});
   }
   if (name == "fcfs") {
     return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kFcfs, false, true});
+        ListSchedulerOptions{.policy = ListPolicy::kFcfs});
   }
   if (name == "federated") return std::make_unique<FederatedScheduler>();
   if (name == "equi") return std::make_unique<EquiScheduler>();
   if (name == "equi-profit") {
-    return std::make_unique<EquiScheduler>(EquiOptions{true, true});
+    return std::make_unique<EquiScheduler>(
+        EquiOptions{.weight_by_profit = true});
   }
   throw std::invalid_argument("unknown scheduler '" + name + "'");
 }
@@ -119,7 +120,7 @@ Profit offline_greedy_lower_bound(const JobSet& jobs, ProcCount m,
   // past its plateau contributes its decayed value, not its peak).  Hill
   // climb: keep a candidate only if the subset's simulated profit improves.
   auto earned_profit = [m, opt_speed](const JobSet& subset) {
-    ListScheduler scheduler({ListPolicy::kEdf, true, true});
+    ListScheduler scheduler({ListPolicy::kEdf, true});
     auto selector = make_selector(SelectorKind::kCriticalPath);
     SimOptions options;
     options.num_procs = m;
@@ -160,9 +161,10 @@ OptBracket estimate_opt(const JobSet& jobs, ProcCount m, double opt_speed) {
     const char* label;
   };
   const Candidate candidates[] = {
-      {{ListPolicy::kEdf, false, true}, "edf/critical-path"},
-      {{ListPolicy::kHdf, false, true}, "hdf/critical-path"},
-      {{ListPolicy::kLlf, true, true}, "llf-clairvoyant/critical-path"},
+      {{.policy = ListPolicy::kEdf}, "edf/critical-path"},
+      {{.policy = ListPolicy::kHdf}, "hdf/critical-path"},
+      {{.policy = ListPolicy::kLlf, .clairvoyant_laxity = true},
+       "llf-clairvoyant/critical-path"},
   };
   RunConfig run;
   run.m = m;

@@ -1,12 +1,14 @@
 // Durable checkpoint/restore for the simulation kernel.
 //
-// A checkpoint is one file in the `dagsched.checkpoint/2` format: an 8-byte
+// A checkpoint is one file in the `dagsched.checkpoint/3` format: an 8-byte
 // magic, a single-line JSON header (human-inspectable with head -2; carries
 // the schema version, a run-configuration fingerprint, and resume cursors),
 // and CRC-32-guarded named binary sections -- one for the kernel, one for
-// the scheduler -- encoded with util/wire.h.  The kernel section carries a
-// job's per-node unfolding block only once the job has started; a job that
-// has not started is rebuilt on load exactly as its arrival built it
+// the scheduler -- encoded with util/wire.h.  Each fact is stored once:
+// whatever other stored fields determine (the active set, the arrival
+// cursor, S's queues, ...) is derived on load, and a job's per-node
+// unfolding block is written only once the job has started; a job that has
+// not started is rebuilt exactly as its arrival built it
 // (docs/RECOVERY.md).  Files are written atomically
 // (temp file + rename) so a crash mid-write can never leave a truncated
 // checkpoint where a good one used to be, and every decode failure is a
@@ -35,7 +37,7 @@ namespace dagsched {
 class EventLog;
 class SimKernel;
 
-inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/2";
+inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/3";
 
 /// Decoded JSON header.  `config_hash` fingerprints everything that must
 /// match between the checkpointing run and the resuming run (workload

@@ -64,7 +64,6 @@ SimResult EventEngine::run() {
   Assignment& assignment = assignment_;
   std::vector<NodeId>& picked = picked_;
   std::vector<std::pair<JobId, NodeId>>& running = running_;
-  std::vector<JobId>& running_jobs = running_jobs_;
 
   for (;;) {
     // (0) Checkpoint at the loop top, before event delivery: nothing is
@@ -81,14 +80,11 @@ SimResult EventEngine::run() {
     kernel.deliver_due_events(now, DeadlineDuePolicy::kAtOrBeforeNow);
     if (!kernel.decide(now, assignment)) break;
 
-    // (2) Materialize this interval's execution set: (job, node) pairs plus
-    // the jobs that actually run a node (a job's alloc is unique, so the
-    // job list needs no dedup pass).
+    // (2) Materialize this interval's execution set: (job, node) pairs in
+    // allocation order, so each job's nodes are adjacent.
     running.clear();
-    running_jobs.clear();
     for (const JobAlloc& alloc : assignment.allocs) {
       kernel.select_nodes(alloc, picked);
-      if (!picked.empty()) running_jobs.push_back(alloc.job);
       for (const NodeId node : picked) running.emplace_back(alloc.job, node);
     }
     kernel.begin_interval();
@@ -99,7 +95,7 @@ SimResult EventEngine::run() {
     // scan happens here (before this step's completions are marked, as the
     // seed did), but the set is only committed as the new previous interval
     // at the end of the step, so the passes below keep using it.
-    kernel.account_preemptions(now, running, running_jobs);
+    kernel.account_preemptions(now, running);
 
     // (4) Time to the next external event.
     const Time next_event =
@@ -108,7 +104,7 @@ SimResult EventEngine::run() {
                           kernel.next_transition_time()));
 
     if (running.empty()) {
-      kernel.commit_interval(running, running_jobs);
+      kernel.commit_interval(running);
       if (next_event == kTimeInfinity) break;  // quiescent: nothing left
       // The machine sits fully idle until the next event; transitions are
       // decision points, so capacity is constant across the gap.
@@ -140,7 +136,7 @@ SimResult EventEngine::run() {
     // (6) Detect and notify job completions at the end of the step, then
     // retire the execution set as the next decision's previous interval.
     for (const auto& [job, node] : running) kernel.mark_if_completed(job, now);
-    kernel.commit_interval(running, running_jobs);
+    kernel.commit_interval(running);
     kernel.notify_completions(now);
   }
 

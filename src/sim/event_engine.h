@@ -64,11 +64,10 @@ class EventEngine {
   std::unique_ptr<SimKernel> kernel_;
   Assignment assignment_;
   std::vector<NodeId> picked_;
-  // This interval's execution set: (job, node) pairs and the jobs that run
-  // a node, handed to account_preemptions()/commit_interval() without the
-  // seed's extra copy into separate accounting vectors.
+  // This interval's running (job, node) pairs, handed to
+  // account_preemptions()/commit_interval() without the seed's extra copy
+  // into separate accounting vectors.
   std::vector<std::pair<JobId, NodeId>> running_;
-  std::vector<JobId> running_jobs_;
 };
 
 /// One-call convenience wrapper.

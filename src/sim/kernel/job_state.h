@@ -118,7 +118,6 @@ class JobStateTable {
 
   const std::vector<JobId>& active_slots() const { return active_; }
   std::size_t active_live() const { return active_live_; }
-  const std::size_t* active_live_ptr() const { return &active_live_; }
 
   void activate(JobId id) {
     active_pos_[id] = static_cast<std::uint32_t>(active_.size());
@@ -139,23 +138,6 @@ class JobStateTable {
         active_live_ * kCompactSlack < active_.size()) {
       compact_active();
     }
-  }
-
-  /// Checkpoint restore: appends one serialized slot (kInvalidJob keeps the
-  /// tombstone).  Returns false on a duplicate live entry.
-  bool restore_active_slot(JobId id) {
-    if (id != kInvalidJob) {
-      if (active_pos_[id] != kNoActiveSlot) return false;
-      active_pos_[id] = static_cast<std::uint32_t>(active_.size());
-      ++active_live_;
-    }
-    active_.push_back(id);
-    return true;
-  }
-  void clear_active() {
-    active_.clear();
-    std::fill(active_pos_.begin(), active_pos_.end(), kNoActiveSlot);
-    active_live_ = 0;
   }
 
   // -- Epoch stamps (preemption accounting, duplicate-alloc detection) ------

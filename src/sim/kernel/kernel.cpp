@@ -72,7 +72,6 @@ void SimKernel::begin(Time start_time) {
   completed_now_.clear();
   jobs_done_ = 0;
   prev_nodes_.clear();
-  prev_jobs_.clear();
   interval_epoch_ = 0;
   preempted_jobs_.clear();
   alloc_epoch_ = 0;
@@ -348,32 +347,27 @@ void SimKernel::notify_completions_slow(Time notify_time) {
 }
 
 void SimKernel::account_preemptions(
-    Time now, std::vector<std::pair<JobId, NodeId>>& nodes,
-    std::vector<JobId>& jobs) {
-  // Stamp this interval's execution set, then scan the previous one:
+    Time now, const std::vector<std::pair<JobId, NodeId>>& nodes) {
+  // Stamp this interval's nodes and jobs, then scan the previous interval:
   // anything that ran before, is unfinished, and carries a stale stamp was
-  // preempted.  O(running) per decision, no sorting.  `jobs` is deduplicated
-  // in place (stamping doubles as the duplicate check).
+  // preempted.  O(running) per decision, no sorting.  A job's nodes are
+  // adjacent, so the first node of each run stands for its job.
   ++interval_epoch_;
   const std::uint32_t e = interval_epoch_;
   for (const auto& [job, node] : nodes) {
     state_.node_stamp(job, node) = e;
-  }
-  std::size_t w = 0;
-  for (const JobId job : jobs) {
-    if (state_.job_stamp(job) == e) continue;
     state_.job_stamp(job) = e;
-    jobs[w++] = job;
-  }
-  jobs.resize(w);
-  for (const auto& [job, node] : prev_nodes_) {
-    if (state_.completed(job) || state_.unfolding(job).is_done(node)) continue;
-    if (state_.node_stamp(job, node) != e) ++result_.node_preemptions;
   }
   preempted_jobs_.clear();
-  for (const JobId job : prev_jobs_) {
+  JobId run_job = kInvalidJob;
+  for (const auto& [job, node] : prev_nodes_) {
     if (state_.completed(job)) continue;
-    if (state_.job_stamp(job) != e) preempted_jobs_.push_back(job);
+    if (job != run_job) {
+      run_job = job;
+      if (state_.job_stamp(job) != e) preempted_jobs_.push_back(job);
+    }
+    if (state_.unfolding(job).is_done(node)) continue;
+    if (state_.node_stamp(job, node) != e) ++result_.node_preemptions;
   }
   result_.job_preemptions += preempted_jobs_.size();
   if (obs_ != nullptr) {
@@ -384,12 +378,6 @@ void SimKernel::account_preemptions(
       obs_->event(now, job, ObsEventKind::kPreempt);
     }
   }
-}
-
-void SimKernel::commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes,
-                                std::vector<JobId>& jobs) {
-  std::swap(prev_nodes_, nodes);
-  std::swap(prev_jobs_, jobs);
 }
 
 void SimKernel::publish_counters(double idle) const {
@@ -438,7 +426,6 @@ std::size_t SimKernel::kernel_bytes() const {
   return state_.memory_bytes() + deadlines_.memory_bytes() +
          completed_now_.capacity() * sizeof(JobId) +
          prev_nodes_.capacity() * sizeof(std::pair<JobId, NodeId>) +
-         prev_jobs_.capacity() * sizeof(JobId) +
          preempted_jobs_.capacity() * sizeof(JobId) +
          proc_up_.capacity() * sizeof(char) +
          proc_node_.capacity() * sizeof(std::pair<JobId, NodeId>) +
@@ -498,12 +485,9 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
                    "job " << id << " never started but has finished nodes");
     }
   }
-  out.u64(state_.active_slots().size());
-  for (const JobId id : state_.active_slots()) out.u32(id);
-  out.u64(state_.active_live());
-  out.u64(next_arrival_);
-  out.u64(jobs_done_);
-  out.u32(ctx_.m_);
+  // The active set, the arrival cursor, the completed and expired counts
+  // and the up-processor count are not written: the job flags and the
+  // processor up-set determine them, and the loader derives them.
   out.u64(result_.decisions);
   out.u64(result_.node_preemptions);
   out.u64(result_.job_preemptions);
@@ -516,13 +500,12 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
   out.boolean(overload_active_);
   out.boolean(churn_);
   if (churn_) {
-    // up_list_ is rebuilt by begin_interval() every decision and the
-    // deadline heap is reconstructed on load; everything else about the
-    // fault plan's position is explicit state.
+    // up_list_ is rebuilt by begin_interval() every decision and avail_ is
+    // the up-set's count; everything else about the fault plan's position
+    // is explicit state.
     out.u64(next_transition_);
     out.u64(proc_up_.size());
     for (const char up : proc_up_) out.u8(static_cast<std::uint8_t>(up));
-    out.u32(avail_);
     out.u64(proc_node_.size());
     for (const auto& [job, node] : proc_node_) {
       out.u32(job);
@@ -535,15 +518,8 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
     out.u32(job);
     out.u32(node);
   }
-  out.u64(prev_jobs_.size());
-  for (const JobId job : prev_jobs_) out.u32(job);
   out.f64(capacity_time_);
   out.f64(start_time_);
-  out.u64(expiries_delivered_);
-  // Historical unfolding-bytes slot, now the arena high-water mark
-  // (advisory: the telemetry gauge is recomputed from live state after a
-  // resume, and the loader discards this value).
-  out.u64(state_.unfolding_arena().high_water());
 
   scheduler_out.str(scheduler_.name());
   scheduler_.save_state(scheduler_out);
@@ -557,7 +533,6 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
     in.fail("checkpoint job count does not match this workload (" +
             std::to_string(n) + " jobs)");
   }
-  std::size_t completed_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const JobId id = static_cast<JobId>(i);
     const std::uint8_t flags = in.u8();
@@ -582,34 +557,34 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
       // Never started: its unfolding is the one arrival built.
       emplace_arrived(id);
     }
-    if (state_.completed(id)) ++completed_count;
   }
-  const std::uint64_t active_count = in.count(4);
-  state_.clear_active();
-  std::size_t live = 0;
-  for (std::uint64_t i = 0; i < active_count; ++i) {
-    const JobId id = in.u32();
-    if (id != kInvalidJob) {
-      if (id >= n || !state_.arrived(id)) in.fail("malformed active-set entry");
-      ++live;
-    }
-    if (!state_.restore_active_slot(id)) in.fail("malformed active-set entry");
-  }
-  if (in.u64() != live) in.fail("active-set live count mismatch");
-  next_arrival_ = static_cast<std::size_t>(in.u64());
-  if (next_arrival_ > n) in.fail("next-arrival cursor out of range");
+
+  // Derived state (begin() left it empty).  Arrivals are delivered in id
+  // order, so the arrived flags form a prefix whose length is the arrival
+  // cursor.  The active set holds the arrived, incomplete jobs in arrival
+  // order (completions only tombstone slots, and compaction keeps the
+  // order), so activating them in id order rebuilds what the scheduler
+  // iterates.  Each delivered expiry set one deadline-notified flag, and
+  // the deadline heap holds the undelivered deadlines of incomplete jobs (a
+  // lazily discarded entry for a completed job was behaviorally inert, so
+  // omitting it is exact).
   for (std::size_t i = 0; i < n; ++i) {
-    if (state_.arrived(static_cast<JobId>(i)) != (i < next_arrival_)) {
-      in.fail("arrival flags disagree with the arrival cursor");
+    const JobId id = static_cast<JobId>(i);
+    if (!state_.arrived(id)) continue;
+    if (next_arrival_ != i) in.fail("arrived jobs are not a release prefix");
+    ++next_arrival_;
+    const bool notified = state_.deadline_notified(id);
+    if (notified) ++expiries_delivered_;
+    if (state_.completed(id)) {
+      ++jobs_done_;
+      continue;
+    }
+    state_.activate(id);
+    if (!notified && jobs_[i].has_deadline()) {
+      deadlines_.emplace(jobs_[i].absolute_deadline(), id);
     }
   }
-  jobs_done_ = static_cast<std::size_t>(in.u64());
-  if (jobs_done_ != completed_count) in.fail("completed-job count mismatch");
-  const ProcCount m = in.u32();
-  if (m < 1 || m > options_.num_procs) {
-    in.fail("up-processor count out of range");
-  }
-  ctx_.m_ = m;
+
   result_.decisions = static_cast<std::size_t>(in.u64());
   result_.node_preemptions = static_cast<std::size_t>(in.u64());
   result_.job_preemptions = static_cast<std::size_t>(in.u64());
@@ -629,15 +604,13 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
       in.fail("fault-plan cursor out of range");
     }
     if (in.u64() != proc_up_.size()) in.fail("processor count mismatch");
-    ProcCount up = 0;
+    avail_ = 0;
     for (char& slot : proc_up_) {
       slot = static_cast<char>(in.boolean() ? 1 : 0);
-      if (slot != 0) ++up;
+      if (slot != 0) ++avail_;
     }
-    avail_ = in.u32();
-    if (avail_ != up || avail_ != m) {
-      in.fail("up-processor bookkeeping mismatch");
-    }
+    if (avail_ < 1) in.fail("up-processor count out of range");
+    ctx_.m_ = avail_;
     if (in.u64() != proc_node_.size()) in.fail("victim-map size mismatch");
     for (auto& [job, node] : proc_node_) {
       job = in.u32();
@@ -651,34 +624,15 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   for (auto& [job, node] : prev_nodes_) {
     job = in.u32();
     node = in.u32();
-    if (job >= n) in.fail("malformed previous-interval node entry");
-  }
-  const std::uint64_t prev_job_count = in.count(4);
-  prev_jobs_.resize(static_cast<std::size_t>(prev_job_count));
-  for (JobId& job : prev_jobs_) {
-    job = in.u32();
-    if (job >= n) in.fail("malformed previous-interval job entry");
+    // account_preemptions() reads the unfolding of each entry's job.
+    if (job >= n || !state_.arrived(job) ||
+        node >= jobs_[job].dag().num_nodes()) {
+      in.fail("malformed previous-interval node entry");
+    }
   }
   capacity_time_ = in.f64();
   start_time_ = in.f64();
-  expiries_delivered_ = static_cast<std::size_t>(in.u64());
-  // Historical unfolding-bytes slot: the gauge now reads the live arena's
-  // high-water mark, which the emplacements above already re-established.
-  (void)in.u64();
   in.expect_done();
-
-  // Derived structures: the deadline heap is rebuilt from runtime flags (a
-  // lazily-discarded heap entry for a completed job was behaviorally inert,
-  // so omitting it is exact), and the victim map / up list refresh at the
-  // next begin_interval().
-  deadlines_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const JobId id = static_cast<JobId>(i);
-    if (state_.arrived(id) && !state_.completed(id) &&
-        !state_.deadline_notified(id) && jobs_[i].has_deadline()) {
-      deadlines_.emplace(jobs_[i].absolute_deadline(), id);
-    }
-  }
 
   const std::string saved_scheduler = scheduler_in.str();
   if (saved_scheduler != scheduler_.name()) {

@@ -114,9 +114,10 @@ class SimKernel {
                              CheckpointWriter& scheduler_out) const;
 
   /// Restores state saved by save_checkpoint_state.  Call after begin();
-  /// derived structures (deadline heap, active-position map) are rebuilt
-  /// from the serialized core.  Throws CheckpointError on a payload that is
-  /// malformed or inconsistent with this kernel's job set.
+  /// whatever the stored fields determine (the active set, the arrival
+  /// cursor, the completed and expired counts, the up-processor count, the
+  /// deadline heap) is derived from them.  Throws CheckpointError on a
+  /// payload that is malformed or inconsistent with this kernel's job set.
   void load_checkpoint_state(CheckpointReader& kernel_in,
                              CheckpointReader& scheduler_in);
 
@@ -268,20 +269,21 @@ class SimKernel {
 
   // -- Preemption accounting ------------------------------------------------
 
-  /// Compares this interval's execution set against the previous one and
-  /// accounts node/job preemptions (ran before, unfinished, idle now).
-  /// Dedups `jobs` in place but leaves both vectors usable: engines keep
-  /// stepping over them and hand them back via commit_interval() once the
-  /// step is done.
+  /// Compares this interval's running (job, node) list against the previous
+  /// interval's and accounts node/job preemptions (ran before, unfinished,
+  /// idle now).  A job's nodes sit next to each other in `nodes`
+  /// (allocation order), so each run of equal job ids is one running job.
+  /// Engines keep stepping over `nodes` and hand it back via
+  /// commit_interval() once the step is done.
   void account_preemptions(Time now,
-                           std::vector<std::pair<JobId, NodeId>>& nodes,
-                           std::vector<JobId>& jobs);
+                           const std::vector<std::pair<JobId, NodeId>>& nodes);
 
-  /// Installs this interval's (already accounted) execution set as the
-  /// previous interval.  Contents are swapped out; reuse the vectors freely.
-  /// Must be called exactly once per account_preemptions() call.
-  void commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes,
-                       std::vector<JobId>& jobs);
+  /// Installs this interval's (already accounted) node list as the previous
+  /// interval.  Contents are swapped out; reuse the vector freely.  Must be
+  /// called exactly once per account_preemptions() call.
+  void commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes) {
+    std::swap(prev_nodes_, nodes);
+  }
 
  private:
   bool transition_due(Time now) const {
@@ -377,12 +379,12 @@ class SimKernel {
   std::vector<JobId> completed_now_;
   std::size_t jobs_done_ = 0;
 
-  // Previous interval's execution set, for preemption accounting.  Membership
-  // tests use the table's epoch-stamp columns so each decision costs
-  // O(running) with no sorting; the seed sorted + binary-searched both sets
-  // per decision, which dominated the event engine's hot loop at 10^5 jobs.
+  // Previous interval's running nodes, for preemption accounting; its jobs
+  // are the runs of equal job ids.  Membership tests use the table's
+  // epoch-stamp columns so each decision costs O(running) with no sorting;
+  // the seed sorted + binary-searched both sets per decision, which
+  // dominated the event engine's hot loop at 10^5 jobs.
   std::vector<std::pair<JobId, NodeId>> prev_nodes_;
-  std::vector<JobId> prev_jobs_;
   std::uint32_t interval_epoch_ = 0;
   std::vector<JobId> preempted_jobs_;  // scratch, event-order emission
 

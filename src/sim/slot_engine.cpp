@@ -62,7 +62,6 @@ SimResult SlotEngine::run() {
   Assignment& assignment = assignment_;
   std::vector<NodeId>& picked = picked_;
   std::vector<std::pair<JobId, NodeId>>& current_nodes = current_nodes_;
-  std::vector<JobId>& current_jobs = current_jobs_;
 
   std::uint64_t slot =
       static_cast<std::uint64_t>(std::max(0.0, std::floor(jobs_[0].release())));
@@ -119,11 +118,9 @@ SimResult SlotEngine::run() {
     // mid-slot leave their processor idle for the rest of the slot.
     kernel.begin_interval();
     current_nodes.clear();
-    current_jobs.clear();
     std::size_t proc_cursor = 0;
     for (const JobAlloc& alloc : assignment.allocs) {
       kernel.select_nodes(alloc, picked);
-      if (!picked.empty()) current_jobs.push_back(alloc.job);
       Time job_finish = 0.0;
       for (const NodeId node : picked) {
         current_nodes.emplace_back(alloc.job, node);
@@ -142,8 +139,8 @@ SimResult SlotEngine::run() {
 
     // (3) Preemption accounting (ran last slot, unfinished, idle now), then
     // completion notifications at the end of the slot.
-    kernel.account_preemptions(now, current_nodes, current_jobs);
-    kernel.commit_interval(current_nodes, current_jobs);
+    kernel.account_preemptions(now, current_nodes);
+    kernel.commit_interval(current_nodes);
     const bool completed_any = kernel.has_pending_completions();
     kernel.notify_completions(now + 1.0);
     kernel.set_end_time(now + 1.0);

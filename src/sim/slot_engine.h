@@ -60,7 +60,6 @@ class SlotEngine {
   Assignment assignment_;
   std::vector<NodeId> picked_;
   std::vector<std::pair<JobId, NodeId>> current_nodes_;
-  std::vector<JobId> current_jobs_;
 };
 
 }  // namespace dagsched

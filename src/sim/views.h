@@ -46,7 +46,6 @@ class JobView {
   bool arrived() const { return state_->arrived(id_); }
   bool completed() const { return state_->completed(id_); }
   Time completion_time() const { return state_->completion_time(id_); }
-  Work executed_work() const { return state_->executed(id_); }
 
   /// Number of ready nodes right now (0 before arrival / after completion).
   std::size_t ready_count() const {

@@ -162,10 +162,4 @@ void export_trace_csv(std::ostream& os, const JobSet& jobs) {
   }
 }
 
-void save_trace_csv(const std::string& path, const JobSet& jobs) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  export_trace_csv(out, jobs);
-}
-
 }  // namespace dagsched

@@ -44,6 +44,5 @@ JobSet load_trace_csv(const std::string& path,
 /// with non-step profits export their plateau end as the deadline and
 /// their peak as the profit.
 void export_trace_csv(std::ostream& os, const JobSet& jobs);
-void save_trace_csv(const std::string& path, const JobSet& jobs);
 
 }  // namespace dagsched

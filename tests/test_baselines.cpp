@@ -31,7 +31,7 @@ TEST(ListSchedulerTest, EdfPrefersEarlierDeadline) {
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 0.0, 50.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 0.0, 5.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   JobId first = kInvalidJob;
   run(jobs, scheduler, 1,
       [&first](const EngineContext& ctx, const Assignment& assignment) {
@@ -48,7 +48,7 @@ TEST(ListSchedulerTest, HdfPrefersDenserJob) {
   jobs.add(Job::with_deadline(share(make_single_node(4.0)), 0.0, 50.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 0.0, 50.0, 4.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kHdf, false, true});
+  ListScheduler scheduler({ListPolicy::kHdf, false});
   JobId first = kInvalidJob;
   run(jobs, scheduler, 1,
       [&first](const EngineContext& ctx, const Assignment& assignment) {
@@ -65,7 +65,7 @@ TEST(ListSchedulerTest, FcfsPrefersEarlierArrival) {
   jobs.add(Job::with_deadline(share(make_single_node(3.0)), 0.0, 50.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(1.0)), 1.0, 50.0, 9.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   const SimResult result = run(jobs, scheduler, 1);
   // Job 0 runs to completion first despite job 1's profit.
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 3.0);
@@ -80,7 +80,7 @@ TEST(ListSchedulerTest, WorkConservingSplitsAcrossJobs) {
   jobs.add(Job::with_deadline(share(make_parallel_block(4, 1.0)), 0.0, 6.0,
                               1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   bool checked = false;
   run(jobs, scheduler, 6,
       [&checked](const EngineContext& ctx, const Assignment& assignment) {
@@ -100,7 +100,7 @@ TEST(ListSchedulerTest, DropsExpiredJobs) {
   jobs.add(Job::with_deadline(share(make_chain(10, 1.0)), 0.0, 2.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(1.0)), 5.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run(jobs, scheduler, 1);
   EXPECT_FALSE(result.outcomes[0].completed);
   EXPECT_TRUE(result.outcomes[1].completed);
@@ -109,8 +109,8 @@ TEST(ListSchedulerTest, DropsExpiredJobs) {
 }
 
 TEST(ListSchedulerTest, ClairvoyantLaxityDeclaresItself) {
-  ListScheduler plain({ListPolicy::kLlf, false, true});
-  ListScheduler clairvoyant({ListPolicy::kLlf, true, true});
+  ListScheduler plain({ListPolicy::kLlf, false});
+  ListScheduler clairvoyant({ListPolicy::kLlf, true});
   EXPECT_FALSE(plain.clairvoyant());
   EXPECT_TRUE(clairvoyant.clairvoyant());
   EXPECT_NE(plain.name(), clairvoyant.name());

@@ -1,6 +1,7 @@
-// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/2
+// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/3
 // container, kill-resume decision parity across every scheduler x engine x
-// fault mode, the rebuild of jobs that had not started, and corruption
+// fault mode, the rebuild of jobs that had not started, the kernel facts a
+// resume derives instead of reading, and corruption
 // fuzzing (bit flips, truncation at every boundary, version skew) -- a
 // corrupt checkpoint must always surface as a structured CheckpointError,
 // never a crash.
@@ -23,6 +24,7 @@
 #include "fault/injector.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
+#include "obs/telemetry/telemetry.h"
 #include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/engine_factory.h"
 #include "sim/kernel/kernel.h"
@@ -276,17 +278,24 @@ TEST(CheckpointFormat, FileRoundTripAndOverwrite) {
 }
 
 TEST(CheckpointFormat, VersionSkewIsDiagnosed) {
-  // A /1 file (every unfolding written out) is not read as /2.
-  CheckpointFile file = sample_file();
-  file.meta.schema = "dagsched.checkpoint/1";
-  const std::string bytes = serialize_checkpoint(file);
-  try {
-    parse_checkpoint_bytes(bytes, "<mem>");
-    FAIL() << "version skew accepted";
-  } catch (const CheckpointError& error) {
-    EXPECT_NE(std::string(error.what()).find("dagsched.checkpoint/1"),
-              std::string::npos)
-        << error.what();
+  // Neither a /1 file (every unfolding written out) nor a /2 file (the
+  // active set, cursors and queues stored beside the flags that determine
+  // them) is read as /3.
+  for (const char* schema :
+       {"dagsched.checkpoint/1", "dagsched.checkpoint/2"}) {
+    CheckpointFile file = sample_file();
+    file.meta.schema = schema;
+    const std::string bytes = serialize_checkpoint(file);
+    try {
+      parse_checkpoint_bytes(bytes, "<mem>");
+      FAIL() << "version skew accepted for " << schema;
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find(schema), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find(kCheckpointSchema),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -733,6 +742,135 @@ TEST(KillResumeCountersDeathTest, ResumedCountersMatchSimResult) {
                   counter("engine.idle_proc_time"),
               machine_time, 1e-6 * std::max(1.0, machine_time));
 }
+
+// ---------------------------------------------------------------------------
+// Derived kernel facts across a resume.  A checkpoint stores neither the
+// arrival cursor, the completed and expired counts nor the active set: the
+// loader derives them from the job flags.  A wrong derivation need not
+// change any decision, so event-log parity cannot see it; the counters and
+// the final in-flight gauge are compared with the uninterrupted run's.
+
+/// The parity workload over a longer horizon, under churn with
+/// restart-from-zero all along it (no overruns: with them the profit
+/// scheduler completes no job).
+const char* const kFactsSpec =
+    "mtbf=30,mttr=5,horizon=200,seed=3,integral=1,restart=zero";
+
+JobSet facts_jobs() {
+  Rng rng(21);
+  WorkloadConfig config = scenario_shootout(1.2, kParityM, 0.3, 1.2);
+  config.horizon = 200.0;
+  return generate_workload(rng, config);
+}
+
+/// `events_at_decision`, when set, receives the log's size after each
+/// decision (`log` must be set too).
+SimResult facts_run(const JobSet& jobs, const std::string& scheduler_name,
+                    EngineKind engine, MetricRegistry& registry,
+                    TelemetryRecorder& telemetry, EventLog* log,
+                    CheckpointSink* checkpoint, const CheckpointFile* resume,
+                    std::vector<std::size_t>* events_at_decision = nullptr) {
+  auto scheduler = make_named_scheduler(scheduler_name, 0.5);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  std::optional<FaultInjector> injector = parity_faults(kFactsSpec);
+  ObsSink sink;
+  sink.metrics = &registry;
+  sink.events = log;
+  SimOptions options;
+  options.num_procs = kParityM;
+  options.obs = &sink;
+  options.telemetry = &telemetry;
+  options.faults = &*injector;
+  options.checkpoint = checkpoint;
+  options.resume = resume;
+  if (events_at_decision != nullptr) {
+    options.observer = [log, events_at_decision](const EngineContext&,
+                                                 const Assignment&) {
+      events_at_decision->push_back(log->size());
+    };
+  }
+  return run_simulation(engine, jobs, *scheduler, *selector, options);
+}
+
+class ResumedDerivedFacts
+    : public ::testing::TestWithParam<std::tuple<std::string, EngineKind>> {};
+
+TEST_P(ResumedDerivedFacts, CountersAndInFlightGaugeMatchTheFullRun) {
+  const auto& [scheduler_name, engine] = GetParam();
+  if (scheduler_name == "profit" && engine == EngineKind::kEvent) {
+    GTEST_SKIP() << "profit is slot-engine only";
+  }
+  const JobSet jobs = facts_jobs();
+  MetricRegistry full_registry;
+  TelemetryRecorder full_telemetry;
+  EventLog full_log;
+  std::vector<std::size_t> events_at_decision;
+  const SimResult full =
+      facts_run(jobs, scheduler_name, engine, full_registry, full_telemetry,
+                &full_log, nullptr, nullptr, &events_at_decision);
+  ASSERT_GE(full.decisions, 8u);
+
+  // One snapshot halfway between the first decision by which a job has
+  // completed and one has expired and the end of the run, so the resume
+  // derives nonzero counts and still has work left.  The snapshot's
+  // prefix covers that decision's events.
+  std::size_t first = 0;
+  bool completed = false;
+  bool expired = false;
+  for (std::size_t e = 0; first < events_at_decision.size(); ++first) {
+    for (; e < events_at_decision[first]; ++e) {
+      completed |= full_log.events()[e].kind == ObsEventKind::kComplete;
+      expired |= full_log.events()[e].kind == ObsEventKind::kExpire;
+    }
+    if (completed && expired) break;
+  }
+  ASSERT_LT(first, events_at_decision.size()) << "no completion and expiry";
+  const std::string path = ::testing::TempDir() + "facts_" + scheduler_name +
+                           (engine == EngineKind::kEvent ? "_ev" : "_sl") +
+                           ".ckpt";
+  CheckpointMeta base;
+  base.scheduler = scheduler_name;
+  CheckpointSink sink(path, (first + 1 + full.decisions) / 2, base, nullptr);
+  sink.set_snapshot_limit(1);
+  MetricRegistry ck_registry;
+  TelemetryRecorder ck_telemetry;
+  facts_run(jobs, scheduler_name, engine, ck_registry, ck_telemetry, nullptr,
+            &sink, nullptr);
+  ASSERT_EQ(sink.snapshots(), 1u);
+  const CheckpointFile file = read_checkpoint_file(path);
+
+  MetricRegistry registry;
+  TelemetryRecorder telemetry;
+  const SimResult resumed = facts_run(jobs, scheduler_name, engine, registry,
+                                      telemetry, nullptr, nullptr, &file);
+  ASSERT_EQ(resumed.decisions, full.decisions);
+  for (const char* name : {"engine.arrivals", "engine.job_completions",
+                           "engine.deadline_expiries"}) {
+    EXPECT_EQ(registry.counter(name)->value(),
+              full_registry.counter(name)->value())
+        << name;
+  }
+  ASSERT_TRUE(telemetry.has_sample());
+  ASSERT_TRUE(full_telemetry.has_sample());
+  EXPECT_EQ(telemetry.last_sample().jobs_in_flight,
+            full_telemetry.last_sample().jobs_in_flight);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, ResumedDerivedFacts,
+    ::testing::Combine(::testing::ValuesIn(named_scheduler_list()),
+                       ::testing::Values(EngineKind::kEvent,
+                                         EngineKind::kSlot)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, EngineKind>>&
+           param_info) {
+      std::string name = std::get<0>(param_info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name + (std::get<1>(param_info.param) == EngineKind::kEvent
+                         ? "_event"
+                         : "_slot");
+    });
 
 // ---------------------------------------------------------------------------
 // Corruption fuzzing.  Every mutation of a real checkpoint must either

@@ -54,8 +54,8 @@ class CrossEngine : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrossEngine, EdfSchedulesIdentically) {
   const JobSet jobs = integer_workload(GetParam(), 14);
-  ListScheduler s1({ListPolicy::kEdf, false, true});
-  ListScheduler s2({ListPolicy::kEdf, false, true});
+  ListScheduler s1({ListPolicy::kEdf, false});
+  ListScheduler s2({ListPolicy::kEdf, false});
   auto sel1 = make_selector(SelectorKind::kFifo);
   auto sel2 = make_selector(SelectorKind::kFifo);
 

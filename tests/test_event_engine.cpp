@@ -49,7 +49,7 @@ SimResult run_single(Dag dag, Time deadline, ProcCount m, double speed,
   JobSet jobs;
   jobs.add(Job::with_deadline(share(std::move(dag)), 0.0, deadline, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto sel = make_selector(selector);
   SimOptions options;
   options.num_procs = m;
@@ -94,7 +94,7 @@ TEST(EventEngine, LateReleaseDelaysStart) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 5.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
@@ -228,7 +228,7 @@ TEST(EventEngine, MultiJobTraceIsValidSchedule) {
                                 rng.uniform(0.5, 2.0)));
   }
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
@@ -246,7 +246,7 @@ TEST(EventEngine, BusyTimeEqualsExecutedWork) {
                                 static_cast<double>(i), 100.0, 1.0));
   }
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 3;

@@ -151,7 +151,7 @@ TEST_P(ExactBracket, ExactWithinLpAndAchieved) {
   const OptBound lp = compute_opt_upper_bound(jobs, m);
   EXPECT_LE(exact.value, lp.value() + 1e-6);
 
-  ListScheduler edf({ListPolicy::kEdf, false, true});
+  ListScheduler edf({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;

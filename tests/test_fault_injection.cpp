@@ -52,7 +52,7 @@ FaultInjector make_injector(ProcCount m, double mtbf, RestartPolicy restart,
 
 SimResult run_event(const JobSet& jobs, const FaultInjector* faults,
                     EventLog* log, bool record_trace = false) {
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
@@ -67,7 +67,7 @@ SimResult run_event(const JobSet& jobs, const FaultInjector* faults,
 
 SimResult run_slot(const JobSet& jobs, const FaultInjector* faults,
                    EventLog* log, bool record_trace = false) {
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;

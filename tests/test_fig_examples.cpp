@@ -26,7 +26,7 @@ SimResult run_one(std::shared_ptr<const Dag> dag, Time deadline, ProcCount m,
   JobSet jobs;
   jobs.add(Job::with_deadline(std::move(dag), 0.0, deadline, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   auto sel = make_selector(selector);
   SimOptions options;
   options.num_procs = m;

@@ -76,7 +76,7 @@ TEST(Gantt, EndToEndFromEngineTrace) {
       std::make_shared<const Dag>(make_parallel_block(8, 1.0)), 0.0, 10.0,
       1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;

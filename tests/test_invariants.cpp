@@ -42,16 +42,16 @@ std::unique_ptr<SchedulerBase> make_scheduler(Which which) {
           .params = Params::from_epsilon(0.5), .work_conserving = true});
     case Which::kEdf:
       return std::make_unique<ListScheduler>(
-          ListSchedulerOptions{ListPolicy::kEdf, false, true});
+          ListSchedulerOptions{.policy = ListPolicy::kEdf});
     case Which::kLlf:
       return std::make_unique<ListScheduler>(
-          ListSchedulerOptions{ListPolicy::kLlf, false, true});
+          ListSchedulerOptions{.policy = ListPolicy::kLlf});
     case Which::kHdf:
       return std::make_unique<ListScheduler>(
-          ListSchedulerOptions{ListPolicy::kHdf, false, true});
+          ListSchedulerOptions{.policy = ListPolicy::kHdf});
     case Which::kFcfs:
       return std::make_unique<ListScheduler>(
-          ListSchedulerOptions{ListPolicy::kFcfs, false, true});
+          ListSchedulerOptions{.policy = ListPolicy::kFcfs});
     case Which::kFederated:
       return std::make_unique<FederatedScheduler>();
     case Which::kEqui:

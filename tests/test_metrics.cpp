@@ -20,7 +20,7 @@ TEST(MetricsTest, FlowAndLatenessFromSimpleRun) {
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 1.0, 5.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(3.0)), 0.0, 20.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
@@ -45,7 +45,7 @@ TEST(MetricsTest, MissedCountsIncompleteDeadlineJobs) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_chain(10, 1.0)), 0.0, 2.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;

@@ -99,7 +99,7 @@ TEST(TraceSpeed, ValidatesUnderAugmentation) {
       std::make_shared<const Dag>(make_fig2_dag(3, 12, 1.0)), 0.0, 50.0,
       1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
@@ -122,7 +122,7 @@ TEST(EngineGuards, MaxDecisionsFailsStructured) {
       std::make_shared<const Dag>(make_parallel_block(64, 1.0)), 0.0, 1e6,
       1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
@@ -137,7 +137,7 @@ TEST(EngineGuards, MaxDecisionsFailsStructured) {
 }
 
 TEST(SchedulerNames, AreDescriptive) {
-  EXPECT_EQ(ListScheduler({ListPolicy::kEdf, false, true}).name(), "edf");
+  EXPECT_EQ(ListScheduler({ListPolicy::kEdf, false}).name(), "edf");
   ProfitScheduler profit({.params = Params::from_epsilon(0.25)});
   EXPECT_NE(profit.name().find("paper-S-profit"), std::string::npos);
 }

@@ -110,7 +110,7 @@ double run_idle_counter(const JobSet& jobs, bool slot, ProcCount m,
   MetricRegistry registry;
   ObsSink sink;
   sink.metrics = &registry;
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimResult result;
   if (slot) {

@@ -117,7 +117,7 @@ struct ReportFixture {
     ObsSink sink;
     sink.metrics = &registry;
     sink.events = &events;
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto selector = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 4;

@@ -23,7 +23,7 @@ TEST(Preemption, NoneForUncontestedJob) {
   jobs.add(Job::with_deadline(share(make_parallel_block(8, 1.0)), 0.0, 10.0,
                               1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
@@ -39,7 +39,7 @@ TEST(Preemption, EdfPreemptsForTighterDeadline) {
   jobs.add(Job::with_deadline(share(make_single_node(10.0)), 0.0, 30.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 3.0, 4.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
@@ -55,7 +55,7 @@ TEST(Preemption, CompletionIsNotPreemption) {
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 0.0, 10.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 0.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kFcfs, false, true});
+  ListScheduler scheduler({ListPolicy::kFcfs, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
@@ -71,7 +71,7 @@ TEST(Preemption, SlotEngineCountsGaps) {
   jobs.add(Job::with_deadline(share(make_single_node(10.0)), 0.0, 30.0, 1.0));
   jobs.add(Job::with_deadline(share(make_single_node(2.0)), 3.0, 4.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;

@@ -179,7 +179,7 @@ TEST_P(GedfGuarantee, NoMissesWhenBoundHolds) {
 
   Rng release_rng = rng.split(2);
   const JobSet jobs = release_jobs(tasks, 150.0, release_rng, 0.2);
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;

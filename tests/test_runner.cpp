@@ -119,7 +119,7 @@ TEST(Runner, SlotEngineRouting) {
       scenario_profit(0.5, 0.5, 8, ProfitPolicy::Shape::kPlateauLinear);
   wconfig.horizon = 60.0;
   const JobSet jobs = generate_workload(rng, wconfig);
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   RunConfig config;
   config.m = 8;
   config.engine = EngineKind::kSlot;
@@ -150,7 +150,7 @@ TEST(Runner, BothEnginesProduceEqualMetricsOnIntegralWorkload) {
   RunMetrics by_engine[2];
   const EngineKind kinds[2] = {EngineKind::kEvent, EngineKind::kSlot};
   for (int i = 0; i < 2; ++i) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     config.engine = kinds[i];
     by_engine[i] = run_workload(jobs, scheduler, config);
   }

@@ -103,7 +103,7 @@ TEST(ScaleSmoke, EdfAgreesAcrossEnginesAt20k) {
   const JobSet jobs = scale_workload();
   const EngineRuns runs = run_both(jobs, [] {
     return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kEdf, false, true});
+        ListSchedulerOptions{.policy = ListPolicy::kEdf});
   });
   expect_equal_metrics(runs);
   EXPECT_GT(runs.event.completed, 0u);

@@ -56,7 +56,7 @@ SimResult run(const JobSet& jobs, double speed) {
     if constexpr (std::is_same_v<Scheduler, DeadlineScheduler>) {
       return DeadlineScheduler({.params = Params::from_epsilon(0.5)});
     } else {
-      return ListScheduler({ListPolicy::kEdf, false, true});
+      return ListScheduler({ListPolicy::kEdf, false});
     }
   }();
   auto selector = make_selector(SelectorKind::kFifo);

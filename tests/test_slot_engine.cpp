@@ -30,7 +30,7 @@ TEST(SlotEngine, UnitChainTakesOneSlotPerNode) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_chain(4, 1.0)), 0.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 2);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 4.0);
@@ -42,7 +42,7 @@ TEST(SlotEngine, SuccessorsWaitForNextSlot) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_chain(2, 0.5)), 0.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 1);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 1.5);
@@ -53,7 +53,7 @@ TEST(SlotEngine, ParallelBlockWaves) {
   jobs.add(Job::with_deadline(share(make_parallel_block(6, 1.0)), 0.0, 10.0,
                               1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 4);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 2.0);
@@ -64,7 +64,7 @@ TEST(SlotEngine, SpeedConsumesMoreWorkPerSlot) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_chain(2, 2.0)), 0.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 1, 2.0);
   ASSERT_TRUE(result.outcomes[0].completed);
   // Each node (work 2) fits one slot at speed 2.
@@ -75,7 +75,7 @@ TEST(SlotEngine, LateArrivalSkipsIdleSlots) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_single_node(1.0)), 100.0, 10.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 1);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 101.0);
@@ -89,7 +89,7 @@ TEST(SlotEngine, ExpiredJobsTerminateRun) {
   JobSet jobs;
   jobs.add(Job::with_deadline(share(make_chain(10, 1.0)), 0.0, 2.0, 1.0));
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 1);
   EXPECT_FALSE(result.outcomes[0].completed);
   EXPECT_LT(result.decisions, 50u);
@@ -110,7 +110,7 @@ TEST(SlotEngine, TraceIsValidSchedule) {
                                 static_cast<double>(i), deadline, 1.0));
   }
   jobs.finalize();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   const SimResult result = run_slotted(jobs, scheduler, 4);
   EXPECT_EQ(result.trace.validate(jobs, 4, 1.0), "");
   EXPECT_GT(result.jobs_completed, 0u);

@@ -94,7 +94,7 @@ TEST_P(UpperBoundSound, DominatesAchievedProfit) {
        {ListPolicy::kEdf, ListPolicy::kHdf, ListPolicy::kFcfs}) {
     for (const SelectorKind selector :
          {SelectorKind::kFifo, SelectorKind::kCriticalPath}) {
-      ListScheduler scheduler({policy, false, true});
+      ListScheduler scheduler({policy, false});
       auto sel = make_selector(selector);
       SimOptions options;
       options.num_procs = config.m;

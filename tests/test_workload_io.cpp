@@ -124,7 +124,7 @@ TEST(WorkloadIo, LoadedInstanceSchedulesIdentically) {
   const JobSet loaded = round_trip(original);
 
   auto run = [](const JobSet& jobs) {
-    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    ListScheduler scheduler({ListPolicy::kEdf, false});
     auto selector = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 4;

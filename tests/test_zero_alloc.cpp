@@ -147,7 +147,7 @@ TEST(ZeroAlloc, EventEnginePaperS) {
 
 TEST(ZeroAlloc, EventEngineEdf) {
   const JobSet jobs = workload();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;
@@ -187,7 +187,7 @@ TEST(ZeroAlloc, SlotEnginePaperS) {
 
 TEST(ZeroAlloc, SlotEngineEdf) {
   const JobSet jobs = workload();
-  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;

@@ -689,12 +689,10 @@ int cmd_run(ArgParser& args) {
     inputs.result = &result;
     inputs.metrics = &schedule_metrics;
     inputs.registry = &registry;
-    // Embed events only if they were not written to their own file.
-    if (events_path.empty()) {
-      inputs.events = &event_log;
-    } else {
-      inputs.events_path = events_path;
-    }
+    // The in-memory log is kept while it streams, so the report counts the
+    // events either way and names the file when they were written to one.
+    inputs.events = &event_log;
+    inputs.events_path = events_path;
     if (telemetry) inputs.telemetry = &*telemetry;
     const JsonValue report = build_run_report(inputs);
     std::ofstream out(obs_path);
