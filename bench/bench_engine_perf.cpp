@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/equi.h"
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "core/density_index.h"
@@ -146,10 +147,10 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
 BENCHMARK(BM_EventEngineEdfScale)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// kLlf pins the satellite complexity bound of baselines/list_scheduler:
-/// laxity keys are recomputed every decision, but only over the incremental
-/// candidate set (O(k log k), expired jobs removed for good).  A quadratic
-/// rescan of the whole active set re-sneaking in shows up here as a blown
-/// 100000-arg budget, same as the indexed policies' scale points.
+/// laxity keys are recomputed every decision, but only over the kernel's
+/// active set, which holds no job past its deadline (O(k log k) with k the
+/// live jobs).  A rescan of every arrived job re-sneaking in shows up here
+/// as a blown 100000-arg budget, same as the indexed policies' scale points.
 void BM_EventEngineLlfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
   std::size_t decisions = 0;
@@ -166,6 +167,27 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(jobs.size());
 }
 BENCHMARK(BM_EventEngineLlfScale)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// EQUI splits the machine over every active job at every decision, so a
+/// decision costs O(active jobs).  The kernel retires jobs past their
+/// deadline, so that is the live jobs; an active set that kept dead jobs
+/// would make this point quadratic in the run length.
+void BM_EventEngineEquiScale(benchmark::State& state) {
+  const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
+  std::size_t decisions = 0;
+  for (auto _ : state) {
+    EquiScheduler scheduler;
+    auto sel = make_selector(SelectorKind::kFifo);
+    SimOptions options;
+    options.num_procs = 16;
+    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    decisions += result.decisions;
+    benchmark::DoNotOptimize(result.total_profit);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_EventEngineEquiScale)->Arg(10000);
 
 void BM_SlotEngineEdfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
@@ -573,6 +595,7 @@ int main(int argc, char** argv) {
       "BM_OptUpperBoundLp/50$|BM_DagGeneration$|"
       "BM_EventEnginePaperSScale/10000$|BM_EventEngineEdfScale/10000$|"
       "BM_SlotEngineEdfScale/10000$|BM_EventEngineLlfScale/10000$|"
+      "BM_EventEngineEquiScale/10000$|"
       "BM_EventEnginePaperSScale/100000$|BM_EventEngineEdfScale/100000$|"
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"

@@ -13,49 +13,59 @@ namespace dagsched {
 EquiScheduler::EquiScheduler(EquiOptions options) : options_(options) {}
 
 void EquiScheduler::decide(const EngineContext& ctx, Assignment& out) {
-  static thread_local std::vector<std::pair<JobId, double>> shares;
+  struct Share {
+    JobId job;
+    double weight;
+    ProcCount grant;
+    double fractional;
+  };
+  static thread_local std::vector<Share> shares;
+  static thread_local std::vector<std::size_t> order;
   shares.clear();
   double total_weight = 0.0;
   for (const JobId job : ctx.active_jobs()) {
     if (!overload_shed_.empty() && overload_shed_.count(job) != 0) continue;
     const JobView view = ctx.view(job);
-    if (view.deadline_unreachable(ctx.now())) continue;
     if (view.ready_count() == 0) continue;
     const double weight =
         options_.weight_by_profit ? view.peak_profit() : 1.0;
     DS_CHECK(weight > 0.0);
-    shares.emplace_back(job, weight);
+    shares.push_back({job, weight, 0, 0.0});
     total_weight += weight;
   }
   if (shares.empty()) return;
 
   // Largest-remainder apportionment of m processors to weights, with every
   // job guaranteed at least consideration for leftovers (jobs may round to
-  // zero; leftovers go to the largest fractional parts, ties by id).
+  // zero; leftovers go to the largest fractional parts, ties by id).  Equal
+  // weights give equal fractional parts, so the id order -- the active
+  // set's order -- needs no sort.
   const double m = static_cast<double>(ctx.num_procs());
-  std::vector<double> fractional(shares.size());
   ProcCount assigned = 0;
-  std::vector<ProcCount> grant(shares.size());
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    const double exact = m * shares[i].second / total_weight;
-    grant[i] = static_cast<ProcCount>(std::floor(exact));
-    fractional[i] = exact - std::floor(exact);
-    assigned += grant[i];
+  for (Share& share : shares) {
+    const double exact = m * share.weight / total_weight;
+    share.grant = static_cast<ProcCount>(std::floor(exact));
+    share.fractional = exact - std::floor(exact);
+    assigned += share.grant;
   }
-  std::vector<std::size_t> order(shares.size());
+  order.resize(shares.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (fractional[a] != fractional[b]) return fractional[a] > fractional[b];
-    return shares[a].first < shares[b].first;
-  });
+  if (options_.weight_by_profit) {
+    std::sort(order.begin(), order.end(), [](std::size_t a, std::size_t b) {
+      if (shares[a].fractional != shares[b].fractional) {
+        return shares[a].fractional > shares[b].fractional;
+      }
+      return shares[a].job < shares[b].job;
+    });
+  }
   for (std::size_t rank = 0;
        rank < order.size() && assigned < ctx.num_procs(); ++rank) {
-    ++grant[order[rank]];
+    ++shares[order[rank]].grant;
     ++assigned;
   }
 
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    if (grant[i] >= 1) out.add(shares[i].first, grant[i]);
+  for (const Share& share : shares) {
+    if (share.grant >= 1) out.add(share.job, share.grant);
   }
 }
 
@@ -98,7 +108,7 @@ void EquiScheduler::save_state(CheckpointWriter& out) const {
 void EquiScheduler::load_state(CheckpointReader& in) {
   const std::uint64_t n = in.count(4);
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (!overload_shed_.insert(in.u32()).second) {
+    if (!overload_shed_.insert(in.job_id()).second) {
       in.fail("duplicate shed-set entry");
     }
   }

@@ -8,8 +8,8 @@
 // baseline probes the open question empirically: the gap between EQUI and
 // S quantifies what knowing (W, L) buys.
 //
-// EQUI only reads release, profit, expiry and ready counts from JobView --
-// never W, L or remaining work.
+// EQUI only reads profit and ready counts from JobView -- never W, L or
+// remaining work -- and splits over ctx.active_jobs(), the live jobs.
 #pragma once
 
 #include <set>

@@ -129,14 +129,14 @@ void FederatedScheduler::save_state(CheckpointWriter& out) const {
 }
 
 void FederatedScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t n = in.count(4);
-  info_.resize(static_cast<std::size_t>(n));
-  for (JobInfo& info : info_) info.cluster = in.u32();
+  const std::uint64_t rows = in.job_rows(4);
+  info_.resize(in.job_bound());
+  for (std::size_t i = 0; i < rows; ++i) info_[i].cluster = in.u32();
   running_.resize(static_cast<std::size_t>(in.count(4)));
   std::uint64_t total = 0;
   for (JobId& job : running_) {
-    job = in.u32();
-    if (job >= n || info_[job].admitted) in.fail("invalid running entry");
+    job = in.job_id();
+    if (info_[job].admitted) in.fail("invalid running entry");
     JobInfo& info = info_[job];
     if (info.cluster == 0) in.fail("admitted job with empty cluster");
     info.admitted = true;

@@ -1,8 +1,9 @@
 #include "baselines/list_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
-#include <limits>
+#include <vector>
 
 #include "obs/sink.h"
 #include "util/check.h"
@@ -62,26 +63,7 @@ double ListScheduler::key(const EngineContext& ctx, JobId job) const {
 
 void ListScheduler::reset() {
   order_index_.clear();
-  llf_candidates_.clear();
-  llf_pos_.clear();
   overload_shed_.clear();
-}
-
-void ListScheduler::llf_add(JobId job) {
-  if (job >= llf_pos_.size()) llf_pos_.resize(job + 1, kNoSlot);
-  if (llf_pos_[job] != kNoSlot) return;
-  llf_pos_[job] = static_cast<std::uint32_t>(llf_candidates_.size());
-  llf_candidates_.push_back(job);
-}
-
-void ListScheduler::llf_remove(JobId job) {
-  if (job >= llf_pos_.size() || llf_pos_[job] == kNoSlot) return;
-  const std::uint32_t slot = llf_pos_[job];
-  const JobId moved = llf_candidates_.back();
-  llf_candidates_[slot] = moved;
-  llf_pos_[moved] = slot;
-  llf_candidates_.pop_back();
-  llf_pos_[job] = kNoSlot;
 }
 
 std::size_t ListScheduler::shed_load(const EngineContext& ctx,
@@ -104,12 +86,12 @@ std::size_t ListScheduler::shed_load(const EngineContext& ctx,
   }
   // kLlf: keys are time-dependent and no order is cached, so pick the
   // victim the way decide_sorted would rank it -- largest (key, id) among
-  // runnable candidates -- drop it from the candidate set, and remember it
-  // in the shed set (which checkpointing persists).
+  // runnable active jobs not yet shed -- and add it to the shed set.
   while (shed < max_jobs) {
     JobId victim = kInvalidJob;
     double victim_key = 0.0;
-    for (const JobId job : llf_candidates_) {
+    for (const JobId job : ctx.active_jobs()) {
+      if (overload_shed_.count(job) != 0) continue;
       if (ctx.view(job).ready_count() == 0) continue;
       const double k = key(ctx, job);
       if (victim == kInvalidJob ||
@@ -120,7 +102,6 @@ std::size_t ListScheduler::shed_load(const EngineContext& ctx,
       }
     }
     if (victim == kInvalidJob) break;
-    llf_remove(victim);
     overload_shed_.insert(victim);
     emit(victim);
     ++shed;
@@ -136,58 +117,38 @@ void ListScheduler::save_state(CheckpointWriter& out) const {
       out.u32(job);
     }
   } else {
-    // kLlf candidates carry no key (laxity is recomputed from now() every
-    // decision).  Sorted by id so the bytes do not depend on swap-removal
-    // history.
-    std::vector<JobId> sorted(llf_candidates_);
-    std::sort(sorted.begin(), sorted.end());
-    out.u64(sorted.size());
-    for (const JobId job : sorted) out.u32(job);
+    out.u64(overload_shed_.size());
+    for (const JobId job : overload_shed_) out.u32(job);
   }
-  out.u64(overload_shed_.size());
-  for (const JobId job : overload_shed_) out.u32(job);
 }
 
 void ListScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t entries = in.count(indexed() ? 12 : 4);
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    if (indexed()) {
+  if (indexed()) {
+    const std::uint64_t entries = in.count(12);
+    for (std::uint64_t i = 0; i < entries; ++i) {
       const double k = in.f64();
-      if (!order_index_.emplace(k, in.u32()).second) {
+      if (!order_index_.emplace(k, in.job_id()).second) {
         in.fail("duplicate order-index entry");
       }
-    } else {
-      const JobId job = in.u32();
-      if (job < llf_pos_.size() && llf_pos_[job] != kNoSlot) {
-        in.fail("duplicate order-index entry");
-      }
-      llf_add(job);
     }
-  }
-  const std::uint64_t shed_count = in.count(4);
-  for (std::uint64_t i = 0; i < shed_count; ++i) {
-    if (!overload_shed_.insert(in.u32()).second) {
-      in.fail("duplicate shed-set entry");
+  } else {
+    const std::uint64_t entries = in.count(4);
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      if (!overload_shed_.insert(in.job_id()).second) {
+        in.fail("duplicate shed-set entry");
+      }
     }
   }
 }
 
 void ListScheduler::on_arrival(const EngineContext& ctx, JobId job) {
-  if (indexed()) {
-    order_index_.emplace(key(ctx, job), job);
-  } else {
-    llf_add(job);
-  }
+  if (indexed()) order_index_.emplace(key(ctx, job), job);
 }
 
 void ListScheduler::on_completion(const EngineContext& ctx, JobId job) {
   // Static keys recompute to the same value, so this finds the entry the
   // arrival inserted (if the expiry path has not removed it already).
-  if (indexed()) {
-    order_index_.erase({key(ctx, job), job});
-  } else {
-    llf_remove(job);
-  }
+  if (indexed()) order_index_.erase({key(ctx, job), job});
 }
 
 void ListScheduler::decide(const EngineContext& ctx, Assignment& out) {
@@ -225,23 +186,14 @@ void ListScheduler::decide_indexed(const EngineContext& ctx, Assignment& out) {
 }
 
 // Dynamic-key path (kLlf): keys change with now(), so every decision sorts
-// fresh -- but only over the incremental candidate set, and jobs observed
-// expired leave it for good (mirroring decide_indexed's permanent removal;
-// deadline_unreachable is monotone in time, so a skipped job can never
-// become runnable again).
+// fresh over the kernel's active set (which holds no dead job) minus the
+// shed set.
 void ListScheduler::decide_sorted(const EngineContext& ctx, Assignment& out) {
   static thread_local std::vector<std::pair<double, JobId>> order;
   order.clear();
-  for (std::size_t i = 0; i < llf_candidates_.size();) {
-    const JobId job = llf_candidates_[i];
-    const JobView view = ctx.view(job);
-    if (view.deadline_unreachable(ctx.now())) {
-      llf_remove(job);  // swap-removal refills slot i; do not advance
-      continue;
-    }
-    ++i;
-    // Completed jobs leave via on_completion.
-    if (view.ready_count() == 0) continue;
+  for (const JobId job : ctx.active_jobs()) {
+    if (!overload_shed_.empty() && overload_shed_.count(job) != 0) continue;
+    if (ctx.view(job).ready_count() == 0) continue;
     order.emplace_back(key(ctx, job), job);
   }
   std::sort(order.begin(), order.end());

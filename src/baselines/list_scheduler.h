@@ -13,35 +13,24 @@
 //   kHdf     -- highest classic density p/W first
 //   kFcfs    -- first-come first-served
 //
-// All flavors drop expired deadline jobs (running them cannot earn profit).
-// Unlike the paper's S they are work-conserving and admission-free, which
-// is exactly what the E7 baseline shoot-out quantifies.
+// All flavors skip jobs that can no longer earn profit.  Unlike the paper's
+// S they are work-conserving and admission-free, which is exactly what the
+// E7 baseline shoot-out quantifies.
 //
 // The static-key policies (kEdf, kHdf, kFcfs -- keys fixed at arrival) keep
 // an incremental key-ordered index maintained by arrival/completion
-// callbacks, so decide() is O(grants + newly-expired) instead of the seed's
-// gather-and-sort over every active job (quadratic once expired jobs pile
-// up in the active set).
-//
-// kLlf's key is time-dependent (laxity shrinks as now() advances), so no
-// cached *order* can be byte-parity-safe: re-deriving laxity from any
-// stored form re-rounds the float arithmetic and can create or destroy
-// near-ties the original computation did not.  What CAN be cached is
-// *membership*: decide keeps an incremental candidate set (arrived, not
-// completed / shed / observed-expired) and sorts exact original-arithmetic
-// keys over just those k jobs -- O(k log k) per decision with k the live
-// candidates, instead of a scan of the whole active set.  Expired jobs
-// leave the set permanently (deadline_unreachable is monotone in time),
-// mirroring the indexed path's permanent removal.  The
-// BM_EventEngineLlfScale bench point pins this off the 100k hot path.
+// callbacks, so decide() is O(grants + newly-expired); the index drops a
+// dead job the first time decide() reaches it.  kLlf's key shrinks as now()
+// advances, and re-deriving laxity from any stored form re-rounds the float
+// arithmetic (creating or destroying near-ties), so kLlf keeps no queue:
+// each decision sorts exact keys over ctx.active_jobs(), which holds only
+// live jobs, minus its shed set (BM_EventEngineLlfScale).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/scheduler.h"
 #include "util/arena.h"
@@ -83,30 +72,22 @@ class ListScheduler final : public SchedulerBase {
   /// events with the `overload.shed.lowest-priority` slug.
   std::size_t shed_load(const EngineContext& ctx,
                         std::size_t max_jobs) override;
-  /// Checkpoint the key-ordered index (its contents are history-dependent:
-  /// expired jobs are removed for good) and the kLlf shed set.
+  /// Checkpoints the key-ordered index (its contents are history-dependent:
+  /// expired jobs are removed for good) or, for kLlf, the shed set.
   void save_state(CheckpointWriter& out) const override;
   void load_state(CheckpointReader& in) override;
-  std::size_t queue_depth() const override {
-    return indexed() ? order_index_.size() : llf_candidates_.size();
-  }
+  /// kLlf keeps no queue (it ranks ctx.active_jobs() afresh), so 0.
+  std::size_t queue_depth() const override { return order_index_.size(); }
+  /// The index's node pool (tree nodes are pooled and recycled).
   std::size_t memory_bytes() const override {
-    // Indexed policies: the node pool's chunk capacity (tree nodes are
-    // pooled and recycled).  kLlf: the flat candidate set + position map.
-    return order_pool_->capacity_bytes() +
-           llf_candidates_.capacity() * sizeof(JobId) +
-           llf_pos_.capacity() * sizeof(std::uint32_t);
+    return order_pool_->capacity_bytes();
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
   double key(const EngineContext& ctx, JobId job) const;
   bool indexed() const { return options_.policy != ListPolicy::kLlf; }
   void decide_indexed(const EngineContext& ctx, Assignment& out);
   void decide_sorted(const EngineContext& ctx, Assignment& out);
-  void llf_add(JobId job);
-  void llf_remove(JobId job);
 
   using OrderKey = std::pair<double, JobId>;
   using OrderIndex =
@@ -120,14 +101,8 @@ class ListScheduler final : public SchedulerBase {
   /// order_pool_, so steady-state arrival/completion churn is heap-free.
   std::unique_ptr<NodePool> order_pool_;  // must precede order_index_
   OrderIndex order_index_;
-  /// kLlf only: the candidate set decide_sorted ranks (see header comment).
-  /// Unordered; swap-removal keeps membership updates O(1) and the
-  /// per-decision sort restores the unique (key, id) total order anyway.
-  std::vector<JobId> llf_candidates_;
-  std::vector<std::uint32_t> llf_pos_;  // job id -> slot, kNoSlot if absent
-  /// kLlf only: jobs abandoned by shed_load, persisted for checkpointing
-  /// (the candidate set forgets victims immediately).  Empty unless the
-  /// overload budget fired, so the hot path is unchanged by default.
+  /// kLlf only: jobs abandoned by shed_load, skipped by decide_sorted and
+  /// persisted for checkpointing.  Empty unless the overload budget fired.
   std::set<JobId> overload_shed_;
 };
 

@@ -447,8 +447,8 @@ void DeadlineScheduler::save_state(CheckpointWriter& out) const {
 }
 
 void DeadlineScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t n = in.count(46);
-  info_.resize(static_cast<std::size_t>(n));
+  const std::uint64_t n = in.job_rows(46);
+  info_.resize(in.job_bound());
   for (std::uint64_t i = 0; i < n; ++i) {
     JobInfo& info = info_[static_cast<std::size_t>(i)];
     info.alloc.n = in.u32();
@@ -492,10 +492,7 @@ void DeadlineScheduler::load_state(CheckpointReader& in) {
   started_profit_ = in.f64();
   const std::uint64_t fresh = in.count(4);
   p_fresh_.resize(static_cast<std::size_t>(fresh));
-  for (JobId& job : p_fresh_) {
-    job = in.u32();
-    if (job >= n) in.fail("p_fresh entry out of range");
-  }
+  for (JobId& job : p_fresh_) job = in.job_id();
   const std::uint64_t dirty = in.count(16);
   p_dirty_.resize(static_cast<std::size_t>(dirty));
   for (auto& [lo, hi] : p_dirty_) {

@@ -348,8 +348,8 @@ void ProfitScheduler::save_state(CheckpointWriter& out) const {
 }
 
 void ProfitScheduler::load_state(CheckpointReader& in) {
-  const std::uint64_t n = in.count(46);
-  info_.resize(static_cast<std::size_t>(n));
+  const std::uint64_t n = in.job_rows(46);
+  info_.resize(in.job_bound());
   for (std::uint64_t i = 0; i < n; ++i) {
     JobInfo& info = info_[static_cast<std::size_t>(i)];
     info.alloc.n = in.u32();
@@ -385,8 +385,8 @@ void ProfitScheduler::load_state(CheckpointReader& in) {
     const std::uint64_t members = in.count(4);
     slot.jobs.resize(static_cast<std::size_t>(members));
     for (JobId& job : slot.jobs) {
-      job = in.u32();
-      if (job >= n || !info_[job].arrived || info_[job].alloc.n == 0 ||
+      job = in.job_id();
+      if (!info_[job].arrived || info_[job].alloc.n == 0 ||
           !(info_[job].v > 0.0) || slot.index.contains(job)) {
         in.fail("slot " + std::to_string(t) + " references invalid job");
       }

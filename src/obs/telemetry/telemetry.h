@@ -77,7 +77,7 @@ struct TelemetrySample {
   std::uint64_t expiries = 0;
   std::uint64_t transitions = 0;
 
-  std::size_t jobs_in_flight = 0;  // arrived, not yet completed
+  std::size_t jobs_in_flight = 0;  // active set: jobs that can still earn
   std::size_t jobs_total = 0;
   std::size_t queue_depth = 0;  // scheduler-reported queued jobs
 

@@ -19,10 +19,10 @@ namespace dagsched {
 
 struct ObsSink;
 
-/// Read-only view over the kernel's active set.  The kernel removes
-/// completed jobs by tombstoning their slot (kInvalidJob) instead of an
-/// O(|active|) vector erase; this view skips tombstones during iteration,
-/// so schedulers still observe exactly the arrival-ordered live jobs.
+/// Read-only view over the kernel's active set.  The kernel removes jobs
+/// by tombstoning their slot (kInvalidJob) instead of an O(|active|) vector
+/// erase; this view skips tombstones during iteration, so schedulers still
+/// observe exactly the arrival-ordered live jobs.
 class ActiveJobs {
  public:
   class iterator {
@@ -88,9 +88,9 @@ class EngineContext {
     return JobView(&(*jobs_)[id], state_, id);
   }
 
-  /// Jobs that have arrived and not yet completed (including expired ones;
-  /// dropping those is the scheduler's decision, as in the paper), in
-  /// arrival order.
+  /// Jobs that can still earn their profit, in arrival order: arrived, not
+  /// completed, and not JobView::deadline_unreachable(now()) (the kernel
+  /// retires the rest, see SimKernel::deliver_expiries).
   ActiveJobs active_jobs() const {
     return {&state_->active_slots(), state_->active_live()};
   }

@@ -23,11 +23,11 @@
 // a job arrival after warmup costs zero heap allocations, and the arena's
 // high-water mark is the telemetry `unfolding_bytes` gauge.
 //
-// The active set keeps the seed's tombstone scheme: completions tombstone
-// their slot (kInvalidJob) instead of an O(|active|) erase, and the slot
-// vector is compacted when tombstones dominate -- see kCompactMinSlots /
-// kCompactSlack below (the ActiveJobs view never iterates more than
-// kCompactSlack x live slots once past the minimum; tested in
+// The active set keeps the seed's tombstone scheme: completions and deadline
+// retirements tombstone their slot (kInvalidJob) instead of an O(|active|)
+// erase, and the slot vector is compacted when tombstones dominate -- see
+// kCompactMinSlots / kCompactSlack below (the ActiveJobs view never iterates
+// more than kCompactSlack x live slots once past the minimum; tested in
 // tests/test_sim's JobStateTable cases).
 #pragma once
 
@@ -161,10 +161,9 @@ class JobStateTable {
   BumpArena arena_;
 
   // Active set: arrival-ordered slots with tombstones (kInvalidJob) left by
-  // completions -- expired-but-incomplete jobs stay active for their whole
-  // run, so an eager O(|active|) erase per completion was quadratic at
-  // 10^5 jobs.  active_pos_ maps job -> slot; ctx_.active_jobs() skips
-  // tombstones (see ActiveJobs).
+  // completions and deadline retirements; an eager O(|active|) erase per
+  // removal was quadratic at 10^5 jobs.  active_pos_ maps job -> slot;
+  // ctx_.active_jobs() skips tombstones (see ActiveJobs).
   std::vector<JobId> active_;
   std::vector<std::uint32_t> active_pos_;
   std::size_t active_live_ = 0;

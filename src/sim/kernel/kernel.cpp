@@ -71,6 +71,7 @@ void SimKernel::begin(Time start_time) {
   deadlines_.clear();
   completed_now_.clear();
   jobs_done_ = 0;
+  retire_next_.clear();
   prev_nodes_.clear();
   interval_epoch_ = 0;
   preempted_jobs_.clear();
@@ -188,6 +189,14 @@ void SimKernel::deliver_arrivals(Time now) {
 }
 
 void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
+  // A job retires -- leaves the active set, keeping its unfolding and
+  // outcome columns -- at the first decision point where approx_le(d, now),
+  // i.e. JobView::deadline_unreachable(now), holds.  On the event engine
+  // that is the expiry's own delivery; jobs the slot engine expires while
+  // still reachable wait in retire_next_ (deactivate() ignores any that
+  // completed meanwhile).
+  for (const JobId id : retire_next_) state_.deactivate(id);
+  retire_next_.clear();
   while (!deadlines_.empty()) {
     const auto [deadline, id] = deadlines_.top();
     const bool due = policy == DeadlineDuePolicy::kBeforeNextSlot
@@ -197,10 +206,16 @@ void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
     deadlines_.pop();
     if (state_.completed(id) || state_.deadline_notified(id)) continue;
     state_.set_deadline_notified(id);
+    if (approx_le(deadline, now)) {
+      state_.deactivate(id);
+    } else {
+      retire_next_.push_back(id);
+    }
     ++expiries_delivered_;
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kExpire);
     scheduler_.on_deadline(ctx_, id);
   }
+  state_.maybe_compact();
 }
 
 std::string SimKernel::validate(const Assignment& assignment) {
@@ -425,6 +440,7 @@ std::size_t SimKernel::kernel_bytes() const {
   // its own telemetry gauge.
   return state_.memory_bytes() + deadlines_.memory_bytes() +
          completed_now_.capacity() * sizeof(JobId) +
+         retire_next_.capacity() * sizeof(JobId) +
          prev_nodes_.capacity() * sizeof(std::pair<JobId, NodeId>) +
          preempted_jobs_.capacity() * sizeof(JobId) +
          proc_up_.capacity() * sizeof(char) +
@@ -561,13 +577,14 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
 
   // Derived state (begin() left it empty).  Arrivals are delivered in id
   // order, so the arrived flags form a prefix whose length is the arrival
-  // cursor.  The active set holds the arrived, incomplete jobs in arrival
-  // order (completions only tombstone slots, and compaction keeps the
-  // order), so activating them in id order rebuilds what the scheduler
-  // iterates.  Each delivered expiry set one deadline-notified flag, and
-  // the deadline heap holds the undelivered deadlines of incomplete jobs (a
-  // lazily discarded entry for a completed job was behaviorally inert, so
-  // omitting it is exact).
+  // cursor.  The active set holds the arrived, incomplete, un-notified jobs
+  // in arrival order (removals only tombstone slots, and compaction keeps
+  // the order), so activating them in id order rebuilds what the scheduler
+  // iterates; a job still in retire_next_ at the snapshot is retired by
+  // the first delivery, before any decide().  Each delivered expiry set one
+  // deadline-notified flag, and the deadline heap holds the undelivered
+  // deadlines of incomplete jobs (a lazily discarded entry for a completed
+  // job was behaviorally inert, so omitting it is exact).
   for (std::size_t i = 0; i < n; ++i) {
     const JobId id = static_cast<JobId>(i);
     if (!state_.arrived(id)) continue;
@@ -579,8 +596,9 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
       ++jobs_done_;
       continue;
     }
+    if (notified) continue;
     state_.activate(id);
-    if (!notified && jobs_[i].has_deadline()) {
+    if (jobs_[i].has_deadline()) {
       deadlines_.emplace(jobs_[i].absolute_deadline(), id);
     }
   }
@@ -639,6 +657,7 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
     scheduler_in.fail("checkpoint was taken by scheduler '" +
                       saved_scheduler + "', not '" + scheduler_.name() + "'");
   }
+  scheduler_in.set_job_bound(n);
   scheduler_.load_state(scheduler_in);
   scheduler_in.expect_done();
 }

@@ -10,6 +10,9 @@
 //     one pinned order (completions of the previous step, then processor
 //     transitions, then arrivals, then expiries; ties within each class are
 //     ordered by (time, id));
+//   * job death: the active set holds exactly the jobs that can still earn
+//     their profit (arrived, incomplete, not deadline_unreachable(now)), so
+//     no scheduler re-derives that rule (see deliver_expiries);
 //   * allocation validation and application: malformed allocations
 //     (overcommit, duplicates, unarrived/completed jobs, zero processors)
 //     terminate the run with a structured SimFailureKind::kBadAllocation
@@ -137,7 +140,9 @@ class SimKernel {
         approx_le(jobs_[next_arrival_].release(), now)) {
       deliver_arrivals(now);
     }
-    if (expiry_due(now, policy)) deliver_expiries(now, policy);
+    if (!retire_next_.empty() || expiry_due(now, policy)) {
+      deliver_expiries(now, policy);
+    }
   }
 
   /// Release time of the next undelivered arrival (kTimeInfinity if none).
@@ -378,6 +383,9 @@ class SimKernel {
   DaryHeap<DeadlineEntry> deadlines_;
   std::vector<JobId> completed_now_;
   std::size_t jobs_done_ = 0;
+  // Slot engine only: jobs expired at slot t = floor(d) < d, so still able
+  // to finish in it; the next delivery (now >= t + 1 > d) retires them.
+  std::vector<JobId> retire_next_;
 
   // Previous interval's running nodes, for preemption accounting; its jobs
   // are the runs of equal job ids.  Membership tests use the table's

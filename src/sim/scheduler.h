@@ -47,7 +47,10 @@ class SchedulerBase {
     (void)job;
   }
 
-  /// A step-profit job's absolute deadline passed without completion.
+  /// A step-profit job's deadline d passed without completion: the event
+  /// engine calls it at the first decision point with now >= d, the slot
+  /// engine at the first slot t that cannot finish the job by d (t + 1 > d),
+  /// which for a fractional d comes before d.
   virtual void on_deadline(const EngineContext& ctx, JobId job) {
     (void)ctx;
     (void)job;
@@ -101,8 +104,10 @@ class SchedulerBase {
   // saved, so derived structures (lazy heaps, position maps) may be rebuilt
   // from the serialized core state.  load_state is called on a freshly
   // reset() scheduler and may throw CheckpointError (via
-  // CheckpointReader::fail) on malformed payloads.  The default no-ops suit
-  // stateless policies that re-derive everything from ctx.active().
+  // CheckpointReader::fail) on malformed payloads; job ids are read with
+  // CheckpointReader::job_id(), bounded by the job count.  The default
+  // no-ops suit stateless policies that re-derive everything from
+  // ctx.active_jobs().
 
   virtual void save_state(CheckpointWriter& out) const { (void)out; }
   virtual void load_state(CheckpointReader& in) { (void)in; }
@@ -129,7 +134,8 @@ class SchedulerBase {
   // attached; never called on the byte-identical telemetry-off path.
 
   /// Jobs currently held in this scheduler's queues/indexes (0 for policies
-  /// that keep no queue of their own and re-read ctx.active() per decide).
+  /// that keep no queue of their own and re-read ctx.active_jobs() per
+  /// decide).
   virtual std::size_t queue_depth() const { return 0; }
 
   /// Estimated bytes of scheduler-owned queue/index state (allocated, not

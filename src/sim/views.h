@@ -60,16 +60,9 @@ class JobView {
     return unfolding.total_remaining_work();
   }
 
-  /// For step-profit jobs: true once `now` is past the absolute deadline
-  /// (completing the job no longer earns profit).
-  bool deadline_expired(Time now) const {
-    return has_deadline() && approx_gt(now, absolute_deadline());
-  }
-
   /// True when the job can no longer earn its profit: at now >= d any
-  /// remaining work pushes completion strictly past the deadline.  This is
-  /// the predicate schedulers should use to *stop spending capacity* on a
-  /// job (deadline_expired(d) is still false exactly at t == d).
+  /// remaining work pushes completion strictly past the deadline.  The
+  /// kernel retires such jobs from ctx.active_jobs().
   bool deadline_unreachable(Time now) const {
     return has_deadline() && !completed() &&
            approx_ge(now, absolute_deadline());

@@ -64,6 +64,24 @@ std::uint64_t CheckpointReader::count(std::size_t min_element_bytes) {
   return n;
 }
 
+std::uint32_t CheckpointReader::job_id() {
+  const std::uint32_t id = u32();
+  if (id >= job_bound_) {
+    fail("job id " + std::to_string(id) + " out of range (" +
+         std::to_string(job_bound_) + " jobs)");
+  }
+  return id;
+}
+
+std::uint64_t CheckpointReader::job_rows(std::size_t min_row_bytes) {
+  const std::uint64_t rows = count(min_row_bytes);
+  if (rows != 0 && rows != job_bound_) {
+    fail("per-job table of " + std::to_string(rows) + " rows for " +
+         std::to_string(job_bound_) + " jobs");
+  }
+  return rows;
+}
+
 void CheckpointReader::expect_done() {
   if (!done()) {
     fail(std::to_string(remaining()) +

@@ -143,6 +143,16 @@ class CheckpointReader {
   /// `count * min_element_bytes`.
   std::uint64_t count(std::size_t min_element_bytes);
 
+  /// Reads a u32 job id and fails unless it is below the job bound (0, so
+  /// every id fails, until the kernel sets it to the run's job count).
+  std::uint32_t job_id();
+  void set_job_bound(std::size_t jobs) { job_bound_ = jobs; }
+  std::size_t job_bound() const { return job_bound_; }
+  /// count() for a per-job table: fails unless the row count is 0 (saved
+  /// before the first arrival sized it) or the job bound.  Loaders size the
+  /// table to job_bound() either way, as that arrival would.
+  std::uint64_t job_rows(std::size_t min_row_bytes);
+
   std::size_t offset() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
@@ -179,6 +189,7 @@ class CheckpointReader {
   std::size_t pos_ = 0;
   std::string source_;
   std::string region_;
+  std::size_t job_bound_ = 0;
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the variant zlib

@@ -97,16 +97,16 @@ class HostileScheduler final : public SchedulerBase {
       case 4:  // out-of-range job id
         out.add(static_cast<JobId>(ctx.num_jobs() + 7), 1);
         break;
-      case 5: {  // unarrived or completed job: any non-active job id
+      case 5: {  // unarrived or completed job (a retired job, past its
+                 // deadline but incomplete, is a legal target)
         for (JobId job = 0; job < ctx.num_jobs(); ++job) {
-          bool is_active = false;
-          for (const JobId a : active) is_active |= (a == job);
-          if (!is_active) {
+          const JobView view = ctx.view(job);
+          if (!view.arrived() || view.completed()) {
             out.add(job, 1);
             return;
           }
         }
-        out.add(victim, 0);  // every job active: degrade to zero-procs
+        out.add(victim, 0);  // every job runnable: degrade to zero-procs
         break;
       }
       default: break;

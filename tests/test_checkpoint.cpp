@@ -1,4 +1,4 @@
-// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/3
+// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/4
 // container, kill-resume decision parity across every scheduler x engine x
 // fault mode, the rebuild of jobs that had not started, the kernel facts a
 // resume derives instead of reading, and corruption
@@ -99,6 +99,38 @@ TEST(Wire, TruncationAndStrictnessThrow) {
     // Unconsumed trailing bytes are schema drift, not success.
     CheckpointReader in(out.data(), "<test>", "t");
     EXPECT_THROW(in.expect_done(), CheckpointError);
+  }
+}
+
+TEST(Wire, JobIdsAndPerJobTablesAreBoundedByTheJobCount) {
+  CheckpointWriter out;
+  out.u32(0);
+  out.u32(2);
+  out.u32(3);
+  {
+    // No bound set: every id is rejected.
+    CheckpointReader in(out.data(), "<test>", "t");
+    EXPECT_THROW(in.job_id(), CheckpointError);
+  }
+  {
+    CheckpointReader in(out.data(), "<test>", "t");
+    in.set_job_bound(3);
+    EXPECT_EQ(in.job_id(), 0u);
+    EXPECT_EQ(in.job_id(), 2u);
+    EXPECT_THROW(in.job_id(), CheckpointError);  // id == job count
+  }
+  // A per-job table has 0 rows (saved before any arrival) or one per job.
+  for (const std::uint64_t rows : {0u, 3u, 2u}) {
+    CheckpointWriter table;
+    table.u64(rows);
+    for (std::uint64_t i = 0; i < rows; ++i) table.u32(0);
+    CheckpointReader in(table.data(), "<test>", "t");
+    in.set_job_bound(3);
+    if (rows == 2) {
+      EXPECT_THROW(in.job_rows(4), CheckpointError);
+    } else {
+      EXPECT_EQ(in.job_rows(4), rows);
+    }
   }
 }
 
@@ -278,11 +310,13 @@ TEST(CheckpointFormat, FileRoundTripAndOverwrite) {
 }
 
 TEST(CheckpointFormat, VersionSkewIsDiagnosed) {
-  // Neither a /1 file (every unfolding written out) nor a /2 file (the
-  // active set, cursors and queues stored beside the flags that determine
-  // them) is read as /3.
+  // No earlier schema is read as /4: not a /1 file (every unfolding
+  // written out), a /2 file (the active set, cursors and queues stored
+  // beside the flags that determine them), nor a /3 file (LLF's candidate
+  // set stored beside its shed set).
   for (const char* schema :
-       {"dagsched.checkpoint/1", "dagsched.checkpoint/2"}) {
+       {"dagsched.checkpoint/1", "dagsched.checkpoint/2",
+        "dagsched.checkpoint/3"}) {
     CheckpointFile file = sample_file();
     file.meta.schema = schema;
     const std::string bytes = serialize_checkpoint(file);
@@ -878,20 +912,39 @@ INSTANTIATE_TEST_SUITE_P(
 // still checks out) or throw CheckpointError -- never any other exception,
 // never a crash, never UB (the sanitizer jobs run this file too).
 
-std::string real_checkpoint_bytes() {
+/// A mid-run checkpoint of the parity workload under `scheduler_name`.
+std::string real_checkpoint_bytes(const std::string& scheduler_name = "s",
+                                  EngineKind engine = EngineKind::kEvent) {
   const JobSet jobs = parity_jobs();
-  // One file per test: ctest runs the fuzz cases as concurrent processes.
+  // One file per test and scheduler: ctest runs the fuzz cases as
+  // concurrent processes.
   const std::string path =
       ::testing::TempDir() +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".ckpt";
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      scheduler_name + ".ckpt";
   EventLog log;
   CheckpointMeta base;
-  base.scheduler = "s";
+  base.scheduler = scheduler_name;
   CheckpointSink sink(path, 5, base, &log);
   sink.set_snapshot_limit(1);
-  parity_run(jobs, "s", EngineKind::kEvent, "", &log, &sink, nullptr);
+  parity_run(jobs, scheduler_name, engine, "", &log, &sink, nullptr);
   return read_file_bytes(path);
+}
+
+/// Drives the full kernel + scheduler load path of `file` on a fresh
+/// kernel over the parity workload.
+void load_into_fresh_kernel(const CheckpointFile& file,
+                            const std::string& scheduler_name) {
+  const JobSet jobs = parity_jobs();
+  auto scheduler = make_named_scheduler(scheduler_name, 0.5);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  SimOptions options;
+  options.num_procs = kParityM;
+  SimKernel kernel(jobs, *scheduler, *selector, options);
+  kernel.begin(jobs[0].release());
+  CheckpointReader kernel_in = file.section_reader("kernel");
+  CheckpointReader sched_in = file.section_reader("scheduler");
+  kernel.load_checkpoint_state(kernel_in, sched_in);
 }
 
 TEST(CheckpointFuzz, EveryTruncationIsAStructuredError) {
@@ -940,43 +993,68 @@ TEST(CheckpointFuzz, BitFlipsNeverEscapeTheErrorType) {
 
 TEST(CheckpointFuzz, SemanticCorruptionIsRejectedOnLoadNotCrashed) {
   // Valid container, corrupt *content*: mutate section payload bytes and
-  // re-serialize (CRCs recomputed), then drive the full load path.  The
-  // load must throw CheckpointError on inconsistent state -- reaching a
-  // DS_CHECK abort would kill this test.
-  const std::string bytes = real_checkpoint_bytes();
-  const CheckpointFile pristine = parse_checkpoint_bytes(bytes, "<fuzz>");
-  const JobSet jobs = parity_jobs();
+  // re-serialize (CRCs recomputed), then drive the full load path, for
+  // every named scheduler's section.  The load must throw CheckpointError
+  // on inconsistent state -- reaching a DS_CHECK abort or an out-of-range
+  // index would kill this test (or trip the sanitizer jobs).
+  for (const std::string& name : named_scheduler_list()) {
+    const EngineKind engine = scheduler_engine_error(name, EngineKind::kEvent)
+                                      .empty()
+                                  ? EngineKind::kEvent
+                                  : EngineKind::kSlot;
+    const std::string bytes = real_checkpoint_bytes(name, engine);
+    const CheckpointFile pristine = parse_checkpoint_bytes(bytes, "<fuzz>");
 
-  std::size_t rejected = 0, accepted = 0;
-  for (std::size_t section = 0; section < pristine.sections.size();
-       ++section) {
-    const std::size_t payload_size =
-        pristine.sections[section].payload.size();
-    for (std::size_t pos = 0; pos < payload_size; pos += 17) {
-      CheckpointFile mutated = pristine;
-      std::string& payload = mutated.sections[section].payload;
-      payload[pos] = static_cast<char>(payload[pos] ^ 0x41);
-      const std::string rebuilt = serialize_checkpoint(mutated);
-      const CheckpointFile file = parse_checkpoint_bytes(rebuilt, "<fuzz>");
-
-      auto scheduler = make_named_scheduler("s", 0.5);
-      auto selector = make_selector(SelectorKind::kFifo, 1);
-      SimOptions options;
-      options.num_procs = kParityM;
-      SimKernel kernel(jobs, *scheduler, *selector, options);
-      kernel.begin(jobs[0].release());
-      try {
-        CheckpointReader kernel_in = file.section_reader("kernel");
-        CheckpointReader sched_in = file.section_reader("scheduler");
-        kernel.load_checkpoint_state(kernel_in, sched_in);
-        ++accepted;  // benign flip (e.g. low mantissa bit of a work value)
-      } catch (const CheckpointError&) {
-        ++rejected;
+    std::size_t rejected = 0;
+    for (std::size_t section = 0; section < pristine.sections.size();
+         ++section) {
+      const std::size_t payload_size =
+          pristine.sections[section].payload.size();
+      for (std::size_t pos = 0; pos < payload_size; pos += 17) {
+        CheckpointFile mutated = pristine;
+        std::string& payload = mutated.sections[section].payload;
+        payload[pos] = static_cast<char>(payload[pos] ^ 0x41);
+        const std::string rebuilt = serialize_checkpoint(mutated);
+        const CheckpointFile file = parse_checkpoint_bytes(rebuilt, "<fuzz>");
+        try {
+          load_into_fresh_kernel(file, name);
+          // Accepted: a benign flip (e.g. a low mantissa bit of a work).
+        } catch (const CheckpointError&) {
+          ++rejected;
+        }
       }
     }
+    EXPECT_GT(rejected, 0u) << name;
   }
-  EXPECT_GT(rejected, 0u);
-  (void)accepted;
+}
+
+TEST(CheckpointLoad, OutOfRangeSchedulerJobIdIsRejected) {
+  // An edf checkpoint whose first order-index entry names a job at or past
+  // the job count: CRC-valid, so only the bounded id read can catch it.
+  const std::string bytes = real_checkpoint_bytes("edf");
+  const CheckpointFile pristine = parse_checkpoint_bytes(bytes, "<mem>");
+  load_into_fresh_kernel(pristine, "edf");  // the unmodified file loads
+
+  const CheckpointSection* section = pristine.find_section("scheduler");
+  ASSERT_NE(section, nullptr);
+  CheckpointReader in(section->payload, "<mem>", "scheduler");
+  ASSERT_EQ(in.str(), "edf");
+  ASSERT_GT(in.count(12), 0u) << "empty order index: nothing to corrupt";
+  (void)in.f64();
+  const std::size_t id_offset = in.offset();
+  const std::uint32_t jobs = static_cast<std::uint32_t>(parity_jobs().size());
+  for (const std::uint32_t bad : {jobs, jobs + 1000u, ~std::uint32_t{0}}) {
+    CheckpointFile mutated = pristine;
+    CheckpointWriter id;
+    id.u32(bad);
+    for (CheckpointSection& s : mutated.sections) {
+      if (s.name == "scheduler") s.payload.replace(id_offset, 4, id.data());
+    }
+    const CheckpointFile file =
+        parse_checkpoint_bytes(serialize_checkpoint(mutated), "<mem>");
+    EXPECT_THROW(load_into_fresh_kernel(file, "edf"), CheckpointError)
+        << "job id " << bad;
+  }
 }
 
 }  // namespace

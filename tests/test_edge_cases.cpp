@@ -42,11 +42,10 @@ TEST(EdgeCases, DeadlineUnreachableBoundarySemantics) {
   state.set_arrived(0);
   const JobView view(&jobs[0], &state, 0);
   // d = 5.  Strictly before: reachable.  At d: unreachable (remaining work
-  // cannot finish by d).  deadline_expired stays false exactly at d.
+  // cannot finish by d).
   EXPECT_FALSE(view.deadline_unreachable(4.999));
   EXPECT_TRUE(view.deadline_unreachable(5.0));
-  EXPECT_FALSE(view.deadline_expired(5.0));
-  EXPECT_TRUE(view.deadline_expired(5.001));
+  EXPECT_TRUE(view.deadline_unreachable(5.001));
 }
 
 TEST(EdgeCases, SlotEngineHonorsMaxSlotsCap) {
