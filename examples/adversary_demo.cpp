@@ -43,7 +43,7 @@ void run_fig1(ProcCount m) {
     std::cout << "  " << label << ": finished at t = "
               << result.outcomes[0].completion_time << "\n";
     if (options.record_trace) {
-      std::cout << to_ascii_gantt(result.trace, m, {.width = 70});
+      std::cout << to_ascii_gantt(result.trace, m);
     }
   }
   const double ratio = 2.0 - 1.0 / static_cast<double>(m);

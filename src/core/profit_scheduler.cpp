@@ -7,7 +7,6 @@
 #include "obs/sink.h"
 #include "util/check.h"
 #include "util/float_cmp.h"
-#include "util/logging.h"
 #include "util/wire.h"
 
 namespace dagsched {
@@ -42,6 +41,16 @@ void ProfitScheduler::insert_slot_job(SlotInfo& slot, JobId job) {
   slot.jobs.insert(pos, job);
 }
 
+void ProfitScheduler::release_slots(JobId job, std::uint64_t from) {
+  for (const std::uint64_t t : info_[job].assigned) {
+    if (t < from) continue;
+    const auto it = slots_.find(t);
+    if (it == slots_.end()) continue;
+    it->second.index.erase(job);
+    std::erase(it->second.jobs, job);
+  }
+}
+
 void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
   if (info_.size() < ctx.num_jobs()) info_.resize(ctx.num_jobs());
   JobInfo& info = info_[job];
@@ -57,8 +66,6 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
                                          profit.plateau_end(),
                                          options_.params, speed);
   if (info.alloc.n == 0) {
-    DS_LOG_DEBUG("profit scheduler: job " << job
-                                          << " infeasible (x* too tight)");
     if (ctx.obs() != nullptr) {
       ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop, "infeasible");
     }
@@ -175,8 +182,6 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
       return;
     }
   }
-  DS_LOG_DEBUG("profit scheduler: no valid deadline for job "
-               << job << " within " << d_hi << " slots");
   if (ctx.obs() != nullptr) {
     ctx.obs()->event(ctx.now(), job, ObsEventKind::kDrop,
                      "no-valid-deadline",
@@ -187,16 +192,11 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
 void ProfitScheduler::on_completion(const EngineContext& ctx, JobId job) {
   JobInfo& info = info_[job];
   info.completed = true;
-  if (info.scheduled) work_order_.erase({info.v, job});
-  if (!options_.release_slots_on_completion || !info.scheduled) return;
+  if (!info.scheduled) return;
+  work_order_.erase({info.v, job});
+  // Only the slots after the one the job finished in.
   const auto current = static_cast<std::uint64_t>(std::floor(ctx.now() - kEps));
-  for (const std::uint64_t t : info.assigned) {
-    if (t <= current) continue;
-    const auto it = slots_.find(t);
-    if (it == slots_.end()) continue;
-    it->second.index.erase(job);
-    std::erase(it->second.jobs, job);
-  }
+  release_slots(job, current + 1);
 }
 
 void ProfitScheduler::on_capacity_change(const EngineContext& ctx,
@@ -206,12 +206,7 @@ void ProfitScheduler::on_capacity_change(const EngineContext& ctx,
   const ObsSink* obs = ctx.obs();
   auto unschedule = [&](JobId job, const char* slug) {
     JobInfo& info = info_[job];
-    for (const std::uint64_t t : info.assigned) {
-      const auto it = slots_.find(t);
-      if (it == slots_.end()) continue;
-      it->second.index.erase(job);
-      std::erase(it->second.jobs, job);
-    }
+    release_slots(job, 0);
     info.scheduled = false;
     info.assigned.clear();
     work_order_.erase({info.v, job});
@@ -253,34 +248,36 @@ void ProfitScheduler::decide(const EngineContext& ctx, Assignment& out) {
   const auto it = slots_.find(slot);
 
   ProcCount free = ctx.num_procs();
-  std::vector<JobId> granted;
   if (it != slots_.end()) {
     // Highest-density-first among jobs assigned to this slot: the slot list
-    // is maintained in that order, so no per-decision sort.
+    // is maintained in that order, so no per-decision sort.  A completed
+    // job's later slots were released, so every listed job is unfinished.
     for (const JobId job : it->second.jobs) {
       if (free == 0) break;
       const JobInfo& info = info_[job];
-      if (info.completed) continue;  // slots not yet released
       if (info.alloc.n <= free) {
         out.add(job, info.alloc.n);
-        granted.push_back(job);
         free -= info.alloc.n;
       }
     }
   }
 
   if (options_.work_conserving && free > 0) {
-    // Opportunistic fill: scheduled, unfinished jobs not served this slot,
-    // by density.  They keep their fixed n_i footprint.  work_order_ holds
-    // exactly the scheduled && !completed jobs in (density desc, id asc)
-    // order, so the seed's scan-everything-and-sort is a plain walk.
+    // Opportunistic fill: scheduled, unfinished jobs not assigned to this
+    // slot, by density.  They keep their fixed n_i footprint.  work_order_
+    // holds exactly the scheduled && !completed jobs in (density desc, id
+    // asc) order, so the seed's scan-everything-and-sort is a plain walk.
+    // Skipping every job assigned to this slot skips exactly the ones served
+    // above: an assigned job left out there needed more than the `free`
+    // processors of that moment, and `free` has only shrunk since.
     for (const auto& [v, job] : work_order_) {
       (void)v;
       if (free == 0) break;
-      if (std::find(granted.begin(), granted.end(), job) != granted.end()) {
+      const JobInfo& info = info_[job];
+      if (std::binary_search(info.assigned.begin(), info.assigned.end(),
+                             slot)) {
         continue;
       }
-      const JobInfo& info = info_[job];
       if (info.alloc.n <= free) {
         out.add(job, info.alloc.n);
         free -= info.alloc.n;
@@ -300,12 +297,7 @@ std::size_t ProfitScheduler::shed_load(const EngineContext& ctx,
   while (shed < max_jobs && !work_order_.empty()) {
     const auto [v, job] = *std::prev(work_order_.end());
     JobInfo& info = info_[job];
-    for (const std::uint64_t t : info.assigned) {
-      const auto it = slots_.find(t);
-      if (it == slots_.end()) continue;
-      it->second.index.erase(job);
-      std::erase(it->second.jobs, job);
-    }
+    release_slots(job, 0);
     info.scheduled = false;
     info.assigned.clear();
     work_order_.erase({v, job});
@@ -406,10 +398,9 @@ Time ProfitScheduler::next_wakeup(const EngineContext& ctx) const {
       }
     }
   }
+  // Later slots hold no completed job: completion released them.
   for (auto it = slots_.upper_bound(slot); it != slots_.end(); ++it) {
-    for (const JobId job : it->second.jobs) {
-      if (!info_[job].completed) return static_cast<Time>(it->first);
-    }
+    if (!it->second.jobs.empty()) return static_cast<Time>(it->first);
   }
   return kTimeInfinity;
 }

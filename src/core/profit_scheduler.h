@@ -29,8 +29,8 @@
 //  * Jobs whose profit support is exhausted before any valid D exist are
 //    left unscheduled (with an unbounded-support profit function this cannot
 //    happen -- the paper's "a valid assignment always exists").
-//  * On completion a job's unused future slots are released (flag below),
-//    which only loosens condition (2) and preserves every lemma.
+//  * On completion a job's unused future slots are released, which only
+//    loosens condition (2) and preserves every lemma.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +54,6 @@ struct ProfitSchedulerOptions {
   /// Hard cap on the deadline search (relative, in slots), protecting
   /// against unbounded scans for slowly-decaying profit functions.
   std::uint64_t max_search_slots = 1 << 16;
-
-  /// Release a completed job's remaining assigned slots so later arrivals
-  /// can use them.  Only loosens the admission condition.
-  bool release_slots_on_completion = true;
 
   /// Extension (the paper's "work-conserving" future work, applied to the
   /// Section-5 algorithm): after serving a slot's assigned jobs, spend any
@@ -145,6 +141,8 @@ class ProfitScheduler final : public SchedulerBase {
 
   /// Insert into slot.jobs keeping the (density desc, id asc) order.
   void insert_slot_job(SlotInfo& slot, JobId job);
+  /// Remove `job` from each of its assigned slots t >= `from`.
+  void release_slots(JobId job, std::uint64_t from);
 
   ProfitSchedulerOptions options_;
   std::map<std::uint64_t, SlotInfo> slots_;

@@ -78,7 +78,6 @@ RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
   SimOptions options;
   options.num_procs = config.m;
   options.speed = config.speed;
-  options.record_trace = config.record_trace;
   options.obs = config.obs;
   options.faults = config.faults;
   options.telemetry = config.telemetry;

@@ -44,8 +44,6 @@ struct RunConfig {
   /// Stepping driver to lay over the shared simulation kernel
   /// (EngineKind::kSlot is required by ProfitScheduler).
   EngineKind engine = EngineKind::kEvent;
-  /// Record a full execution trace (needed for utilization timelines).
-  bool record_trace = false;
   /// Observability sink forwarded to the engine (null = off).
   const ObsSink* obs = nullptr;
   /// Fault injector forwarded to the engine (null = no faults).

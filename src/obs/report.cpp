@@ -12,6 +12,9 @@ namespace dagsched {
 
 namespace {
 
+/// Resolution of the run report's timeline section.
+constexpr std::size_t kTimelineBuckets = 60;
+
 JsonValue sample_set_summary(const SampleSet& samples) {
   JsonValue out = JsonValue::object();
   out.set("count", JsonValue(samples.count()));
@@ -45,11 +48,11 @@ JsonValue histogram_to_json(const Histogram& histogram) {
 /// at bucket midpoints (outcome times are exact, so midpoint sampling is a
 /// faithful piecewise-constant summary at bucket resolution).
 JsonValue active_jobs_timeline(const JobSet& jobs, const SimResult& result,
-                               Time horizon, std::size_t buckets) {
+                               Time horizon) {
   JsonValue out = JsonValue::array();
-  if (!(horizon > 0.0) || buckets == 0) return out;
-  const double width = horizon / static_cast<double>(buckets);
-  for (std::size_t b = 0; b < buckets; ++b) {
+  if (!(horizon > 0.0)) return out;
+  const double width = horizon / static_cast<double>(kTimelineBuckets);
+  for (std::size_t b = 0; b < kTimelineBuckets; ++b) {
     const Time t = (static_cast<double>(b) + 0.5) * width;
     std::size_t active = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -121,23 +124,21 @@ JsonValue build_run_report(const RunReportInputs& inputs) {
     report.set("telemetry", telemetry_to_json(*inputs.telemetry));
   }
 
+  // Timeline: utilization requires result->trace (recorded runs),
+  // active-jobs only needs outcomes.
   JsonValue timeline = JsonValue::object();
   const Time horizon = result.end_time;
-  timeline.set("buckets", JsonValue(inputs.timeline_buckets));
+  timeline.set("buckets", JsonValue(kTimelineBuckets));
   timeline.set("horizon", JsonValue(horizon));
   JsonValue utilization = JsonValue::array();
-  if (!result.trace.empty() && horizon > 0.0 &&
-      inputs.timeline_buckets > 0) {
-    for (const double value :
-         utilization_profile(result.trace, inputs.m, horizon,
-                             inputs.timeline_buckets)) {
+  if (!result.trace.empty() && horizon > 0.0) {
+    for (const double value : utilization_profile(result.trace, inputs.m,
+                                                  horizon, kTimelineBuckets)) {
       utilization.push_back(JsonValue(value));
     }
   }
   timeline.set("utilization", std::move(utilization));
-  timeline.set("active_jobs",
-               active_jobs_timeline(jobs, result, horizon,
-                                    inputs.timeline_buckets));
+  timeline.set("active_jobs", active_jobs_timeline(jobs, result, horizon));
   report.set("timeline", std::move(timeline));
 
   if (inputs.events != nullptr) {

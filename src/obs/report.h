@@ -55,10 +55,6 @@ struct RunReportInputs {
   /// byte gauges.
   const TelemetryRecorder* telemetry = nullptr;
   std::string events_path;  // recorded in the document when non-empty
-
-  /// Timeline resolution; utilization requires result->trace (recorded
-  /// runs), active-jobs only needs outcomes.
-  std::size_t timeline_buckets = 60;
 };
 
 /// Builds the versioned run-report document.

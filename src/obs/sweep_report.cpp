@@ -208,6 +208,10 @@ const char* sweep_diff_class_name(SweepDiffClass klass) {
 
 namespace {
 
+/// Noise floors for sweep cells: baselines below these do not classify.
+constexpr double kWallFloorMs = 1.0;
+constexpr double kP99FloorNs = 1000.0;
+
 void tally(SweepDiff& diff, SweepDiffRow row) {
   switch (row.klass) {
     case SweepDiffClass::kPerfRegression: ++diff.regressions; break;
@@ -304,11 +308,11 @@ SweepDiff diff_sweep_reports(const SweepReportDoc& baseline,
     }
 
     classify_time(num_at(base_cell, "wall_ms"), num_at(cur_cell, "wall_ms"),
-                  options.wall_floor_ms, options.threshold, "wall", " ms",
+                  kWallFloorMs, options.threshold, "wall", " ms",
                   row.klass, row.detail);
     classify_time(nested_num(base_cell, "decide_ns", "p99"),
                   nested_num(cur_cell, "decide_ns", "p99"),
-                  options.p99_floor_ns, options.threshold, "decide p99",
+                  kP99FloorNs, options.threshold, "decide p99",
                   " ns", row.klass, row.detail);
     tally(diff, std::move(row));
   }

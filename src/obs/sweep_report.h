@@ -93,13 +93,11 @@ struct SweepDiff {
   }
 };
 
-/// Threshold policy plus absolute noise floors: a measurement only
-/// classifies as regressed/improved when the baseline side exceeds the
-/// floor (sub-floor cells are too noisy to gate on wall time).
+/// Threshold policy.  A sweep cell's wall time and decide p99 only
+/// classify as regressed/improved when the baseline exceeds a fixed noise
+/// floor, 1 ms and 1 us (sub-floor cells are too noisy to gate on).
 struct SweepDiffOptions {
-  double threshold = 0.25;      // allowed fractional slowdown
-  double wall_floor_ms = 1.0;   // ignore wall deltas below this baseline
-  double p99_floor_ns = 1000.0; // ignore p99 deltas below this baseline
+  double threshold = 0.25;  // allowed fractional slowdown
 };
 
 SweepDiff diff_sweep_reports(const SweepReportDoc& baseline,

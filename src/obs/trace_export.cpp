@@ -356,7 +356,7 @@ EventLogDiff diff_event_logs(const std::vector<DecisionEvent>& lhs,
       break;
     }
   }
-  if (options.decisions_only && options.ignore_tail_drops && tail_all_drops) {
+  if (options.decisions_only && tail_all_drops) {
     diff.forgiven_tail = longer.size() - common;
     return diff;
   }

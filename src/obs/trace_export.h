@@ -71,12 +71,10 @@ struct EventLogDiffOptions {
   /// schedule) by (kind, job, reason), ignoring engine lifecycle timing.
   /// This is the cross-engine comparison mode: on integral workloads the
   /// two engines must agree on every policy decision even though their
-  /// event timestamps and lifecycle interleavings differ.
+  /// event timestamps and lifecycle interleavings differ.  It tolerates a
+  /// trailing run of end-of-run drops in the longer log (the event engine
+  /// drains deadline expiries after the slot engine has already halted).
   bool decisions_only = false;
-  /// In decisions_only mode, tolerate a trailing run of end-of-run drops in
-  /// the longer log (the event engine drains deadline expiries after the
-  /// slot engine has already halted).
-  bool ignore_tail_drops = true;
 };
 
 struct EventLogDiff {

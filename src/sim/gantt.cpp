@@ -12,9 +12,12 @@ namespace dagsched {
 
 namespace {
 
+constexpr std::size_t kAsciiWidth = 100;  // character columns
+constexpr double kSvgWidth = 960.0;        // pixels
+constexpr double kSvgRowHeight = 22.0;     // pixels per processor row
+
 /// Trace extent [lo, hi); falls back to [0, 1) for empty traces.
-std::pair<Time, Time> extent(const Trace& trace, const GanttOptions& options) {
-  if (options.t1 > options.t0) return {options.t0, options.t1};
+std::pair<Time, Time> extent(const Trace& trace) {
   Time lo = kTimeInfinity, hi = 0.0;
   for (const TraceInterval& iv : trace.intervals()) {
     lo = std::min(lo, iv.start);
@@ -30,13 +33,12 @@ const char* kSvgPalette[] = {"#4e79a7", "#f28e2b", "#e15759", "#76b7b2",
 
 }  // namespace
 
-void write_ascii_gantt(std::ostream& os, const Trace& trace, ProcCount m,
-                       const GanttOptions& options) {
-  DS_CHECK(m >= 1 && options.width >= 10);
-  const auto [lo, hi] = extent(trace, options);
-  const double scale = static_cast<double>(options.width) / (hi - lo);
+void write_ascii_gantt(std::ostream& os, const Trace& trace, ProcCount m) {
+  DS_CHECK(m >= 1);
+  const auto [lo, hi] = extent(trace);
+  const double scale = static_cast<double>(kAsciiWidth) / (hi - lo);
 
-  std::vector<std::string> rows(m, std::string(options.width, '.'));
+  std::vector<std::string> rows(m, std::string(kAsciiWidth, '.'));
   std::set<JobId> jobs_seen;
   for (const TraceInterval& iv : trace.intervals()) {
     if (iv.proc >= m || iv.end <= lo || iv.start >= hi) continue;
@@ -44,11 +46,11 @@ void write_ascii_gantt(std::ostream& os, const Trace& trace, ProcCount m,
     const auto first = static_cast<std::size_t>(
         std::max(0.0, (iv.start - lo) * scale));
     auto last = static_cast<std::size_t>(
-        std::min(static_cast<double>(options.width),
+        std::min(static_cast<double>(kAsciiWidth),
                  (iv.end - lo) * scale + 0.999));
     last = std::max(last, first + 1);
     const char symbol = static_cast<char>('0' + iv.job % 10);
-    for (std::size_t c = first; c < std::min(last, options.width); ++c) {
+    for (std::size_t c = first; c < std::min(last, kAsciiWidth); ++c) {
       rows[iv.proc][c] = symbol;
     }
   }
@@ -66,43 +68,38 @@ void write_ascii_gantt(std::ostream& os, const Trace& trace, ProcCount m,
   }
 }
 
-std::string to_ascii_gantt(const Trace& trace, ProcCount m,
-                           const GanttOptions& options) {
+std::string to_ascii_gantt(const Trace& trace, ProcCount m) {
   std::ostringstream oss;
-  write_ascii_gantt(oss, trace, m, options);
+  write_ascii_gantt(oss, trace, m);
   return oss.str();
 }
 
-void write_svg_gantt(std::ostream& os, const Trace& trace, ProcCount m,
-                     const GanttOptions& options) {
+void write_svg_gantt(std::ostream& os, const Trace& trace, ProcCount m) {
   DS_CHECK(m >= 1);
-  const auto [lo, hi] = extent(trace, options);
+  const auto [lo, hi] = extent(trace);
   const double margin = 40.0;
-  const double scale = (options.svg_width - margin) / (hi - lo);
-  const double height = options.svg_row_height * static_cast<double>(m) + 30.0;
+  const double scale = (kSvgWidth - margin) / (hi - lo);
+  const double height = kSvgRowHeight * static_cast<double>(m) + 30.0;
 
-  os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-     << options.svg_width << "\" height=\"" << height << "\">\n";
+  os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << kSvgWidth
+     << "\" height=\"" << height << "\">\n";
   for (ProcCount p = 0; p < m; ++p) {
-    const double y =
-        10.0 + options.svg_row_height * static_cast<double>(p);
-    os << "  <text x=\"2\" y=\"" << y + options.svg_row_height * 0.7
+    const double y = 10.0 + kSvgRowHeight * static_cast<double>(p);
+    os << "  <text x=\"2\" y=\"" << y + kSvgRowHeight * 0.7
        << "\" font-size=\"11\">P" << p << "</text>\n";
     os << "  <line x1=\"" << margin << "\" y1=\""
-       << y + options.svg_row_height - 2.0 << "\" x2=\"" << options.svg_width
-       << "\" y2=\"" << y + options.svg_row_height - 2.0
+       << y + kSvgRowHeight - 2.0 << "\" x2=\"" << kSvgWidth
+       << "\" y2=\"" << y + kSvgRowHeight - 2.0
        << "\" stroke=\"#ddd\"/>\n";
   }
   for (const TraceInterval& iv : trace.intervals()) {
     if (iv.proc >= m || iv.end <= lo || iv.start >= hi) continue;
-    const double x = margin + (std::max(iv.start, lo) - lo) * scale;
-    const double w =
-        (std::min(iv.end, hi) - std::max(iv.start, lo)) * scale;
-    const double y =
-        10.0 + options.svg_row_height * static_cast<double>(iv.proc);
+    const double x = margin + (iv.start - lo) * scale;
+    const double w = (iv.end - iv.start) * scale;
+    const double y = 10.0 + kSvgRowHeight * static_cast<double>(iv.proc);
     const char* color = kSvgPalette[iv.job % 10];
     os << "  <rect x=\"" << x << "\" y=\"" << y + 2.0 << "\" width=\""
-       << std::max(w, 0.5) << "\" height=\"" << options.svg_row_height - 6.0
+       << std::max(w, 0.5) << "\" height=\"" << kSvgRowHeight - 6.0
        << "\" fill=\"" << color << "\"><title>J" << iv.job << " node "
        << iv.node << " [" << iv.start << ", " << iv.end
        << ")</title></rect>\n";
@@ -110,10 +107,9 @@ void write_svg_gantt(std::ostream& os, const Trace& trace, ProcCount m,
   os << "</svg>\n";
 }
 
-std::string to_svg_gantt(const Trace& trace, ProcCount m,
-                         const GanttOptions& options) {
+std::string to_svg_gantt(const Trace& trace, ProcCount m) {
   std::ostringstream oss;
-  write_svg_gantt(oss, trace, m, options);
+  write_svg_gantt(oss, trace, m);
   return oss.str();
 }
 

@@ -30,10 +30,6 @@ struct SimOptions {
   /// 0 = unlimited.  The slot engine runs its kernel with 0: its slot
   /// horizon bounds the run instead.
   std::size_t max_decisions = 100'000'000;
-  /// Slot engine only (the event engine ignores it): stop after this many
-  /// slots even if jobs remain, 0 = derive a generous bound from the
-  /// workload.  Unfinished jobs earn no profit.
-  std::uint64_t max_slots = 0;
   /// Invoked after each decision has been validated; used by property tests
   /// to inspect scheduler state mid-run.
   std::function<void(const EngineContext&, const Assignment&)> observer;

@@ -9,7 +9,6 @@
 #include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/kernel.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace dagsched {
 
@@ -54,8 +53,7 @@ SimResult SlotEngine::run() {
   }
   SimKernel& kernel = *kernel_;
 
-  const std::uint64_t horizon =
-      options_.max_slots > 0 ? options_.max_slots : derive_horizon();
+  const std::uint64_t horizon = derive_horizon();
   const double speed = options_.speed;
 
   // Member scratch: capacity survives across runs (zero-alloc contract).
@@ -82,19 +80,12 @@ SimResult SlotEngine::run() {
 
   for (; !kernel.all_done(); ++slot) {
     if (slot >= horizon) {
-      if (options_.max_slots > 0) {
-        // Explicit cap: a caller-requested truncation, not a failure.
-        DS_LOG_WARN("SlotEngine max_slots " << horizon << " reached with "
-                                            << (n - kernel.jobs_done())
-                                            << " jobs incomplete");
-      } else {
-        std::ostringstream msg;
-        msg << "derived horizon " << horizon << " overran with "
-            << (n - kernel.jobs_done())
-            << " jobs incomplete (scheduler starvation?)";
-        kernel.fail(SimFailureKind::kHorizon, msg.str(),
-                    static_cast<Time>(slot), "horizon");
-      }
+      std::ostringstream msg;
+      msg << "derived horizon " << horizon << " overran with "
+          << (n - kernel.jobs_done())
+          << " jobs incomplete (scheduler starvation?)";
+      kernel.fail(SimFailureKind::kHorizon, msg.str(), static_cast<Time>(slot),
+                  "horizon");
       break;
     }
     const Time now = static_cast<Time>(slot);

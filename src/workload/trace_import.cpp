@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "dag/builder.h"
-#include "util/check.h"
 #include "util/csv.h"
 #include "util/float_cmp.h"
 #include "util/parse_error.h"
@@ -51,12 +50,11 @@ double parse_number(const std::string& source, std::size_t line,
 }
 
 /// A Figure-1-style DAG with total work ~W and span ~L (exact up to node
-/// rounding): a chain realizing the span beside an independent block.
-std::shared_ptr<const Dag> synthesize_dag(Work work, Work span,
-                                          double granularity) {
+/// rounding): a chain realizing the span beside an independent block, in
+/// nodes of span/ceil(span) work so the span is met exactly.
+std::shared_ptr<const Dag> synthesize_dag(Work work, Work span) {
   const auto chain_nodes =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   std::ceil(span / granularity)));
+      std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(span)));
   const double node = span / static_cast<double>(chain_nodes);
   DagBuilder b;
   b.add_chain(chain_nodes, node);
@@ -71,9 +69,7 @@ std::shared_ptr<const Dag> synthesize_dag(Work work, Work span,
 
 }  // namespace
 
-JobSet import_trace_csv(std::istream& is, const TraceImportOptions& options,
-                        const std::string& source) {
-  DS_CHECK(options.granularity > 0.0);
+JobSet import_trace_csv(std::istream& is, const std::string& source) {
   std::string line;
   std::size_t lineno = 0;
 
@@ -138,19 +134,17 @@ JobSet import_trace_csv(std::istream& is, const TraceImportOptions& options,
     if (!(profit > 0.0)) {
       throw ParseError(source, lineno, cells[4].column, "non-positive profit");
     }
-    jobs.add(Job::with_deadline(
-        synthesize_dag(work, span, options.granularity), release, deadline,
-        profit));
+    jobs.add(Job::with_deadline(synthesize_dag(work, span), release, deadline,
+                                profit));
   }
   jobs.finalize();
   return jobs;
 }
 
-JobSet load_trace_csv(const std::string& path,
-                      const TraceImportOptions& options) {
+JobSet load_trace_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
-  return import_trace_csv(in, options, path);
+  return import_trace_csv(in, path);
 }
 
 void export_trace_csv(std::ostream& os, const JobSet& jobs) {

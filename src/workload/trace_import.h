@@ -8,7 +8,7 @@
 // Because traces carry no DAG structure, each row is synthesized into a
 // Figure-1-style program with exactly the recorded totals: a chain of
 // span `L` next to an independent parallel block of `W - L`, in nodes of
-// ~`granularity` work.  That shape is the *least favorable* DAG with the
+// at most unit work.  That shape is the *least favorable* DAG with the
 // given (W, L) for a semi-non-clairvoyant scheduler (Theorem 1), so
 // results on imported traces are conservative for the paper's algorithms.
 #pragma once
@@ -20,23 +20,15 @@
 
 namespace dagsched {
 
-struct TraceImportOptions {
-  /// Approximate node size for the synthesized DAGs; each job uses
-  /// node size span/ceil(span/granularity) so the span is met exactly.
-  double granularity = 1.0;
-};
-
 /// Parses the CSV; throws ParseError (util/parse_error.h, a
 /// std::runtime_error) with "source:line:column" positioning on malformed
 /// input (bad header, non-numeric or non-finite fields, span > work,
 /// non-positive values).  CRLF line endings and trailing blank lines are
 /// tolerated.  `source` names the input in diagnostics.
 JobSet import_trace_csv(std::istream& is,
-                        const TraceImportOptions& options = {},
                         const std::string& source = "<stream>");
 
-JobSet load_trace_csv(const std::string& path,
-                      const TraceImportOptions& options = {});
+JobSet load_trace_csv(const std::string& path);
 
 /// Exports a JobSet as a parameterized trace (the inverse direction: DAG
 /// structure is dropped, only release/W/L/deadline/profit survive -- for

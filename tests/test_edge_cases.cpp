@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
-#include "core/deadline_scheduler.h"
 #include "core/profit_scheduler.h"
 #include "exp/runner.h"
 #include "dag/generators.h"
@@ -48,21 +48,44 @@ TEST(EdgeCases, DeadlineUnreachableBoundarySemantics) {
   EXPECT_TRUE(view.deadline_unreachable(5.001));
 }
 
-TEST(EdgeCases, SlotEngineHonorsMaxSlotsCap) {
+/// Runs job 0 whenever it is active and never grants job 1, yet always
+/// promises a wakeup next slot, so the slot engine cannot quiesce.
+class StarvingScheduler final : public SchedulerBase {
+ public:
+  std::string name() const override { return "starving"; }
+  Time next_wakeup(const EngineContext& ctx) const override {
+    return ctx.now() + 1.0;
+  }
+  void decide(const EngineContext& ctx, Assignment& out) override {
+    out.clear();
+    for (const JobId job : ctx.active_jobs()) {
+      if (job == 0) out.add(job, 1);
+    }
+  }
+};
+
+TEST(EdgeCases, SlotEngineDerivedHorizonFailsStarvedRun) {
   JobSet jobs;
-  jobs.add(Job::with_deadline(share(make_chain(50, 1.0)), 0.0, 500.0, 1.0));
+  jobs.add(Job::with_deadline(share(make_single_node(1.0)), 0.0, 1000.0, 2.0));
+  jobs.add(Job::with_deadline(share(make_single_node(1.0)), 0.0, 1000.0, 3.0));
   jobs.finalize();
-  auto scheduler = [] {
-    return DeadlineScheduler({.params = Params::from_epsilon(0.5)});
-  }();
+  StarvingScheduler scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
-  options.max_slots = 10;  // far below the 50 slots the chain needs
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
-  EXPECT_FALSE(result.outcomes[0].completed);
-  EXPECT_LE(result.end_time, 11.0);
+  EXPECT_EQ(result.failure, SimFailureKind::kHorizon);
+  EXPECT_NE(result.failure_message.find("derived horizon"), std::string::npos)
+      << result.failure_message;
+  // The job that ran keeps its outcome; the starved one earns nothing.
+  EXPECT_TRUE(result.outcomes[0].completed);
+  EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 1.0);
+  EXPECT_DOUBLE_EQ(result.outcomes[0].profit, 2.0);
+  EXPECT_FALSE(result.outcomes[1].completed);
+  EXPECT_DOUBLE_EQ(result.outcomes[1].profit, 0.0);
+  EXPECT_DOUBLE_EQ(result.total_profit, 2.0);
+  EXPECT_EQ(result.jobs_completed, 1u);
 }
 
 TEST(EdgeCases, ProfitSchedulerSearchCapLeavesJobUnscheduled) {

@@ -1,6 +1,6 @@
-// Coverage for the remaining utility paths: logging levels, TextTable CSV
-// export, piecewise profits through the Section-5 scheduler, and trace
-// validation under speed augmentation.
+// Coverage for the remaining utility paths: TextTable CSV export, piecewise
+// profits through the Section-5 scheduler, and trace validation under speed
+// augmentation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,25 +12,10 @@
 #include "dag/generators.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace dagsched {
 namespace {
-
-TEST(Logging, LevelFiltering) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Macros below the level must not emit (no crash, no output check needed;
-  // this exercises the guard path).
-  DS_LOG_DEBUG("invisible " << 1);
-  DS_LOG_INFO("invisible " << 2);
-  DS_LOG_WARN("invisible " << 3);
-  set_log_level(LogLevel::kOff);
-  DS_LOG_ERROR("also invisible " << 4);
-  set_log_level(original);
-}
 
 TEST(TextTableCsv, WritesFile) {
   const std::string path = ::testing::TempDir() + "/dagsched_table.csv";

@@ -29,7 +29,7 @@ ParseError capture_wl(const std::string& text) {
 ParseError capture_csv(const std::string& text) {
   std::istringstream in(text);
   try {
-    import_trace_csv(in, {}, "test.csv");
+    import_trace_csv(in, "test.csv");
   } catch (const ParseError& error) {
     return error;
   }
@@ -250,7 +250,7 @@ TEST(TraceDiagnostics, CrlfAndTrailingBlanksParse) {
       "1, 8 ,2,20,4\r\n"
       "\r\n"
       "\r\n");
-  const JobSet jobs = import_trace_csv(in, {}, "test.csv");
+  const JobSet jobs = import_trace_csv(in, "test.csv");
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_DOUBLE_EQ(jobs[1].work(), 8.0);
 }

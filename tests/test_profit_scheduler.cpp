@@ -186,14 +186,10 @@ TEST(ProfitScheduler, SlotReleaseAblationBothWork) {
                                           ProfitPolicy::Shape::kPlateauExp);
   config.horizon = 80.0;
   const JobSet jobs = generate_workload(rng, config);
-  for (const bool release : {true, false}) {
-    ProfitScheduler scheduler(
-        {.params = Params::from_epsilon(0.5),
-         .release_slots_on_completion = release});
-    const SimResult result = run_slotted(jobs, scheduler, 8);
-    EXPECT_GE(result.total_profit, 0.0);
-    EXPECT_LE(result.total_profit, jobs.total_peak_profit() + 1e-9);
-  }
+  ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  const SimResult result = run_slotted(jobs, scheduler, 8);
+  EXPECT_GE(result.total_profit, 0.0);
+  EXPECT_LE(result.total_profit, jobs.total_peak_profit() + 1e-9);
 }
 
 // ---- Search oracle ---------------------------------------------------------

@@ -9,11 +9,9 @@
 namespace dagsched {
 namespace {
 
-JobSet parse(const std::string& text, double granularity = 1.0) {
+JobSet parse(const std::string& text) {
   std::istringstream in(text);
-  TraceImportOptions options;
-  options.granularity = granularity;
-  return import_trace_csv(in, options);
+  return import_trace_csv(in);
 }
 
 TEST(TraceImport, ParsesRowsAndSortsByRelease) {
@@ -39,21 +37,14 @@ TEST(TraceImport, SynthesizedDagMatchesTotals) {
   ASSERT_EQ(jobs.size(), 3u);
   const double works[] = {20.0, 7.5, 5.3};
   const double spans[] = {4.0, 7.5, 1.7};
+  // Chain of ceil(L) nodes of L/ceil(L) work, the rest in nodes no larger.
+  const std::size_t nodes[] = {4 + 16, 8, 2 + 5};
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(i);
     EXPECT_NEAR(jobs[i].work(), works[i], 1e-9);
     EXPECT_NEAR(jobs[i].span(), spans[i], 1e-9);
+    EXPECT_EQ(jobs[i].dag().num_nodes(), nodes[i]);
   }
-}
-
-TEST(TraceImport, GranularityControlsNodeCount) {
-  const JobSet coarse = parse(
-      "release,work,span,deadline,profit\n0, 20, 4, 10, 1\n", 4.0);
-  const JobSet fine = parse(
-      "release,work,span,deadline,profit\n0, 20, 4, 10, 1\n", 0.5);
-  EXPECT_LT(coarse[0].dag().num_nodes(), fine[0].dag().num_nodes());
-  EXPECT_NEAR(coarse[0].work(), fine[0].work(), 1e-9);
-  EXPECT_NEAR(coarse[0].span(), fine[0].span(), 1e-9);
 }
 
 TEST(TraceImport, ErrorsCarryLineNumbers) {

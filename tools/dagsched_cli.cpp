@@ -78,7 +78,7 @@ using namespace dagsched;
 JobSet parse_instance(std::string_view bytes, const std::string& path) {
   if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv") {
     std::istringstream in{std::string(bytes)};
-    return import_trace_csv(in, {}, path);
+    return import_trace_csv(in, path);
   }
   return read_workload(bytes, path);
 }
