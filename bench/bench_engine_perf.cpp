@@ -43,9 +43,8 @@
 #include "obs/telemetry/telemetry.h"
 #include "opt/upper_bound.h"
 #include "sim/checkpoint/checkpoint.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/kernel/kernel.h"
-#include "sim/slot_engine.h"
 #include "util/wire.h"
 #include "workload/scenarios.h"
 #include "workload/workload_io.h"
@@ -78,7 +77,8 @@ void BM_EventEngineEdf(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -95,7 +95,8 @@ void BM_EventEnginePaperS(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -120,7 +121,8 @@ void BM_EventEnginePaperSScale(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -137,7 +139,8 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -159,7 +162,8 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -180,7 +184,8 @@ void BM_EventEngineEquiScale(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -197,8 +202,8 @@ void BM_SlotEngineEdfScale(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    const SimResult result = engine.run();
+    const SimResult result =
+        run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -238,7 +243,8 @@ void BM_EventEnginePaperSTelemetry(benchmark::State& state) {
     SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -262,8 +268,8 @@ void BM_SlotEngineEdfTelemetry(benchmark::State& state) {
     SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    const SimResult result = engine.run();
+    const SimResult result =
+        run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
     decisions += result.decisions;
     benchmark::DoNotOptimize(result.total_profit);
   }
@@ -305,8 +311,8 @@ void BM_SlotEngineEdf(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    benchmark::DoNotOptimize(engine.run().total_profit);
+    benchmark::DoNotOptimize(run_simulation(EngineKind::kSlot, jobs, scheduler,
+                                            *sel, options).total_profit);
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());
 }
@@ -327,8 +333,8 @@ void BM_SlotEngineProfit(benchmark::State& state) {
     auto sel = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 16;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    benchmark::DoNotOptimize(engine.run().total_profit);
+    benchmark::DoNotOptimize(run_simulation(EngineKind::kSlot, jobs, scheduler,
+                                            *sel, options).total_profit);
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());
 }
@@ -454,14 +460,15 @@ void BM_CheckpointSnapshot(benchmark::State& state) {
   {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     const std::size_t decisions =
-        simulate(jobs, scheduler, *sel, options).decisions;
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel,
+                       options).decisions;
     CheckpointMeta meta;
     meta.scheduler = scheduler.name();
     CheckpointSink sink(path, decisions / 2, meta, nullptr);
     sink.set_snapshot_limit(1);
     SimOptions checkpointed = options;
     checkpointed.checkpoint = &sink;
-    simulate(jobs, scheduler, *sel, checkpointed);
+    run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, checkpointed);
   }
   const CheckpointFile file = read_checkpoint_file(path);
   std::filesystem::remove(path);
@@ -528,7 +535,7 @@ void BM_EventJsonl(benchmark::State& state) {
     SimOptions options;
     options.num_procs = 16;
     options.obs = &sink;
-    simulate(jobs, scheduler, *sel, options);
+    run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   }
   const std::vector<DecisionEvent> events(
       log.events().begin(),

@@ -17,7 +17,7 @@
 #include "baselines/list_scheduler.h"
 #include "bench_util.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace {
 
@@ -33,7 +33,8 @@ double makespan(const std::shared_ptr<const Dag>& dag, ProcCount m,
   SimOptions options;
   options.num_procs = m;
   options.speed = speed;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   return result.outcomes[0].completion_time;
 }
 

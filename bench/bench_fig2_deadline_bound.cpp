@@ -10,7 +10,7 @@
 #include "baselines/list_scheduler.h"
 #include "bench_util.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 int main(int argc, char** argv) {
   const dagsched::bench::CsvSink csv(argc, argv);
@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
     auto sel = make_selector(SelectorKind::kCriticalPath);
     SimOptions options;
     options.num_procs = m;
-    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
     const double makespan = result.outcomes[0].completion_time;
     // Use the DAG's actual totals (block rounding shifts W slightly).
     const Work w_actual = dag->total_work();

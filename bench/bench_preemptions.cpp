@@ -7,7 +7,7 @@
 // question -- what does knowing (W, L) buy?).
 #include "baselines/equi.h"
 #include "bench_util.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 int main(int argc, char** argv) {
   const dagsched::bench::CsvSink csv(argc, argv);
@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
         SimOptions options;
         options.num_procs = 8;
         const SimResult result =
-            simulate(jobs, *scheduler, *selector, options);
+            run_simulation(EngineKind::kEvent, jobs, *scheduler, *selector,
+                           options);
         frac.add(profit_fraction(result, jobs));
         completed.add(100.0 * static_cast<double>(result.jobs_completed) /
                       static_cast<double>(jobs.size()));

@@ -14,8 +14,8 @@
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
 #include "sim/gantt.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/adversarial.h"
 
 namespace {
@@ -39,7 +39,8 @@ void run_fig1(ProcCount m) {
     SimOptions options;
     options.num_procs = m;
     options.record_trace = (m == 4);  // show a Gantt for the small case
-    const SimResult result = simulate(jobs, greedy, *selector, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, jobs, greedy, *selector, options);
     std::cout << "  " << label << ": finished at t = "
               << result.outcomes[0].completion_time << "\n";
     if (options.record_trace) {
@@ -64,7 +65,8 @@ void run_trap() {
     auto selector = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = m;
-    const SimResult result = simulate(trap, scheduler, *selector, options);
+    const SimResult result =
+        run_simulation(EngineKind::kEvent, trap, scheduler, *selector, options);
     std::cout << "  condition (2) " << (admission ? "ON " : "OFF")
               << ": completed " << result.jobs_completed << "/" << waves
               << " jobs, profit " << result.total_profit << "\n";

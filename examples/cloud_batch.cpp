@@ -15,7 +15,7 @@
 #include "core/deadline_scheduler.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -57,8 +57,8 @@ double run(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  return engine.run().total_profit;
+  return run_simulation(EngineKind::kSlot, jobs, scheduler, *selector,
+                        options).total_profit;
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "core/deadline_scheduler.h"
 #include "dag/builder.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 int main() {
   using namespace dagsched;
@@ -44,7 +44,8 @@ int main() {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
 
   // 4. Inspect the outcome.
   const JobOutcome& outcome = result.outcomes[0];

@@ -15,7 +15,7 @@
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "dag/builder.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -68,7 +68,8 @@ double revenue(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  return simulate(jobs, scheduler, *selector, options).total_profit;
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                        options).total_profit;
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "dag/generators.h"
 #include "rt/schedulability.h"
 #include "rt/task.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/table.h"
 
 namespace {
@@ -76,7 +76,8 @@ void simulate_all(const TaskSet& tasks, ProcCount m, std::uint64_t seed) {
     SimOptions options;
     options.num_procs = m;
     const SimResult result =
-        simulate(jobs, *entry.scheduler, *selector, options);
+        run_simulation(EngineKind::kEvent, jobs, *entry.scheduler, *selector,
+                       options);
     table.add_row(
         {entry.label,
          TextTable::num(static_cast<long long>(result.jobs_completed)) +

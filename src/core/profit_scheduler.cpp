@@ -234,7 +234,7 @@ void ProfitScheduler::on_capacity_change(const EngineContext& ctx,
 }
 
 void ProfitScheduler::decide(const EngineContext& ctx, Assignment& out) {
-  // The slot-assignment algorithm is only meaningful on the SlotEngine
+  // The slot-assignment algorithm is only meaningful on the slot engine
   // (decide() once per unit slot).  Fractional decision times mean an
   // event-driven engine is driving us; fail loudly instead of silently
   // mis-mapping events to slots.

@@ -12,8 +12,8 @@
 // density.
 //
 // Implementation notes (DESIGN.md section 2):
-//  * Slots are the unit intervals of the SlotEngine; this scheduler requires
-//    the SlotEngine (decide() is called once per slot).
+//  * Slots are the unit intervals of the slot engine; this scheduler requires
+//    the slot engine (decide() is called once per slot).
 //  * While p_i(D) is flat in D (the plateau, or a piecewise level) the scan
 //    extends incrementally; when p_i(D) changes, the density changes and the
 //    window is rescanned from scratch for that D.  A scan whose list the

@@ -12,31 +12,15 @@ namespace dagsched {
 void UnfoldingState::allocate_block() {
   const std::size_t rem_bytes = sizeof(Work) * n_;
   const std::size_t idx_bytes = sizeof(NodeId) * 4 * static_cast<std::size_t>(n_);
-  if (arena_ != nullptr) {
-    auto* base = static_cast<std::byte*>(
-        arena_->allocate(rem_bytes + idx_bytes, alignof(Work)));
-    rem_ = reinterpret_cast<Work*>(base);
-    idx_ = reinterpret_cast<NodeId*>(base + rem_bytes);
-  } else {
-    // Reserve the initial-work segment up front so ensure_init() never needs
-    // to reallocate; only fault-scaled or fault-restored jobs touch it.
-    // new[] not make_unique: every byte is written before it is read, so
-    // skip the value-init memset.
-    owned_.reset(new std::byte[rem_bytes * 2 + idx_bytes]);
-    rem_ = reinterpret_cast<Work*>(owned_.get());
-    idx_ = reinterpret_cast<NodeId*>(owned_.get() + rem_bytes);
-  }
+  auto* base = static_cast<std::byte*>(
+      arena_->allocate(rem_bytes + idx_bytes, alignof(Work)));
+  rem_ = reinterpret_cast<Work*>(base);
+  idx_ = reinterpret_cast<NodeId*>(base + rem_bytes);
 }
 
 Work* UnfoldingState::ensure_init() {
   if (init_ != nullptr) return init_;
-  if (arena_ != nullptr) {
-    init_ = arena_->allocate_array<Work>(n_);
-  } else {
-    init_ = reinterpret_cast<Work*>(
-        owned_.get() + sizeof(Work) * n_ +
-        sizeof(NodeId) * 4 * static_cast<std::size_t>(n_));
-  }
+  init_ = arena_->allocate_array<Work>(n_);
   for (NodeId v = 0; v < n_; ++v) init_[v] = dag_->node_work(v);
   return init_;
 }
@@ -66,9 +50,9 @@ void UnfoldingState::init_structure(const Dag& dag, bool fill_rem) {
   }
 }
 
-UnfoldingState::UnfoldingState(const Dag& dag, BumpArena* arena)
+UnfoldingState::UnfoldingState(const Dag& dag, BumpArena& arena)
     : dag_(&dag),
-      arena_(arena),
+      arena_(&arena),
       n_(static_cast<NodeId>(dag.num_nodes())),
       nodes_remaining_(static_cast<NodeId>(dag.num_nodes())),
       total_remaining_(dag.total_work()) {
@@ -77,9 +61,9 @@ UnfoldingState::UnfoldingState(const Dag& dag, BumpArena* arena)
 }
 
 UnfoldingState::UnfoldingState(const Dag& dag, const std::vector<Work>& works,
-                               BumpArena* arena)
+                               BumpArena& arena)
     : dag_(&dag),
-      arena_(arena),
+      arena_(&arena),
       n_(static_cast<NodeId>(dag.num_nodes())),
       nodes_remaining_(static_cast<NodeId>(dag.num_nodes())) {
   DS_CHECK_MSG(works.size() == dag.num_nodes(),

@@ -10,9 +10,9 @@
 // delivery path, so the per-node state is a single fused block
 // [remaining-work | pending-preds|ready-list|ready-pos|status] carved from a
 // caller-provided BumpArena (the kernel's job-state arena: zero heap traffic
-// per arrival after warmup) or, absent an arena, one owned heap block.  The
-// object itself is a handful of raw pointers plus aggregates -- it lives by
-// value in the kernel's structure-of-arrays JobStateTable column.
+// per arrival after warmup).  The object itself is a handful of raw
+// pointers plus aggregates -- it lives by value in the kernel's
+// structure-of-arrays JobStateTable column.
 //
 // The initial-work column is elided in the common case: unless fault
 // injection scaled this job's node works (or a checkpoint restored scaled
@@ -20,7 +20,6 @@
 // stores only *remaining* work -- 24 bytes/node instead of 32.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,23 +39,21 @@ class UnfoldingState {
   /// a plain column in a SoA table.
   UnfoldingState() = default;
 
-  /// When `arena` is non-null the per-node block is bump-allocated from it
-  /// and the arena must outlive this object (and reset only after it dies);
-  /// otherwise the block is heap-owned.
-  explicit UnfoldingState(const Dag& dag, BumpArena* arena = nullptr);
+  /// The per-node block is bump-allocated from `arena`, which must outlive
+  /// this object (and reset only after it dies).
+  UnfoldingState(const Dag& dag, BumpArena& arena);
 
   /// Fault-injection variant: per-node *actual* work overrides the DAG's
   /// declared work (modeling misestimated W_i).  `works` must have one entry
   /// per node, each strictly positive.  Schedulers keep seeing the declared
   /// values through JobView; only execution consumes the actual ones.
   UnfoldingState(const Dag& dag, const std::vector<Work>& works,
-                 BumpArena* arena = nullptr);
+                 BumpArena& arena);
 
   UnfoldingState(UnfoldingState&& other) noexcept { *this = std::move(other); }
   UnfoldingState& operator=(UnfoldingState&& other) noexcept {
     dag_ = other.dag_;
     arena_ = other.arena_;
-    owned_ = std::move(other.owned_);
     rem_ = other.rem_;
     init_ = other.init_;
     idx_ = other.idx_;
@@ -168,9 +165,6 @@ class UnfoldingState {
 
   const Dag* dag_ = nullptr;
   BumpArena* arena_ = nullptr;
-  /// Engaged iff arena_ == nullptr: the self-owned block (with space
-  /// reserved for a late-materialized initial-work column).
-  std::unique_ptr<std::byte[]> owned_;
   /// Remaining work per node (n_ entries).
   Work* rem_ = nullptr;
   /// Initial work per node; null while initial == the Dag's declared works.

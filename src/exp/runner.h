@@ -22,7 +22,7 @@ using SchedulerFactory = std::function<std::unique_ptr<SchedulerBase>()>;
 
 /// Scheduler registry by name -- "s" (the paper's Section-3 scheduler),
 /// "s-wc" (work-conserving extension), "s-noadm" (admission off),
-/// "profit" (Section-5 slot scheduler, SlotEngine only), "edf", "llf",
+/// "profit" (Section-5 slot scheduler, slot-engine only), "edf", "llf",
 /// "hdf", "fcfs", "federated", "equi", "equi-profit".  `eps` parameterizes
 /// the paper schedulers.  Throws std::invalid_argument on unknown names.
 std::unique_ptr<SchedulerBase> make_named_scheduler(const std::string& name,

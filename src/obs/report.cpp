@@ -162,6 +162,17 @@ JsonValue build_run_report(const RunReportInputs& inputs) {
   return report;
 }
 
+std::string sparkline(std::span<const double> units) {
+  static const char* kBars[] = {" ", ".", ":", "-", "=", "#", "%", "@"};
+  std::string out;
+  for (const double unit : units) {
+    const auto level = static_cast<std::size_t>(
+        std::min(7.0, std::max(0.0, unit * 7.999)));
+    out += kBars[level];
+  }
+  return out;
+}
+
 namespace {
 
 std::string fixed(double value, int digits = 4) {
@@ -185,18 +196,16 @@ void format_number_object(std::ostream& out, const JsonValue& object,
   }
 }
 
-std::string sparkline(const JsonValue& values, double scale) {
-  static const char* kBars[] = {" ", ".", ":", "-", "=", "#", "%", "@"};
-  std::string out;
-  if (!values.is_array()) return out;
-  for (const JsonValue& value : values.items()) {
-    const double v = value.is_number() ? value.as_number() : 0.0;
-    const double unit = scale > 0.0 ? v / scale : 0.0;
-    const auto level = static_cast<std::size_t>(
-        std::min(7.0, std::max(0.0, unit * 7.999)));
-    out += kBars[level];
+/// sparkline() over a JSON array, each number divided by `scale`.
+std::string json_sparkline(const JsonValue& values, double scale) {
+  std::vector<double> units;
+  if (values.is_array()) {
+    for (const JsonValue& value : values.items()) {
+      const double v = value.is_number() ? value.as_number() : 0.0;
+      units.push_back(scale > 0.0 ? v / scale : 0.0);
+    }
   }
-  return out;
+  return sparkline(units);
 }
 
 }  // namespace
@@ -279,7 +288,7 @@ std::string format_run_report(const JsonValue& report) {
     const double horizon = num_at(*timeline, "horizon", std::nan(""));
     if (utilization != nullptr && utilization->size() > 0) {
       out << "\n[timeline]\n  utilization: ["
-          << sparkline(*utilization, 1.0) << "] over [0, "
+          << json_sparkline(*utilization, 1.0) << "] over [0, "
           << (std::isnan(horizon) ? "?" : json_number_to_string(horizon))
           << ")\n";
     }
@@ -289,7 +298,7 @@ std::string format_run_report(const JsonValue& report) {
       for (const JsonValue& value : active->items()) {
         peak = std::max(peak, value.is_number() ? value.as_number() : 0.0);
       }
-      out << "  active jobs: [" << sparkline(*active, peak)
+      out << "  active jobs: [" << json_sparkline(*active, peak)
           << "] peak " << json_number_to_string(peak) << '\n';
     }
   }

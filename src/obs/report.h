@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +66,11 @@ JsonValue build_run_report(const RunReportInputs& inputs);
 /// DS_CHECKs on schema mismatch are avoided -- unknown/missing sections are
 /// skipped so newer documents render on older binaries.
 std::string format_run_report(const JsonValue& report);
+
+/// One character per value, from ' ' (0) to '@' (1) in eight levels;
+/// values outside [0, 1] clamp.  The utilization and active-jobs timelines
+/// of `dagsched report` and `dagsched run --profile` use it.
+std::string sparkline(std::span<const double> units);
 
 // ---------------------------------------------------------------------------
 // Bench reports

@@ -17,7 +17,7 @@
 // section boundary, and version skew against that contract.
 //
 // Restore contract: a checkpoint captures the state at the top of an
-// engine loop iteration, *before* that iteration's due events are
+// stepping loop iteration, *before* that iteration's due events are
 // delivered.  Resuming therefore replays the exact continuation: the event
 // log of a resumed run is byte-identical to the suffix of an uninterrupted
 // run's log starting at `events_emitted` (scripts/decision_parity.sh
@@ -123,7 +123,7 @@ std::uint64_t run_config_fingerprint(std::uint64_t workload_digest,
 void verify_resume_compatible(const CheckpointFile& file,
                               const CheckpointMeta& current);
 
-/// Periodic checkpoint emitter owned by the CLI and polled by the engines
+/// Periodic checkpoint emitter owned by the CLI and polled by SimKernel::run
 /// at the top of every loop iteration: `due()` fires every `interval`
 /// decisions, `write()` snapshots the kernel + scheduler into a rolling
 /// file (each snapshot atomically replaces the previous one).

@@ -112,9 +112,7 @@ class EngineContext {
   }
 
  private:
-  friend class EventEngine;
   friend class SimKernel;
-  friend class SlotEngine;
 
   Time now_ = 0.0;
   ProcCount m_ = 1;

@@ -1,8 +1,6 @@
 #include "sim/kernel/engine_factory.h"
 
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
-#include "util/check.h"
+#include "sim/kernel/kernel.h"
 
 namespace dagsched {
 
@@ -23,14 +21,7 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) {
 SimResult run_simulation(EngineKind kind, const JobSet& jobs,
                          SchedulerBase& scheduler, NodeSelector& selector,
                          const SimOptions& options) {
-  switch (kind) {
-    case EngineKind::kEvent:
-      return EventEngine(jobs, scheduler, selector, options).run();
-    case EngineKind::kSlot:
-      return SlotEngine(jobs, scheduler, selector, options).run();
-  }
-  DS_CHECK_MSG(false, "unreachable engine kind");
-  return SimResult{};
+  return SimKernel(jobs, scheduler, selector, options).run(kind);
 }
 
 }  // namespace dagsched

@@ -1,17 +1,14 @@
-// Kernel-backed engine factory: one seam through which callers (the
-// experiment runner, the CLI, benchmarks) construct either stepping driver
-// without including engine headers or hardcoding an engine type.
+// EngineKind and run_simulation(): the one entry point through which callers
+// (the experiment runner, the CLI, benchmarks, tests) start a simulation.
 //
-// Both engines execute the same SimKernel (sim/kernel/kernel.h); the
-// EngineKind only selects the time-stepping discipline laid on top of it.
+// Both kinds run the same SimKernel (sim/kernel/kernel.h); the EngineKind
+// only selects which of its two private stepping loops lays time over it.
 #pragma once
 
 #include <optional>
 #include <string_view>
 
-#include "fault/injector.h"
 #include "job/job.h"
-#include "obs/sink.h"
 #include "sim/node_selector.h"
 #include "sim/options.h"
 #include "sim/outcome.h"
@@ -20,8 +17,8 @@
 namespace dagsched {
 
 enum class EngineKind {
-  kEvent,  // continuous event-to-event stepping (EventEngine)
-  kSlot,   // discrete unit time slots, the paper's native model (SlotEngine)
+  kEvent,  // continuous event-to-event steps
+  kSlot,   // discrete unit time slots, the paper's native model
 };
 
 /// "event" or "slot" -- stable names used by CLI flags and run reports.
@@ -30,8 +27,9 @@ const char* engine_kind_name(EngineKind kind);
 /// Inverse of engine_kind_name; nullopt on unknown names.
 std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
-/// Constructs the requested stepping driver over the shared kernel and runs
-/// it to completion.
+/// SimKernel(jobs, scheduler, selector, options).run(kind): simulates to
+/// quiescence and returns per-job outcomes.  Callers that re-run one
+/// instance keep a SimKernel instead, so warm capacity is reused.
 SimResult run_simulation(EngineKind kind, const JobSet& jobs,
                          SchedulerBase& scheduler, NodeSelector& selector,
                          const SimOptions& options);

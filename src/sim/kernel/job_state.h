@@ -88,7 +88,7 @@ class JobStateTable {
   std::uint8_t flags(JobId id) const { return flags_[id]; }
   void set_flags(JobId id, std::uint8_t flags) { flags_[id] = flags; }
 
-  // -- Scalar columns (mutable refs: the engines' innermost loop) -----------
+  // -- Scalar columns (mutable refs: the stepping loops' innermost op) ------
 
   Time& completion_time(JobId id) { return completion_time_[id]; }
   Time completion_time(JobId id) const { return completion_time_[id]; }
@@ -104,11 +104,11 @@ class JobStateTable {
     return exec_[id].unfolding;
   }
   void emplace_unfolding(JobId id, const Dag& dag) {
-    exec_[id].unfolding = UnfoldingState(dag, &arena_);
+    exec_[id].unfolding = UnfoldingState(dag, arena_);
   }
   void emplace_unfolding(JobId id, const Dag& dag,
                          const std::vector<Work>& works) {
-    exec_[id].unfolding = UnfoldingState(dag, works, &arena_);
+    exec_[id].unfolding = UnfoldingState(dag, works, arena_);
   }
   /// Arena backing every unfolding block; high_water() is the telemetry
   /// unfolding_bytes gauge.

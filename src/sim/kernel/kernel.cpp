@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -21,6 +22,39 @@ SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
   DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
   DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
   DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
+}
+
+SimResult SimKernel::run(EngineKind kind) {
+  if (jobs_.size() == 0) return SimResult{};
+  const bool slots = kind == EngineKind::kSlot;
+  deadline_policy_ = slots ? DeadlineDuePolicy::kBeforeNextSlot
+                           : DeadlineDuePolicy::kAtOrBeforeNow;
+  max_decisions_ = slots ? 0 : options_.max_decisions;
+
+  // Slots start at the first release's slot, event steps at the release.
+  Time start = slots ? std::max(0.0, std::floor(jobs_[0].release()))
+                     : jobs_[0].release();
+  begin(start);
+  if (options_.resume != nullptr) {
+    // Restore the exact loop-top state the checkpoint captured; the run
+    // continues as if it had never stopped (the decision log from here on
+    // is byte-identical to the uninterrupted run's suffix).
+    CheckpointReader kernel_in = options_.resume->section_reader("kernel");
+    CheckpointReader sched_in = options_.resume->section_reader("scheduler");
+    load_checkpoint_state(kernel_in, sched_in);
+    start = slots ? static_cast<Time>(options_.resume->meta.slot)
+                  : options_.resume->meta.sim_time;
+    ctx_.now_ = start;
+    if (options_.checkpoint != nullptr) {
+      options_.checkpoint->note_resumed(result_.decisions);
+    }
+  }
+  if (slots) {
+    run_slots(static_cast<std::uint64_t>(start));
+  } else {
+    run_events(start);
+  }
+  return finish();
 }
 
 void SimKernel::begin(Time start_time) {
@@ -90,7 +124,7 @@ void SimKernel::fail(SimFailureKind kind, std::string message, Time now,
 }
 
 void SimKernel::deliver_transitions(Time now) {
-  // Events are stamped with the transition's own time so both engines emit
+  // Events are stamped with the transition's own time so both loops emit
   // identical fault timelines; victims of restart-from-zero lose their
   // progress here.  A failed processor claims a victim only if it struck
   // while that processor was executing (last_exec_end_ guards against stale
@@ -188,21 +222,17 @@ void SimKernel::deliver_arrivals(Time now) {
   }
 }
 
-void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
+void SimKernel::deliver_expiries(Time now) {
   // A job retires -- leaves the active set, keeping its unfolding and
   // outcome columns -- at the first decision point where approx_le(d, now),
-  // i.e. JobView::deadline_unreachable(now), holds.  On the event engine
-  // that is the expiry's own delivery; jobs the slot engine expires while
-  // still reachable wait in retire_next_ (deactivate() ignores any that
+  // i.e. JobView::deadline_unreachable(now), holds.  On event steps that is
+  // the expiry's own delivery; jobs that slots expire while still
+  // reachable wait in retire_next_ (deactivate() ignores any that
   // completed meanwhile).
   for (const JobId id : retire_next_) state_.deactivate(id);
   retire_next_.clear();
-  while (!deadlines_.empty()) {
+  while (expiry_due(now)) {
     const auto [deadline, id] = deadlines_.top();
-    const bool due = policy == DeadlineDuePolicy::kBeforeNextSlot
-                         ? approx_gt(now + 1.0, deadline)
-                         : approx_le(deadline, now);
-    if (!due) break;
     deadlines_.pop();
     if (state_.completed(id) || state_.deadline_notified(id)) continue;
     state_.set_deadline_notified(id);
@@ -279,12 +309,11 @@ bool SimKernel::decide(Time now, Assignment& out) {
     // no atexit flushes -- nothing this decision produced may survive.
     std::_Exit(9);
   }
-  if (options_.max_decisions > 0 &&
-      result_.decisions > options_.max_decisions) {
+  if (max_decisions_ > 0 && result_.decisions > max_decisions_) {
     // Livelock guard: fail the run structurally instead of aborting the
     // process; outcomes finalized later still reflect completed jobs.
     std::ostringstream msg;
-    msg << "decision budget " << options_.max_decisions << " exhausted at t="
+    msg << "decision budget " << max_decisions_ << " exhausted at t="
         << now << " (scheduler livelock?)";
     fail(SimFailureKind::kDecisionBudget, msg.str(), now, "decision-budget");
     return false;
@@ -302,6 +331,7 @@ bool SimKernel::decide(Time now, Assignment& out) {
   if (telemetry_ != nullptr && telemetry_->snapshot_due(now)) {
     emit_telemetry(now, /*final_snapshot=*/false);
   }
+  begin_interval();
   return true;
 }
 
@@ -361,15 +391,14 @@ void SimKernel::notify_completions_slow(Time notify_time) {
   completed_now_.clear();
 }
 
-void SimKernel::account_preemptions(
-    Time now, const std::vector<std::pair<JobId, NodeId>>& nodes) {
+void SimKernel::account_preemptions(Time now) {
   // Stamp this interval's nodes and jobs, then scan the previous interval:
   // anything that ran before, is unfinished, and carries a stale stamp was
   // preempted.  O(running) per decision, no sorting.  A job's nodes are
   // adjacent, so the first node of each run stands for its job.
   ++interval_epoch_;
   const std::uint32_t e = interval_epoch_;
-  for (const auto& [job, node] : nodes) {
+  for (const auto& [job, node] : running_) {
     state_.node_stamp(job, node) = e;
     state_.job_stamp(job) = e;
   }
@@ -393,6 +422,7 @@ void SimKernel::account_preemptions(
       obs_->event(now, job, ObsEventKind::kPreempt);
     }
   }
+  std::swap(prev_nodes_, running_);
 }
 
 void SimKernel::publish_counters(double idle) const {
@@ -473,7 +503,7 @@ void SimKernel::emit_telemetry(Time now, bool final_snapshot) {
 
 void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
                                       CheckpointWriter& scheduler_out) const {
-  // Snapshot point contract: top of an engine loop iteration.  Completions
+  // Snapshot point contract: top of a stepping loop iteration.  Completions
   // of the previous step have been notified, so nothing is in flight.
   DS_CHECK_MSG(completed_now_.empty(),
                "checkpoint with pending completion notifications");

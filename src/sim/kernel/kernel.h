@@ -1,9 +1,12 @@
-// SimKernel: the single source of truth for simulation semantics.
+// SimKernel: the single source of truth for simulation semantics, and the
+// one place a simulation is stepped.
 //
-// Both engines (the discrete SlotEngine and the continuous EventEngine) are
-// thin *stepping drivers* over this kernel.  An engine decides only how time
-// advances -- fixed unit slots with an idle jump, or event-to-event -- while
-// the kernel owns everything whose meaning must be identical across engines:
+// run(kind) picks one of two private stepping loops -- event-to-event steps
+// (event_steps.cpp) or unit time slots with an idle jump (slot_steps.cpp) --
+// and owns everything they share: begin(), resume from a checkpoint, the
+// snapshot at the top of each loop iteration, and finish().  The loops decide
+// only how time advances; the kernel owns everything whose meaning must be
+// identical across them:
 //
 //   * the unified transition queue: fault-plan processor transitions, job
 //     arrivals, and deadline expiries, delivered at each decision point in
@@ -30,8 +33,8 @@
 //     busy + idle == m x (end - start) invariant asserted once, in finish().
 //
 // The kernel is flat-array/index-based throughout (no per-step allocation
-// after begin()) so the engines' hot loops keep their measured performance;
-// see bench/bench_engine_perf.cpp and the committed BENCH_engine.json.
+// after begin()) so the stepping loops keep their measured performance; see
+// bench/bench_engine_perf.cpp and the committed BENCH_engine.json.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +47,9 @@
 #include "job/job.h"
 #include "obs/sink.h"
 #include "sim/assignment.h"
+#include "sim/checkpoint/checkpoint.h"
 #include "sim/context.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/kernel/job_state.h"
 #include "sim/node_selector.h"
 #include "sim/options.h"
@@ -55,19 +60,7 @@
 
 namespace dagsched {
 
-class CheckpointReader;
-class CheckpointWriter;
 class TelemetryRecorder;
-
-/// How an engine maps deadline instants onto its decision points.  The
-/// event engine expires a deadline at the first decision point at or past
-/// it; the slot engine expires it at the start of the first slot that can
-/// no longer complete the job by its deadline (a job finishing in slot t
-/// completes at t+1, so d expires once t+1 > d).
-enum class DeadlineDuePolicy {
-  kAtOrBeforeNow,   // due when d <= now            (EventEngine)
-  kBeforeNextSlot,  // due when now + 1 > d         (SlotEngine)
-};
 
 class SimKernel {
  public:
@@ -76,41 +69,24 @@ class SimKernel {
   SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
             NodeSelector& selector, SimOptions options);
 
-  // -- Lifecycle ------------------------------------------------------------
+  /// Simulates to quiescence under the stepping discipline `kind` and
+  /// returns per-job outcomes (an empty result for an empty JobSet).
+  /// Re-runnable: all state and scratch persist across calls, so a second
+  /// run over the same instance reuses warm capacity (the zero-allocation
+  /// contract tested by tests/test_zero_alloc.cpp).
+  SimResult run(EngineKind kind);
 
   /// Resets all per-run state (scheduler, runtimes, instruments, fault
   /// queue) and records `start_time`, the instant from which machine time is
-  /// accounted.
+  /// accounted.  run() calls it; a checkpoint loader calls it before
+  /// load_checkpoint_state().
   void begin(Time start_time);
 
-  /// Finalizes per-job outcomes, asserts the busy + idle == m x (end -
-  /// start) accounting invariant (fault-free, non-failed runs), writes the
-  /// registry counters when a registry is attached, and returns the result.
-  SimResult finish();
-
-  // -- Shared state ---------------------------------------------------------
-
-  const EngineContext& ctx() const { return ctx_; }
-  void set_now(Time now) { ctx_.now_ = now; }
-  void set_end_time(Time t) { result_.end_time = t; }
-  double speed() const { return options_.speed; }
-  std::size_t num_jobs() const { return jobs_.size(); }
-  std::size_t jobs_done() const { return jobs_done_; }
-  bool all_done() const { return jobs_done_ == jobs_.size(); }
   std::size_t decisions() const { return result_.decisions; }
-  bool failed() const { return result_.failed(); }
-  bool churn() const { return churn_; }
-
-  /// Stamp a structural failure on the result (and emit an engine-abort
-  /// event carrying `slug`); the engine must stop stepping afterwards.
-  void fail(SimFailureKind kind, std::string message, Time now,
-            const char* slug);
-
-  // -- Checkpoint/restore ---------------------------------------------------
 
   /// Serializes the full mid-run state into the checkpoint's "kernel" and
-  /// "scheduler" sections (sim/checkpoint/).  Must be called at the top of
-  /// an engine loop iteration, before that iteration's due events are
+  /// "scheduler" sections (sim/checkpoint/).  run() snapshots only at the
+  /// top of a loop iteration, before that iteration's due events are
   /// delivered; pending completions would make the snapshot unreplayable
   /// and are rejected with DS_CHECK.
   void save_checkpoint_state(CheckpointWriter& kernel_out,
@@ -124,25 +100,68 @@ class SimKernel {
   void load_checkpoint_state(CheckpointReader& kernel_in,
                              CheckpointReader& scheduler_in);
 
+ private:
+  /// How a stepping loop maps deadline instants onto its decision points.
+  /// Event steps expire a deadline at the first decision point at or past
+  /// it; slots expire it at the start of the first slot that can no longer
+  /// complete the job by its deadline (a job finishing in slot t completes
+  /// at t+1, so d expires once t+1 > d).
+  enum class DeadlineDuePolicy {
+    kAtOrBeforeNow,   // due when d <= now            (event steps)
+    kBeforeNextSlot,  // due when now + 1 > d         (slots)
+  };
+
+  // -- Stepping loops (one per EngineKind) ----------------------------------
+
+  /// Steps from decision point to decision point starting at `now`;
+  /// event_steps.cpp.
+  void run_events(Time now);
+  /// Steps in unit slots starting at `slot`; slot_steps.cpp.
+  void run_slots(std::uint64_t slot);
+  /// Slot count past which a slot run is failed with kHorizon.
+  std::uint64_t derive_horizon() const;
+
+  /// Writes a snapshot when the checkpoint sink's cadence is due.  Called
+  /// only at the top of a loop iteration, where nothing is half-delivered,
+  /// so the snapshot plus the emitted-event count is a complete resume
+  /// point.
+  void checkpoint_if_due(Time now, std::uint64_t slot) {
+    if (options_.checkpoint != nullptr &&
+        options_.checkpoint->due(result_.decisions)) {
+      options_.checkpoint->write(*this, now, slot);
+    }
+  }
+
+  bool all_done() const { return jobs_done_ == jobs_.size(); }
+
+  /// Finalizes per-job outcomes, asserts the busy + idle == m x (end -
+  /// start) accounting invariant (fault-free, non-failed runs), writes the
+  /// registry counters when a registry is attached, and returns the result.
+  SimResult finish();
+
+  /// Stamp a structural failure on the result (and emit an engine-abort
+  /// event carrying `slug`); the loop must stop stepping afterwards.
+  void fail(SimFailureKind kind, std::string message, Time now,
+            const char* slug);
+
   // -- Unified transition queue ---------------------------------------------
 
   /// Delivers, in the pinned order, everything due at `now`: fault-plan
   /// processor transitions (recoveries before failures at one instant, then
   /// by processor id), job arrivals (by release, then job id), and deadline
-  /// expiries (by deadline, then job id).  Completions are the one event
-  /// class delivered elsewhere -- at the end of the step that produced them,
-  /// i.e. *before* any of the above at an equal timestamp.  Inline due
-  /// checks keep the nothing-due common case free of out-of-line calls.
-  void deliver_due_events(Time now, DeadlineDuePolicy policy) {
+  /// expiries (by deadline, then job id, under this run's policy).
+  /// Completions are the one event class delivered elsewhere -- at the end
+  /// of the step that produced them, i.e. *before* any of the above at an
+  /// equal timestamp.  Inline due checks keep the nothing-due common case
+  /// free of out-of-line calls.
+  void deliver_due_events(Time now) {
     ctx_.now_ = now;
     if (churn_ && transition_due(now)) deliver_transitions(now);
     if (next_arrival_ < jobs_.size() &&
         approx_le(jobs_[next_arrival_].release(), now)) {
       deliver_arrivals(now);
     }
-    if (!retire_next_.empty() || expiry_due(now, policy)) {
-      deliver_expiries(now, policy);
-    }
+    if (!retire_next_.empty() || expiry_due(now)) deliver_expiries(now);
   }
 
   /// Release time of the next undelivered arrival (kTimeInfinity if none).
@@ -175,9 +194,9 @@ class SimKernel {
 
   /// Runs decide() (timed only when telemetry or a decide budget is
   /// attached), enforces the decision budget, and validates the
-  /// allocation.  Returns false -- with the failure stamped on the result
-  /// -- when the budget is exhausted or the allocation is malformed; the
-  /// engine must break out of its stepping loop.
+  /// allocation, then begins the interval.  Returns false -- with the
+  /// failure stamped on the result -- when the budget is exhausted or the
+  /// allocation is malformed; the loop must break out.
   bool decide(Time now, Assignment& out);
 
   // -- Execution ------------------------------------------------------------
@@ -190,20 +209,13 @@ class SimKernel {
 
   /// Prepares the physical-processor view for the coming interval: under
   /// churn, refreshes the up-processor list and clears the failure-victim
-  /// map.  Call once per decision, before advance_node().
+  /// map.  decide() calls it once the allocation is accepted.
   void begin_interval();
 
   /// Physical processor backing logical run index `i` of this interval.
   /// Precondition: i < up-capacity (allocation validation guarantees it).
   ProcCount phys_proc(std::size_t i) const {
     return churn_ ? up_list_[i] : static_cast<ProcCount>(i);
-  }
-
-  /// Currently-up processor count of this interval (== num_procs without
-  /// churn); valid after begin_interval().
-  std::size_t up_count() const {
-    return churn_ ? up_list_.size()
-                  : static_cast<std::size_t>(options_.num_procs);
   }
 
   Work remaining_work(JobId job, NodeId node) const {
@@ -241,12 +253,10 @@ class SimKernel {
   }
 
   /// Accounts `dt` of wall-clock machine time at the current capacity
-  /// (executed slots and event-engine steps).
+  /// (executed steps and fully idle spans alike).
   void account_step_time(double dt) {
     capacity_time_ += dt * static_cast<double>(ctx_.m_);
   }
-  /// Accounts a fully-idle span of `dt` (idle skips / quiescent jumps).
-  void account_idle_gap(double dt) { account_step_time(dt); }
 
   /// Histogram of concurrently running nodes per decision interval.
   void observe_running(std::size_t count) {
@@ -264,7 +274,6 @@ class SimKernel {
       completed_now_.push_back(job);
     }
   }
-  bool has_pending_completions() const { return !completed_now_.empty(); }
   /// Delivers queued completions: removes the jobs from the active set,
   /// emits counters/events at `notify_time`, and dispatches on_completion.
   void notify_completions(Time notify_time) {
@@ -274,32 +283,27 @@ class SimKernel {
 
   // -- Preemption accounting ------------------------------------------------
 
-  /// Compares this interval's running (job, node) list against the previous
-  /// interval's and accounts node/job preemptions (ran before, unfinished,
-  /// idle now).  A job's nodes sit next to each other in `nodes`
-  /// (allocation order), so each run of equal job ids is one running job.
-  /// Engines keep stepping over `nodes` and hand it back via
-  /// commit_interval() once the step is done.
-  void account_preemptions(Time now,
-                           const std::vector<std::pair<JobId, NodeId>>& nodes);
+  /// Compares this interval's running (job, node) list, running_, against
+  /// the previous interval's and accounts node/job preemptions (ran before,
+  /// unfinished, idle now) with events stamped `now`, the interval's start;
+  /// then installs running_ as the previous interval (its old contents are
+  /// swapped into running_, which the loops clear before refilling).  A
+  /// job's nodes sit next to each other in running_ (allocation order), so
+  /// each run of equal job ids is one running job.  Called once per
+  /// decision, after the interval's completions are marked: a job that
+  /// completes in the interval ran in it, so the result is the same as
+  /// accounting before the step.
+  void account_preemptions(Time now);
 
-  /// Installs this interval's (already accounted) node list as the previous
-  /// interval.  Contents are swapped out; reuse the vector freely.  Must be
-  /// called exactly once per account_preemptions() call.
-  void commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes) {
-    std::swap(prev_nodes_, nodes);
-  }
-
- private:
   bool transition_due(Time now) const {
     const auto& transitions = options_.faults->transitions();
     return next_transition_ < transitions.size() &&
            approx_le(transitions[next_transition_].time, now);
   }
-  bool expiry_due(Time now, DeadlineDuePolicy policy) const {
+  bool expiry_due(Time now) const {
     if (deadlines_.empty()) return false;
     const Time deadline = deadlines_.top().first;
-    return policy == DeadlineDuePolicy::kBeforeNextSlot
+    return deadline_policy_ == DeadlineDuePolicy::kBeforeNextSlot
                ? approx_gt(now + 1.0, deadline)
                : approx_le(deadline, now);
   }
@@ -309,7 +313,7 @@ class SimKernel {
   /// injector's overrun-scaled works; the checkpoint loader uses it to
   /// rebuild a job that never started.
   void emplace_arrived(JobId id);
-  void deliver_expiries(Time now, DeadlineDuePolicy policy);
+  void deliver_expiries(Time now);
   void notify_completions_slow(Time notify_time);
   /// Applies the decision-latency budget to one decide() measurement:
   /// breach -> shed + overload events, first under-budget decision after a
@@ -332,12 +336,25 @@ class SimKernel {
   NodeSelector& selector_;
   SimOptions options_;
 
+  // Set by run() from its EngineKind: the expiry rule, and the decision cap
+  // (options_.max_decisions on event steps; 0 = off on slots, whose horizon
+  // bounds the run instead).
+  DeadlineDuePolicy deadline_policy_ = DeadlineDuePolicy::kAtOrBeforeNow;
+  std::size_t max_decisions_ = 0;
+
   /// All per-job runtime state, structure-of-arrays: lifecycle flags,
   /// completion/first-start/executed columns, arena-backed unfoldings, the
   /// tombstoned active set, and the epoch-stamp arrays (job_state.h).
   JobStateTable state_;
   EngineContext ctx_;
   SimResult result_;
+
+  // Per-interval scratch of the stepping loops: capacity survives across
+  // runs, so a warm re-run performs no heap allocations.  running_ holds
+  // this interval's (job, node) pairs in allocation order.
+  Assignment assignment_;
+  std::vector<NodeId> picked_;
+  std::vector<std::pair<JobId, NodeId>> running_;
 
   // Observability outputs (null = off).  Registry counters are written once,
   // in finish(); the tallies below are the ones with no other home.  The
@@ -383,8 +400,8 @@ class SimKernel {
   DaryHeap<DeadlineEntry> deadlines_;
   std::vector<JobId> completed_now_;
   std::size_t jobs_done_ = 0;
-  // Slot engine only: jobs expired at slot t = floor(d) < d, so still able
-  // to finish in it; the next delivery (now >= t + 1 > d) retires them.
+  // Slots only: jobs expired at slot t = floor(d) < d, so still able to
+  // finish in it; the next delivery (now >= t + 1 > d) retires them.
   std::vector<JobId> retire_next_;
 
   // Previous interval's running nodes, for preemption accounting; its jobs

@@ -1,7 +1,6 @@
 // SimOptions: the one run-options struct, passed unchanged from the CLI and
-// the experiment runner through run_simulation() and the engines down to
-// SimKernel.  Fields that only apply to one stepping discipline are ignored
-// by the other.
+// the experiment runner through run_simulation() to SimKernel.  Fields that
+// only apply to one stepping discipline are ignored by the other.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +21,13 @@ class TelemetryRecorder;
 struct SimOptions {
   ProcCount num_procs = 1;
   /// Resource augmentation: work units processed per processor-time-unit
-  /// (per slot on the slot engine).
+  /// (per slot on unit slots).
   double speed = 1.0;
   /// Record a full execution trace into SimResult::trace (O(#intervals)).
   bool record_trace = false;
   /// Hard cap on decision points (guards against scheduler livelock bugs);
-  /// 0 = unlimited.  The slot engine runs its kernel with 0: its slot
-  /// horizon bounds the run instead.
+  /// 0 = unlimited.  Event steps only: a slot run ignores it, because its
+  /// slot horizon bounds the run instead.
   std::size_t max_decisions = 100'000'000;
   /// Invoked after each decision has been validated; used by property tests
   /// to inspect scheduler state mid-run.

@@ -17,7 +17,7 @@ namespace dagsched {
 enum class SimFailureKind {
   kNone,            // run completed normally
   kDecisionBudget,  // SimOptions::max_decisions exhausted (livelock guard)
-  kHorizon,         // SlotEngine's derived horizon overran with jobs pending
+  kHorizon,         // a slot run's derived horizon overran with jobs pending
   kBadAllocation,   // scheduler emitted a malformed allocation (overcommit,
                     // duplicate / unarrived / completed job, or zero procs)
 };

@@ -1,10 +1,10 @@
-// The scheduler interface both engines drive.
+// The scheduler interface the simulation kernel drives.
 //
-// Engines deliver events (arrival / completion / deadline expiry) and then
-// call decide() to obtain the processor allocation in force until the next
-// event.  decide() is invoked at every decision point, which for the
-// EventEngine is every event (including internal node completions) and for
-// the SlotEngine is every time slot.  Schedulers whose decisions only change
+// The kernel delivers events (arrival / completion / deadline expiry) and
+// then calls decide() to obtain the processor allocation in force until the
+// next event.  decide() is invoked at every decision point, which for event
+// steps is every event (including internal node completions) and for unit
+// slots is every time slot.  Schedulers whose decisions only change
 // at job-level events (like the paper's S) simply return the same allocation
 // when nothing changed.
 #pragma once
@@ -71,7 +71,7 @@ class SchedulerBase {
   }
 
   /// Earliest future time at which decide() could return a different answer
-  /// absent new external events (kTimeInfinity if never).  The SlotEngine
+  /// absent new external events (kTimeInfinity if never).  A slot run
   /// uses this to skip idle stretches and to detect quiescence when a
   /// scheduler deliberately idles (e.g. the Section-5 profit scheduler
   /// waiting for one of its assigned slots).  Work-conserving policies can

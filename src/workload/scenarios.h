@@ -20,7 +20,7 @@ WorkloadConfig scenario_reasonable(double load, ProcCount m);
 
 /// E6 (Theorem 3): general profit functions with a plateau at
 /// x* = (1+eps) * ((W-L)/m + L) and the given decay shape; integral
-/// releases for the SlotEngine.
+/// releases for the slot engine.
 WorkloadConfig scenario_profit(double eps, double load, ProcCount m,
                                ProfitPolicy::Shape shape);
 

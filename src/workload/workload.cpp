@@ -32,7 +32,7 @@ Dag sample_dag(Rng& rng, DagFamily family, double size_scale,
       return make_parallel_block(scaled(8, 64), work.sample(rng));
     case DagFamily::kForkJoin:
       // Sync nodes drawn from the same distribution: keeps the DAG
-      // slot-friendly when node_work is constant (SlotEngine experiments).
+      // slot-friendly when node_work is constant (slot-engine experiments).
       return make_fork_join(scaled(2, 5), scaled(4, 12), work.sample(rng),
                             work.sample(rng));
     case DagFamily::kLayered: {

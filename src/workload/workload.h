@@ -100,14 +100,14 @@ struct WorkloadConfig {
   DagFamily family = DagFamily::kMixed;
   /// Scales the node counts of generated DAGs (1.0 = family defaults).
   double size_scale = 1.0;
-  /// Node processing-time distribution.  SlotEngine experiments should use
+  /// Node processing-time distribution.  Slot-engine experiments should use
   /// constant(1.0): the paper's time-step model has unit-work nodes, and
   /// fractional nodes waste slot capacity the x_i budget does not account
   /// for.
   WorkDist node_work = WorkDist::uniform(0.5, 1.5);
   DeadlinePolicy deadline;
   ProfitPolicy profit;
-  /// Round release times down to integers (SlotEngine experiments).
+  /// Round release times down to integers (slot-engine experiments).
   bool integral_releases = false;
 };
 

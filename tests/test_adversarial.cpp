@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "core/deadline_scheduler.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/adversarial.h"
 
 namespace dagsched {
@@ -17,7 +17,8 @@ SimResult run(const JobSet& jobs, bool admission, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  return simulate(jobs, scheduler, *selector, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                        options);
 }
 
 class TrapSeparation : public ::testing::TestWithParam<std::size_t> {};

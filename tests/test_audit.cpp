@@ -9,7 +9,7 @@
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
 #include "obs/sink.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -37,7 +37,7 @@ EventLog run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m) {
   SimOptions options;
   options.num_procs = m;
   options.obs = &sink;
-  simulate(jobs, scheduler, *selector, options);
+  run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   return log;
 }
 

@@ -7,7 +7,7 @@
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
 namespace {
@@ -23,7 +23,7 @@ SimResult run(const JobSet& jobs, SchedulerBase& scheduler, ProcCount m,
   SimOptions options;
   options.num_procs = m;
   options.observer = std::move(observer);
-  return simulate(jobs, scheduler, *sel, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
 }
 
 TEST(ListSchedulerTest, EdfPrefersEarlierDeadline) {

@@ -1,5 +1,5 @@
 // Cross-validation: on integer workloads (unit node works, integer releases
-// and deadlines, speed 1) the EventEngine and SlotEngine must produce
+// and deadlines, speed 1) event steps and unit slots must produce
 // identical schedules for job-level schedulers -- the continuous engine is
 // then an exact accelerated implementation of the paper's time-step model.
 #include <gtest/gtest.h>
@@ -19,9 +19,7 @@
 #include "obs/event_log.h"
 #include "obs/sink.h"
 #include "obs/trace_export.h"
-#include "sim/event_engine.h"
 #include "sim/kernel/engine_factory.h"
-#include "sim/slot_engine.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -61,11 +59,11 @@ TEST_P(CrossEngine, EdfSchedulesIdentically) {
 
   SimOptions options;
   options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, options);
-  const SimResult ev = event_engine.run();
+  const SimResult ev =
+      run_simulation(EngineKind::kEvent, jobs, s1, *sel1, options);
 
-  SlotEngine slot_engine(jobs, s2, *sel2, options);
-  const SimResult slot = slot_engine.run();
+  const SimResult slot =
+      run_simulation(EngineKind::kSlot, jobs, s2, *sel2, options);
 
   ASSERT_EQ(ev.outcomes.size(), slot.outcomes.size());
   for (std::size_t i = 0; i < ev.outcomes.size(); ++i) {
@@ -89,11 +87,11 @@ TEST_P(CrossEngine, PaperSchedulerSchedulesIdentically) {
 
   SimOptions options;
   options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, options);
-  const SimResult ev = event_engine.run();
+  const SimResult ev =
+      run_simulation(EngineKind::kEvent, jobs, s1, *sel1, options);
 
-  SlotEngine slot_engine(jobs, s2, *sel2, options);
-  const SimResult slot = slot_engine.run();
+  const SimResult slot =
+      run_simulation(EngineKind::kSlot, jobs, s2, *sel2, options);
 
   for (std::size_t i = 0; i < ev.outcomes.size(); ++i) {
     EXPECT_EQ(ev.outcomes[i].completed, slot.outcomes[i].completed)
@@ -164,7 +162,7 @@ TEST(CrossEngineMatrix, AllSchedulersAllFaultModesDecideIdentically) {
   // sequence (admit/defer/drop/schedule by kind, job, reason).
   const JobSet jobs = integer_workload(97, 12);
   for (const std::string& name : named_scheduler_list()) {
-    if (name == "profit") continue;  // SlotEngine-only by contract
+    if (name == "profit") continue;  // slot-engine only by contract
     for (const FaultMode mode :
          {FaultMode::kNone, FaultMode::kChurnResume, FaultMode::kChurnZero}) {
       const std::optional<FaultInjector> injector = matrix_injector(mode, 4);

@@ -7,7 +7,7 @@
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -34,7 +34,7 @@ SimResult run(const JobSet& jobs, DeadlineScheduler& scheduler, ProcCount m,
   options.num_procs = m;
   options.speed = speed;
   options.observer = std::move(observer);
-  return simulate(jobs, scheduler, *sel, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
 }
 
 TEST(DeadlineScheduler, SingleGoodJobAdmittedAndCompleted) {

@@ -6,11 +6,11 @@
 #include <string>
 
 #include "core/profit_scheduler.h"
-#include "exp/runner.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "exp/runner.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/views.h"
+#include "util/arena.h"
 #include "workload/analyzer.h"
 
 namespace dagsched {
@@ -22,7 +22,8 @@ std::shared_ptr<const Dag> share(Dag dag) {
 
 TEST(EdgeCases, SelectorWithZeroBudgetReturnsNothing) {
   const Dag dag = make_parallel_block(4, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   for (const SelectorKind kind :
        {SelectorKind::kFifo, SelectorKind::kRandom,
         SelectorKind::kAdversarial}) {
@@ -73,8 +74,8 @@ TEST(EdgeCases, SlotEngineDerivedHorizonFailsStarvedRun) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.failure, SimFailureKind::kHorizon);
   EXPECT_NE(result.failure_message.find("derived horizon"), std::string::npos)
       << result.failure_message;
@@ -104,8 +105,7 @@ TEST(EdgeCases, ProfitSchedulerSearchCapLeavesJobUnscheduled) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  engine.run();
+  run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
   // The rich job is scheduled; whether the victim fits depends on window
   // math -- the invariant under test is that an *unscheduled* job reports
   // an infinite chosen deadline instead of a bogus one.
@@ -165,7 +165,8 @@ TEST(EdgeCases, EngineWithJobsReleasedAtSameInstant) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
-  const SimResult result = simulate(jobs, *scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, *scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 16u);
   EXPECT_NEAR(result.busy_proc_time, 16.0, 1e-9);
   EXPECT_NEAR(result.end_time, 8.0, 1e-9);  // 16 unit jobs over 2 procs

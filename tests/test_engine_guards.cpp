@@ -7,9 +7,9 @@
 
 #include <memory>
 
+#include "baselines/list_scheduler.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
 #include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
@@ -118,8 +118,9 @@ TEST(EngineGuards, SemiNonClairvoyantPeekAborts) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  EXPECT_DEATH(engine.run(), "peeked");
+  EXPECT_DEATH(
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options),
+      "peeked");
 }
 
 TEST(EngineGuards, ProfitSchedulerRefusesEventEngine) {
@@ -133,8 +134,46 @@ TEST(EngineGuards, ProfitSchedulerRefusesEventEngine) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  EXPECT_DEATH(engine.run(), "SlotEngine");
+  EXPECT_DEATH(
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options),
+      "SlotEngine");
+}
+
+TEST(EngineGuards, SlotRunIsBoundedByItsHorizonNotTheDecisionCap) {
+  // A chain of three unit nodes takes three slots, so three decisions.
+  JobSet jobs;
+  jobs.add(Job::with_deadline(share(make_chain(3, 1.0)), 0.0, 10.0, 1.0));
+  jobs.finalize();
+  ListScheduler scheduler({ListPolicy::kEdf, false});
+  auto selector = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 1;
+  options.max_decisions = 1;
+  const SimResult slot =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
+  EXPECT_EQ(slot.failure, SimFailureKind::kNone) << slot.failure_message;
+  EXPECT_EQ(slot.decisions, 3u);
+  EXPECT_EQ(slot.jobs_completed, 1u);
+  // The same cap stops an event run at its second decision.
+  const SimResult event =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
+  EXPECT_EQ(event.failure, SimFailureKind::kDecisionBudget);
+}
+
+TEST(EngineGuards, EmptyJobSetReturnsAnEmptyResult) {
+  JobSet jobs;
+  jobs.finalize();
+  ListScheduler scheduler({ListPolicy::kEdf, false});
+  auto selector = make_selector(SelectorKind::kFifo);
+  for (const EngineKind kind : {EngineKind::kEvent, EngineKind::kSlot}) {
+    const SimResult result =
+        run_simulation(kind, jobs, scheduler, *selector, SimOptions{});
+    EXPECT_EQ(result.failure, SimFailureKind::kNone) << engine_kind_name(kind);
+    EXPECT_TRUE(result.outcomes.empty()) << engine_kind_name(kind);
+    EXPECT_EQ(result.decisions, 0u) << engine_kind_name(kind);
+    EXPECT_EQ(result.end_time, 0.0) << engine_kind_name(kind);
+    EXPECT_EQ(result.total_profit, 0.0) << engine_kind_name(kind);
+  }
 }
 
 TEST(EngineGuards, UnsortedJobSetRejected) {
@@ -151,8 +190,9 @@ TEST(EngineGuards, UnsortedJobSetRejected) {
   Idle scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
-  EXPECT_DEATH(EventEngine(jobs, scheduler, *selector, options),
-               "not finalized");
+  EXPECT_DEATH(
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options),
+      "not finalized");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// EventEngine: machine-model semantics, timing exactness, event delivery,
-// and the paper's Observations 1 and 2 as executable properties.
+// Event steps (EngineKind::kEvent): machine-model semantics, timing
+// exactness, event delivery, and the paper's Observations 1 and 2 as
+// executable properties.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,7 +8,7 @@
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
 
@@ -55,7 +56,7 @@ SimResult run_single(Dag dag, Time deadline, ProcCount m, double speed,
   options.num_procs = m;
   options.speed = speed;
   options.record_trace = trace;
-  return simulate(jobs, scheduler, *sel, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
 }
 
 TEST(EventEngine, SingleNodeCompletesAtWork) {
@@ -98,7 +99,8 @@ TEST(EventEngine, LateReleaseDelaysStart) {
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_DOUBLE_EQ(result.outcomes[0].first_start, 5.0);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 7.0);
 }
@@ -111,7 +113,8 @@ TEST(EventEngine, IdleSchedulerLeavesJobsIncomplete) {
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 2;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_FALSE(result.outcomes[0].completed);
   EXPECT_EQ(result.jobs_completed, 0u);
   EXPECT_DOUBLE_EQ(result.outcomes[0].executed, 0.0);
@@ -135,7 +138,7 @@ TEST(EventEngine, DeadlineEventDelivered) {
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  simulate(jobs, scheduler, *sel, options);
+  run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_EQ(scheduler.expired_job, 0u);
   EXPECT_DOUBLE_EQ(scheduler.expired_at, 4.0);  // release 1 + D 3
 }
@@ -149,7 +152,8 @@ TEST(EventEngine, OverAllocationIsCappedByReadyNodes) {
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_TRUE(result.outcomes[0].completed);
   EXPECT_DOUBLE_EQ(result.outcomes[0].completion_time, 3.0);
   EXPECT_DOUBLE_EQ(result.busy_proc_time, 3.0);  // 1 proc effectively busy
@@ -193,7 +197,8 @@ TEST_P(GrahamBound, CompletesWithinBound) {
   SimOptions options;
   options.num_procs = param.n;
   options.record_trace = true;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_LE(result.outcomes[0].completion_time, bound + 1e-6)
       << "selector=" << selector_kind_name(param.selector)
@@ -233,7 +238,8 @@ TEST(EventEngine, MultiJobTraceIsValidSchedule) {
   SimOptions options;
   options.num_procs = 4;
   options.record_trace = true;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_EQ(result.trace.validate(jobs, 4, 1.0), "");
   EXPECT_GT(result.jobs_completed, 0u);
 }
@@ -251,7 +257,8 @@ TEST(EventEngine, BusyTimeEqualsExecutedWork) {
   SimOptions options;
   options.num_procs = 3;
   options.speed = 2.0;
-  const SimResult result = simulate(jobs, scheduler, *sel, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   EXPECT_EQ(result.jobs_completed, 6u);
   Work executed = 0.0;
   for (const JobOutcome& outcome : result.outcomes) {

@@ -8,7 +8,7 @@
 #include "dag/generators.h"
 #include "opt/exact.h"
 #include "opt/upper_bound.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -155,7 +155,8 @@ TEST_P(ExactBracket, ExactWithinLpAndAchieved) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  const SimResult achieved = simulate(jobs, edf, *selector, options);
+  const SimResult achieved =
+      run_simulation(EngineKind::kEvent, jobs, edf, *selector, options);
   EXPECT_GE(exact.value, achieved.total_profit - 1e-6);
 }
 

@@ -14,9 +14,8 @@
 #include "fault/injector.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/node_selector.h"
-#include "sim/slot_engine.h"
 
 namespace dagsched {
 namespace {
@@ -61,8 +60,8 @@ SimResult run_event(const JobSet& jobs, const FaultInjector* faults,
   ObsSink sink;
   sink.events = log;
   options.obs = log != nullptr ? &sink : nullptr;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  return engine.run();
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                        options);
 }
 
 SimResult run_slot(const JobSet& jobs, const FaultInjector* faults,
@@ -76,8 +75,7 @@ SimResult run_slot(const JobSet& jobs, const FaultInjector* faults,
   ObsSink sink;
   sink.events = log;
   options.obs = log != nullptr ? &sink : nullptr;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  return engine.run();
+  return run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
 }
 
 TEST(FaultInjection, EventEngineReplayIsByteIdentical) {
@@ -265,8 +263,8 @@ TEST(FaultInjection, DeadlineSchedulerShrinkReAdmits) {
   SimOptions options;
   options.num_procs = 4;
   options.faults = &injector;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_FALSE(result.failed());
   EXPECT_GT(result.jobs_completed, 0u);
 }

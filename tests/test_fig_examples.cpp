@@ -12,7 +12,7 @@
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
 namespace {
@@ -31,7 +31,7 @@ SimResult run_one(std::shared_ptr<const Dag> dag, Time deadline, ProcCount m,
   SimOptions options;
   options.num_procs = m;
   options.speed = speed;
-  return simulate(jobs, scheduler, *sel, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
 }
 
 class Fig1 : public ::testing::TestWithParam<ProcCount> {};

@@ -5,8 +5,8 @@
 
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
 #include "sim/gantt.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
 namespace {
@@ -73,7 +73,8 @@ TEST(Gantt, EndToEndFromEngineTrace) {
   SimOptions options;
   options.num_procs = 4;
   options.record_trace = true;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   const std::string out = to_ascii_gantt(result.trace, 4);
   // All four processors busy at the start.
   for (const char* row : {"P0  |0", "P1  |0", "P2  |0", "P3  |0"}) {

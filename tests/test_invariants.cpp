@@ -10,7 +10,7 @@
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
 #include "exp/runner.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -80,7 +80,8 @@ TEST_P(AllSchedulers, ProducesLegalScheduleAndSaneAccounting) {
   SimOptions options;
   options.num_procs = 8;
   options.record_trace = true;
-  const SimResult result = simulate(jobs, *scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, *scheduler, *selector, options);
 
   // Legal machine behaviour, end to end.
   EXPECT_EQ(result.trace.validate(jobs, 8, 1.0), "") << scheduler->name();

@@ -10,7 +10,7 @@
 
 #include "core/analysis.h"
 #include "core/deadline_scheduler.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -36,7 +36,8 @@ TEST_P(Lemma5, CompletedProfitDominatesStartedFraction) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 16;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
 
   // ||C||: profit of completed *started* jobs == total profit (S only
   // completes jobs it started).
@@ -64,7 +65,8 @@ TEST(LemmaProperties, StartedJobsNeverFinishLate) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 8;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (result.outcomes[i].completed) {
       EXPECT_LE(result.outcomes[i].completion_time,
@@ -84,7 +86,8 @@ TEST(LemmaProperties, BusyTimeWithinStartedBudget) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 8;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
 
   double budget = 0.0;
   for (JobId j = 0; j < jobs.size(); ++j) {

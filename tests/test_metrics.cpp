@@ -5,7 +5,7 @@
 
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/metrics.h"
 
 namespace dagsched {
@@ -24,7 +24,8 @@ TEST(MetricsTest, FlowAndLatenessFromSimpleRun) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   // FCFS: job 1 (release 0) runs [0,3), job 0 runs [3,5).
   const ScheduleMetrics metrics = compute_metrics(result, jobs, 1);
   EXPECT_EQ(metrics.completed, 2u);
@@ -49,7 +50,8 @@ TEST(MetricsTest, MissedCountsIncompleteDeadlineJobs) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   const ScheduleMetrics metrics = compute_metrics(result, jobs, 1);
   EXPECT_EQ(metrics.completed, 0u);
   EXPECT_EQ(metrics.missed, 1u);

@@ -10,8 +10,7 @@
 #include "baselines/list_scheduler.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/table.h"
 
 namespace dagsched {
@@ -43,8 +42,8 @@ TEST(ProfitSchedulerPiecewise, SchedulesAgainstStaircase) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
   ASSERT_TRUE(result.outcomes[0].completed);
   // Alone on the machine, the minimal valid deadline fits the top level.
   EXPECT_DOUBLE_EQ(result.total_profit, 10.0);
@@ -66,8 +65,8 @@ TEST(ProfitSchedulerPiecewise, FallsToLowerLevelUnderCongestion) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
   // All are eventually scheduled; at least one had to take the late level.
   EXPECT_EQ(scheduler.scheduled_count(), 4u);
   Time latest = 0.0;
@@ -90,7 +89,8 @@ TEST(TraceSpeed, ValidatesUnderAugmentation) {
   options.num_procs = 4;
   options.speed = 2.5;
   options.record_trace = true;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   ASSERT_TRUE(result.outcomes[0].completed);
   EXPECT_EQ(result.trace.validate(jobs, 4, 2.5), "");
   // Wrong speed must be detected (durations no longer account for work).
@@ -112,8 +112,8 @@ TEST(EngineGuards, MaxDecisionsFailsStructured) {
   SimOptions options;
   options.num_procs = 2;
   options.max_decisions = 3;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.failure, SimFailureKind::kDecisionBudget);
   EXPECT_NE(result.failure_message.find("decision budget"),

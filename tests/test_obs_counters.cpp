@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/list_scheduler.h"
@@ -20,9 +21,7 @@
 #include "obs/counters.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
-#include "sim/event_engine.h"
 #include "sim/kernel/engine_factory.h"
-#include "sim/slot_engine.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -112,20 +111,12 @@ double run_idle_counter(const JobSet& jobs, bool slot, ProcCount m,
   sink.metrics = &registry;
   ListScheduler scheduler({ListPolicy::kEdf, false});
   auto selector = make_selector(SelectorKind::kFifo);
-  SimResult result;
-  if (slot) {
-    SimOptions options;
-    options.num_procs = m;
-    options.obs = &sink;
-    SlotEngine engine(jobs, scheduler, *selector, options);
-    result = engine.run();
-  } else {
-    SimOptions options;
-    options.num_procs = m;
-    options.obs = &sink;
-    EventEngine engine(jobs, scheduler, *selector, options);
-    result = engine.run();
-  }
+  SimOptions options;
+  options.num_procs = m;
+  options.obs = &sink;
+  const SimResult result =
+      run_simulation(slot ? EngineKind::kSlot : EngineKind::kEvent, jobs,
+                     scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, jobs.size());
   *busy = result.busy_proc_time;
   *end_time = result.end_time;
@@ -153,6 +144,66 @@ TEST(EngineCounters, IdleTimeAgreesAcrossEnginesOnSparseWorkloads) {
   EXPECT_NEAR(ev_idle, slot_idle, 1e-9);
   EXPECT_NEAR(ev_busy + ev_idle, static_cast<double>(m) * ev_end, 1e-9);
   EXPECT_NEAR(slot_busy + slot_idle, static_cast<double>(m) * slot_end, 1e-9);
+}
+
+/// Job 0 is a chain of three unit nodes released at 0, job 1 one unit node
+/// released at 0.5; on two processors each job runs one node at a time.
+JobSet staggered_pair() {
+  JobSet jobs;
+  jobs.add(Job::with_deadline(std::make_shared<const Dag>(make_chain(3, 1.0)),
+                              0.0, 10.0, 1.0));
+  jobs.add(Job::with_deadline(
+      std::make_shared<const Dag>(make_single_node(1.0)), 0.5, 10.0, 1.0));
+  jobs.finalize();
+  return jobs;
+}
+
+SimResult run_staggered_pair(EngineKind kind, MetricRegistry& registry) {
+  const JobSet jobs = staggered_pair();
+  ObsSink sink;
+  sink.metrics = &registry;
+  ListScheduler scheduler({ListPolicy::kEdf, false});
+  auto selector = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 2;
+  options.obs = &sink;
+  return run_simulation(kind, jobs, scheduler, *selector, options);
+}
+
+bool has_histogram(const MetricRegistry& registry, std::string_view name) {
+  for (const auto& [hist_name, hist] : registry.histogram_values()) {
+    if (hist_name == name) return true;
+  }
+  return false;
+}
+
+TEST(EngineCounters, EventRunObservesEachExecutedStep) {
+  // Steps end at the arrival (0.5), the completions at 1, 1.5 and 2, and
+  // the last completion at 3, running 1, 2, 2, 1 and 1 nodes; the closing
+  // decision runs nothing and is not a step.
+  MetricRegistry registry;
+  const SimResult result = run_staggered_pair(EngineKind::kEvent, registry);
+  ASSERT_EQ(result.jobs_completed, 2u);
+  ASSERT_TRUE(has_histogram(registry, "engine.step_dt"));
+  const Histogram* step_dt = registry.histogram("engine.step_dt");
+  EXPECT_EQ(step_dt->count(), 5u);
+  EXPECT_DOUBLE_EQ(step_dt->sum(), 3.0);
+  EXPECT_DOUBLE_EQ(step_dt->min(), 0.5);
+  EXPECT_DOUBLE_EQ(step_dt->max(), 1.0);
+  const Histogram* running = registry.histogram("engine.running_nodes");
+  EXPECT_EQ(running->count(), 5u);
+  EXPECT_DOUBLE_EQ(running->sum(), 7.0);
+}
+
+TEST(EngineCounters, SlotRunObservesRunningNodesButNoStepDt) {
+  // Job 1 first runs in slot 1: slots 0, 1 and 2 run 1, 2 and 1 nodes.
+  MetricRegistry registry;
+  const SimResult result = run_staggered_pair(EngineKind::kSlot, registry);
+  ASSERT_EQ(result.jobs_completed, 2u);
+  const Histogram* running = registry.histogram("engine.running_nodes");
+  EXPECT_EQ(running->count(), 3u);
+  EXPECT_DOUBLE_EQ(running->sum(), 4.0);
+  EXPECT_FALSE(has_histogram(registry, "engine.step_dt"));
 }
 
 // --- Event-derived counters -------------------------------------------------

@@ -21,8 +21,7 @@
 #include "obs/event_log.h"
 #include "obs/sink.h"
 #include "obs/trace_export.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -283,8 +282,7 @@ TEST_P(ObsCrossEngine, EnginesEmitSameDecisionSequence) {
   SimOptions ev_options;
   ev_options.num_procs = 4;
   ev_options.obs = &ev_sink;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
-  (void)event_engine.run();
+  (void)run_simulation(EngineKind::kEvent, jobs, s1, *sel1, ev_options);
 
   EventLog slot_log;
   ObsSink slot_sink;
@@ -294,8 +292,7 @@ TEST_P(ObsCrossEngine, EnginesEmitSameDecisionSequence) {
   SimOptions slot_options;
   slot_options.num_procs = 4;
   slot_options.obs = &slot_sink;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
-  (void)slot_engine.run();
+  (void)run_simulation(EngineKind::kSlot, jobs, s2, *sel2, slot_options);
 
   // The engines must agree on every policy decision they both make.  The
   // event engine additionally drains deadline-expiry events after the last
@@ -331,8 +328,7 @@ TEST(ObsReplay, AdmitDeferEventsSatisfyCondition2) {
   SimOptions options;
   options.num_procs = m;
   options.obs = &sink;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  (void)engine.run();
+  (void)run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
 
   const double cap = params.b * static_cast<double>(m);
   DensityWindowIndex index;

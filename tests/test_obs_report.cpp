@@ -18,7 +18,7 @@
 #include "obs/report.h"
 #include "obs/sink.h"
 #include "obs/telemetry/telemetry.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -124,8 +124,8 @@ struct ReportFixture {
     options.record_trace = true;
     options.obs = &sink;
     options.telemetry = &telemetry;
-    EventEngine engine(jobs, scheduler, *selector, options);
-    result = engine.run();
+    result =
+        run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
     metrics = compute_metrics(result, jobs, 4);
   }
 

@@ -7,8 +7,7 @@
 #include "baselines/equi.h"
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -27,7 +26,8 @@ TEST(Preemption, NoneForUncontestedJob) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 4;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.node_preemptions, 0u);
   EXPECT_EQ(result.job_preemptions, 0u);
 }
@@ -43,7 +43,8 @@ TEST(Preemption, EdfPreemptsForTighterDeadline) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
   EXPECT_EQ(result.node_preemptions, 1u);
   EXPECT_EQ(result.job_preemptions, 1u);
@@ -59,7 +60,8 @@ TEST(Preemption, CompletionIsNotPreemption) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
   EXPECT_EQ(result.node_preemptions, 0u);
   EXPECT_EQ(result.job_preemptions, 0u);
@@ -75,8 +77,8 @@ TEST(Preemption, SlotEngineCountsGaps) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 1;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
   EXPECT_EQ(result.node_preemptions, 1u);
   EXPECT_EQ(result.job_preemptions, 1u);
@@ -104,8 +106,8 @@ TEST(Equi, SplitsProcessorsEvenly) {
       }
     }
   };
-  EventEngine engine(jobs, scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_TRUE(checked);
   EXPECT_EQ(result.jobs_completed, 3u);
 }
@@ -132,8 +134,7 @@ TEST(Equi, LargestRemainderDistributesLeftovers) {
       EXPECT_EQ(assignment.allocs.size(), 3u);
     }
   };
-  EventEngine engine(jobs, scheduler, *selector, options);
-  engine.run();
+  run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_TRUE(checked);
 }
 
@@ -158,8 +159,7 @@ TEST(Equi, ProfitWeightingBiasesShares) {
       EXPECT_EQ(assignment.allocs[1].procs, 1u);
     }
   };
-  EventEngine engine(jobs, scheduler, *selector, options);
-  engine.run();
+  run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_TRUE(checked);
 }
 
@@ -173,7 +173,8 @@ TEST(Equi, NeverPeeksAtDagStructure) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = 8;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_GE(result.total_profit, 0.0);
 }
 

@@ -1,6 +1,6 @@
 // The Section-5 profit scheduler: deadline search, slot assignment,
 // Lemmas 14-15 as run-time invariants, and end-to-end profit on the
-// SlotEngine.
+// slot engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,7 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "job/job.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
@@ -41,8 +41,7 @@ SimResult run_slotted(const JobSet& jobs, ProfitScheduler& scheduler,
   SimOptions options;
   options.num_procs = m;
   options.speed = speed;
-  SlotEngine engine(jobs, scheduler, *sel, options);
-  return engine.run();
+  return run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
 }
 
 TEST(ProfitScheduler, SingleJobScheduledWithMinimalSlots) {
@@ -390,8 +389,8 @@ TEST_P(ProfitSearchOracle, MatchesLiteralSearch) {
   SimOptions sim;
   sim.num_procs = m;
   if (param.churn) sim.faults = &injector;
-  SlotEngine engine(jobs, oracle, *sel, sim);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, oracle, *sel, sim);
 
   EXPECT_EQ(oracle.arrivals, jobs.size());
   // Overloaded: the search both succeeds and, where the profit support is

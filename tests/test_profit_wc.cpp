@@ -5,7 +5,7 @@
 
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -21,8 +21,7 @@ SimResult run(const JobSet& jobs, bool work_conserving, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  SlotEngine engine(jobs, scheduler, *selector, options);
-  return engine.run();
+  return run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
 }
 
 TEST(ProfitWorkConserving, RescuesJobThatLostItsSlots) {

@@ -9,7 +9,7 @@
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -46,7 +46,8 @@ SimResult run(const JobSet& jobs, bool recompute, ProcCount m) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  return simulate(jobs, scheduler, *selector, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                        options);
 }
 
 TEST(Recompute, RescuesStaleWaiter) {

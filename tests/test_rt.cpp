@@ -10,7 +10,7 @@
 #include "dag/generators.h"
 #include "rt/schedulability.h"
 #include "rt/task.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
 namespace {
@@ -145,7 +145,8 @@ TEST_P(FederatedGuarantee, NoMissesWhenTestPasses) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_LE(result.outcomes[i].completion_time,
@@ -183,7 +184,8 @@ TEST_P(GedfGuarantee, NoMissesWhenBoundHolds) {
   auto selector = make_selector(SelectorKind::kFifo);
   SimOptions options;
   options.num_procs = m;
-  const SimResult result = simulate(jobs, scheduler, *selector, options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, jobs.size());
 }
 

@@ -12,7 +12,7 @@
 #include "core/deadline_scheduler.h"
 #include "dag/builder.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -63,7 +63,8 @@ SimResult run(const JobSet& jobs, double speed) {
   SimOptions options;
   options.num_procs = 4;
   options.speed = speed;
-  return simulate(jobs, scheduler, *selector, options);
+  return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                        options);
 }
 
 class ScalingInvariance : public ::testing::TestWithParam<std::uint64_t> {};

@@ -8,13 +8,15 @@
 #include "dag/generators.h"
 #include "dag/unfolding.h"
 #include "sim/node_selector.h"
+#include "util/arena.h"
 
 namespace dagsched {
 namespace {
 
 TEST(Selector, FifoTakesReadyPrefix) {
   const Dag dag = make_parallel_block(6, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(SelectorKind::kFifo);
   std::vector<NodeId> out;
   selector->select(dag, state, 3, out);
@@ -24,7 +26,8 @@ TEST(Selector, FifoTakesReadyPrefix) {
 
 TEST(Selector, CapsAtReadyCount) {
   const Dag dag = make_parallel_block(2, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(SelectorKind::kFifo);
   std::vector<NodeId> out;
   selector->select(dag, state, 10, out);
@@ -34,7 +37,8 @@ TEST(Selector, CapsAtReadyCount) {
 TEST(Selector, AdversarialPrefersBlockOverChain) {
   // Fig-1 DAG: chain node (id 0) has huge bottom level; block nodes small.
   const Dag dag = make_fig1_dag(4, 5, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(SelectorKind::kAdversarial);
   std::vector<NodeId> out;
   selector->select(dag, state, 4, out);
@@ -48,7 +52,8 @@ TEST(Selector, AdversarialPrefersBlockOverChain) {
 
 TEST(Selector, CriticalPathPrefersChain) {
   const Dag dag = make_fig1_dag(4, 5, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(SelectorKind::kCriticalPath);
   std::vector<NodeId> out;
   selector->select(dag, state, 4, out);
@@ -59,7 +64,8 @@ TEST(Selector, CriticalPathPrefersChain) {
 
 TEST(Selector, RandomIsDeterministicPerSeedAndDistinct) {
   const Dag dag = make_parallel_block(20, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto s1 = make_selector(SelectorKind::kRandom, 42);
   auto s2 = make_selector(SelectorKind::kRandom, 42);
   std::vector<NodeId> out1, out2;
@@ -72,7 +78,8 @@ TEST(Selector, RandomIsDeterministicPerSeedAndDistinct) {
 
 TEST(Selector, LifoTakesNewestReady) {
   const Dag dag = make_parallel_block(5, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(SelectorKind::kLifo);
   std::vector<NodeId> out;
   selector->select(dag, state, 2, out);
@@ -100,7 +107,8 @@ TEST_P(SelectorContract, ReturnsDistinctReadyNodes) {
   params.nodes = 30;
   params.edge_prob = 0.08;
   const Dag dag = make_random_dag(rng, params);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   auto selector = make_selector(kind, 7);
   std::vector<NodeId> out;
   // Drive execution to exercise evolving ready sets.

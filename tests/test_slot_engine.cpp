@@ -1,4 +1,5 @@
-// SlotEngine: quantized machine model, slot semantics, idle skipping.
+// Unit slots (EngineKind::kSlot): quantized machine model, slot semantics,
+// idle skipping.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -6,7 +7,7 @@
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
 #include "job/job.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 
 namespace dagsched {
 namespace {
@@ -22,8 +23,7 @@ SimResult run_slotted(const JobSet& jobs, SchedulerBase& scheduler,
   options.num_procs = m;
   options.speed = speed;
   options.record_trace = true;
-  SlotEngine engine(jobs, scheduler, *sel, options);
-  return engine.run();
+  return run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
 }
 
 TEST(SlotEngine, UnitChainTakesOneSlotPerNode) {

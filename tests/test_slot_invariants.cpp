@@ -1,11 +1,11 @@
-// SlotEngine legality for the whole scheduler zoo, plus the truncation path
+// Slot-engine legality for the whole scheduler zoo, plus the truncation path
 // of the OPT machinery (branch-and-bound node limit) and
 // bracket-ordering stress for the combined OPT estimate.
 #include <gtest/gtest.h>
 
 #include "exp/runner.h"
 #include "opt/exact.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -29,8 +29,8 @@ TEST_P(SlotZoo, LegalScheduleOnSlotEngine) {
   SimOptions options;
   options.num_procs = 8;
   options.record_trace = true;
-  SlotEngine engine(jobs, *scheduler, *selector, options);
-  const SimResult result = engine.run();
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, *scheduler, *selector, options);
   EXPECT_EQ(result.trace.validate(jobs, 8, 1.0), "") << name;
   EXPECT_LE(result.total_profit, jobs.total_peak_profit() + 1e-9) << name;
 }

@@ -20,8 +20,7 @@
 #include "obs/sink.h"
 #include "obs/telemetry/latency_histogram.h"
 #include "obs/telemetry/telemetry.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 
@@ -252,14 +251,13 @@ std::string run_and_log(const JobSet& jobs, bool slot,
     options.num_procs = 8;
     options.obs = &sink;
     options.telemetry = telemetry;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    result = engine.run();
+    result = run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
   } else {
     SimOptions options;
     options.num_procs = 8;
     options.obs = &sink;
     options.telemetry = telemetry;
-    result = simulate(jobs, scheduler, *sel, options);
+    result = run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
   }
   EXPECT_FALSE(result.failed());
   std::ostringstream out;
@@ -295,7 +293,8 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
   SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
-  const SimResult result = simulate(jobs, scheduler, *sel, engine_options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, engine_options);
   ASSERT_FALSE(result.failed());
 
   // Every decision and every arrival was timed.
@@ -336,7 +335,8 @@ TEST(TelemetryIntegration, RunReportGainsTelemetrySectionOnlyWhenAttached) {
   SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
-  const SimResult result = simulate(jobs, scheduler, *sel, engine_options);
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, engine_options);
   ASSERT_FALSE(result.failed());
 
   RunReportInputs inputs;

@@ -22,8 +22,7 @@
 #include "obs/sink.h"
 #include "obs/telemetry/telemetry.h"
 #include "obs/trace_export.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -69,8 +68,8 @@ RecordedRun run_recorded(const JobSet& jobs, ProcCount m,
   options.obs = &sink;
   options.telemetry = &run.telemetry;
   options.faults = faults;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  run.result = engine.run();
+  run.result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
   return run;
 }
 
@@ -369,8 +368,7 @@ TEST(EventLogDiffTest, EnginesProduceNoDecisionDivergence) {
   SimOptions ev_options;
   ev_options.num_procs = 4;
   ev_options.obs = &ev_sink;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
-  (void)event_engine.run();
+  (void)run_simulation(EngineKind::kEvent, jobs, s1, *sel1, ev_options);
 
   EventLog slot_log;
   ObsSink slot_sink;
@@ -380,8 +378,7 @@ TEST(EventLogDiffTest, EnginesProduceNoDecisionDivergence) {
   SimOptions slot_options;
   slot_options.num_procs = 4;
   slot_options.obs = &slot_sink;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
-  (void)slot_engine.run();
+  (void)run_simulation(EngineKind::kSlot, jobs, s2, *sel2, slot_options);
 
   EventLogDiffOptions options;
   options.decisions_only = true;

@@ -6,6 +6,7 @@
 #include "dag/builder.h"
 #include "dag/generators.h"
 #include "dag/unfolding.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -13,7 +14,8 @@ namespace {
 
 TEST(Unfolding, SourcesInitiallyReady) {
   const Dag dag = make_fig2_dag(3, 4, 1.0);  // chain -> block
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   EXPECT_EQ(state.ready_count(), 1u);  // only the chain head
   EXPECT_EQ(state.nodes_remaining(), 7u);
   EXPECT_DOUBLE_EQ(state.total_remaining_work(), 7.0);
@@ -22,7 +24,8 @@ TEST(Unfolding, SourcesInitiallyReady) {
 
 TEST(Unfolding, PartialAdvanceKeepsNodeReady) {
   const Dag dag = make_chain(2, 2.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   const NodeId head = state.ready()[0];
   EXPECT_FALSE(state.advance(head, 1.0));
   EXPECT_TRUE(state.is_ready(head));
@@ -32,7 +35,8 @@ TEST(Unfolding, PartialAdvanceKeepsNodeReady) {
 
 TEST(Unfolding, CompletionUnlocksSuccessors) {
   const Dag dag = make_chain(3, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   std::vector<NodeId> newly;
   EXPECT_TRUE(state.advance(state.ready()[0], 1.0, &newly));
   ASSERT_EQ(newly.size(), 1u);
@@ -51,7 +55,9 @@ TEST(Unfolding, JoinWaitsForAllPredecessors) {
   builder.add_edge(b, join);
   const Dag dag = std::move(builder).build();
 
-  UnfoldingState state(dag);
+  BumpArena arena;
+
+  UnfoldingState state(dag, arena);
   EXPECT_EQ(state.ready_count(), 2u);
   std::vector<NodeId> newly;
   state.advance(a, 1.0, &newly);
@@ -64,7 +70,8 @@ TEST(Unfolding, JoinWaitsForAllPredecessors) {
 
 TEST(Unfolding, CompleteAfterAllNodes) {
   const Dag dag = make_parallel_block(3, 1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   ASSERT_EQ(state.ready_count(), 3u);
   const std::vector<NodeId> nodes(state.ready().begin(), state.ready().end());
   for (NodeId node : nodes) state.advance(node, 1.0);
@@ -75,7 +82,8 @@ TEST(Unfolding, CompleteAfterAllNodes) {
 
 TEST(Unfolding, TinyResidueSnapsToCompletion) {
   const Dag dag = make_single_node(1.0);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   // Split into three uneven chunks whose float sum wobbles around 1.0.
   state.advance(0, 0.3);
   state.advance(0, 0.3);
@@ -85,7 +93,8 @@ TEST(Unfolding, TinyResidueSnapsToCompletion) {
 
 TEST(Unfolding, RemainingSpanTracksProgress) {
   const Dag dag = make_chain(4, 1.0);  // span 4
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   EXPECT_DOUBLE_EQ(state.remaining_span(), 4.0);
   state.advance(state.ready()[0], 1.0);
   EXPECT_DOUBLE_EQ(state.remaining_span(), 3.0);
@@ -101,7 +110,8 @@ TEST(Unfolding, RandomDagFullExecutionBySweeps) {
   params.nodes = 40;
   params.edge_prob = 0.12;
   const Dag dag = make_random_dag(rng, params);
-  UnfoldingState state(dag);
+  BumpArena arena;
+  UnfoldingState state(dag, arena);
   std::size_t sweeps = 0;
   while (!state.complete()) {
     ASSERT_LT(sweeps++, static_cast<std::size_t>(dag.num_nodes()));

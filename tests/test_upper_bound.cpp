@@ -12,7 +12,7 @@
 #include "dag/generators.h"
 #include "opt/maxflow.h"
 #include "opt/upper_bound.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 #include "workload/workload.h"
@@ -98,7 +98,8 @@ TEST_P(UpperBoundSound, DominatesAchievedProfit) {
       auto sel = make_selector(selector);
       SimOptions options;
       options.num_procs = config.m;
-      const SimResult result = simulate(jobs, scheduler, *sel, options);
+      const SimResult result =
+          run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
       EXPECT_LE(result.total_profit, bound.value() + 1e-6)
           << "policy=" << list_policy_name(policy);
     }

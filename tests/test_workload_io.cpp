@@ -10,7 +10,7 @@
 
 #include "baselines/list_scheduler.h"
 #include "dag/generators.h"
-#include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "util/parse_error.h"
 #include "workload/scenarios.h"
 #include "workload/workload_io.h"
@@ -128,7 +128,8 @@ TEST(WorkloadIo, LoadedInstanceSchedulesIdentically) {
     auto selector = make_selector(SelectorKind::kFifo);
     SimOptions options;
     options.num_procs = 4;
-    return simulate(jobs, scheduler, *selector, options).total_profit;
+    return run_simulation(EngineKind::kEvent, jobs, scheduler, *selector,
+                          options).total_profit;
   };
   EXPECT_DOUBLE_EQ(run(original), run(loaded));
 }

@@ -2,7 +2,7 @@
 //
 // After a warmup run has grown every capacity -- the JobStateTable columns,
 // the unfolding BumpArena's coalesced chunk, the scheduler queue node pools,
-// the d-ary heaps, and the engines' member scratch -- a second run of the
+// the d-ary heaps, and the kernel's per-interval scratch -- a second run of the
 // same instance must perform ZERO heap allocations between its first and
 // last decision.  The global operator new below counts every allocation in
 // the process; the test compares the counter at the first and last observer
@@ -24,8 +24,7 @@
 #include "core/deadline_scheduler.h"
 #include "job/job.h"
 #include "obs/sink.h"
-#include "sim/event_engine.h"
-#include "sim/slot_engine.h"
+#include "sim/kernel/kernel.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 
@@ -99,17 +98,17 @@ JobSet workload() {
   return jobs;
 }
 
-/// Runs `engine` twice; asserts the allocation counter does not move
-/// between the first and last decision of the second (warm) run.
-template <typename Engine>
-void expect_zero_steady_state_allocs(Engine& engine, std::size_t& first,
-                                     std::size_t& last, bool& armed) {
-  const SimResult warmup = engine.run();
+/// Runs `kernel` twice under `kind`; asserts the allocation counter does not
+/// move between the first and last decision of the second (warm) run.
+void expect_zero_steady_state_allocs(SimKernel& kernel, EngineKind kind,
+                                     std::size_t& first, std::size_t& last,
+                                     bool& armed) {
+  const SimResult warmup = kernel.run(kind);
   ASSERT_EQ(warmup.failure, SimFailureKind::kNone);
   ASSERT_GT(warmup.decisions, 0u);
 
   armed = false;
-  const SimResult warm = engine.run();
+  const SimResult warm = kernel.run(kind);
   ASSERT_EQ(warm.failure, SimFailureKind::kNone);
   ASSERT_TRUE(armed);
   EXPECT_EQ(last - first, 0u)
@@ -140,9 +139,10 @@ TEST(ZeroAlloc, EventEnginePaperS) {
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;
-  EventEngine engine(jobs, scheduler, *selector,
-                     make_options(first, last, armed));
-  expect_zero_steady_state_allocs(engine, first, last, armed);
+  SimKernel kernel(jobs, scheduler, *selector,
+                   make_options(first, last, armed));
+  expect_zero_steady_state_allocs(kernel, EngineKind::kEvent, first, last,
+                                  armed);
 }
 
 TEST(ZeroAlloc, EventEngineEdf) {
@@ -151,9 +151,10 @@ TEST(ZeroAlloc, EventEngineEdf) {
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;
-  EventEngine engine(jobs, scheduler, *selector,
-                     make_options(first, last, armed));
-  expect_zero_steady_state_allocs(engine, first, last, armed);
+  SimKernel kernel(jobs, scheduler, *selector,
+                   make_options(first, last, armed));
+  expect_zero_steady_state_allocs(kernel, EngineKind::kEvent, first, last,
+                                  armed);
 }
 
 // A sweep cell attaches a registry and no event log: counting each
@@ -169,8 +170,9 @@ TEST(ZeroAlloc, EventEnginePaperSWithRegistryOnly) {
   sink.metrics = &registry;
   SimOptions options = make_options(first, last, armed);
   options.obs = &sink;
-  EventEngine engine(jobs, scheduler, *selector, options);
-  expect_zero_steady_state_allocs(engine, first, last, armed);
+  SimKernel kernel(jobs, scheduler, *selector, options);
+  expect_zero_steady_state_allocs(kernel, EngineKind::kEvent, first, last,
+                                  armed);
   EXPECT_GT(registry.counter("sched.drops.stale")->value(), 0.0);
 }
 
@@ -180,9 +182,10 @@ TEST(ZeroAlloc, SlotEnginePaperS) {
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;
-  SlotEngine engine(jobs, scheduler, *selector,
-                    make_options(first, last, armed));
-  expect_zero_steady_state_allocs(engine, first, last, armed);
+  SimKernel kernel(jobs, scheduler, *selector,
+                   make_options(first, last, armed));
+  expect_zero_steady_state_allocs(kernel, EngineKind::kSlot, first, last,
+                                  armed);
 }
 
 TEST(ZeroAlloc, SlotEngineEdf) {
@@ -191,9 +194,10 @@ TEST(ZeroAlloc, SlotEngineEdf) {
   auto selector = make_selector(SelectorKind::kFifo);
   std::size_t first = 0, last = 0;
   bool armed = false;
-  SlotEngine engine(jobs, scheduler, *selector,
-                    make_options(first, last, armed));
-  expect_zero_steady_state_allocs(engine, first, last, armed);
+  SimKernel kernel(jobs, scheduler, *selector,
+                   make_options(first, last, armed));
+  expect_zero_steady_state_allocs(kernel, EngineKind::kSlot, first, last,
+                                  armed);
 }
 
 }  // namespace

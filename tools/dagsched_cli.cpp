@@ -630,14 +630,8 @@ int cmd_run(ArgParser& args) {
     // Utilization sparkline over 60 windows.
     const std::vector<double> profile =
         utilization_profile(result.trace, m, result.end_time, 60);
-    static const char* kBars[] = {" ", ".", ":", "-", "=", "#", "%", "@"};
-    std::cout << "utilization:      [";
-    for (const double value : profile) {
-      const auto level = static_cast<std::size_t>(
-          std::min(7.0, std::max(0.0, value * 7.999)));
-      std::cout << kBars[level];
-    }
-    std::cout << "] over [0, " << result.end_time << ")\n";
+    std::cout << "utilization:      [" << sparkline(profile) << "] over [0, "
+              << result.end_time << ")\n";
   }
   if (!svg_path.empty()) {
     std::ofstream svg(svg_path);
