@@ -100,56 +100,129 @@ double DensityWindowIndex::load_at_least(Density v) const {
 
 bool DensityWindowIndex::admits(Density v, ProcCount n, double c,
                                 double cap) const {
-  AdmitCursor fresh;
-  return admits(v, n, c, cap, fresh);
+  AdmitWalk walk;
+  place_walk(walk, v, c);
+  settle_walk(walk, n, c, cap);
+  return walk.admits;
 }
 
-bool DensityWindowIndex::admits(Density v, ProcCount n, double c, double cap,
-                                AdmitCursor& cursor) const {
-  DS_CHECK(c > 1.0 && v > 0.0 && n >= 1);
+Density DensityWindowIndex::start_walk(AdmitWalk& walk, Density v,
+                                       ProcCount n, double c,
+                                       double cap) const {
+  place_walk(walk, v, c);
+  settle_walk(walk, n, c, cap);
+  return walk_break(walk, n, c, cap);
+}
+
+Density DensityWindowIndex::lower_walk(AdmitWalk& walk, Density v,
+                                       ProcCount n, double c,
+                                       double cap) const {
+  lower_positions(walk, v, c);
+  settle_walk(walk, n, c, cap);
+  return walk_break(walk, n, c, cap);
+}
+
+void DensityWindowIndex::place_walk(AdmitWalk& walk, Density v,
+                                    double c) const {
+  DS_CHECK(c > 1.0 && v > 0.0);
   const Density top = c * v;
   const Density bottom = v / c;
-  // The four bounds index the same members as at the cursor's density.
-  if (cursor.version == version_ && cursor.n == n && cursor.c == c &&
-      cursor.cap == cap && v <= cursor.v && cursor.below_v < v &&
-      cursor.below_top < top && cursor.below_bottom <= bottom &&
-      cursor.at_most_v <= v) {
-    return cursor.admits;
-  }
-  const std::size_t own_lo = lower_index(v);
-  const std::size_t own_hi = lower_index(top);
-  const std::size_t from = upper_index(bottom);
-  const std::size_t to = upper_index(v);
-  const auto below = [this](std::size_t i) {
-    return i == 0 ? -std::numeric_limits<Density>::infinity()
-                  : entries_[i - 1].v;
-  };
-  const double n_new = static_cast<double>(n);
-  const bool admitted = [&] {
-    if (prefix_version_ != version_) rebuild_prefix();
-    // The new job's own window [v, c*v).
-    if (prefix_[own_hi] - prefix_[own_lo] + n_new > cap) return false;
-    // Existing windows that gain the new member: starts v_j in (v/c, v].
-    // (Their windows [v_j, c*v_j) contain v exactly when v_j > v/c and
-    // v_j <= v.)
-    if (from >= to) return true;
-    ensure_windows(c);
-    for (std::size_t i = from; i < to; ++i) {
-      if (win_[i] + n_new > cap) return false;
+  // Each position counts the members that pass its search predicate,
+  // which hold on a prefix.  A few members are counted faster than
+  // searched: no branch depends on a density.
+  constexpr std::size_t kCountBelow = 16;
+  if (entries_.size() <= kCountBelow) {
+    std::uint32_t own_lo = 0;
+    std::uint32_t own_hi = 0;
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    for (const Entry& e : entries_) {
+      own_lo += e.v < v ? 1u : 0u;
+      own_hi += e.v < top ? 1u : 0u;
+      from += bottom < e.v ? 0u : 1u;
+      to += v < e.v ? 0u : 1u;
     }
-    return true;
-  }();
-  cursor = {.version = version_,
-            .n = n,
-            .c = c,
-            .cap = cap,
-            .v = v,
-            .below_v = below(own_lo),
-            .below_top = below(own_hi),
-            .below_bottom = below(from),
-            .at_most_v = below(to),
-            .admits = admitted};
-  return admitted;
+    walk = {.own_lo = own_lo, .own_hi = own_hi, .from = from, .to = to,
+            .clear = to, .admits = false};
+    return;
+  }
+  walk.own_lo = static_cast<std::uint32_t>(lower_index(v));
+  walk.own_hi = static_cast<std::uint32_t>(lower_index(top));
+  walk.from = static_cast<std::uint32_t>(upper_index(bottom));
+  walk.to = static_cast<std::uint32_t>(upper_index(v));
+  walk.clear = walk.to;
+}
+
+void DensityWindowIndex::lower_positions(AdmitWalk& walk, Density v,
+                                         double c) const {
+  // lower_index()'s `e.v < value` and upper_index()'s `value < e.v` hold
+  // on a prefix of the members, so stepping down while the member below
+  // fails them lands where the binary searches would.
+  const Density top = c * v;
+  const Density bottom = v / c;
+  const auto below = [this](std::uint32_t i) { return entries_[i - 1].v; };
+  while (walk.own_lo > 0 && !(below(walk.own_lo) < v)) --walk.own_lo;
+  while (walk.own_hi > 0 && !(below(walk.own_hi) < top)) --walk.own_hi;
+  while (walk.from > 0 && bottom < below(walk.from)) --walk.from;
+  while (walk.to > 0 && v < below(walk.to)) --walk.to;
+  walk.clear = std::min(walk.clear, walk.to);
+}
+
+void DensityWindowIndex::settle_walk(AdmitWalk& walk, ProcCount n, double c,
+                                     double cap) const {
+  DS_CHECK(n >= 1);
+  if (prefix_version_ != version_) rebuild_prefix();
+  const double n_new = static_cast<double>(n);
+  // The new job's own window [v, c*v).
+  if (prefix_[walk.own_hi] - prefix_[walk.own_lo] + n_new > cap) {
+    walk.admits = false;
+    return;
+  }
+  // Existing windows that gain the new member: starts v_j in (v/c, v].
+  // (Their windows [v_j, c*v_j) contain v exactly when v_j > v/c and
+  // v_j <= v.)  Those in [clear, to) are known to fit.
+  if (walk.clear > walk.from) ensure_windows(c);
+  while (walk.clear > walk.from && !(win_[walk.clear - 1] + n_new > cap)) {
+    --walk.clear;
+  }
+  walk.admits = walk.clear <= walk.from;
+}
+
+Density DensityWindowIndex::walk_break(AdmitWalk& walk, ProcCount n,
+                                       double c, double cap) const {
+  // The margin covers the rounding of c*v and v/c and of the products
+  // below, a few units in the last place each.
+  constexpr double kMargin = 1.0 + 0x1p-40;
+  constexpr Density kNever = -std::numeric_limits<Density>::infinity();
+  const double n_new = static_cast<double>(n);
+  // The tests settle_walk() makes, on other positions.
+  const auto fits = [&](std::uint32_t lo, std::uint32_t hi) {
+    return !(prefix_[hi] - prefix_[lo] + n_new > cap);
+  };
+  const auto over = [&](std::uint32_t i) { return win_[i] + n_new > cap; };
+  const auto at = [this](std::uint32_t i) { return entries_[i].v; };
+  if (!walk.admits && !fits(walk.own_lo, walk.own_hi)) {
+    // Refused by its own window, whose load only falls as members leave
+    // its top (c*v <= v_j): the answer holds until enough have left.
+    std::uint32_t hi = walk.own_hi;
+    while (hi > walk.own_lo && !fits(walk.own_lo, hi)) --hi;
+    return fits(walk.own_lo, hi) ? at(hi) / c * kMargin : kNever;
+  }
+  if (!walk.admits) {
+    // Refused by an over-cap window starting in (v/c, v]: the lowest such
+    // start stays there until v falls below it.
+    std::uint32_t low = walk.from;
+    while (!over(low)) ++low;
+    return at(low);
+  }
+  // Admitting: refused once an over-cap window's start enters (v/c, v], at
+  // v/c < v_j; the next is the first over-cap member below `from`, found
+  // by moving `clear` further down.  The own window cannot overfill first:
+  // its load is at most the window of its lowest member j, which is that
+  // load at v = v_j, and j's start was in (v/c, v] from v < c*v_j down.
+  if (walk.clear > 0) ensure_windows(c);
+  while (walk.clear > 0 && !over(walk.clear - 1)) --walk.clear;
+  return walk.clear > 0 ? at(walk.clear - 1) * c * kMargin : kNever;
 }
 
 double DensityWindowIndex::max_window_load(double c) const {

@@ -13,6 +13,16 @@
 // O(k) two-pointer sweep), so an admits() call costs O(log k + r) for the r
 // members in (v/c, v] rather than O(r log k).
 //
+// An AdmitWalk follows one (n, c, cap) query down a falling density on the
+// unchanged index, as the Section-5 deadline search does.  It keeps the four
+// positions admits() searches for, and lowering it steps each position down
+// with the same predicates, so its answer is admits()'s bit for bit and the
+// position steps of one walk cost O(k) in all.  Each step also returns a
+// break density: the answer holds at every lower density above it, so a
+// caller lowers a walk only once its density reaches the break.  A walk
+// left behind stays a valid starting point, since every position only
+// falls.  Finding the break reads the O(r) members near the windows' ends.
+//
 // Used both for queue Q of the Section-3 scheduler and for each per-slot
 // set J(t) of the Section-5 scheduler (Lemma 15 is the same condition).
 #pragma once
@@ -43,35 +53,43 @@ class DensityWindowIndex {
   /// Sum of requirements of members with density in [lo, hi).
   double window_load(Density lo, Density hi) const;
 
-  /// admits()'s last answer for one index.  The answer depends only on
-  /// where four bounds fall among the members: v and c*v (the new job's own
-  /// window) and v/c and v (the window starts that gain it).  A query with
-  /// the same (n, c, cap) on the unchanged index at a density no higher than
-  /// the last moves no bound, and so keeps the answer, until a bound reaches
-  /// the member just below it; admits() checks that in O(1) and otherwise
-  /// searches afresh.  A search that lowers v step by step re-checks a slot
-  /// cheaply this way.
-  struct AdmitCursor {
-    std::uint64_t version = 0;  // the index's version_ at the last search
-    ProcCount n = 0;
-    double c = 0.0;
-    double cap = 0.0;
-    Density v = 0.0;
-    // Density of the member just below each bound (-inf if none): the last
-    // one < v, < c*v, <= v/c and <= v.
-    Density below_v = 0.0;
-    Density below_top = 0.0;
-    Density below_bottom = 0.0;
-    Density at_most_v = 0.0;
-    bool admits = false;
-  };
-
   /// Would inserting (v, n) keep every window [v_j, c*v_j) over
   /// members ∪ {new} within `cap`?  (Condition (2) with cap = b*m.)
   bool admits(Density v, ProcCount n, double c, double cap) const;
-  /// The same answer, reusing the one `cursor` holds where it still stands.
-  bool admits(Density v, ProcCount n, double c, double cap,
-              AdmitCursor& cursor) const;
+
+  /// admits() for one (n, c, cap) at a density that only falls.  The answer
+  /// is a function of the members below four bounds: the count < v and
+  /// < c*v (the new job's own window), and <= v/c and <= v (the window
+  /// starts that gain it).
+  struct AdmitWalk {
+    std::uint32_t own_lo = 0;  // members < v
+    std::uint32_t own_hi = 0;  // members < c*v
+    std::uint32_t from = 0;    // members <= v/c
+    std::uint32_t to = 0;      // members <= v
+    /// No member in [clear, to) has a window load over cap - n.  Below
+    /// `from` only once the walk admits and its break has been sought.
+    std::uint32_t clear = 0;
+    bool admits = false;
+  };
+
+  /// Starts `walk` at density v; walk.admits is then admits(v, n, c, cap).
+  /// Returns the break density (-inf if the answer holds at every lower
+  /// density): the answer holds while v falls and stays above it.  As v
+  /// falls, members only enter the windows from below (the own window's
+  /// bottom v, and the v/c bound) and leave at the top (c*v, and v).
+  /// Entering members can only refuse the job and leaving ones only admit
+  /// it, so an admitting walk breaks where an over-cap window's start could
+  /// first enter (v/c, v], and a refusing one where enough members could
+  /// first have left to lift the refusal.  The c*v and v/c bounds carry a
+  /// small relative margin for rounding.
+  Density start_walk(AdmitWalk& walk, Density v, ProcCount n, double c,
+                     double cap) const;
+  /// Moves `walk` down to v, no higher than the density it was last at, on
+  /// the index it was started on, unchanged since; walk.admits is then
+  /// admits(v, n, c, cap).  Returns the new break density.  Each position
+  /// and `clear` only fall, so the steps of one walk cost O(k) in all.
+  Density lower_walk(AdmitWalk& walk, Density v, ProcCount n, double c,
+                     double cap) const;
 
   /// Max over members J_j of window_load(v_j, c*v_j): the quantity
   /// Observation 3 / Lemma 15 bound by b*m.  O(k), from the window cache.
@@ -95,6 +113,16 @@ class DensityWindowIndex {
   };
 
   void rebuild_prefix() const;
+  /// Sets walk's positions for density v: counted for a few members,
+  /// binary-searched for more.
+  void place_walk(AdmitWalk& walk, Density v, double c) const;
+  /// Steps walk's positions down to density v.
+  void lower_positions(AdmitWalk& walk, Density v, double c) const;
+  /// Sets walk.admits from its positions, moving `clear` down as needed.
+  void settle_walk(AdmitWalk& walk, ProcCount n, double c, double cap) const;
+  /// The break density of a settled walk (see start_walk()).
+  Density walk_break(AdmitWalk& walk, ProcCount n, double c,
+                     double cap) const;
   /// Brings win_ up to date for `c` (no-op when it already is).
   void ensure_windows(double c) const;
   /// First member with density >= v, and with density > v.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 
 #include "obs/sink.h"
 #include "util/check.h"
@@ -10,6 +11,12 @@
 #include "util/wire.h"
 
 namespace dagsched {
+
+namespace {
+// Pruned slot nodes kept for reuse.  decide() prunes in bursts after the
+// engine skips idle slots, and a job's pinning adds a few dozen slots.
+constexpr std::size_t kSpareSlots = 256;
+}  // namespace
 
 ProfitScheduler::ProfitScheduler(ProfitSchedulerOptions options)
     : options_(std::move(options)) {
@@ -26,6 +33,7 @@ std::string ProfitScheduler::name() const {
 
 void ProfitScheduler::reset() {
   slots_.clear();
+  spare_slots_.clear();
   info_.clear();
   work_order_.clear();
   cap_ = 0.0;
@@ -39,6 +47,17 @@ void ProfitScheduler::insert_slot_job(SlotInfo& slot, JobId job) {
         return DensityDescIdAsc{}({info_[lhs].v, lhs}, {info_[rhs].v, rhs});
       });
   slot.jobs.insert(pos, job);
+}
+
+ProfitScheduler::SlotMap::iterator ProfitScheduler::add_slot(
+    SlotMap::const_iterator hint, std::uint64_t t) {
+  if (spare_slots_.empty()) return slots_.try_emplace(hint, t);
+  SlotMap::node_type node = std::move(spare_slots_.back());
+  spare_slots_.pop_back();
+  node.key() = t;
+  node.mapped().index.clear();
+  node.mapped().jobs.clear();
+  return slots_.insert(hint, std::move(node));
 }
 
 void ProfitScheduler::release_slots(JobId job, std::uint64_t from) {
@@ -99,75 +118,89 @@ void ProfitScheduler::on_arrival(const EngineContext& ctx, JobId job) {
                               std::floor(profit.support_end() + kEps)));
   }
 
-  // The window's slot indexes, resolved once per arrival and extended as
-  // the deadline grows: window_[t - first_slot] is slot t's index with its
-  // admits() cursor.  Map nodes stay put and the indexes unchanged during
-  // the search, and v only falls as D grows, so a slot's cursor keeps its
-  // answer until v, c*v or v/c passes one of the slot's jobs.
+  // The window, resolved from the slot map once per arrival and extended
+  // as the deadline grows: window_[t - first_slot] is slot t's index with
+  // the walk of its answer, and window_break_ the walk's break density.
+  // Map nodes stay put and the indexes unchanged during the search, and v
+  // only falls as D grows (p_i does not increase), so a density change
+  // re-checks only the slots whose break density the new v reaches, and
+  // none while v is above them all (brk_max); `usable` counts the slots
+  // whose answer admits the job.
   window_.clear();
+  window_break_.clear();
   auto next_slot = slots_.lower_bound(first_slot);
   const double c = options_.params.c;
-  const auto admits = [&](std::uint64_t t, Density v) {
-    WindowSlot& slot = window_[t - first_slot];
-    // Empty slot: only the job's own window matters.
-    if (slot.index == nullptr) return static_cast<double>(n) <= cap_;
-    return slot.index->admits(v, n, c, cap_, slot.cursor);
+  std::size_t usable = 0;
+  Density brk_max = -std::numeric_limits<Density>::infinity();
+  Density v_last = std::numeric_limits<Density>::infinity();
+  const auto recount = [&usable](bool was, bool now) {
+    if (now && !was) ++usable;
+    if (was && !now) --usable;
   };
 
-  std::vector<std::uint64_t> assignable;
   Profit last_profit = -1.0;
-  std::uint64_t scanned_until = first_slot;  // exclusive end of last scan
-  Profit p_at_d = profit.at(static_cast<Time>(d_lo));
-  Profit p_next = 0.0;
-  for (std::uint64_t d = d_lo; d <= d_hi; ++d, p_at_d = p_next) {
+  for (std::uint64_t d = d_lo; d <= d_hi; ++d) {
+    const Profit p_at_d = profit.at(static_cast<Time>(d));
     if (!(p_at_d > 0.0)) break;  // zero profit => zero density => stop
-    p_next = d < d_hi ? profit.at(static_cast<Time>(d + 1)) : 0.0;
     const Density v = p_at_d / xn;
     // Absolute end (exclusive) of the window [r, r + d).
     const auto end_slot = static_cast<std::uint64_t>(
         std::floor(view.release() + static_cast<double>(d) + kEps));
     if (end_slot <= first_slot) continue;
-    while (first_slot + window_.size() < end_slot) {
-      const std::uint64_t t = first_slot + window_.size();
-      if (next_slot != slots_.end() && next_slot->first == t) {
-        window_.push_back({&next_slot->second.index, {}});
-        ++next_slot;
-      } else {
-        window_.push_back({nullptr, {}});
+    DS_CHECK_MSG(v <= v_last, "profit of job " << job << " rises at D=" << d);
+    v_last = v;
+
+    // Density changed: the slots seen so far answer at the new density.
+    // Density unchanged: they keep the answers of the density they were
+    // checked at, and only the newly exposed slots are checked.
+    if (!approx_eq(p_at_d, last_profit) && v <= brk_max) {
+      brk_max = -std::numeric_limits<Density>::infinity();
+      for (std::size_t i = 0; i < window_.size(); ++i) {
+        if (window_break_[i] >= v) {
+          WindowSlot& slot = window_[i];
+          const bool was = slot.walk.admits;
+          window_break_[i] = slot.index->lower_walk(slot.walk, v, n, c, cap_);
+          recount(was, slot.walk.admits);
+        }
+        brk_max = std::max(brk_max, window_break_[i]);
       }
     }
-
-    // Density unchanged: the previous scan is still valid; only the newly
-    // exposed slots need checking.  Density changed: rescan the whole
-    // window under the new density.
-    std::uint64_t scan = scanned_until;
-    if (!approx_eq(p_at_d, last_profit)) {
-      assignable.clear();
-      scan = first_slot;
-    }
-    // When the next deadline rescans anyway (or this is the last one), this
-    // list is never read again, so the scan stops once even an all-admitting
-    // remainder could not reach `needed`.
-    const bool list_dies = d == d_hi || !approx_eq(p_next, p_at_d);
-    for (; scan < end_slot; ++scan) {
-      if (list_dies && assignable.size() + (end_slot - scan) < needed) break;
-      if (admits(scan, v)) assignable.push_back(scan);
+    while (first_slot + window_.size() < end_slot) {
+      const std::uint64_t t = first_slot + window_.size();
+      WindowSlot& slot = window_.emplace_back();
+      Density brk = -std::numeric_limits<Density>::infinity();
+      if (next_slot != slots_.end() && next_slot->first == t) {
+        slot.index = &next_slot->second.index;
+        brk = slot.index->start_walk(slot.walk, v, n, c, cap_);
+        ++next_slot;
+      } else {
+        // Empty slot: only the job's own window matters.
+        slot.walk.admits = static_cast<double>(n) <= cap_;
+      }
+      window_break_.push_back(brk);
+      brk_max = std::max(brk_max, brk);
+      recount(false, slot.walk.admits);
     }
     last_profit = p_at_d;
-    scanned_until = end_slot;
 
-    if (assignable.size() >= needed) {
+    if (usable >= needed) {
       // Minimal valid deadline found: pin the job.
       info.deadline = static_cast<Time>(d);
       info.v = v;
-      info.assigned = std::move(assignable);
+      info.assigned.reserve(usable);
+      for (std::size_t i = 0; i < window_.size(); ++i) {
+        if (window_[i].walk.admits) info.assigned.push_back(first_slot + i);
+      }
       info.scheduled = true;
       ++scheduled_count_;
       scheduled_profit_ += p_at_d;
+      // One hinted pass over the slot map: `at` is the first slot >= t.
+      auto at = slots_.lower_bound(info.assigned.front());
       for (const std::uint64_t t : info.assigned) {
-        SlotInfo& slot = slots_[t];
-        slot.index.insert(job, v, n);
-        insert_slot_job(slot, job);
+        while (at != slots_.end() && at->first < t) ++at;
+        if (at == slots_.end() || at->first != t) at = add_slot(at, t);
+        at->second.index.insert(job, v, n);
+        insert_slot_job(at->second, job);
       }
       work_order_.emplace(v, job);
       if (ctx.obs() != nullptr) {
@@ -242,8 +275,16 @@ void ProfitScheduler::decide(const EngineContext& ctx, Assignment& out) {
                "ProfitScheduler requires the SlotEngine (decide at t="
                    << ctx.now() << ")");
   const auto slot = static_cast<std::uint64_t>(std::floor(ctx.now() + kEps));
-  // Prune history so the map stays proportional to the lookahead.
-  slots_.erase(slots_.begin(), slots_.lower_bound(slot));
+  // Prune history so the map stays proportional to the lookahead.  A few
+  // pruned nodes keep their capacity for the slots pinned next.
+  const auto past_end = slots_.lower_bound(slot);
+  while (slots_.begin() != past_end) {
+    if (spare_slots_.size() < kSpareSlots) {
+      spare_slots_.push_back(slots_.extract(slots_.begin()));
+    } else {
+      slots_.erase(slots_.begin());
+    }
+  }
 
   const auto it = slots_.find(slot);
 
@@ -391,12 +432,8 @@ Time ProfitScheduler::next_wakeup(const EngineContext& ctx) const {
   const auto slot = static_cast<std::uint64_t>(std::floor(ctx.now() + kEps));
   if (options_.work_conserving) {
     // Opportunistic mode can make progress in any slot while a scheduled
-    // job remains unfinished.
-    for (const JobInfo& info : info_) {
-      if (info.scheduled && !info.completed) {
-        return static_cast<Time>(slot + 1);
-      }
-    }
+    // job remains unfinished: work_order_ holds exactly those jobs.
+    if (!work_order_.empty()) return static_cast<Time>(slot + 1);
   }
   // Later slots hold no completed job: completion released them.
   for (auto it = slots_.upper_bound(slot); it != slots_.end(); ++it) {
@@ -443,15 +480,21 @@ std::size_t ProfitScheduler::memory_bytes() const {
   // plus each slot's job vector and window index; then the work-conserving
   // order set, per-job info, the search window, and assigned-slot lists.
   std::size_t bytes = 0;
-  for (const auto& [slot, slot_info] : slots_) {
-    bytes += sizeof(std::uint64_t) + sizeof(SlotInfo) + 4 * sizeof(void*) +
-             slot_info.jobs.capacity() * sizeof(JobId) +
-             slot_info.index.memory_bytes();
+  const auto slot_bytes = [](const SlotInfo& slot_info) {
+    return sizeof(std::uint64_t) + sizeof(SlotInfo) + 4 * sizeof(void*) +
+           slot_info.jobs.capacity() * sizeof(JobId) +
+           slot_info.index.memory_bytes();
+  };
+  for (const auto& [slot, slot_info] : slots_) bytes += slot_bytes(slot_info);
+  for (const SlotMap::node_type& node : spare_slots_) {
+    bytes += slot_bytes(node.mapped());
   }
+  bytes += spare_slots_.capacity() * sizeof(SlotMap::node_type);
   bytes += work_order_.size() *
            (sizeof(std::pair<Density, JobId>) + 4 * sizeof(void*));
   bytes += info_.capacity() * sizeof(JobInfo) +
-           window_.capacity() * sizeof(WindowSlot);
+           window_.capacity() * sizeof(WindowSlot) +
+           window_break_.capacity() * sizeof(Density);
   for (const JobInfo& info : info_) {
     bytes += info.assigned.capacity() * sizeof(std::uint64_t);
   }

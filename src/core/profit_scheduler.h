@@ -15,17 +15,21 @@
 //  * Slots are the unit intervals of the slot engine; this scheduler requires
 //    the slot engine (decide() is called once per slot).
 //  * While p_i(D) is flat in D (the plateau, or a piecewise level) the scan
-//    extends incrementally; when p_i(D) changes, the density changes and the
-//    window is rescanned from scratch for that D.  A scan whose list the
-//    next D discards (p_i(D+1) differs, or D is the last candidate) stops
-//    as soon as the slots left cannot make up ceil((1+delta) x_i).  The
-//    window's slot indexes are resolved from the slot map once per arrival,
-//    each with a DensityWindowIndex::AdmitCursor: re-checking a slot at the
-//    next, lower density is O(1) until v, c*v or v/c passes one of the
-//    slot's k jobs, and O(log k + r) otherwise.  Per arrival the search
-//    makes one check per slot scanned, summed over D: up to O(D_i^2) when
-//    p_i decays every slot and the job ends unscheduled
+//    extends incrementally; when p_i(D) changes, the density changes and
+//    every slot of the window answers at the new density.  The window is
+//    resolved from the slot map once per arrival into flat arrays indexed
+//    by slot offset: each slot's DensityWindowIndex::AdmitWalk (its answer
+//    and the four member positions admits() searches for) and its break
+//    density, above which its answer cannot change.  A density change
+//    walks down only the slots whose break it reaches, in one pass over the
+//    break densities, and skips the pass while it is above them all; a
+//    running count of usable slots replaces the assignable list, and a
+//    newly exposed slot costs one admits().  The count is exact at every D,
+//    so no scan is cut short.  Up to O(D_i^2) break comparisons remain per
+//    arrival when p_i decays every slot and the job ends unscheduled
 //    (docs/PERFORMANCE.md).
+//  * Pinning walks the slot map once, in slot order, and a slot it adds
+//    reuses a node decide() pruned, with its vectors' capacity.
 //  * Jobs whose profit support is exhausted before any valid D exist are
 //    left unscheduled (with an unbounded-support profit function this cannot
 //    happen -- the paper's "a valid assignment always exists").
@@ -135,25 +139,35 @@ class ProfitScheduler final : public SchedulerBase {
 
   /// One slot of the window an arrival's deadline search scans.
   struct WindowSlot {
-    const DensityWindowIndex* index;  // null: no job assigned to the slot
-    DensityWindowIndex::AdmitCursor cursor;
+    const DensityWindowIndex* index = nullptr;  // null: no job in the slot
+    DensityWindowIndex::AdmitWalk walk;
   };
 
+  using SlotMap = std::map<std::uint64_t, SlotInfo>;
+
+  /// Adds an empty slot t just before `hint`, reusing a pruned node.
+  SlotMap::iterator add_slot(SlotMap::const_iterator hint, std::uint64_t t);
   /// Insert into slot.jobs keeping the (density desc, id asc) order.
   void insert_slot_job(SlotInfo& slot, JobId job);
   /// Remove `job` from each of its assigned slots t >= `from`.
   void release_slots(JobId job, std::uint64_t from);
 
   ProfitSchedulerOptions options_;
-  std::map<std::uint64_t, SlotInfo> slots_;
+  SlotMap slots_;
+  /// Nodes decide() pruned from slots_, kept with their vectors' capacity
+  /// for the slots pinning adds.
+  std::vector<SlotMap::node_type> spare_slots_;
   /// Scheduled, unfinished jobs in (density desc, id asc) order -- the
   /// work-conserving fill order, maintained incrementally instead of
   /// re-scanning and sorting every job per decision.
   std::set<std::pair<Density, JobId>, DensityDescIdAsc> work_order_;
   std::vector<JobInfo> info_;
-  /// on_arrival's search window.  Its index pointers are only read during
-  /// that call; the vector is kept between arrivals for its capacity.
+  /// on_arrival's search window and, per slot, the break density of its
+  /// walk (-inf for a slot with no index).  The index pointers are only
+  /// read during that call; the vectors are kept between arrivals for their
+  /// capacity.
   std::vector<WindowSlot> window_;
+  std::vector<Density> window_break_;
   double cap_ = 0.0;  // b*m for the current m (set on arrival and churn)
   std::size_t scheduled_count_ = 0;
   Profit scheduled_profit_ = 0.0;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/density_index.h"
@@ -145,10 +148,9 @@ double brute_max_window(const std::vector<std::pair<Density, double>>& members,
 }
 
 // The cached per-member window loads are keyed on c and dropped by every
-// mutation, and admits() cursors keep an answer only while it stands.
-// Interleave inserts, erases and queries under two alternating c values,
-// with densities drawn from a small pool so duplicates are common; every
-// answer must match the brute force, with and without a cursor.
+// mutation.  Interleave inserts, erases and queries under two alternating c
+// values, with densities drawn from a small pool so duplicates are common;
+// every answer must match the brute force.
 TEST_P(DensityIndexFuzz, CachesFollowMutationsAndC) {
   Rng rng(GetParam());
   const double c_small = rng.uniform(1.5, 4.0);
@@ -165,9 +167,6 @@ TEST_P(DensityIndexFuzz, CachesFollowMutationsAndC) {
   std::vector<std::pair<Density, double>> members;
   std::vector<JobId> ids;
   JobId next_id = 0;
-  // One cursor per c and one shared by both, all kept throughout.
-  DensityWindowIndex::AdmitCursor cursors[2];
-  DensityWindowIndex::AdmitCursor shared;
 
   for (int step = 0; step < 600; ++step) {
     const int which = step % 2;
@@ -192,7 +191,7 @@ TEST_P(DensityIndexFuzz, CachesFollowMutationsAndC) {
     }
     // A run of queries at falling densities, as the profit search makes:
     // pool values (hitting duplicates and window edges exactly) and values
-    // in between, through the cursor and without it.
+    // in between.
     const auto n = static_cast<ProcCount>(rng.uniform_int(1, 4));
     Density v = 10.5;
     for (int q = 0; q < 6; ++q) {
@@ -200,40 +199,94 @@ TEST_P(DensityIndexFuzz, CachesFollowMutationsAndC) {
       const bool expected = brute_admits(members, v, n, c, cap);
       ASSERT_EQ(index.admits(v, n, c, cap), expected)
           << "step " << step << " v=" << v << " n=" << n << " c=" << c;
-      ASSERT_EQ(index.admits(v, n, c, cap, cursors[which]), expected)
-          << "cursor, step " << step << " v=" << v << " n=" << n
-          << " c=" << c;
-      ASSERT_EQ(index.admits(v, n, c, cap, shared), expected)
-          << "shared cursor, step " << step << " v=" << v << " n=" << n
-          << " c=" << c;
     }
     ASSERT_DOUBLE_EQ(index.max_window_load(c), brute_max_window(members, c))
         << "step " << step << " c=" << c;
   }
 }
 
-TEST(DensityIndex, CursorAnswersRisingDensities) {
-  // A cursor left at a low density must not keep its answer for a higher
-  // one: window [1, 2) holds 6 of cap 8, so density 1.5 (inside it) fails
-  // for n = 3 while 0.4 (own window [0.4, 0.8) empty) and 2.5 pass.
-  DensityWindowIndex index;
-  index.insert(0, 1.0, 6);
-  DensityWindowIndex::AdmitCursor cursor;
-  EXPECT_TRUE(index.admits(0.4, 3, 2.0, 8.0, cursor));
-  EXPECT_FALSE(index.admits(1.5, 3, 2.0, 8.0, cursor));
-  EXPECT_TRUE(index.admits(2.5, 3, 2.0, 8.0, cursor));
-  // Falling again, across the member at 1.0.
-  EXPECT_FALSE(index.admits(1.0, 3, 2.0, 8.0, cursor));
-  EXPECT_TRUE(index.admits(0.45, 3, 2.0, 8.0, cursor));
-  // A mutation drops the cursor's answer: 1.1 moves no bound past 1.2's,
-  // but the member is gone.
-  EXPECT_FALSE(index.admits(1.2, 3, 2.0, 8.0, cursor));
-  index.erase(0);
-  EXPECT_TRUE(index.admits(1.1, 3, 2.0, 8.0, cursor));
-  // So do another requirement and another cap.
-  EXPECT_FALSE(index.admits(1.05, 9, 2.0, 8.0, cursor));
-  EXPECT_TRUE(index.admits(1.04, 3, 2.0, 8.0, cursor));
-  EXPECT_FALSE(index.admits(1.03, 3, 2.0, 2.0, cursor));
+// An AdmitWalk must answer as admits() does at every density of a falling
+// run.  A run either lowers the walk at every step, and then a step to a
+// density above the break must keep the answer, or, as the profit search
+// does, only once the density reaches the break, and then must still hold
+// admits()'s answer in between.  Every lowering must land on the positions
+// a fresh start_walk() finds.  With c = 2 and power-of-two densities, v,
+// c*v and v/c land exactly on members; with an arbitrary c, the queries one
+// ulp either side of each member times c and over c probe the break
+// density's rounding margin.
+TEST_P(DensityIndexFuzz, WalkMatchesAdmitsAtFallingDensities) {
+  Rng rng(GetParam());
+  for (const bool exact : {true, false}) {
+    const double c = exact ? 2.0 : rng.uniform(1.2, 6.0);
+    const double cap = static_cast<double>(rng.uniform_int(4, 16));
+    std::vector<Density> pool;
+    for (int i = 0; i < 8; ++i) {
+      pool.push_back(exact ? std::ldexp(1.0, i - 4) : rng.uniform(0.05, 10.0));
+    }
+    DensityWindowIndex index;
+    std::vector<std::pair<Density, double>> members;
+    for (JobId id = 0; id < 40; ++id) {
+      const Density v = pool[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+      const auto n = static_cast<ProcCount>(rng.uniform_int(1, 4));
+      if (brute_admits(members, v, n, c, cap)) {
+        index.insert(id, v, n);
+        members.emplace_back(v, static_cast<double>(n));
+      }
+    }
+    std::vector<Density> probes;
+    for (const Density e : pool) {
+      for (const Density x : {e, e * c, e / c}) {
+        probes.push_back(x);
+        probes.push_back(std::nextafter(x, 0.0));
+        probes.push_back(
+            std::nextafter(x, std::numeric_limits<Density>::infinity()));
+      }
+    }
+    std::sort(probes.begin(), probes.end(), std::greater<>());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+    for (int run = 0; run < 24; ++run) {
+      const auto n = static_cast<ProcCount>(rng.uniform_int(1, 4));
+      const bool every_step = run % 2 == 0;
+      DensityWindowIndex::AdmitWalk walk;
+      Density brk = 0.0;
+      bool started = false;
+      for (const Density v : probes) {
+        if (!rng.bernoulli(0.4)) continue;
+        // One ulp off a window edge, admits()'s v/c test and the brute
+        // force's v < c*v_j can round apart; with c = 2 both are exact.
+        const bool expected = index.admits(v, n, c, cap);
+        if (exact) {
+          ASSERT_EQ(expected, brute_admits(members, v, n, c, cap))
+              << "v=" << v << " n=" << n;
+        }
+        if (!started) {
+          brk = index.start_walk(walk, v, n, c, cap);
+          started = true;
+        } else if (v > brk && !every_step) {
+          ASSERT_EQ(walk.admits, expected)
+              << "held above break " << brk << ", v=" << v << " n=" << n;
+          continue;
+        } else {
+          const bool before = walk.admits;
+          const bool above_break = v > brk;
+          brk = index.lower_walk(walk, v, n, c, cap);
+          if (above_break) {
+            ASSERT_EQ(walk.admits, before) << "v=" << v << " n=" << n;
+          }
+        }
+        DensityWindowIndex::AdmitWalk fresh;
+        index.start_walk(fresh, v, n, c, cap);
+        ASSERT_EQ(walk.admits, expected) << "v=" << v << " n=" << n;
+        ASSERT_EQ(fresh.admits, expected) << "v=" << v << " n=" << n;
+        ASSERT_EQ(walk.own_lo, fresh.own_lo) << "v=" << v;
+        ASSERT_EQ(walk.own_hi, fresh.own_hi) << "v=" << v;
+        ASSERT_EQ(walk.from, fresh.from) << "v=" << v;
+        ASSERT_EQ(walk.to, fresh.to) << "v=" << v;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DensityIndexFuzz,

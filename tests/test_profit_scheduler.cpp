@@ -196,8 +196,8 @@ TEST(ProfitScheduler, SlotReleaseAblationBothWork) {
 // The minimal-valid-deadline search, written out literally: every slot check
 // looks the slot up by key and tests condition (2) over all of J(t) + {J_i}
 // by brute force, and every change of p_i(D) rescans the whole window.  The
-// scheduler's search (resolved window, pruned rescans, cached window loads)
-// must choose the same deadline and the same slots for every job.
+// scheduler's search (resolved window, walked slot answers, cached window
+// loads) must choose the same deadline and the same slots for every job.
 
 struct SearchChoice {
   Time deadline = kTimeInfinity;
@@ -352,11 +352,56 @@ JobSet with_piecewise_profits(const JobSet& jobs, Rng& rng) {
   return out;
 }
 
+/// One-slot levels after the plateau (0, t] at `p` that mostly fall by less
+/// than approx_eq's tolerance, with a real drop now and then: runs of
+/// equal-profit steps keep answers checked at several densities, and the
+/// next drop rescans from all of them.
+ProfitFn fine_staircase(Profit p, Time t, Rng& rng) {
+  std::vector<std::pair<Time, Profit>> levels = {{t, p}};
+  for (int k = 0; k < 30; ++k) {
+    t += 1.0;
+    p *= rng.bernoulli(0.25) ? rng.uniform(0.6, 0.95)
+                             : 1.0 - rng.uniform(1e-10, 6e-10);
+    levels.emplace_back(t, p);
+  }
+  return ProfitFn::piecewise(std::move(levels));
+}
+
+/// Replaces each job's decay with a fine_staircase().
+JobSet with_fine_staircase_profits(const JobSet& jobs, Rng& rng) {
+  JobSet out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    out.add(Job(job.dag_ptr(), job.release(),
+                fine_staircase(job.profit().peak(),
+                               job.profit().plateau_end(), rng)));
+  }
+  out.finalize();
+  return out;
+}
+
+/// Gives every job the first job's DAG and one shared fine_staircase():
+/// every job has the same n_i and x_i, so the scheduled ones share a few
+/// dozen densities, and a new job's v, c*v and v/c meet ties among a
+/// slot's members, also within a run of equal-profit steps.
+JobSet with_shared_dag_and_profit(const JobSet& jobs, Rng& rng) {
+  const Job& first = jobs[0];
+  const ProfitFn profit =
+      fine_staircase(first.profit().peak(), first.profit().plateau_end(), rng);
+  JobSet out;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    out.add(Job(first.dag_ptr(), jobs[i].release(), profit));
+  }
+  out.finalize();
+  return out;
+}
+
 struct OracleCase {
   const char* name;
   ProfitPolicy::Shape shape;
   bool piecewise;
   bool churn;
+  JobSet (*rewrite)(const JobSet&, Rng&) = nullptr;  // after `piecewise`
 };
 
 void PrintTo(const OracleCase& param, std::ostream* os) { *os << param.name; }
@@ -371,6 +416,7 @@ TEST_P(ProfitSearchOracle, MatchesLiteralSearch) {
   config.horizon = 200.0;
   JobSet jobs = generate_workload(rng, config);
   if (param.piecewise) jobs = with_piecewise_profits(jobs, rng);
+  if (param.rewrite != nullptr) jobs = param.rewrite(jobs, rng);
 
   FaultPlanConfig fault_config;
   fault_config.seed = 9;
@@ -414,10 +460,54 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"piecewise", ProfitPolicy::Shape::kPlateauLinear, true,
                    false},
         OracleCase{"plateau_linear_churn", ProfitPolicy::Shape::kPlateauLinear,
-                   false, true}),
+                   false, true},
+        OracleCase{"fine_staircase", ProfitPolicy::Shape::kPlateauLinear,
+                   false, false, with_fine_staircase_profits},
+        OracleCase{"ties", ProfitPolicy::Shape::kPlateauLinear, false, false,
+                   with_shared_dag_and_profit}),
     [](const ::testing::TestParamInfo<OracleCase>& param_info) {
       return std::string(param_info.param.name);
     });
+
+// Inside a run of equal-profit steps the search keeps each slot's answer
+// from the density it was checked at, as the literal search does.  A and M
+// share the first slots; B's second level is 4e-10 below its first, inside
+// approx_eq's tolerance, and M's density lies between c times the two.  At
+// B's first level the shared slots refuse B (A, M and B in A's window); at
+// the second they would admit it (M has left B's own window), but the kept
+// refusal must stand.
+TEST(ProfitScheduler, EqualProfitRunKeepsEarlierAnswers) {
+  const ProcCount m = 16;
+  const ProfitSchedulerOptions options{.params = Params::from_epsilon(0.5)};
+  const double c = options.params.c;
+  const double cap = options.params.b * static_cast<double>(m);
+  auto dag = share(make_parallel_block(43, 1.0));
+  const Time plateau = 10.0;
+  const Profit p = 1.0;
+  JobSet jobs;
+  jobs.add(Job(dag, 0.0, ProfitFn::step(p, plateau)));
+  jobs.add(Job(dag, 0.0, ProfitFn::step(c * p * (1.0 - 2e-10), plateau)));
+  jobs.add(Job(dag, 0.0,
+               ProfitFn::piecewise({{plateau, p},
+                                    {plateau + 1.0, p * (1.0 - 4e-10)},
+                                    {plateau + 40.0, p / 2.0}})));
+  jobs.finalize();
+  const JobAllocation alloc = compute_profit_allocation(
+      dag->total_work(), dag->span(), plateau, options.params, 1.0);
+  const double n = static_cast<double>(alloc.n);
+  ASSERT_TRUE(2.0 * n <= cap && 3.0 * n > cap) << "n=" << n << " cap=" << cap;
+
+  ProfitScheduler scheduler(options);
+  SearchOracle oracle(scheduler, options.max_search_slots);
+  auto sel = make_selector(SelectorKind::kFifo);
+  SimOptions sim;
+  sim.num_procs = m;
+  run_simulation(EngineKind::kSlot, jobs, oracle, *sel, sim);
+  EXPECT_EQ(oracle.scheduled, 3u);
+  // B waited past its second level: the shared slots stayed refused there.
+  EXPECT_GT(scheduler.chosen_deadline(2), plateau + 1.0);
+  EXPECT_EQ(scheduler.assigned_slots(0), scheduler.assigned_slots(1));
+}
 
 }  // namespace
 }  // namespace dagsched

@@ -1,7 +1,11 @@
 // Work-conserving extension of the Section-5 scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
@@ -67,6 +71,93 @@ TEST(ProfitWorkConserving, NeverWorseOnScenarioWorkloads) {
     // beyond noise on these benign instances.
     EXPECT_GE(wc.total_profit, 0.95 * plain.total_profit) << seed;
     EXPECT_GE(wc.jobs_completed + 1, plain.jobs_completed) << seed;
+  }
+}
+
+/// Drives a ProfitScheduler and, at every decision and after every
+/// completion, compares its next_wakeup() with one derived from the jobs'
+/// pinnings: the next slot while a pinned job is unfinished under work
+/// conservation, otherwise the first later slot a pinned, unfinished job is
+/// assigned to, or infinity.
+class WakeupProbe final : public SchedulerBase {
+ public:
+  explicit WakeupProbe(ProfitScheduler& inner, bool work_conserving)
+      : inner_(inner), work_conserving_(work_conserving) {}
+
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  void on_arrival(const EngineContext& ctx, JobId job) override {
+    inner_.on_arrival(ctx, job);
+    if (inner_.chosen_deadline(job) < kTimeInfinity) pinned_.push_back(job);
+  }
+  void on_completion(const EngineContext& ctx, JobId job) override {
+    inner_.on_completion(ctx, job);
+    std::erase(pinned_, job);
+    check(ctx);
+  }
+  void decide(const EngineContext& ctx, Assignment& out) override {
+    check(ctx);
+    inner_.decide(ctx, out);
+  }
+  Time next_wakeup(const EngineContext& ctx) const override {
+    return inner_.next_wakeup(ctx);
+  }
+
+  std::size_t next_slot_answers = 0;
+  std::size_t pinned_slot_answers = 0;
+  std::size_t infinite_answers = 0;
+
+ private:
+  void check(const EngineContext& ctx) {
+    const auto slot = static_cast<std::uint64_t>(std::floor(ctx.now() + kEps));
+    Time want = kTimeInfinity;
+    if (work_conserving_ && !pinned_.empty()) {
+      want = static_cast<Time>(slot + 1);
+      ++next_slot_answers;
+    } else {
+      for (const JobId job : pinned_) {
+        const std::vector<std::uint64_t>& slots = inner_.assigned_slots(job);
+        const auto later = std::upper_bound(slots.begin(), slots.end(), slot);
+        if (later != slots.end()) {
+          want = std::min(want, static_cast<Time>(*later));
+        }
+      }
+      ++(want < kTimeInfinity ? pinned_slot_answers : infinite_answers);
+    }
+    EXPECT_EQ(inner_.next_wakeup(ctx), want) << "t=" << ctx.now();
+  }
+
+  ProfitScheduler& inner_;
+  bool work_conserving_;
+  std::vector<JobId> pinned_;  // scheduled and not yet completed
+};
+
+TEST(ProfitWorkConserving, NextWakeupFollowsUnfinishedPinnedJobs) {
+  // Three jobs released together and one later, each pinned to its own
+  // slots: the probe sees pinned jobs unfinished, then none.
+  const ProcCount m = 16;
+  auto dag = share(make_parallel_block(12, 1.0));
+  JobSet jobs;
+  for (const Time release : {0.0, 0.0, 0.0, 30.0}) {
+    jobs.add(Job(dag, release, ProfitFn::plateau_exponential(5.0, 8.0, 0.2)));
+  }
+  jobs.finalize();
+  for (const bool work_conserving : {true, false}) {
+    ProfitScheduler scheduler({.params = Params::from_epsilon(0.5),
+                               .work_conserving = work_conserving});
+    WakeupProbe probe(scheduler, work_conserving);
+    auto selector = make_selector(SelectorKind::kFifo);
+    SimOptions options;
+    options.num_procs = m;
+    const SimResult result =
+        run_simulation(EngineKind::kSlot, jobs, probe, *selector, options);
+    EXPECT_EQ(result.jobs_completed, 4u) << work_conserving;
+    EXPECT_GT(probe.infinite_answers, 0u) << work_conserving;
+    if (work_conserving) {
+      EXPECT_GT(probe.next_slot_answers, 0u);
+    } else {
+      EXPECT_GT(probe.pinned_slot_answers, 0u);
+    }
   }
 }
 
