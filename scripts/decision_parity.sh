@@ -53,12 +53,15 @@ workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
 # Workloads: a deadline-heavy thm2 instance (exercises Q/P admission and
-# drains) and two profit-function instances for the Section-5 scheduler --
-# one at load 0.8 and one overloaded at 2.5, where most arrivals exhaust
-# their decay range without a valid deadline.
+# drains), the same scenario overloaded at load 4 (S parks most arrivals in
+# P and promotes dozens at completions), and two profit-function instances
+# for the Section-5 scheduler -- one at load 0.8 and one overloaded at 2.5,
+# where most arrivals exhaust their decay range without a valid deadline.
 gen_workloads() {
   "$cli" generate --scenario thm2 --load 0.9 --m 16 --horizon 400 --seed 7 \
     --out "$workdir/thm2.wl" >/dev/null
+  "$cli" generate --scenario thm2 --load 4 --m 16 --horizon 300 --seed 13 \
+    --out "$workdir/thm2-over.wl" >/dev/null
   "$cli" generate --scenario tight --load 1.4 --m 8 --horizon 300 --seed 11 \
     --out "$workdir/tight.wl" >/dev/null
   "$cli" generate --scenario profit --load 0.8 --m 16 --horizon 200 --seed 3 \
@@ -77,6 +80,10 @@ combos() {
   done
   echo "profit slot profit"
   echo "profit slot profit-over"
+  for s in s s-wc s-noadm; do
+    echo "$s event thm2-over"
+    echo "$s slot thm2-over"
+  done
 }
 
 fault_spec() {

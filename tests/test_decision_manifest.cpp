@@ -1,7 +1,7 @@
 // Golden decision manifest: every serial event log of the decision-parity
 // matrix (scripts/decision_parity.sh -- scheduler x engine x fault mode on
-// the thm2 seed 7, tight seed 11, profit seed 3 and overloaded profit seed 5
-// instances) must hash to the FNV-1a64 digest committed in
+// the thm2 seed 7, tight seed 11, profit seed 3, overloaded profit seed 5 and
+// overloaded thm2 seed 13 instances) must hash to the FNV-1a64 digest committed in
 // tests/golden/decision_manifest.txt.
 //
 // The parity script's emit/diff modes compare a change against itself; this
@@ -79,6 +79,7 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
        parity_instance(scenario_profit(0.5, 2.5, 16,
                                        ProfitPolicy::Shape::kPlateauLinear),
                        200.0, 5)},
+      {"thm2-over", parity_instance(scenario_thm2(0.5, 4.0, 16), 300.0, 13)},
   };
 
   // decision_parity.sh's combos(): the profit scheduler is slot-only.
@@ -91,6 +92,12 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
   }
   combos.emplace_back("profit", EngineKind::kSlot, "profit");
   combos.emplace_back("profit", EngineKind::kSlot, "profit-over");
+  // The overloaded thm2 instance exercises S's P drain (many promotions and
+  // window-full deferrals).
+  for (const char* name : {"s", "s-wc", "s-noadm"}) {
+    combos.emplace_back(name, EngineKind::kEvent, "thm2-over");
+    combos.emplace_back(name, EngineKind::kSlot, "thm2-over");
+  }
 
   // decision_parity.sh's fault_spec().
   const std::pair<std::string, std::string> fault_modes[] = {
@@ -117,7 +124,7 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
       cells.push_back(std::move(cell));
     }
   }
-  ASSERT_EQ(cells.size(), 96u);
+  ASSERT_EQ(cells.size(), 114u);
 
   SweepOptions options;
   options.threads = 2;
