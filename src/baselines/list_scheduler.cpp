@@ -159,8 +159,8 @@ void ListScheduler::decide(const EngineContext& ctx, Assignment& out) {
   }
 }
 
-// Static-key path: walk the maintained (key, id) order, shedding expired
-// jobs permanently as they are first seen.  Grants are identical to
+// Static-key path: walk the maintained (key, id) order, shedding jobs the
+// kernel has retired permanently as they are first seen.  Grants are identical to
 // decide_sorted -- the index holds exactly the active jobs minus
 // already-shed ones, in the order the sort would produce -- but a decision
 // costs O(grants + newly expired).
@@ -170,7 +170,7 @@ void ListScheduler::decide_indexed(const EngineContext& ctx, Assignment& out) {
   ProcCount free = ctx.num_procs();
   for (const auto& entry : order_index_) {
     const JobView view = ctx.view(entry.second);
-    if (view.deadline_unreachable(ctx.now())) {
+    if (!view.live()) {
       expired.push_back(entry);
       continue;
     }

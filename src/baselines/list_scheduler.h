@@ -95,9 +95,8 @@ class ListScheduler final : public SchedulerBase {
 
   ListSchedulerOptions options_;
   /// (key, id) ascending -- the same order decide_sorted's sort produces.
-  /// Static-key policies only; jobs dropped as expired are removed for
-  /// good (deadline_unreachable is monotone in time, so a skipped job can
-  /// never become runnable again).  Tree nodes are recycled through
+  /// Static-key policies only; jobs the kernel retired are removed for
+  /// good (a retired job never re-enters the active set).  Tree nodes are recycled through
   /// order_pool_, so steady-state arrival/completion churn is heap-free.
   std::unique_ptr<NodePool> order_pool_;  // must precede order_index_
   OrderIndex order_index_;

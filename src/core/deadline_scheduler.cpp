@@ -79,15 +79,10 @@ void DeadlineScheduler::record(const EngineContext& ctx, JobId job,
 
 void DeadlineScheduler::reset() {
   info_.clear();
-  q_.clear();
-  p_.clear();
   q_index_.clear();
+  p_.clear();
   started_count_ = 0;
   started_profit_ = 0.0;
-  p_expiry_.clear();
-  p_fresh_.clear();
-  p_dirty_.clear();
-  p_dirty_all_ = false;
 }
 
 Density DeadlineScheduler::density_for(const EngineContext& ctx,
@@ -115,7 +110,6 @@ void DeadlineScheduler::admit_to_q(JobId job) {
     started_profit_ += info.peak;
   }
   q_index_.insert(job, info.alloc.v, info.alloc.n);
-  q_.insert(job, info.alloc.v);
   info.in_q = true;
 }
 
@@ -123,10 +117,6 @@ void DeadlineScheduler::enqueue_p(JobId job) {
   JobInfo& info = info_[job];
   p_.insert(job, info.alloc.v);
   info.in_p = true;
-  // Expiry heap entries are lazy: a job that leaves P keeps its entry, and
-  // re-entry pushes a fresh one; pops skip jobs no longer in P.
-  p_expiry_.emplace(info.abs_plateau_deadline, job);
-  p_fresh_.push_back(job);
 }
 
 void DeadlineScheduler::remove_from_p(JobId job, Density v) {
@@ -134,13 +124,9 @@ void DeadlineScheduler::remove_from_p(JobId job, Density v) {
   info_[job].in_p = false;
 }
 
-void DeadlineScheduler::mark_q_removal(Density v) {
-  // Removing density u from Q can loosen condition (2) exactly for waiting
-  // densities in the open octave (u/c, u*c).  Pad the interval by a 1e-9
-  // relative margin: admits() compares densities exactly, so the superset
-  // absorbs any rounding in the division while staying O(octave)-sized.
-  const double c = options_.params.c;
-  p_dirty_.emplace_back((v / c) * (1.0 - 1e-9), (v * c) * (1.0 + 1e-9));
+void DeadlineScheduler::remove_from_q(JobId job) {
+  q_index_.erase(job);
+  info_[job].in_q = false;
 }
 
 bool DeadlineScheduler::is_fresh(const JobInfo& info, Time now) const {
@@ -193,46 +179,12 @@ void DeadlineScheduler::on_arrival(const EngineContext& ctx, JobId job) {
 void DeadlineScheduler::drain_p(const EngineContext& ctx) {
   const double cap =
       options_.params.b * static_cast<double>(ctx.num_procs());
-  // Candidate collection.  The seed rescanned all of P on every drain; here
-  // we visit only the jobs whose outcome can have changed (see the member
-  // comment in the header).  The per-candidate body below is the seed's
-  // loop body verbatim, and candidates are processed in (density desc, id
-  // asc) order against the same evolving q_index_, so drops, promotions and
-  // their recorded order are byte-identical to a full rescan.
-  auto& cand = drain_scratch_;
-  cand.clear();
-  const bool full_scan = p_dirty_all_ || options_.recompute_on_admission;
-  if (full_scan) {
-    // recompute_on_admission re-derives allocations from the shrinking
-    // remaining window, so every P job's outcome is time-dependent; scan
-    // all of P as the seed did.  Capacity growth also rescans (windows
-    // loosened globally).
-    cand.assign(p_.begin(), p_.end());
-  } else {
-    while (!p_expiry_.empty() &&
-           approx_gt(ctx.now(), p_expiry_.top().first)) {
-      const JobId job = p_expiry_.top().second;
-      p_expiry_.pop();
-      if (info_[job].in_p) cand.emplace_back(info_[job].alloc.v, job);
-    }
-    for (const JobId job : p_fresh_) {
-      if (info_[job].in_p) cand.emplace_back(info_[job].alloc.v, job);
-    }
-    for (const auto& [lo, hi] : p_dirty_) {
-      p_.for_each_in_density_range(lo, hi, [&cand](Density v, JobId job) {
-        cand.emplace_back(v, job);
-      });
-    }
-    std::sort(cand.begin(), cand.end(), DensityDescIdAsc{});
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-  }
-  p_fresh_.clear();
-  p_dirty_.clear();
-  p_dirty_all_ = false;
-
-  for (const auto& [key_v, job] : cand) {
+  // Walk a snapshot of P in (density desc, id asc) order against the
+  // evolving q_index_.  P holds only jobs that can still earn (on_deadline
+  // drops the rest), so it stays small and a full rescan is cheap.
+  drain_scratch_.assign(p_.begin(), p_.end());
+  for (const auto& [key_v, job] : drain_scratch_) {
     JobInfo& info = info_[job];
-    if (!info.in_p) continue;  // left P earlier in this very drain
     // Drop jobs whose plateau deadline has passed (they can earn nothing S
     // would count) and infeasible jobs.
     if (info.alloc.n == 0 ||
@@ -280,9 +232,7 @@ void DeadlineScheduler::drain_p(const EngineContext& ctx) {
 void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
                                            ProcCount old_m, ProcCount new_m) {
   if (new_m >= old_m) {
-    // Recovery: the wider windows may now admit jobs waiting in P -- every
-    // admission window loosened, so the next drain rescans all of P.
-    p_dirty_all_ = true;
+    // Recovery: the wider windows may now admit jobs waiting in P.
     drain_p(ctx);
     return;
   }
@@ -291,12 +241,16 @@ void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
   // the same greedy order decide() serves, so the jobs shed are exactly the
   // ones that could no longer be served anyway.
   const double cap = options_.params.b * static_cast<double>(new_m);
-  std::vector<std::pair<Density, JobId>> snapshot(q_.begin(), q_.end());
-  std::vector<std::pair<Density, JobId>> evicted;
+  std::vector<JobId> snapshot;
+  snapshot.reserve(q_index_.size());
+  q_index_.for_each_served([&snapshot](JobId job) {
+    snapshot.push_back(job);
+    return true;
+  });
+  std::vector<JobId> evicted;
   q_index_.clear();
-  q_.clear();
-  for (const auto& [v, job] : snapshot) {
-    const JobInfo& info = info_[job];
+  for (const JobId job : snapshot) {
+    JobInfo& info = info_[job];
     bool ok = info.alloc.n <= new_m;
     if (ok && options_.enforce_admission) {
       ok = q_index_.admits(info.alloc.v, info.alloc.n, options_.params.c,
@@ -304,16 +258,14 @@ void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
     }
     if (ok) {
       q_index_.insert(job, info.alloc.v, info.alloc.n);
-      q_.insert(job, v);
     } else {
-      info_[job].in_q = false;
-      evicted.emplace_back(v, job);
+      info.in_q = false;
+      evicted.push_back(job);
     }
   }
   const ObsSink* obs = ctx.obs();
-  for (const auto& [v, job] : evicted) {
+  for (const JobId job : evicted) {
     JobInfo& info = info_[job];
-    mark_q_removal(v);  // eviction loosens windows for the jobs left behind
     const bool fresh = is_fresh(info, ctx.now());
     const char* slug = info.alloc.n > new_m ? "too-wide" : "window-full";
     if (fresh) {
@@ -334,12 +286,7 @@ void DeadlineScheduler::on_capacity_change(const EngineContext& ctx,
 
 void DeadlineScheduler::on_completion(const EngineContext& ctx, JobId job) {
   JobInfo& info = info_[job];
-  if (info.in_q) {
-    q_.erase(job, info.alloc.v);
-    info.in_q = false;
-    q_index_.erase(job);
-    mark_q_removal(info.alloc.v);
-  }
+  if (info.in_q) remove_from_q(job);
   if (info.in_p) remove_from_p(job, info.alloc.v);
   drain_p(ctx);
 }
@@ -348,12 +295,7 @@ void DeadlineScheduler::on_deadline(const EngineContext& ctx, JobId job) {
   JobInfo& info = info_[job];
   info.dropped = true;
   const bool was_in_q = info.in_q;
-  if (was_in_q) {
-    q_.erase(job, info.alloc.v);
-    info.in_q = false;
-    q_index_.erase(job);
-    mark_q_removal(info.alloc.v);
-  }
+  if (was_in_q) remove_from_q(job);
   const bool was_in_p = info.in_p;
   if (was_in_p) remove_from_p(job, info.alloc.v);
   if (was_in_q) record(ctx, job, Transition::kExpiredInQ);
@@ -363,8 +305,8 @@ void DeadlineScheduler::on_deadline(const EngineContext& ctx, JobId job) {
 
 void DeadlineScheduler::decide(const EngineContext& ctx, Assignment& out) {
   ProcCount free = ctx.num_procs();
-  for (const auto& [v, job] : q_) {
-    if (free == 0) break;
+  q_index_.for_each_served([&](JobId job) {
+    if (free == 0) return false;
     const JobInfo& info = info_[job];
     // Defensive: completed/expired jobs are removed eagerly in the event
     // handlers, so everything in Q is runnable.
@@ -375,7 +317,8 @@ void DeadlineScheduler::decide(const EngineContext& ctx, Assignment& out) {
     }
     // Jobs that do not fit are skipped, not truncated: S always grants
     // exactly n_i processors (Section 3.1, "Job Execution").
-  }
+    return true;
+  });
   if (options_.work_conserving && free > 0 && !out.allocs.empty()) {
     // Extension: leftover processors go to the densest running job; the
     // engine caps actual use at the job's ready-node count.
@@ -385,8 +328,8 @@ void DeadlineScheduler::decide(const EngineContext& ctx, Assignment& out) {
 
 std::size_t DeadlineScheduler::shed_load(const EngineContext& ctx,
                                          std::size_t max_jobs) {
-  // Lowest density first: the back of each queue (they are kept density-
-  // descending).  Waiting jobs go before started jobs -- abandoning a P job
+  // Lowest density first: the member each queue serves last.  Waiting jobs
+  // go before started jobs -- abandoning a P job
   // forfeits no committed profit.  Shed jobs are marked dropped, so every
   // queue path skips them from here on; Q removals loosen admission
   // windows, which is what lets the scheduler recover on its own once the
@@ -406,12 +349,9 @@ std::size_t DeadlineScheduler::shed_load(const EngineContext& ctx,
     emit(job, "overload.shed.waiting");
     ++shed;
   }
-  while (shed < max_jobs && !q_.empty()) {
-    const auto [v, job] = *std::prev(q_.end());
-    q_.erase(job, v);
-    info_[job].in_q = false;
-    q_index_.erase(job);
-    mark_q_removal(v);
+  while (shed < max_jobs && !q_index_.empty()) {
+    const JobId job = q_index_.served_last();
+    remove_from_q(job);
     info_[job].dropped = true;
     emit(job, "overload.shed.started");
     ++shed;
@@ -436,14 +376,6 @@ void DeadlineScheduler::save_state(CheckpointWriter& out) const {
   }
   out.u64(started_count_);
   out.f64(started_profit_);
-  out.u64(p_fresh_.size());
-  for (const JobId job : p_fresh_) out.u32(job);
-  out.u64(p_dirty_.size());
-  for (const auto& [lo, hi] : p_dirty_) {
-    out.f64(lo);
-    out.f64(hi);
-  }
-  out.boolean(p_dirty_all_);
 }
 
 void DeadlineScheduler::load_state(CheckpointReader& in) {
@@ -474,32 +406,16 @@ void DeadlineScheduler::load_state(CheckpointReader& in) {
       in.fail("job " + std::to_string(i) + " has inconsistent queue flags");
     }
     // Q and P are the flagged jobs, each keyed by its allocation's density
-    // (every queue insert uses alloc.v).  The admission index and P's
-    // expiry heap are derived too: the index is a function of the member
-    // set, and the heap's live entries are one (plateau deadline, job) pair
-    // per P member -- the lazily deleted entries the running process still
-    // carried are skipped on pop anyway.
+    // (every queue insert uses alloc.v).
     const JobId job = static_cast<JobId>(i);
     if (info.in_q) {
-      q_.insert(job, info.alloc.v);
       q_index_.insert(job, info.alloc.v, info.alloc.n);
     } else if (info.in_p) {
       p_.insert(job, info.alloc.v);
-      p_expiry_.emplace(info.abs_plateau_deadline, job);
     }
   }
   started_count_ = static_cast<std::size_t>(in.u64());
   started_profit_ = in.f64();
-  const std::uint64_t fresh = in.count(4);
-  p_fresh_.resize(static_cast<std::size_t>(fresh));
-  for (JobId& job : p_fresh_) job = in.job_id();
-  const std::uint64_t dirty = in.count(16);
-  p_dirty_.resize(static_cast<std::size_t>(dirty));
-  for (auto& [lo, hi] : p_dirty_) {
-    lo = in.f64();
-    hi = in.f64();
-  }
-  p_dirty_all_ = in.boolean();
 }
 
 bool DeadlineScheduler::in_queue_q(JobId job) const {
@@ -520,12 +436,10 @@ const JobAllocation* DeadlineScheduler::allocation_of(JobId job) const {
 }
 
 std::size_t DeadlineScheduler::memory_bytes() const {
-  // Queues, admission index, per-job info, and the incremental-drain state;
-  // capacity-based like every other telemetry byte gauge.
-  return q_.memory_bytes() + p_.memory_bytes() + q_index_.memory_bytes() +
+  // Q, P, per-job info and the drain snapshot; capacity-based like every
+  // other telemetry byte gauge.
+  return q_index_.memory_bytes() + p_.memory_bytes() +
          info_.capacity() * sizeof(JobInfo) +
-         p_expiry_.memory_bytes() + p_fresh_.capacity() * sizeof(JobId) +
-         p_dirty_.capacity() * sizeof(std::pair<Density, Density>) +
          drain_scratch_.capacity() * sizeof(std::pair<Density, JobId>);
 }
 

@@ -6,7 +6,10 @@
 // holds (every density window [v_j, c*v_j) over Q ∪ {J_i} requires <= b*m
 // processors), otherwise it waits in queue P.  On every completion, P is
 // drained in density order: expired jobs are dropped and delta-fresh jobs
-// that now satisfy condition (2) move to Q.  At every decision point the
+// that now satisfy condition (2) move to Q.  Q is kept only in its admission
+// index (DensityWindowIndex), which also walks it in service order; P, which
+// also parks infeasible jobs the index cannot hold, is a DensityOrderedQueue
+// that every drain rescans in full.  At every decision point the
 // highest-density jobs of Q that fit are granted exactly their n_i
 // processors; leftover processors idle (S is deliberately not
 // work-conserving -- that is one of the ablation toggles below).
@@ -33,7 +36,6 @@
 #include "core/params.h"
 #include "obs/event_log.h"
 #include "sim/scheduler.h"
-#include "util/dary_heap.h"
 
 namespace dagsched {
 
@@ -97,12 +99,13 @@ class DeadlineScheduler final : public SchedulerBase {
   /// `overload.shed.started` slugs.
   std::size_t shed_load(const EngineContext& ctx,
                         std::size_t max_jobs) override;
-  /// Checkpoint the per-job allocations and flags and the pending
-  /// incremental-drain work.  Q, P, q_index_ and p_expiry_ are derived from
-  /// the in_q/in_p flags (rebuilt on load).
+  /// Checkpoint the per-job allocations and flags.  Q (q_index_) and P are
+  /// derived from the in_q/in_p flags (rebuilt on load).
   void save_state(CheckpointWriter& out) const override;
   void load_state(CheckpointReader& in) override;
-  std::size_t queue_depth() const override { return q_.size() + p_.size(); }
+  std::size_t queue_depth() const override {
+    return q_index_.size() + p_.size();
+  }
   std::size_t memory_bytes() const override;
 
   // ---- Introspection (tests, benches, invariant observers) ----
@@ -111,7 +114,7 @@ class DeadlineScheduler final : public SchedulerBase {
   /// Jobs ever admitted to Q (the paper's set R) and their total profit.
   std::size_t started_count() const { return started_count_; }
   Profit started_profit() const { return started_profit_; }
-  /// The admission index over the current Q (Observation 3 checks).
+  /// Q itself: its admission index (Observation 3 checks).
   const DensityWindowIndex& queue_index() const { return q_index_; }
   bool in_queue_q(JobId job) const;
   bool in_queue_p(JobId job) const;
@@ -148,33 +151,18 @@ class DeadlineScheduler final : public SchedulerBase {
   void admit_to_q(JobId job);
   void enqueue_p(JobId job);
   void remove_from_p(JobId job, Density v);
-  /// A member with density u left Q: admission windows overlapping
-  /// (u/c, u*c) may have loosened, so P jobs in that octave must be
-  /// re-examined at the next drain.
-  void mark_q_removal(Density v);
+  /// Leaves Q (no event).
+  void remove_from_q(JobId job);
   void drain_p(const EngineContext& ctx);
   bool is_fresh(const JobInfo& info, Time now) const;
 
   DeadlineSchedulerOptions options_;
   std::vector<JobInfo> info_;
-  DensityOrderedQueue q_;  // started jobs, (density desc, id asc)
+  DensityWindowIndex q_index_;  // started jobs: Q
   DensityOrderedQueue p_;  // waiting jobs, (density desc, id asc)
-  DensityWindowIndex q_index_;
   std::size_t started_count_ = 0;
   Profit started_profit_ = 0.0;
-
-  // ---- Incremental drain state (see drain_p) ----
-  // A P job's admission outcome can change between drains only if (a) its
-  // plateau deadline passed (expiry heap, lazy deletion), (b) it entered P
-  // since the last drain (p_fresh_), (c) a Q removal loosened a window it
-  // checks (p_dirty_ density octaves), or (d) capacity grew / options force
-  // a full rescan (p_dirty_all_).  drain_p visits exactly the union of
-  // those candidates in queue order, so the drop/promote sequence -- and
-  // hence the decision log -- is identical to the seed's full rescan.
-  DaryHeap<std::pair<Time, JobId>> p_expiry_;
-  std::vector<JobId> p_fresh_;
-  std::vector<std::pair<Density, Density>> p_dirty_;
-  bool p_dirty_all_ = false;
+  /// drain_p's snapshot of P, kept between drains for its capacity.
   std::vector<std::pair<Density, JobId>> drain_scratch_;
 
   /// Emits the transition to the run's ObsSink as a decision event.

@@ -35,6 +35,11 @@ bool DensityWindowIndex::erase(JobId job) {
   return true;
 }
 
+JobId DensityWindowIndex::served_last() const {
+  DS_CHECK(!entries_.empty());
+  return entries_[upper_index(entries_.front().v) - 1].job;
+}
+
 bool DensityWindowIndex::contains(JobId job) const {
   return std::any_of(entries_.begin(), entries_.end(),
                      [job](const Entry& e) { return e.job == job; });

@@ -23,8 +23,11 @@
 // left behind stays a valid starting point, since every position only
 // falls.  Finding the break reads the O(r) members near the windows' ends.
 //
-// Used both for queue Q of the Section-3 scheduler and for each per-slot
-// set J(t) of the Section-5 scheduler (Lemma 15 is the same condition).
+// The index is the one store of queue Q of the Section-3 scheduler and of
+// each per-slot set J(t) of the Section-5 scheduler (Lemma 15 is the same
+// condition): for_each_served() walks the members in the order both serve
+// them, density descending and job id ascending, and served_last() names the
+// member either sheds first.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +52,29 @@ class DensityWindowIndex {
   bool contains(JobId job) const;
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+
+  /// Calls `f(job)` for each member in service order -- density descending,
+  /// job id ascending among equal densities -- until `f` returns false.
+  template <typename F>
+  void for_each_served(F&& f) const {
+    std::size_t end = entries_.size();
+    while (end > 0) {
+      // entries_ ascend by (v, job): serve each run of equal densities,
+      // from the densest run down, front to back.
+      std::size_t begin = end - 1;
+      while (begin > 0 && entries_[begin - 1].v == entries_[end - 1].v) {
+        --begin;
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!f(entries_[i].job)) return;
+      }
+      end = begin;
+    }
+  }
+
+  /// The member served last: the highest id among the lowest density.
+  /// The index must not be empty.
+  JobId served_last() const;
 
   /// Sum of requirements of members with density in [lo, hi).
   double window_load(Density lo, Density hi) const;

@@ -1,13 +1,10 @@
-// DensityOrderedQueue: the indexed queue behind the scheduler hot path.
+// DensityOrderedQueue: the Section-3 scheduler's waiting set P.
 //
-// Both queues of the Section-3 scheduler (started set Q, waiting set P) are
-// served in (density descending, job id ascending) order.  The seed kept
-// them as sorted vectors, paying O(|queue|) per sorted_insert / erase -- fine
-// at n~100 jobs, quadratic on the 10^4..10^5-job workloads the ROADMAP
-// targets.  This container keeps the same total order in a balanced tree:
-// O(log n) insert/erase, in-order iteration, and density-range scans (used
-// by the incremental drain to find the members whose admission outcome may
-// have changed -- see DeadlineScheduler::drain_p).
+// P is drained in (density descending, job id ascending) order, and it also
+// parks infeasible jobs (n = 0, density 0) that DensityWindowIndex, the
+// store of the started set Q, does not accept.  This container keeps that
+// total order in a balanced tree: O(log n) insert/erase and in-order
+// iteration.
 //
 // The key is the pair (density, id); the density under which a job was
 // inserted must be passed to erase().  Membership is NOT tracked here --
@@ -70,18 +67,6 @@ class DensityOrderedQueue {
   /// Iteration in (density desc, id asc) order.
   const_iterator begin() const { return set_.begin(); }
   const_iterator end() const { return set_.end(); }
-
-  /// Calls `f(density, job)` for every member with density in [lo, hi],
-  /// in queue order.  O(log n + matches).
-  template <typename F>
-  void for_each_in_density_range(Density lo, Density hi, F&& f) const {
-    // Order is density-descending, so the range starts at the first key
-    // with density <= hi (smallest id wins within equal density).
-    for (auto it = set_.lower_bound(Key{hi, 0});
-         it != set_.end() && it->first >= lo; ++it) {
-      f(it->first, it->second);
-    }
-  }
 
   /// Allocated bytes: the node pool's chunk capacity (tree nodes are pooled
   /// and recycled, so this is the real footprint, not size × node-size).

@@ -28,8 +28,11 @@
 //    so no scan is cut short.  Up to O(D_i^2) break comparisons remain per
 //    arrival when p_i decays every slot and the job ends unscheduled
 //    (docs/PERFORMANCE.md).
+//  * A slot is just its DensityWindowIndex: the index is J(t), and it walks
+//    its members in service order (density desc, id asc) for decide(), the
+//    capacity shed and the checkpoint.
 //  * Pinning walks the slot map once, in slot order, and a slot it adds
-//    reuses a node decide() pruned, with its vectors' capacity.
+//    reuses a node decide() pruned, with its index's capacity.
 //  * Jobs whose profit support is exhausted before any valid D exist are
 //    left unscheduled (with an unbounded-support profit function this cannot
 //    happen -- the paper's "a valid assignment always exists").
@@ -55,10 +58,6 @@ namespace dagsched {
 struct ProfitSchedulerOptions {
   Params params = Params::from_epsilon(0.5);
 
-  /// Hard cap on the deadline search (relative, in slots), protecting
-  /// against unbounded scans for slowly-decaying profit functions.
-  std::uint64_t max_search_slots = 1 << 16;
-
   /// Extension (the paper's "work-conserving" future work, applied to the
   /// Section-5 algorithm): after serving a slot's assigned jobs, spend any
   /// leftover processors on scheduled-but-unfinished jobs that are *not*
@@ -69,6 +68,10 @@ struct ProfitSchedulerOptions {
 
 class ProfitScheduler final : public SchedulerBase {
  public:
+  /// Hard cap on the deadline search (relative, in slots), protecting
+  /// against unbounded scans for slowly-decaying profit functions.
+  static constexpr std::uint64_t kMaxSearchSlots = 1 << 16;
+
   explicit ProfitScheduler(ProfitSchedulerOptions options = {});
 
   std::string name() const override;
@@ -90,8 +93,9 @@ class ProfitScheduler final : public SchedulerBase {
   /// Emits kDrop events with the `overload.shed.window` slug.
   std::size_t shed_load(const EngineContext& ctx,
                         std::size_t max_jobs) override;
-  /// Checkpoint the per-job allocations/pinnings and each slot's job list.
-  /// Slot window indexes and work_order_ are derived (rebuilt on load).
+  /// Checkpoint the per-job allocations/pinnings and each slot's members in
+  /// service order.  Slot window indexes (and so the order) and work_order_
+  /// are derived (rebuilt on load).
   void save_state(CheckpointWriter& out) const override;
   void load_state(CheckpointReader& in) override;
   Time next_wakeup(const EngineContext& ctx) const override;
@@ -111,22 +115,14 @@ class ProfitScheduler final : public SchedulerBase {
   Density density_of(JobId job) const;
   /// Max window load over a slot's J(t) -- Lemma 15 checks (test hook).
   double slot_window_load(std::uint64_t slot) const;
-  /// A slot's J(t) in (density desc, id asc) order, or null if no job was
-  /// ever assigned to it (test hook).
-  const std::vector<JobId>* slot_jobs(std::uint64_t slot) const;
+  /// A slot's J(t) in (density desc, id asc) order; empty if no job is
+  /// assigned to it (test hook).
+  std::vector<JobId> slot_jobs(std::uint64_t slot) const;
   std::size_t scheduled_count() const { return scheduled_count_; }
   /// Sum over scheduled jobs of p_i(D_i): the paper's ||J|| for Lemma 17.
   Profit scheduled_profit() const { return scheduled_profit_; }
 
  private:
-  struct SlotInfo {
-    DensityWindowIndex index;
-    /// Kept sorted (density desc, id asc) at insert, so decide() serves the
-    /// slot without re-sorting and capacity sheds pick the victim from the
-    /// back.  Densities are fixed at scheduling time, so order never decays.
-    std::vector<JobId> jobs;
-  };
-
   struct JobInfo {
     JobAllocation alloc;
     std::vector<std::uint64_t> assigned;
@@ -143,18 +139,18 @@ class ProfitScheduler final : public SchedulerBase {
     DensityWindowIndex::AdmitWalk walk;
   };
 
-  using SlotMap = std::map<std::uint64_t, SlotInfo>;
+  /// Slot t -> J(t).  Densities are fixed at scheduling time, so a slot's
+  /// service order never decays.
+  using SlotMap = std::map<std::uint64_t, DensityWindowIndex>;
 
   /// Adds an empty slot t just before `hint`, reusing a pruned node.
   SlotMap::iterator add_slot(SlotMap::const_iterator hint, std::uint64_t t);
-  /// Insert into slot.jobs keeping the (density desc, id asc) order.
-  void insert_slot_job(SlotInfo& slot, JobId job);
   /// Remove `job` from each of its assigned slots t >= `from`.
   void release_slots(JobId job, std::uint64_t from);
 
   ProfitSchedulerOptions options_;
   SlotMap slots_;
-  /// Nodes decide() pruned from slots_, kept with their vectors' capacity
+  /// Nodes decide() pruned from slots_, kept with their indexes' capacity
   /// for the slots pinning adds.
   std::vector<SlotMap::node_type> spare_slots_;
   /// Scheduled, unfinished jobs in (density desc, id asc) order -- the

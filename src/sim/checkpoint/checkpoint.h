@@ -1,6 +1,6 @@
 // Durable checkpoint/restore for the simulation kernel.
 //
-// A checkpoint is one file in the `dagsched.checkpoint/4` format: an 8-byte
+// A checkpoint is one file in the `dagsched.checkpoint/5` format: an 8-byte
 // magic, a single-line JSON header (human-inspectable with head -2; carries
 // the schema version, a run-configuration fingerprint, and resume cursors),
 // and CRC-32-guarded named binary sections -- one for the kernel, one for
@@ -37,7 +37,7 @@ namespace dagsched {
 class EventLog;
 class SimKernel;
 
-inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/4";
+inline constexpr std::string_view kCheckpointSchema = "dagsched.checkpoint/5";
 
 /// Decoded JSON header.  `config_hash` fingerprints everything that must
 /// match between the checkpointing run and the resuming run (workload

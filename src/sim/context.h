@@ -89,8 +89,8 @@ class EngineContext {
   }
 
   /// Jobs that can still earn their profit, in arrival order: arrived, not
-  /// completed, and not JobView::deadline_unreachable(now()) (the kernel
-  /// retires the rest, see SimKernel::deliver_expiries).
+  /// completed, and with no deadline d where approx_le(d, now()) (the
+  /// kernel retires the rest, see SimKernel::deliver_expiries).
   ActiveJobs active_jobs() const {
     return {&state_->active_slots(), state_->active_live()};
   }

@@ -118,6 +118,7 @@ class JobStateTable {
 
   const std::vector<JobId>& active_slots() const { return active_; }
   std::size_t active_live() const { return active_live_; }
+  bool active(JobId id) const { return active_pos_[id] != kNoActiveSlot; }
 
   void activate(JobId id) {
     active_pos_[id] = static_cast<std::uint32_t>(active_.size());

@@ -224,10 +224,10 @@ void SimKernel::deliver_arrivals(Time now) {
 
 void SimKernel::deliver_expiries(Time now) {
   // A job retires -- leaves the active set, keeping its unfolding and
-  // outcome columns -- at the first decision point where approx_le(d, now),
-  // i.e. JobView::deadline_unreachable(now), holds.  On event steps that is
-  // the expiry's own delivery; jobs that slots expire while still
-  // reachable wait in retire_next_ (deactivate() ignores any that
+  // outcome columns -- at the first decision point where approx_le(d, now)
+  // holds: any remaining work then completes strictly past d.  On event
+  // steps that is the expiry's own delivery; jobs that slots expire while
+  // still reachable wait in retire_next_ (deactivate() ignores any that
   // completed meanwhile).
   for (const JobId id : retire_next_) state_.deactivate(id);
   retire_next_.clear();

@@ -14,8 +14,9 @@
 //     transitions, then arrivals, then expiries; ties within each class are
 //     ordered by (time, id));
 //   * job death: the active set holds exactly the jobs that can still earn
-//     their profit (arrived, incomplete, not deadline_unreachable(now)), so
-//     no scheduler re-derives that rule (see deliver_expiries);
+//     their profit (arrived, incomplete, and no deadline d with
+//     approx_le(d, now)), so no scheduler re-derives that rule (see
+//     deliver_expiries; JobView::live() reads membership);
 //   * allocation validation and application: malformed allocations
 //     (overcommit, duplicates, unarrived/completed jobs, zero processors)
 //     terminate the run with a structured SimFailureKind::kBadAllocation

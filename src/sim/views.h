@@ -60,13 +60,9 @@ class JobView {
     return unfolding.total_remaining_work();
   }
 
-  /// True when the job can no longer earn its profit: at now >= d any
-  /// remaining work pushes completion strictly past the deadline.  The
-  /// kernel retires such jobs from ctx.active_jobs().
-  bool deadline_unreachable(Time now) const {
-    return has_deadline() && !completed() &&
-           approx_ge(now, absolute_deadline());
-  }
+  /// Whether the job is in the kernel's active set: arrived, not completed,
+  /// and still able to earn its profit (see EngineContext::active_jobs()).
+  bool live() const { return state_->active(id_); }
 
  private:
   const Job* job_;

@@ -1,4 +1,4 @@
-// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/4
+// Durable checkpoint/restore: wire primitives, the dagsched.checkpoint/5
 // container, kill-resume decision parity across every scheduler x engine x
 // fault mode, the rebuild of jobs that had not started, the kernel facts a
 // resume derives instead of reading, and corruption
@@ -310,13 +310,14 @@ TEST(CheckpointFormat, FileRoundTripAndOverwrite) {
 }
 
 TEST(CheckpointFormat, VersionSkewIsDiagnosed) {
-  // No earlier schema is read as /4: not a /1 file (every unfolding
+  // No earlier schema is read as /5: not a /1 file (every unfolding
   // written out), a /2 file (the active set, cursors and queues stored
-  // beside the flags that determine them), nor a /3 file (LLF's candidate
-  // set stored beside its shed set).
+  // beside the flags that determine them), a /3 file (LLF's candidate set
+  // stored beside its shed set), nor a /4 file (S's incremental-drain
+  // state).
   for (const char* schema :
        {"dagsched.checkpoint/1", "dagsched.checkpoint/2",
-        "dagsched.checkpoint/3"}) {
+        "dagsched.checkpoint/3", "dagsched.checkpoint/4"}) {
     CheckpointFile file = sample_file();
     file.meta.schema = schema;
     const std::string bytes = serialize_checkpoint(file);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/density_index.h"
+#include "core/job_queue.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -286,6 +287,55 @@ TEST_P(DensityIndexFuzz, WalkMatchesAdmitsAtFallingDensities) {
         ASSERT_EQ(walk.to, fresh.to) << "v=" << v;
       }
     }
+  }
+}
+
+// The index is the only store of S's Q and of each profit slot, so its
+// served-order walk must be the (density desc, id asc) order those queues
+// were kept in.  Densities come from seven powers of two, so runs of equal
+// densities are long and ids arrive out of order within them; each walk
+// also stops early at a random member.
+TEST_P(DensityIndexFuzz, ServedOrderMatchesDensityDescIdAsc) {
+  Rng rng(GetParam());
+  DensityWindowIndex index;
+  std::vector<std::pair<Density, JobId>> members;
+  const auto walk = [&index](std::size_t stop_after) {
+    std::vector<JobId> seen;
+    index.for_each_served([&seen, stop_after](JobId job) {
+      seen.push_back(job);
+      return seen.size() < stop_after;
+    });
+    return seen;
+  };
+  for (int step = 0; step < 300; ++step) {
+    if (members.empty() || rng.bernoulli(0.7)) {
+      JobId job = 0;
+      do {
+        job = static_cast<JobId>(rng.uniform_int(0, 999));
+      } while (index.contains(job));
+      const Density v = std::ldexp(1.0, static_cast<int>(rng.uniform_int(-3, 3)));
+      index.insert(job, v, static_cast<ProcCount>(rng.uniform_int(1, 4)));
+      members.emplace_back(v, job);
+    } else {
+      const auto victim = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(members.size()) - 1));
+      ASSERT_TRUE(index.erase(members[victim].second));
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    std::vector<std::pair<Density, JobId>> sorted = members;
+    std::sort(sorted.begin(), sorted.end(), DensityDescIdAsc{});
+    std::vector<JobId> expected;
+    for (const auto& member : sorted) expected.push_back(member.second);
+
+    ASSERT_EQ(walk(expected.size() + 1), expected) << "step " << step;
+    if (expected.empty()) continue;
+    EXPECT_EQ(index.served_last(), expected.back()) << "step " << step;
+    const auto stop_after = static_cast<std::size_t>(rng.uniform_int(
+        1, static_cast<std::int64_t>(expected.size())));
+    const std::vector<JobId> prefix(
+        expected.begin(), expected.begin() + static_cast<std::ptrdiff_t>(
+                                                 stop_after));
+    EXPECT_EQ(walk(stop_after), prefix) << "step " << step;
   }
 }
 

@@ -17,9 +17,13 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "job/job.h"
+#include "obs/event_log.h"
+#include "obs/sink.h"
+#include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/engine_factory.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
+#include "util/wire.h"
 #include "workload/scenarios.h"
 
 namespace dagsched {
@@ -206,14 +210,10 @@ struct SearchChoice {
 
 bool literal_slot_admits(const ProfitScheduler& scheduler, std::uint64_t t,
                          Density v, ProcCount n, double cap) {
-  const std::vector<JobId>* jobs = scheduler.slot_jobs(t);
   std::vector<std::pair<Density, double>> members;
-  if (jobs != nullptr) {
-    for (const JobId job : *jobs) {
-      const double n_job =
-          static_cast<double>(scheduler.allocation_of(job)->n);
-      members.emplace_back(scheduler.density_of(job), n_job);
-    }
+  for (const JobId job : scheduler.slot_jobs(t)) {
+    const double n_job = static_cast<double>(scheduler.allocation_of(job)->n);
+    members.emplace_back(scheduler.density_of(job), n_job);
   }
   members.emplace_back(v, static_cast<double>(n));
   const double c = scheduler.params().c;
@@ -229,8 +229,7 @@ bool literal_slot_admits(const ProfitScheduler& scheduler, std::uint64_t t,
 }
 
 SearchChoice literal_search(const ProfitScheduler& scheduler,
-                            const EngineContext& ctx, JobId job,
-                            std::uint64_t max_search_slots) {
+                            const EngineContext& ctx, JobId job) {
   const Params& params = scheduler.params();
   const JobView view = ctx.view(job);
   const ProfitFn& profit = view.profit();
@@ -248,7 +247,7 @@ SearchChoice literal_search(const ProfitScheduler& scheduler,
       (1.0 + params.epsilon) * (view.span() / ctx.speed());
   std::uint64_t d_lo = static_cast<std::uint64_t>(std::floor(d_min_time)) + 1;
   d_lo = std::max<std::uint64_t>(std::max(d_lo, needed), 1);
-  std::uint64_t d_hi = max_search_slots;
+  std::uint64_t d_hi = ProfitScheduler::kMaxSearchSlots;
   if (profit.support_end() < kTimeInfinity) {
     d_hi = std::min(d_hi, static_cast<std::uint64_t>(
                               std::floor(profit.support_end() + kEps)));
@@ -288,14 +287,12 @@ SearchChoice literal_search(const ProfitScheduler& scheduler,
 /// choice must match it.
 class SearchOracle final : public SchedulerBase {
  public:
-  explicit SearchOracle(ProfitScheduler& inner, std::uint64_t max_search_slots)
-      : inner_(inner), max_search_slots_(max_search_slots) {}
+  explicit SearchOracle(ProfitScheduler& inner) : inner_(inner) {}
 
   std::string name() const override { return inner_.name(); }
   void reset() override { inner_.reset(); }
   void on_arrival(const EngineContext& ctx, JobId job) override {
-    const SearchChoice want =
-        literal_search(inner_, ctx, job, max_search_slots_);
+    const SearchChoice want = literal_search(inner_, ctx, job);
     inner_.on_arrival(ctx, job);
     ++arrivals;
     if (want.deadline < kTimeInfinity) ++scheduled;
@@ -327,7 +324,6 @@ class SearchOracle final : public SchedulerBase {
 
  private:
   ProfitScheduler& inner_;
-  std::uint64_t max_search_slots_;
 };
 
 /// Replaces each job's decay with a staircase after its plateau: levels one
@@ -430,7 +426,7 @@ TEST_P(ProfitSearchOracle, MatchesLiteralSearch) {
 
   const ProfitSchedulerOptions options{.params = Params::from_epsilon(0.5)};
   ProfitScheduler scheduler(options);
-  SearchOracle oracle(scheduler, options.max_search_slots);
+  SearchOracle oracle(scheduler);
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions sim;
   sim.num_procs = m;
@@ -498,7 +494,7 @@ TEST(ProfitScheduler, EqualProfitRunKeepsEarlierAnswers) {
   ASSERT_TRUE(2.0 * n <= cap && 3.0 * n > cap) << "n=" << n << " cap=" << cap;
 
   ProfitScheduler scheduler(options);
-  SearchOracle oracle(scheduler, options.max_search_slots);
+  SearchOracle oracle(scheduler);
   auto sel = make_selector(SelectorKind::kFifo);
   SimOptions sim;
   sim.num_procs = m;
@@ -507,6 +503,97 @@ TEST(ProfitScheduler, EqualProfitRunKeepsEarlierAnswers) {
   // B waited past its second level: the shared slots stayed refused there.
   EXPECT_GT(scheduler.chosen_deadline(2), plateau + 1.0);
   EXPECT_EQ(scheduler.assigned_slots(0), scheduler.assigned_slots(1));
+}
+
+// A slot's service order is derived from its index when a checkpoint is
+// loaded, not read from the file.  Reverse the saved member list of an
+// oversubscribed future slot (more processors than m, so the order decides
+// who runs), re-serialize (new section CRC), and resume: the event log must
+// still be the uninterrupted run's suffix.
+TEST(ProfitScheduler, ResumedSlotOrderIsDerivedNotRead) {
+  const ProcCount m = 16;
+  Rng rng(5);
+  WorkloadConfig config = scenario_profit(0.5, 2.5, m,
+                                          ProfitPolicy::Shape::kPlateauLinear);
+  config.horizon = 200.0;
+  const JobSet jobs = generate_workload(rng, config);
+  const auto run = [&jobs, m](EventLog& log, CheckpointSink* checkpoint,
+                              const CheckpointFile* resume) {
+    ProfitScheduler scheduler;
+    auto sel = make_selector(SelectorKind::kFifo);
+    ObsSink obs;
+    obs.events = &log;
+    SimOptions options;
+    options.num_procs = m;
+    options.obs = &obs;
+    options.checkpoint = checkpoint;
+    options.resume = resume;
+    return run_simulation(EngineKind::kSlot, jobs, scheduler, *sel, options);
+  };
+  EventLog full_log;
+  const SimResult full = run(full_log, nullptr, nullptr);
+
+  const std::string path = ::testing::TempDir() + "profit_slot_order.ckpt";
+  EventLog ck_log;
+  CheckpointSink sink(path, std::max<std::uint64_t>(1, full.decisions / 2),
+                      CheckpointMeta{}, &ck_log);
+  sink.set_snapshot_limit(1);
+  run(ck_log, &sink, nullptr);
+  CheckpointFile file = read_checkpoint_file(path);
+
+  // Walk the scheduler section (ProfitScheduler::save_state) to the slots.
+  CheckpointSection* section = nullptr;
+  for (CheckpointSection& candidate : file.sections) {
+    if (candidate.name == "scheduler") section = &candidate;
+  }
+  ASSERT_NE(section, nullptr);
+  CheckpointReader in(section->payload, "<mem>", "scheduler");
+  (void)in.str();
+  std::vector<std::uint32_t> procs(static_cast<std::size_t>(in.u64()));
+  for (std::uint32_t& n : procs) {
+    n = in.u32();
+    (void)in.f64();
+    (void)in.f64();
+    (void)in.boolean();
+    const std::uint64_t assigned = in.u64();
+    for (std::uint64_t i = 0; i < assigned; ++i) (void)in.u64();
+    (void)in.f64();
+    (void)in.f64();
+    (void)in.u8();
+  }
+  (void)in.f64();
+  (void)in.u64();
+  (void)in.f64();
+  const std::uint64_t slots = in.u64();
+  bool reordered = false;
+  for (std::uint64_t s = 0; s < slots && !reordered; ++s) {
+    const std::uint64_t t = in.u64();
+    std::vector<std::uint32_t> members(static_cast<std::size_t>(in.u64()));
+    const std::size_t at = in.offset();
+    std::uint64_t demand = 0;
+    for (std::uint32_t& job : members) {
+      job = in.u32();
+      demand += procs[job];
+    }
+    if (t < file.meta.slot || demand <= m) continue;
+    std::reverse(members.begin(), members.end());
+    CheckpointWriter reversed;
+    for (const std::uint32_t job : members) reversed.u32(job);
+    section->payload.replace(at, reversed.size(), reversed.data());
+    reordered = true;
+  }
+  ASSERT_TRUE(reordered) << "no oversubscribed future slot to reorder";
+  const CheckpointFile mutated =
+      parse_checkpoint_bytes(serialize_checkpoint(file), "<mem>");
+
+  EventLog resumed_log;
+  const SimResult resumed = run(resumed_log, nullptr, &mutated);
+  const std::vector<DecisionEvent> suffix(
+      full_log.events().begin() +
+          static_cast<std::ptrdiff_t>(file.meta.events_emitted),
+      full_log.events().end());
+  EXPECT_EQ(resumed_log.events(), suffix);
+  EXPECT_EQ(resumed.total_profit, full.total_profit);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Job retirement: the kernel's active set holds exactly the jobs that can
 // still earn their profit -- arrived, not completed, and not
-// JobView::deadline_unreachable(now) -- at every decision, on both engines,
-// for every named scheduler, with and without processor churn.  The
-// schedulers rely on it: EQUI and LLF iterate ctx.active_jobs() with no
-// dead-job filter of their own.
+// deadline_unreachable(now), the oracle below -- at every decision, on both
+// engines, for every named scheduler, with and without processor churn.
+// The schedulers rely on it: EQUI and LLF iterate ctx.active_jobs() and the
+// list baselines read JobView::live(), with no dead-job filter of their own.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,12 +14,15 @@
 #include <vector>
 
 #include "dag/builder.h"
+#include "dag/generators.h"
 #include "exp/runner.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
 #include "sim/kernel/engine_factory.h"
+#include "sim/views.h"
+#include "util/float_cmp.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
 
@@ -27,6 +30,30 @@ namespace dagsched {
 namespace {
 
 constexpr ProcCount kM = 4;
+
+/// The retirement rule, written out: a job can no longer earn its profit
+/// once now >= d, since any remaining work pushes completion strictly past
+/// the deadline.
+bool deadline_unreachable(const JobView& view, Time now) {
+  return view.has_deadline() && !view.completed() &&
+         approx_ge(now, view.absolute_deadline());
+}
+
+TEST(Retirement, DeadlineUnreachableBoundarySemantics) {
+  JobSet jobs;
+  jobs.add(Job::with_deadline(
+      std::make_shared<const Dag>(make_single_node(2.0)), 1.0, 4.0, 1.0));
+  jobs.finalize();
+  JobStateTable state;
+  state.reset(jobs);
+  state.set_arrived(0);
+  const JobView view(&jobs[0], &state, 0);
+  // d = 5.  Strictly before: reachable.  At d: unreachable (remaining work
+  // cannot finish by d).
+  EXPECT_FALSE(deadline_unreachable(view, 4.999));
+  EXPECT_TRUE(deadline_unreachable(view, 5.0));
+  EXPECT_TRUE(deadline_unreachable(view, 5.001));
+}
 
 /// Overloaded shootout instance: continuous releases and deadlines, so the
 /// slot engine expires many jobs at a slot before their deadline instant.
@@ -60,6 +87,7 @@ TEST_P(RetirementContract, ActiveSetIsExactlyTheJobsThatCanStillEarn) {
   std::size_t with_dead = 0;      // decisions with an arrived, dead job
   std::size_t with_expired = 0;   // ... with an expired job still live
   std::size_t mismatches = 0;
+  std::size_t live_mismatch = 0;  // JobView::live() disagreeing with it
   std::string first_mismatch;
   SimOptions options;
   options.num_procs = kM;
@@ -71,8 +99,13 @@ TEST_P(RetirementContract, ActiveSetIsExactlyTheJobsThatCanStillEarn) {
     bool expired = false;
     for (JobId id = 0; id < ctx.num_jobs(); ++id) {
       const JobView view = ctx.view(id);
-      if (!view.arrived() || view.completed()) continue;
-      if (view.deadline_unreachable(ctx.now())) {
+      if (!view.arrived() || view.completed()) {
+        live_mismatch += view.live() ? 1u : 0u;
+        continue;
+      }
+      const bool unreachable = deadline_unreachable(view, ctx.now());
+      live_mismatch += view.live() == unreachable ? 1u : 0u;
+      if (unreachable) {
         dead = true;
         continue;
       }
@@ -99,6 +132,7 @@ TEST_P(RetirementContract, ActiveSetIsExactlyTheJobsThatCanStillEarn) {
       run_simulation(engine, jobs, *scheduler, *selector, options);
   EXPECT_FALSE(result.failed()) << result.failure_message;
   EXPECT_EQ(mismatches, 0u) << first_mismatch;
+  EXPECT_EQ(live_mismatch, 0u);
   EXPECT_EQ(decisions, result.decisions);
   // Not vacuous: dead jobs were among the arrived, incomplete ones.
   EXPECT_GT(with_dead, 0u);
