@@ -6,7 +6,8 @@
 # makes that rule mechanically checkable:
 #
 #   1. emit mode: run every named scheduler x {no faults, churn-resume,
-#      churn-zero} (x both engines where the scheduler supports them) over
+#      churn-zero} (x both engines where the scheduler supports them), plus
+#      churn-zero with work overruns for s, edf, llf, equi and profit, over
 #      generated workloads and save the event logs:
 #        scripts/decision_parity.sh emit BUILD_DIR OUT_DIR
 #   2. diff mode: compare two such log directories decisions-only with
@@ -86,6 +87,21 @@ combos() {
   done
 }
 
+# Every cell as "scheduler engine workload fault-mode": each combo under
+# each fault mode, plus the overrun cells -- churn-zero with scaled node
+# works, so some jobs arrive carrying more work than they declare.
+cells() {
+  local line sched fmode
+  while read -r line; do
+    for fmode in none churn-resume churn-zero; do echo "$line $fmode"; done
+  done < <(combos)
+  for sched in s edf llf equi; do
+    echo "$sched event thm2-over overrun"
+    echo "$sched slot thm2-over overrun"
+  done
+  echo "profit slot profit-over overrun"
+}
+
 fault_spec() {
   case "$1" in
     none) echo "" ;;
@@ -93,6 +109,8 @@ fault_spec() {
       echo "mtbf=60,mttr=20,horizon=300,seed=5,min-procs=4,restart=resume" ;;
     churn-zero)
       echo "mtbf=45,mttr=15,horizon=300,seed=9,min-procs=4,restart=zero" ;;
+    overrun)
+      echo "$(fault_spec churn-zero),overrun-prob=0.3,overrun-factor=2" ;;
   esac
 }
 
@@ -106,16 +124,13 @@ fault_args() {
 # the ${sched}_${engine}_${wl}_${fmode} tag naming, so per-cell event logs
 # land under the same file names the per-process loop used to write.
 gen_cells() {
-  local out="$1" line sched engine wl fmode
+  local out="$1" sched engine wl fmode
   : > "$out"
-  while read -r line; do
-    read -r sched engine wl <<<"$line"
-    for fmode in none churn-resume churn-zero; do
-      printf '{"id":"%s_%s_%s_%s","workload":"%s","scheduler":"%s","engine":"%s","fault":"%s","faults":"%s"}\n' \
-        "$sched" "$engine" "$wl" "$fmode" "$workdir/$wl.wl" "$sched" \
-        "$engine" "$fmode" "$(fault_spec "$fmode")" >> "$out"
-    done
-  done < <(combos)
+  while read -r sched engine wl fmode; do
+    printf '{"id":"%s_%s_%s_%s","workload":"%s","scheduler":"%s","engine":"%s","fault":"%s","faults":"%s"}\n' \
+      "$sched" "$engine" "$wl" "$fmode" "$workdir/$wl.wl" "$sched" \
+      "$engine" "$fmode" "$(fault_spec "$fmode")" >> "$out"
+  done < <(cells)
 }
 
 emit() {
@@ -284,14 +299,11 @@ resume_one() {
 resume_check() {
   gen_workloads
   mkdir -p "$workdir/status"
-  local line sched engine wl fmode
-  while read -r line; do
-    read -r sched engine wl <<<"$line"
-    for fmode in none churn-resume churn-zero; do
-      while [ "$(jobs -rp | wc -l)" -ge "$jobs" ]; do wait -n || true; done
-      resume_one "$sched" "$engine" "$wl" "$fmode" &
-    done
-  done < <(combos)
+  local sched engine wl fmode
+  while read -r sched engine wl fmode; do
+    while [ "$(jobs -rp | wc -l)" -ge "$jobs" ]; do wait -n || true; done
+    resume_one "$sched" "$engine" "$wl" "$fmode" &
+  done < <(cells)
   wait
   local fails skips runs
   fails="$(find "$workdir/status" -name '*.fail' | wc -l)"

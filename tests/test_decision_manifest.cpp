@@ -1,8 +1,8 @@
 // Golden decision manifest: every serial event log of the decision-parity
 // matrix (scripts/decision_parity.sh -- scheduler x engine x fault mode on
 // the thm2 seed 7, tight seed 11, profit seed 3, overloaded profit seed 5 and
-// overloaded thm2 seed 13 instances) must hash to the FNV-1a64 digest committed in
-// tests/golden/decision_manifest.txt.
+// overloaded thm2 seed 13 instances, plus the work-overrun cells) must hash
+// to the FNV-1a64 digest committed in tests/golden/decision_manifest.txt.
 //
 // The parity script's emit/diff modes compare a change against itself; this
 // pins the decisions to an absolute reference, so a silent behaviour change
@@ -100,31 +100,46 @@ TEST(DecisionManifest, SerialEventLogsMatchCommittedDigests) {
   }
 
   // decision_parity.sh's fault_spec().
+  const std::string churn_zero =
+      "mtbf=45,mttr=15,horizon=300,seed=9,min-procs=4,restart=zero";
   const std::pair<std::string, std::string> fault_modes[] = {
       {"none", ""},
       {"churn-resume",
        "mtbf=60,mttr=20,horizon=300,seed=5,min-procs=4,restart=resume"},
-      {"churn-zero",
-       "mtbf=45,mttr=15,horizon=300,seed=9,min-procs=4,restart=zero"},
+      {"churn-zero", churn_zero},
   };
+  const std::string overrun =
+      churn_zero + ",overrun-prob=0.3,overrun-factor=2";
 
   std::vector<SweepCellSpec> cells;
+  auto add_cell = [&](const std::string& scheduler, EngineKind engine,
+                      const std::string& workload, const std::string& label,
+                      const std::string& spec) {
+    SweepCellSpec cell;
+    cell.id = scheduler + "_" + engine_kind_name(engine) + "_" + workload +
+              "_" + label;
+    cell.workload_label = workload;
+    cell.jobs = &instances.at(workload);
+    cell.scheduler = scheduler;
+    cell.engine = engine;
+    cell.m = 16;
+    cell.fault_label = label;
+    cell.fault_spec = spec;
+    cells.push_back(std::move(cell));
+  };
   for (const auto& [scheduler, engine, workload] : combos) {
     for (const auto& [label, spec] : fault_modes) {
-      SweepCellSpec cell;
-      cell.id = scheduler + "_" + engine_kind_name(engine) + "_" + workload +
-                "_" + label;
-      cell.workload_label = workload;
-      cell.jobs = &instances.at(workload);
-      cell.scheduler = scheduler;
-      cell.engine = engine;
-      cell.m = 16;
-      cell.fault_label = label;
-      cell.fault_spec = spec;
-      cells.push_back(std::move(cell));
+      add_cell(scheduler, engine, workload, label, spec);
     }
   }
-  ASSERT_EQ(cells.size(), 114u);
+  // decision_parity.sh's overrun cells: some jobs arrive with node works
+  // scaled past their declared values.
+  for (const char* name : {"s", "edf", "llf", "equi"}) {
+    add_cell(name, EngineKind::kEvent, "thm2-over", "overrun", overrun);
+    add_cell(name, EngineKind::kSlot, "thm2-over", "overrun", overrun);
+  }
+  add_cell("profit", EngineKind::kSlot, "profit-over", "overrun", overrun);
+  ASSERT_EQ(cells.size(), 123u);
 
   SweepOptions options;
   options.threads = 2;
