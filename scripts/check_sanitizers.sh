@@ -6,9 +6,10 @@
 #
 # --tsan: ThreadSanitizer (the `tsan` preset) over the threaded code: the
 # sweep executor (test_sweep: the shared cell cursor, the progress lock,
-# per-cell isolation) and the workload reader's per-piece parse threads
-# (test_workload: the WorkloadReader* parity tests).  Extra ctest args
-# narrow further.
+# per-cell isolation), the workload reader's per-piece parse threads
+# (test_workload: the WorkloadReader* parity tests) and the mapped workload
+# bytes they share with the config-digest thread (the WorkloadIo tests).
+# Extra ctest args narrow further.
 #
 # Usage: scripts/check_sanitizers.sh [--tsan] [ctest-args...]
 #   e.g. scripts/check_sanitizers.sh -R ObsReplay
@@ -33,7 +34,7 @@ if [ "$mode" = "tsan" ]; then
   if [ "$#" -gt 0 ]; then
     ctest --preset tsan "$@"
   else
-    ctest --preset tsan -R 'Sweep|LatencyHistogram|WorkloadReader'
+    ctest --preset tsan -R 'Sweep|LatencyHistogram|WorkloadReader|WorkloadIo'
   fi
   exit 0
 fi

@@ -45,7 +45,7 @@ double ListScheduler::key(const EngineContext& ctx, JobId job) const {
                            : view.release() + view.profit().plateau_end();
       Work remaining_estimate;
       if (options_.clairvoyant_laxity) {
-        remaining_estimate = ctx.unfolding_of(job).remaining_span();
+        remaining_estimate = ctx.remaining_span(job);
       } else {
         remaining_estimate = view.remaining_work() /
                              static_cast<double>(ctx.num_procs());

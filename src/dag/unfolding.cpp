@@ -197,27 +197,49 @@ void UnfoldingState::load_state(CheckpointReader& in) {
   }
 }
 
-Work UnfoldingState::remaining_span() const {
-  // Longest path over unfinished nodes using remaining work, computed along
-  // the static topological order (a superset of the unfinished subgraph's
-  // topological order).  The scratch is thread-local and shared across
-  // instances: stale entries need no clearing -- the only entries read are
-  // those of non-done predecessors, and the topological sweep writes every
-  // non-done node before any successor reads it.
+namespace {
+
+/// Longest path over the nodes `done` rejects, each weighted by `work`,
+/// computed along the static topological order (a superset of the
+/// unfinished subgraph's topological order).  The scratch is thread-local
+/// and shared across instances: stale entries need no clearing -- the only
+/// entries read are those of non-done predecessors, and the topological
+/// sweep writes every non-done node before any successor reads it.
+std::vector<Work>& span_scratch(std::size_t nodes) {
   thread_local std::vector<Work> span_depth;
-  if (span_depth.size() < n_) span_depth.resize(n_);
+  if (span_depth.size() < nodes) span_depth.resize(nodes);
+  return span_depth;
+}
+
+template <typename Done, typename WorkOf>
+Work longest_open_path(const Dag& dag, Done done, WorkOf work) {
+  std::vector<Work>& span_depth = span_scratch(dag.num_nodes());
   Work best = 0.0;
-  for (NodeId v : dag_->topological_order()) {
-    if (status(v) == Status::kDone) continue;
+  for (NodeId v : dag.topological_order()) {
+    if (done(v)) continue;
     Work prefix = 0.0;
-    for (NodeId u : dag_->predecessors(v)) {
-      if (status(u) == Status::kDone) continue;
+    for (NodeId u : dag.predecessors(v)) {
+      if (done(u)) continue;
       prefix = std::max(prefix, span_depth[u]);
     }
-    span_depth[v] = prefix + rem_[v];
+    span_depth[v] = prefix + work(v);
     best = std::max(best, span_depth[v]);
   }
   return best;
+}
+
+}  // namespace
+
+Work UnfoldingState::remaining_span() const {
+  return longest_open_path(
+      *dag_, [this](NodeId v) { return status(v) == Status::kDone; },
+      [this](NodeId v) { return rem_[v]; });
+}
+
+Work UnfoldingState::unstarted_span(const Dag& dag) {
+  return longest_open_path(
+      dag, [](NodeId) { return false; },
+      [&dag](NodeId v) { return dag.node_work(v); });
 }
 
 }  // namespace dagsched

@@ -3,16 +3,17 @@
 // the Dag itself stays immutable.
 //
 // Semi-non-clairvoyance boundary: schedulers never see this class directly --
-// they see only the ready *count* through JobView (sim/views.h).  Engines and
-// clairvoyant baselines may inspect everything.
+// they see only the ready *count* and the remaining total through JobView
+// (sim/views.h).  Engines and clairvoyant baselines may inspect everything.
 //
-// Layout: one construction per job arrival sits on the kernel's event-
-// delivery path, so the per-node state is a single fused block
+// Layout: the kernel builds one of these the first time it runs a job (at
+// arrival only for a job whose works fault injection scaled), so most jobs
+// that never run never get one.  The per-node state is a single fused block
 // [remaining-work | pending-preds|ready-list|ready-pos|status] carved from a
 // caller-provided BumpArena (the kernel's job-state arena: zero heap traffic
-// per arrival after warmup).  The object itself is a handful of raw
-// pointers plus aggregates -- it lives by value in the kernel's
-// structure-of-arrays JobStateTable column.
+// per build after warmup).  The object itself is a handful of raw pointers
+// plus aggregates -- it lives by value in the kernel's structure-of-arrays
+// JobStateTable column.
 //
 // The initial-work column is elided in the common case: unless fault
 // injection scaled this job's node works (or a checkpoint restored scaled
@@ -34,9 +35,9 @@ class CheckpointWriter;
 
 class UnfoldingState {
  public:
-  /// Disengaged state (no job arrived yet): `engaged()` is false and every
-  /// other member function is off-limits.  Exists so UnfoldingState can be
-  /// a plain column in a SoA table.
+  /// Disengaged state (the job has not run yet): `engaged()` is false and
+  /// every other member function is off-limits.  Exists so UnfoldingState
+  /// can be a plain column in a SoA table.
   UnfoldingState() = default;
 
   /// The per-node block is bump-allocated from `arena`, which must outlive
@@ -45,8 +46,11 @@ class UnfoldingState {
 
   /// Fault-injection variant: per-node *actual* work overrides the DAG's
   /// declared work (modeling misestimated W_i).  `works` must have one entry
-  /// per node, each strictly positive.  Schedulers keep seeing the declared
-  /// values through JobView; only execution consumes the actual ones.
+  /// per node, each strictly positive.  JobView::work() and span() keep the
+  /// declared W_i and L_i, but JobView::remaining_work() reads
+  /// total_remaining_work(), the actual (overrun-scaled) total, so a
+  /// scheduler that reads it -- non-clairvoyant LLF -- sees the overrun
+  /// from the job's arrival on.
   UnfoldingState(const Dag& dag, const std::vector<Work>& works,
                  BumpArena& arena);
 
@@ -69,7 +73,8 @@ class UnfoldingState {
   UnfoldingState(const UnfoldingState&) = delete;
   UnfoldingState& operator=(const UnfoldingState&) = delete;
 
-  /// True once constructed from a Dag (the job has arrived).
+  /// True once constructed from a Dag (the job has run, or arrived with
+  /// fault-scaled works).
   bool engaged() const { return dag_ != nullptr; }
 
   const Dag& dag() const { return *dag_; }
@@ -121,6 +126,11 @@ class UnfoldingState {
   /// call this per decision); allocation-free once the scratch has grown to
   /// the largest DAG's node count.
   Work remaining_span() const;
+
+  /// remaining_span() of a fresh UnfoldingState(dag, arena), computed from
+  /// the Dag alone by the same loop and arithmetic, so bit for bit equal:
+  /// the remaining span of a job that has not run yet.
+  static Work unstarted_span(const Dag& dag);
 
   /// Bytes of the fused per-node block (telemetry gauge).  The remaining-
   /// span scratch is thread-global and excluded.

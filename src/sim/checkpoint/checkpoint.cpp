@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -251,15 +252,15 @@ void write_checkpoint_file(const std::string& path,
 }
 
 CheckpointFile read_checkpoint_file(const std::string& path) {
-  std::string bytes;
+  std::optional<FileBytes> bytes;
   try {
-    bytes = read_file_bytes(path);
+    bytes.emplace(path);
   } catch (const std::runtime_error& error) {
     throw CheckpointError(path, "file", 0,
                           std::string("cannot read checkpoint file: ") +
                               error.what());
   }
-  return parse_checkpoint_bytes(bytes, path);
+  return parse_checkpoint_bytes(bytes->view(), path);
 }
 
 std::uint64_t run_config_fingerprint(std::string_view workload_bytes,

@@ -1,9 +1,9 @@
 // EngineContext: everything a scheduler may consult when making a decision.
 //
 // Semi-non-clairvoyant schedulers use view()/active_jobs() only.  The
-// clairvoyant accessors (dag_of / unfolding_of) DS_CHECK that the scheduler
-// declared itself clairvoyant, so a semi-non-clairvoyant policy cannot
-// accidentally peek at DAG structure.
+// clairvoyant accessors (dag_of / unfolding_of / remaining_span) DS_CHECK
+// that the scheduler declared itself clairvoyant, so a semi-non-clairvoyant
+// policy cannot accidentally peek at DAG structure.
 #pragma once
 
 #include <cstddef>
@@ -102,13 +102,26 @@ class EngineContext {
     return (*jobs_)[id].dag();
   }
 
-  /// Full unfolding state (ready node identities, per-node progress);
-  /// clairvoyant schedulers only.
-  const UnfoldingState& unfolding_of(JobId id) const {
+  /// Full unfolding state (ready node identities, per-node progress), or
+  /// nullptr while the kernel holds none: it builds a job's unfolding the
+  /// first time it runs the job (at arrival for a job whose works fault
+  /// injection scaled).  Clairvoyant schedulers only.
+  const UnfoldingState* unfolding_of(JobId id) const {
     DS_CHECK_MSG(clairvoyant_allowed_,
                  "semi-non-clairvoyant scheduler peeked at unfolding state");
-    DS_CHECK(state_->unfolding(id).engaged());
-    return state_->unfolding(id);
+    const UnfoldingState& unfolding = state_->unfolding(id);
+    return unfolding.engaged() ? &unfolding : nullptr;
+  }
+
+  /// Weight of the heaviest path through job `id`'s unfinished nodes, by
+  /// remaining work; for a job without an unfolding, the bit-identical
+  /// UnfoldingState::unstarted_span of its DAG.  Clairvoyant schedulers
+  /// only.
+  Work remaining_span(JobId id) const {
+    const UnfoldingState* unfolding = unfolding_of(id);
+    return unfolding != nullptr
+               ? unfolding->remaining_span()
+               : UnfoldingState::unstarted_span((*jobs_)[id].dag());
   }
 
  private:

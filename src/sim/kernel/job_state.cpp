@@ -26,7 +26,9 @@ void JobStateTable::reset(const JobSet& jobs) {
   // Pre-size the arena for every job's unfolding block (work column +
   // four NodeId index arrays, plus per-job alignment padding): one exact
   // chunk instead of a doubling ramp whose retired chunks would double the
-  // resident footprint.  Fault-scaled init columns still grow on demand.
+  // resident footprint.  Nothing writes the chunk here, so the pages
+  // meant for jobs that never run are never touched.  Fault-scaled init columns still
+  // grow on demand.
   arena_.reserve(total_nodes * (sizeof(Work) + 4 * sizeof(NodeId)) +
                  n * alignof(Work));
   node_stamp_.assign(total_nodes, 0);

@@ -8,8 +8,9 @@
 //
 //     flags            u8    arrived | completed | deadline-notified
 //     completion_time  f64   absolute completion time (inf = never)
-//     exec             JobExec: unfolding descriptor (block data in arena)
-//                      + executed work + first start, one entry per job
+//     exec             JobExec: unfolding descriptor (block data in arena;
+//                      disengaged until the job first runs) + executed
+//                      work + first start, one entry per job
 //     active slots/pos u32   arrival-ordered active set with tombstones
 //     stamps           u32   interval/alloc epoch stamps (flat node array)
 //
@@ -19,9 +20,10 @@
 // per executed node (measured as a double-digit-percent slot-engine
 // regression) while no hot loop reads them without the unfolding.
 //
-// All unfolding per-node blocks are carved from one BumpArena owned here:
-// a job arrival after warmup costs zero heap allocations, and the arena's
-// high-water mark is the telemetry `unfolding_bytes` gauge.
+// All unfolding per-node blocks are carved from one BumpArena owned here,
+// one per job that has run (or arrived with fault-scaled works): building
+// one after warmup costs zero heap allocations, and the arena's high-water
+// mark is the telemetry `unfolding_bytes` gauge.
 //
 // The active set keeps the seed's tombstone scheme: completions and deadline
 // retirements tombstone their slot (kInvalidJob) instead of an O(|active|)

@@ -179,42 +179,40 @@ void SimKernel::deliver_transitions(Time now) {
   if (telemetry_ != nullptr) telemetry_->record_transition_since(telemetry_t0);
 }
 
-void SimKernel::emplace_arrived(JobId id) {
+void SimKernel::emplace_scaled(JobId id) {
   const FaultInjector* faults = options_.faults;
-  std::vector<Work> actual_works;
-  if (faults != nullptr && faults->scales_work()) {
-    actual_works = faults->scaled_works(id, jobs_[id].dag());
-  }
-  if (actual_works.empty()) {
-    state_.emplace_unfolding(id, jobs_[id].dag());
-  } else {
+  if (faults == nullptr || !faults->scales_work()) return;
+  const std::vector<Work> actual_works =
+      faults->scaled_works(id, jobs_[id].dag());
+  if (!actual_works.empty()) {
     state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
   }
 }
 
 void SimKernel::deliver_arrivals(Time now) {
   const std::size_t n = jobs_.size();
-  const FaultInjector* faults = options_.faults;
   while (next_arrival_ < n && approx_le(jobs_[next_arrival_].release(), now)) {
-    // Admission cost = unfolding construction + bookkeeping + the
-    // scheduler's on_arrival (allocation computation, condition (2)).
+    // Admission cost = bookkeeping (plus the unfolding of a job with
+    // fault-scaled works) + the scheduler's on_arrival (allocation
+    // computation, condition (2)).
     const auto telemetry_t0 = telemetry_ != nullptr
                                   ? TelemetryRecorder::Clock::now()
                                   : TelemetryRecorder::Clock::time_point{};
     const JobId id = static_cast<JobId>(next_arrival_++);
     state_.set_arrived(id);
-    emplace_arrived(id);
+    emplace_scaled(id);
     state_.activate(id);
     if (jobs_[id].has_deadline()) {
       deadlines_.emplace(jobs_[id].absolute_deadline(), id);
     }
-    if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kArrival);
-    const Work actual_total = state_.unfolding(id).total_remaining_work();
-    if (faults != nullptr && approx_gt(actual_total, jobs_[id].work())) {
-      if (obs_ != nullptr) {
+    if (obs_ != nullptr) {
+      obs_->event(now, id, ObsEventKind::kArrival);
+      const UnfoldingState& unfolding = state_.unfolding(id);
+      if (unfolding.engaged() &&
+          approx_gt(unfolding.total_remaining_work(), jobs_[id].work())) {
         obs_->event(now, id, ObsEventKind::kWorkOverrun, {},
                     {{"declared", jobs_[id].work()},
-                     {"actual", actual_total}});
+                     {"actual", unfolding.total_remaining_work()}});
       }
     }
     scheduler_.on_arrival(ctx_, id);
@@ -521,13 +519,15 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
     out.f64(state_.executed(id));
     if (!state_.arrived(id)) continue;
     // advance_node() is the only writer of first_start, so a job that never
-    // started still holds exactly the unfolding its arrival built, and the
-    // loader rebuilds it instead of reading it: first_start is the tag.
+    // started holds no unfolding, or exactly the fault-scaled one its
+    // arrival built; the loader rebuilds that instead of reading it:
+    // first_start is the tag.
     const UnfoldingState& unfolding = state_.unfolding(id);
     if (first_start != kTimeInfinity) {
       unfolding.save_state(out);
     } else {
-      DS_CHECK_MSG(unfolding.nodes_remaining() == unfolding.dag().num_nodes(),
+      DS_CHECK_MSG(!unfolding.engaged() || unfolding.nodes_remaining() ==
+                                               unfolding.dag().num_nodes(),
                    "job " << id << " never started but has finished nodes");
     }
   }
@@ -600,8 +600,9 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
       if (state_.completed(id)) {
         in.fail("job " + std::to_string(i) + " completed without starting");
       }
-      // Never started: its unfolding is the one arrival built.
-      emplace_arrived(id);
+      // Never started: only a job with fault-scaled works had an unfolding,
+      // the one its arrival built.
+      emplace_scaled(id);
     }
   }
 
@@ -663,7 +664,12 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
     for (auto& [job, node] : proc_node_) {
       job = in.u32();
       node = in.u32();
-      if (job != kInvalidJob && job >= n) in.fail("malformed victim entry");
+      // A restart-from-zero failure reads the victim's unfolding.
+      if (job != kInvalidJob &&
+          (job >= n || !state_.unfolding(job).engaged() ||
+           node >= jobs_[job].dag().num_nodes())) {
+        in.fail("malformed victim entry");
+      }
     }
     last_exec_end_ = in.f64();
   }
@@ -673,7 +679,7 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
     job = in.u32();
     node = in.u32();
     // account_preemptions() reads the unfolding of each entry's job.
-    if (job >= n || !state_.arrived(job) ||
+    if (job >= n || !state_.unfolding(job).engaged() ||
         node >= jobs_[job].dag().num_nodes()) {
       in.fail("malformed previous-interval node entry");
     }

@@ -13,6 +13,10 @@
 //     one pinned order (completions of the previous step, then processor
 //     transitions, then arrivals, then expiries; ties within each class are
 //     ordered by (time, id));
+//   * per-node state on demand: a job's UnfoldingState is built the first
+//     time select_nodes() runs it (at arrival only when fault injection
+//     scaled its works); until then JobView and the clairvoyant span read
+//     the DAG, so a job that never runs costs no per-node memory;
 //   * job death: the active set holds exactly the jobs that can still earn
 //     their profit (arrived, incomplete, and no deadline d with
 //     approx_le(d, now)), so no scheduler re-derives that rule (see
@@ -202,10 +206,17 @@ class SimKernel {
 
   // -- Execution ------------------------------------------------------------
 
-  /// Ready-node selection for one granted allocation (machine-owned policy).
+  /// Ready-node selection for one granted allocation (machine-owned
+  /// policy).  A job's first allocation builds its unfolding: until then
+  /// the DAG alone answers every question about it (JobView, the
+  /// clairvoyant span), so jobs that never run cost no per-node state.
   void select_nodes(const JobAlloc& alloc, std::vector<NodeId>& picked) {
-    selector_.select(jobs_[alloc.job].dag(), state_.unfolding(alloc.job),
-                     alloc.procs, picked);
+    const Dag& dag = jobs_[alloc.job].dag();
+    UnfoldingState& unfolding = state_.unfolding(alloc.job);
+    if (!unfolding.engaged()) [[unlikely]] {
+      state_.emplace_unfolding(alloc.job, dag);
+    }
+    selector_.select(dag, unfolding, alloc.procs, picked);
   }
 
   /// Prepares the physical-processor view for the coming interval: under
@@ -310,10 +321,12 @@ class SimKernel {
   }
   void deliver_transitions(Time now);
   void deliver_arrivals(Time now);
-  /// Builds job `id`'s unfolding as its arrival does, with the fault
-  /// injector's overrun-scaled works; the checkpoint loader uses it to
-  /// rebuild a job that never started.
-  void emplace_arrived(JobId id);
+  /// Builds job `id`'s unfolding at its arrival when the fault injector
+  /// scales its works, so the overrun event and JobView::remaining_work()
+  /// read the actual total from the start; any other job's unfolding waits
+  /// for its first run (select_nodes).  The checkpoint loader calls it for
+  /// a job that never started.
+  void emplace_scaled(JobId id);
   void deliver_expiries(Time now);
   void notify_completions_slow(Time notify_time);
   /// Applies the decision-latency budget to one decide() measurement:

@@ -48,12 +48,18 @@ class JobView {
   Time completion_time() const { return state_->completion_time(id_); }
 
   /// Number of ready nodes right now (0 before arrival / after completion).
+  /// A job that has not run yet has no unfolding: its DAG's sources are
+  /// ready.
   std::size_t ready_count() const {
+    if (!arrived() || completed()) return 0;
     const UnfoldingState& unfolding = state_->unfolding(id_);
-    if (!unfolding.engaged() || completed()) return 0;
-    return unfolding.ready_count();
+    return unfolding.engaged() ? unfolding.ready_count()
+                               : job_->dag().sources().size();
   }
 
+  /// Work left: W_i until the job has run, then its unfolding's remaining
+  /// total -- the actual one, which exceeds W_i for a job whose works
+  /// fault injection scaled (built at arrival, so from arrival on).
   Work remaining_work() const {
     const UnfoldingState& unfolding = state_->unfolding(id_);
     if (!unfolding.engaged()) return job_->work();

@@ -572,7 +572,8 @@ void save_workload(const std::string& path, const JobSet& jobs) {
 }
 
 JobSet load_workload(const std::string& path) {
-  return read_workload(read_file_bytes(path), path);
+  const FileBytes bytes(path);
+  return read_workload(bytes.view(), path);
 }
 
 }  // namespace dagsched

@@ -42,7 +42,7 @@ JobSet read_workload(std::istream& is,
                      const std::string& source = "<stream>");
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure.
-/// load_workload reads the file into one buffer and parses it.
+/// load_workload maps the file (util/file_bytes.h) and parses it in place.
 void save_workload(const std::string& path, const JobSet& jobs);
 JobSet load_workload(const std::string& path);
 

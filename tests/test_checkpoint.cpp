@@ -28,6 +28,7 @@
 #include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/engine_factory.h"
 #include "sim/kernel/kernel.h"
+#include "forwarding_scheduler.h"
 #include "util/file_bytes.h"
 #include "util/rng.h"
 #include "util/wire.h"
@@ -568,69 +569,33 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Rebuild of jobs that had not started.  A checkpoint omits their per-node
-// blocks and the loader rebuilds them as arrival did; the rebuilt bytes must
-// equal the uninterrupted run's at the same decision.
+// blocks.  Only a job whose works fault injection scaled has one before it
+// first runs, and the loader rebuilds it as arrival did; the rebuilt bytes
+// must equal the uninterrupted run's at the same decision.
 
-/// Forwards every callback to `inner` and, on its `capture_at`-th decide(),
-/// records the save_state bytes of every active job's unfolding.  It calls
-/// itself clairvoyant only to be allowed to read unfoldings; that changes
-/// no decision.
-class UnfoldingCapture final : public SchedulerBase {
+/// On its `capture_at`-th decide(), records the save_state bytes of every
+/// active job's unfolding; a job without one is left out.
+class UnfoldingCapture final : public ForwardingScheduler {
  public:
   UnfoldingCapture(SchedulerBase& inner, std::size_t capture_at)
-      : inner_(inner), capture_at_(capture_at) {}
+      : ForwardingScheduler(inner), capture_at_(capture_at) {}
 
-  std::string name() const override { return inner_.name(); }
-  bool clairvoyant() const override { return true; }
-  void reset() override { inner_.reset(); }
-  void on_arrival(const EngineContext& ctx, JobId job) override {
-    inner_.on_arrival(ctx, job);
-  }
-  void on_completion(const EngineContext& ctx, JobId job) override {
-    inner_.on_completion(ctx, job);
-  }
-  void on_deadline(const EngineContext& ctx, JobId job) override {
-    inner_.on_deadline(ctx, job);
-  }
-  void on_capacity_change(const EngineContext& ctx, ProcCount old_m,
-                          ProcCount new_m) override {
-    inner_.on_capacity_change(ctx, old_m, new_m);
-  }
-  Time next_wakeup(const EngineContext& ctx) const override {
-    return inner_.next_wakeup(ctx);
-  }
   void decide(const EngineContext& ctx, Assignment& out) override {
     if (++calls_ == capture_at_) {
       for (const JobId id : ctx.active_jobs()) {
+        const UnfoldingState* unfolding = ctx.unfolding_of(id);
+        if (unfolding == nullptr) continue;
         CheckpointWriter bytes;
-        ctx.unfolding_of(id).save_state(bytes);
+        unfolding->save_state(bytes);
         captured[id] = bytes.take();
       }
     }
-    inner_.decide(ctx, out);
+    ForwardingScheduler::decide(ctx, out);
   }
-  std::size_t arrival_precompute_size() const override {
-    return inner_.arrival_precompute_size();
-  }
-  void precompute_arrival(const Job& job, JobId id, double speed,
-                          void* out) const override {
-    inner_.precompute_arrival(job, id, speed, out);
-  }
-  void save_state(CheckpointWriter& out) const override {
-    inner_.save_state(out);
-  }
-  void load_state(CheckpointReader& in) override { inner_.load_state(in); }
-  std::size_t shed_load(const EngineContext& ctx,
-                        std::size_t max_jobs) override {
-    return inner_.shed_load(ctx, max_jobs);
-  }
-  std::size_t queue_depth() const override { return inner_.queue_depth(); }
-  std::size_t memory_bytes() const override { return inner_.memory_bytes(); }
 
   std::map<JobId, std::string> captured;
 
  private:
-  SchedulerBase& inner_;
   std::size_t capture_at_;
   std::size_t calls_ = 0;
 };
@@ -658,7 +623,7 @@ TEST_P(NeverStartedRebuild, RestoredBytesEqualTheUninterruptedRun) {
     sink.set_snapshot_limit(1);
     parity_run(jobs, "s", engine, kOverrunSpec, nullptr, &sink, nullptr);
     ASSERT_EQ(sink.snapshots(), 1u);
-    snapshots[run] = read_file_bytes(path);
+    snapshots[run] = std::string(FileBytes(path).view());
   }
   EXPECT_EQ(snapshots[0], snapshots[1]) << "checkpoints are not deterministic";
   const CheckpointFile file = parse_checkpoint_bytes(snapshots[0], "<mem>");
@@ -678,24 +643,30 @@ TEST_P(NeverStartedRebuild, RestoredBytesEqualTheUninterruptedRun) {
   ASSERT_FALSE(reference.captured.empty());
 
   // Jobs that had arrived at the snapshot but started no earlier than it
-  // are the ones the checkpoint omitted.
+  // are the ones the checkpoint omitted: the scaled ones were rebuilt, the
+  // rest have no unfolding on either side.
   const std::optional<FaultInjector> faults = parity_faults(kOverrunSpec);
-  std::size_t omitted = 0;
   std::size_t omitted_scaled = 0;
-  for (const auto& [id, bytes] : reference.captured) {
+  for (JobId id = 0; id < jobs.size(); ++id) {
     if (!(jobs[id].release() < file.meta.sim_time) ||
         full.outcomes[id].first_start < file.meta.sim_time) {
       continue;
     }
-    ++omitted;
-    if (!faults->scaled_works(id, jobs[id].dag()).empty()) ++omitted_scaled;
+    const auto reference_bytes = reference.captured.find(id);
     const auto restored = resumed.captured.find(id);
+    if (faults->scaled_works(id, jobs[id].dag()).empty()) {
+      EXPECT_EQ(reference_bytes, reference.captured.end()) << "job " << id;
+      EXPECT_EQ(restored, resumed.captured.end()) << "job " << id;
+      continue;
+    }
+    if (reference_bytes == reference.captured.end()) continue;  // not active
+    ++omitted_scaled;
     ASSERT_NE(restored, resumed.captured.end()) << "job " << id;
-    EXPECT_EQ(restored->second, bytes) << "job " << id;
+    EXPECT_EQ(restored->second, reference_bytes->second) << "job " << id;
   }
-  EXPECT_GT(omitted, 0u);
   EXPECT_GT(omitted_scaled, 0u);
-  // Every other job active at that decision matches too.
+  // Every other job active at that decision matches too, and the two runs
+  // hold unfoldings for the same jobs.
   EXPECT_EQ(resumed.captured, reference.captured);
 }
 
@@ -929,7 +900,7 @@ std::string real_checkpoint_bytes(const std::string& scheduler_name = "s",
   CheckpointSink sink(path, 5, base, &log);
   sink.set_snapshot_limit(1);
   parity_run(jobs, scheduler_name, engine, "", &log, &sink, nullptr);
-  return read_file_bytes(path);
+  return std::string(FileBytes(path).view());
 }
 
 /// Drives the full kernel + scheduler load path of `file` on a fresh

@@ -6,6 +6,8 @@
 // list baselines read JobView::live(), with no dead-job filter of their own.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,13 +17,17 @@
 
 #include "dag/builder.h"
 #include "dag/generators.h"
+#include "dag/unfolding.h"
 #include "exp/runner.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "forwarding_scheduler.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
 #include "sim/kernel/engine_factory.h"
 #include "sim/views.h"
+#include "util/arena.h"
+#include "util/check.h"
 #include "util/float_cmp.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
@@ -64,6 +70,28 @@ JobSet overloaded_jobs() {
   return generate_workload(rng, config);
 }
 
+/// Restart-from-zero processor churn on kM processors.
+FaultPlan churn_zero_plan() {
+  std::string error;
+  const auto config = parse_fault_spec(
+      "mtbf=30,mttr=5,horizon=80,seed=3,integral=1,restart=zero", &error);
+  DS_CHECK_MSG(config.has_value(), error);
+  return build_fault_plan(*config, kM);
+}
+
+/// "<scheduler>_<engine>_<none|churn_zero>", with '-' spelled '_'.
+std::string contract_param_name(
+    const ::testing::TestParamInfo<std::tuple<std::string, EngineKind, bool>>&
+        param_info) {
+  std::string name = std::get<0>(param_info.param);
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  name += std::get<1>(param_info.param) == EngineKind::kEvent ? "_event"
+                                                              : "_slot";
+  return name + (std::get<2>(param_info.param) ? "_churn_zero" : "_none");
+}
+
 class RetirementContract
     : public ::testing::TestWithParam<
           std::tuple<std::string, EngineKind, bool>> {};
@@ -75,13 +103,7 @@ TEST_P(RetirementContract, ActiveSetIsExactlyTheJobsThatCanStillEarn) {
   }
   const JobSet jobs = overloaded_jobs();
   std::optional<FaultInjector> injector;
-  if (churn) {
-    std::string error;
-    const auto config = parse_fault_spec(
-        "mtbf=30,mttr=5,horizon=80,seed=3,integral=1,restart=zero", &error);
-    ASSERT_TRUE(config.has_value()) << error;
-    injector.emplace(build_fault_plan(*config, kM));
-  }
+  if (churn) injector.emplace(churn_zero_plan());
 
   std::size_t decisions = 0;
   std::size_t with_dead = 0;      // decisions with an arrived, dead job
@@ -147,16 +169,89 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(EngineKind::kEvent,
                                          EngineKind::kSlot),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<
-        std::tuple<std::string, EngineKind, bool>>& param_info) {
-      std::string name = std::get<0>(param_info.param);
-      for (char& ch : name) {
-        if (ch == '-') ch = '_';
+    contract_param_name);
+
+// No per-node state before a job's first run: the kernel builds a job's
+// unfolding the first time it allocates the job processors.  Until then
+// JobView's ready count is the DAG's source count, and the clairvoyant
+// remaining span comes from the DAG, bit for bit what a fresh unfolding
+// computes.  Same matrix as RetirementContract; the scheduler is wrapped in
+// a ForwardingScheduler only so the observer may read unfoldings.
+class UnfoldingOnFirstRun
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, EngineKind, bool>> {};
+
+TEST_P(UnfoldingOnFirstRun, ArrivedJobHoldsOneExactlyOnceAllocated) {
+  const auto& [name, engine, churn] = GetParam();
+  if (!scheduler_engine_error(name, engine).empty()) {
+    GTEST_SKIP() << scheduler_engine_error(name, engine);
+  }
+  const JobSet jobs = overloaded_jobs();
+  std::optional<FaultInjector> injector;
+  if (churn) injector.emplace(churn_zero_plan());
+
+  // A job's remaining span cannot change before it runs.
+  std::vector<std::uint64_t> fresh_span(jobs.size());
+  for (JobId id = 0; id < jobs.size(); ++id) {
+    BumpArena arena;
+    fresh_span[id] = std::bit_cast<std::uint64_t>(
+        UnfoldingState(jobs[id].dag(), arena).remaining_span());
+  }
+
+  std::vector<char> allocated(jobs.size(), 0);
+  std::size_t decisions = 0;
+  std::size_t built = 0;      // arrived jobs seen after their first run
+  std::size_t unbuilt = 0;    // ... and before it
+  std::size_t engaged_mismatch = 0;
+  std::size_t ready_mismatch = 0;
+  std::size_t span_mismatch = 0;
+  SimOptions options;
+  options.num_procs = kM;
+  options.faults = injector ? &*injector : nullptr;
+  options.observer = [&](const EngineContext& ctx,
+                         const Assignment& assignment) {
+    ++decisions;
+    for (JobId id = 0; id < ctx.num_jobs(); ++id) {
+      const JobView view = ctx.view(id);
+      if (!view.arrived()) continue;
+      const bool ran = allocated[id] != 0;
+      engaged_mismatch += (ctx.unfolding_of(id) != nullptr) != ran ? 1u : 0u;
+      if (ran) {
+        ++built;
+        continue;
       }
-      name += std::get<1>(param_info.param) == EngineKind::kEvent ? "_event"
-                                                                  : "_slot";
-      return name + (std::get<2>(param_info.param) ? "_churn_zero" : "_none");
-    });
+      ++unbuilt;
+      ready_mismatch +=
+          view.ready_count() != jobs[id].dag().sources().size() ? 1u : 0u;
+      span_mismatch += std::bit_cast<std::uint64_t>(ctx.remaining_span(id)) !=
+                               fresh_span[id]
+                           ? 1u
+                           : 0u;
+    }
+    for (const JobAlloc& alloc : assignment.allocs) allocated[alloc.job] = 1;
+  };
+  auto inner = make_named_scheduler(name, 0.5);
+  ForwardingScheduler scheduler(*inner);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  const SimResult result =
+      run_simulation(engine, jobs, scheduler, *selector, options);
+  EXPECT_FALSE(result.failed()) << result.failure_message;
+  EXPECT_EQ(decisions, result.decisions);
+  EXPECT_EQ(engaged_mismatch, 0u);
+  EXPECT_EQ(ready_mismatch, 0u);
+  EXPECT_EQ(span_mismatch, 0u);
+  // Not vacuous: both kinds of arrived job were seen.
+  EXPECT_GT(built, 0u);
+  EXPECT_GT(unbuilt, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchedulers, UnfoldingOnFirstRun,
+                         ::testing::Combine(
+                             ::testing::ValuesIn(named_scheduler_list()),
+                             ::testing::Values(EngineKind::kEvent,
+                                               EngineKind::kSlot),
+                             ::testing::Bool()),
+                         contract_param_name);
 
 TEST(Retirement, SlotEngineRunsAFractionalDeadlineJobInItsExpirySlot) {
   // `profit step 1 1.5`, a chain of nodes with works 1 and 0.3, m = 1.  The

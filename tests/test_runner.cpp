@@ -51,6 +51,30 @@ TEST(Runner, AlgorithmNeverExceedsUpperBound) {
   EXPECT_LE(metrics.profit, bracket.upper + 1e-6);
 }
 
+TEST(Runner, OptBracketAndClairvoyantLlfWitnessArePinned) {
+  // Clairvoyant LLF reads each job's remaining span, which comes from the
+  // DAG until the kernel first runs the job and builds its unfolding; the
+  // two must agree bit for bit.  These are the values computed when every
+  // arrival built its unfolding.
+  Rng rng(5);
+  const JobSet jobs =
+      generate_workload(rng, scenario_shootout(1.6, 8, 0.3, 1.2));
+  ASSERT_EQ(jobs.size(), 238u);
+  const OptBracket bracket = estimate_opt(jobs, 8);
+  EXPECT_EQ(bracket.lower, 0x1.598ca784a326cp+11);
+  EXPECT_EQ(bracket.lower_scheduler, "offline-greedy-plan");
+  EXPECT_EQ(bracket.upper, 0x1.5d4c07ddae799p+11);
+
+  ListScheduler llf({.policy = ListPolicy::kLlf, .clairvoyant_laxity = true});
+  RunConfig run;
+  run.m = 8;
+  run.selector = SelectorKind::kCriticalPath;
+  const RunMetrics metrics = run_workload(jobs, llf, run);
+  EXPECT_EQ(metrics.profit, 0x1.21da96375f47bp+11);
+  EXPECT_EQ(metrics.completed, 77u);
+  EXPECT_EQ(metrics.decisions, 3824u);
+}
+
 TEST(Runner, OfflineGreedyLowerBoundWithinBracket) {
   Rng rng(17);
   const JobSet jobs = generate_workload(rng, scenario_shootout(2.0, 8, 0.3, 1.0));

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "dag/builder.h"
 #include "dag/generators.h"
@@ -100,6 +103,37 @@ TEST(Unfolding, RemainingSpanTracksProgress) {
   EXPECT_DOUBLE_EQ(state.remaining_span(), 3.0);
   state.advance(state.ready()[0], 0.5);
   EXPECT_DOUBLE_EQ(state.remaining_span(), 2.5);
+}
+
+TEST(Unfolding, UnstartedSpanIsTheFreshRemainingSpanBitForBit) {
+  // The kernel answers the remaining span of a job it has not run from the
+  // DAG alone; it must be the very double a fresh unfolding computes.
+  // Works like 0.1 or uniform draws make the sums round, so only the same
+  // additions in the same order agree in every bit.
+  Rng rng(2024);
+  std::vector<Dag> dags;
+  dags.push_back(make_single_node(0.7));
+  dags.push_back(make_chain(9, 0.1));
+  dags.push_back(make_parallel_block(6, 0.3));
+  dags.push_back(make_fig1_dag(4, 5, 0.1));
+  dags.push_back(make_fig2_dag(3, 7, 0.1));
+  dags.push_back(make_fork_join(3, 4, 0.7, 0.013));
+  dags.push_back(make_wavefront(5, 6, 0.3));
+  dags.push_back(make_stencil_1d(4, 5, 0.1));
+  dags.push_back(make_map_reduce(5, 3, 0.7, 1.3, 0.011));
+  for (int i = 0; i < 8; ++i) {
+    dags.push_back(make_layered_random(rng, LayeredParams{}));
+    dags.push_back(make_series_parallel(rng, SeriesParallelParams{}));
+    dags.push_back(make_random_dag(rng, RandomDagParams{}));
+  }
+  for (std::size_t i = 0; i < dags.size(); ++i) {
+    BumpArena arena;
+    const UnfoldingState fresh(dags[i], arena);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  UnfoldingState::unstarted_span(dags[i])),
+              std::bit_cast<std::uint64_t>(fresh.remaining_span()))
+        << "dag " << i;
+  }
 }
 
 TEST(Unfolding, RandomDagFullExecutionBySweeps) {

@@ -85,7 +85,8 @@ JobSet parse_instance(std::string_view bytes, const std::string& path) {
 
 /// Loads either a .wl workload file or a .csv parameterized trace.
 JobSet load_instance(const std::string& path) {
-  return parse_instance(read_file_bytes(path), path);
+  const FileBytes bytes(path);
+  return parse_instance(bytes.view(), path);
 }
 
 int usage() {
@@ -420,17 +421,19 @@ RunFlags read_run_flags(ArgParser& args) {
 
 int cmd_run(ArgParser& args) {
   if (args.positional().size() != 2) return usage();
-  // The workload is read once: parsed here and released before the
+  // The workload is mapped once: parsed here and unmapped before the
   // simulation starts.  Under --checkpoint/--resume a second thread hashes
   // the same bytes for the config fingerprint while the parse runs.
-  std::string workload_bytes = read_file_bytes(args.positional()[1]);
+  FileBytes workload_bytes(args.positional()[1]);
   std::future<std::uint64_t> workload_digest;
   if (args.has("checkpoint") || args.has("resume")) {
-    workload_digest = std::async(std::launch::async, [&workload_bytes] {
-      return fnv1a64(workload_bytes);
-    });
+    workload_digest =
+        std::async(std::launch::async, [bytes = workload_bytes.view()] {
+          return fnv1a64(bytes);
+        });
   }
-  const JobSet jobs = parse_instance(workload_bytes, args.positional()[1]);
+  const JobSet jobs =
+      parse_instance(workload_bytes.view(), args.positional()[1]);
   const bool show_gantt = args.get_flag("gantt");
   const bool show_profile = args.get_flag("profile");
   const bool show_audit = args.get_flag("audit");
@@ -571,9 +574,9 @@ int cmd_run(ArgParser& args) {
   }
 
   // An empty --checkpoint= still started the digest thread, which reads
-  // the buffer until it finishes.
+  // the bytes until it finishes.
   if (workload_digest.valid()) workload_digest.wait();
-  std::string().swap(workload_bytes);
+  workload_bytes.release();
 
   auto scheduler = make_named_scheduler(flags.scheduler, flags.eps);
   auto sel = make_selector(flags.selector, 1);
