@@ -428,6 +428,32 @@ void BM_LoadWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadWorkload)->Arg(10000)->Iterations(8)->UseRealTime();
 
+// The same instance read back from a file by load_workload(path): the map
+// of the file (util/file_bytes.h) and its unmap, on top of the parse, as
+// `dagsched run` loads it.  The file sits in the page cache after its
+// write, as a workload a run has just generated does.
+void BM_LoadWorkloadFile(benchmark::State& state) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "bench_load_workload_file.wl")
+                               .string();
+  save_workload(path,
+                make_scale_jobs(static_cast<std::size_t>(state.range(0))));
+  const auto bytes = std::filesystem::file_size(path);
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    const JobSet parsed = load_workload(path);
+    jobs = parsed.size();
+    benchmark::DoNotOptimize(jobs);
+  }
+  std::filesystem::remove(path);
+  state.counters["mb_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(bytes) /
+          1e6,
+      benchmark::Counter::kIsRate);
+  state.counters["jobs"] = static_cast<double>(jobs);
+}
+BENCHMARK(BM_LoadWorkloadFile)->Arg(10000)->Iterations(8)->UseRealTime();
+
 // A unit-node profit instance at horizon Arg and load 4, the shape of the
 // `dagsched generate --scenario profit` input: its bytes are mostly short
 // "a b" edge lines.
@@ -611,6 +637,7 @@ int main(int argc, char** argv) {
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
       "BM_SlotEngineEdfTelemetry/100$|"
       "BM_LoadWorkload/10000/iterations:8/real_time$|"
+      "BM_LoadWorkloadFile/10000/iterations:8/real_time$|"
       "BM_LoadWorkloadProfit/3000/real_time$|"
       "BM_CheckpointSnapshot/300$|BM_EventJsonl/10000$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";
